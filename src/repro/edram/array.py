@@ -109,26 +109,16 @@ class EDRAMArray:
 
         cap = self._validated_map(capacitance_map, self.tech.cell_capacitance, "capacitance_map")
         leak = self._validated_map(leak_map, self.tech.junction_leak_per_cell, "leak_map")
-        self._cells = [
-            [
-                DRAMCell(capacitance=float(cap[r, c]), leak_current=float(leak[r, c]))
-                for c in range(cols)
-            ]
-            for r in range(rows)
-        ]
 
-        # Bulk views maintained incrementally: every watched cell mutation
-        # (capacitance edit, defect attachment) is mirrored here through
-        # _note_cell_changed, so array-scale consumers get O(1) slices
-        # instead of O(rows x cols) Python loops.
+        # The bulk planes are the truth; cell() builds a DRAMCell only on
+        # first access (kernel scans and wafer dies never ask), and its
+        # watcher mirrors every later edit back through _note_cell_changed.
+        self._cells: list[list[DRAMCell | None]] = [[None] * cols for _ in range(rows)]
         self._cap = cap.astype(float, copy=True)
         self._leak = leak.astype(float, copy=True)
         self._kinds = np.zeros((rows, cols), dtype=np.int8)
         self._kind_counts: dict[DefectKind, int] = dict.fromkeys(DefectKind, 0)
         self._version = 0
-        for r in range(rows):
-            for c in range(cols):
-                self._cells[r][c]._watcher = (self, r, c)
 
     def _validated_map(self, arr: np.ndarray | None, default: float, name: str) -> np.ndarray:
         if arr is None:
@@ -157,7 +147,7 @@ class EDRAMArray:
 
     def _note_cell_changed(self, row: int, col: int) -> None:
         """Mirror one cell's mutation into the bulk matrices (cell hook)."""
-        cell = self._cells[row][col]
+        cell = self.cell(row, col)
         self._cap[row, col] = cell.capacitance
         self._leak[row, col] = cell.leak_current
         new = 0 if cell.defect is None else KIND_CODES[cell.defect.kind]
@@ -170,17 +160,43 @@ class EDRAMArray:
             self._kinds[row, col] = new
         self._version += 1
 
+    def _set_capacitance_plane(self, plane: np.ndarray) -> None:
+        """Overwrite every cell's capacitance in one edit (one version bump).
+
+        Cells never materialized read the new plane on first access;
+        materialized ones are synced here without per-cell watcher
+        traffic.
+        """
+        self._cap[...] = plane
+        for r, row_cells in enumerate(self._cells):
+            for c, cell in enumerate(row_cells):
+                if cell is not None:
+                    object.__setattr__(cell, "capacitance", float(self._cap[r, c]))
+        self._version += 1
+
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
 
     def cell(self, row: int, col: int) -> DRAMCell:
-        """The cell at (row, col); raises on out-of-range addresses."""
+        """The cell at (row, col); raises on out-of-range addresses.
+
+        Built from the bulk planes on first access, watched, and cached:
+        later edits through the cell land back in the planes.
+        """
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise ArrayConfigError(
                 f"address ({row}, {col}) outside array {self.rows}x{self.cols}"
             )
-        return self._cells[row][col]
+        cell = self._cells[row][col]
+        if cell is None:
+            cell = DRAMCell(
+                capacitance=float(self._cap[row, col]),
+                leak_current=float(self._leak[row, col]),
+            )
+            cell._watcher = (self, row, col)
+            self._cells[row][col] = cell
+        return cell
 
     def addresses(self) -> list[CellAddress]:
         """All cell addresses in row-major order."""

@@ -132,22 +132,13 @@ class DefectInjector:
         """
         if count < 0:
             raise DefectError(f"count must be >= 0, got {count}")
-        candidates = [
-            (r, c)
-            for r in range(self.array.rows)
-            for c in range(self.array.cols)
-            if self.array.cell(r, c).defect is None
-            and not (kind == DefectKind.BRIDGE and c + 1 >= self.array.cols)
-        ]
-        if count > len(candidates):
+        rows, cols = self._candidates(kind)
+        if count > rows.size:
             raise DefectError(
-                f"cannot place {count} defects: only {len(candidates)} healthy cells"
+                f"cannot place {count} defects: only {rows.size} healthy cells"
             )
-        chosen = self._rng.choice(len(candidates), size=count, replace=False)
-        locations = [candidates[int(i)] for i in chosen]
-        for row, col in locations:
-            self.inject(row, col, CellDefect(kind, factor))
-        return locations
+        chosen = self._rng.choice(rows.size, size=count, replace=False)
+        return self._inject_all(kind, factor, rows[chosen], cols[chosen])
 
     def cluster(
         self,
@@ -162,27 +153,20 @@ class DefectInjector:
         if radius < 0:
             raise DefectError(f"radius must be >= 0, got {radius}")
         r0, c0 = center
-        locations = []
-        for row in range(max(0, r0 - radius), min(self.array.rows, r0 + radius + 1)):
-            for col in range(max(0, c0 - radius), min(self.array.cols, c0 + radius + 1)):
-                if kind == DefectKind.BRIDGE and col + 1 >= self.array.cols:
-                    continue
-                if self.array.cell(row, col).defect is None:
-                    self.inject(row, col, CellDefect(kind, factor))
-                    locations.append((row, col))
-        return locations
+        window = self._candidates(
+            kind,
+            slice(max(0, r0 - radius), max(0, r0 + radius + 1)),
+            slice(max(0, c0 - radius), max(0, c0 + radius + 1)),
+        )
+        return self._inject_all(kind, factor, *window)
 
     def row_stripe(self, kind: DefectKind, row: int, factor: float = 1.0) -> list[tuple[int, int]]:
         """Defect every cell of one row (wordline-level process flaw)."""
         if not 0 <= row < self.array.rows:
             raise DefectError(f"row {row} out of range 0..{self.array.rows - 1}")
-        locations = []
-        last_col = self.array.cols - (1 if kind == DefectKind.BRIDGE else 0)
-        for col in range(last_col):
-            if self.array.cell(row, col).defect is None:
-                self.inject(row, col, CellDefect(kind, factor))
-                locations.append((row, col))
-        return locations
+        return self._inject_all(
+            kind, factor, *self._candidates(kind, rows=slice(row, row + 1))
+        )
 
     def column_stripe(self, kind: DefectKind, col: int, factor: float = 1.0) -> list[tuple[int, int]]:
         """Defect every cell of one column (bitline-level process flaw)."""
@@ -190,9 +174,30 @@ class DefectInjector:
             raise DefectError(f"col {col} out of range 0..{self.array.cols - 1}")
         if kind == DefectKind.BRIDGE and col + 1 >= self.array.cols:
             raise DefectError("cannot bridge the last column")
-        locations = []
-        for row in range(self.array.rows):
-            if self.array.cell(row, col).defect is None:
-                self.inject(row, col, CellDefect(kind, factor))
-                locations.append((row, col))
+        return self._inject_all(
+            kind, factor, *self._candidates(kind, cols=slice(col, col + 1))
+        )
+
+    def _candidates(
+        self, kind: DefectKind, rows: slice = slice(None), cols: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Healthy cells of a window that may take ``kind``, row-major.
+
+        Read from the defect-kind plane, so no cell object is built just
+        to be skipped.  A BRIDGE needs a right-hand neighbour, so the
+        array's last column never qualifies for one.
+        """
+        kinds = self.array.defect_kind_view()
+        healthy = np.zeros(kinds.shape, dtype=bool)
+        healthy[rows, cols] = kinds[rows, cols] == 0
+        if kind == DefectKind.BRIDGE:
+            healthy[:, -1] = False
+        return np.nonzero(healthy)
+
+    def _inject_all(
+        self, kind: DefectKind, factor: float, rows: np.ndarray, cols: np.ndarray
+    ) -> list[tuple[int, int]]:
+        locations = [(int(r), int(c)) for r, c in zip(rows, cols)]
+        for row, col in locations:
+            self.inject(row, col, CellDefect(kind, factor))
         return locations

@@ -70,6 +70,7 @@ from repro.measure.sequencer import MeasurementSequencer
 from repro.measure.stats import MacroTiming, ScanStats
 from repro.measure.structure import MeasurementDesign, MeasurementStructure
 from repro.obs.metrics import active_metrics, use_metrics
+from repro.obs.trace import NULL_TRACER
 from repro.resilience.checkpoint import resume_fingerprint
 from repro.resilience.faults import active_fault_plan, fault_point, inject
 from repro.resilience.quality import CellQuality, quality_counts, quality_plane
@@ -269,6 +270,25 @@ class ArrayScanner:
             macro_rows=self.array.macro_rows,
             macro_cols=self.array.macro_cols,
         )
+
+    def kernel_planes(
+        self, cap: np.ndarray, kinds: np.ndarray, tracer=NULL_TRACER
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """One batched kernel + code-conversion pass; ``(vgs, codes, seconds)``.
+
+        ``cap``/``kinds`` are this array's planes, or several arrays of
+        its exact geometry stacked row-wise (a wafer's dies): macro
+        tiles never straddle two stacked arrays, so every array's slice
+        of the result is bit-identical to scanning it alone.  The pass
+        is one ``kernel`` span on ``tracer``.
+        """
+        start = perf_counter()
+        with tracer.span("kernel", rows=cap.shape[0], cols=cap.shape[1]) as span:
+            vgs = closed_form_vgs_plane(cap, kinds, self.kernel_constants())
+            codes = self.codes_for_vgs(vgs)
+        seconds = perf_counter() - start
+        span.attributes["seconds"] = seconds
+        return vgs, codes, seconds
 
     def _sequencer(self, macro: MacroCell) -> MeasurementSequencer:
         sequencer = self._sequencers.get(macro.index)
@@ -707,20 +727,11 @@ class ArrayScanner:
                     for index, _error in failures:
                         _rescue(index)
                 elif kernel_ok:
-                    kernel_start = perf_counter()
-                    with tracer.span(
-                        "kernel", rows=rows, cols=cols
-                    ) as kernel_span:
-                        plane_vgs = closed_form_vgs_plane(
-                            self.array.capacitance_view(),
-                            self.array.defect_kind_view(),
-                            self.kernel_constants(),
-                        )
-                        plane_codes = self.codes_for_vgs(plane_vgs)
-                    kernel_seconds = perf_counter() - kernel_start
-                    kernel_span.attributes["seconds"] = kernel_seconds
-                    vgs = plane_vgs
-                    codes = plane_codes
+                    vgs, codes, kernel_seconds = self.kernel_planes(
+                        self.array.capacitance_view(),
+                        self.array.defect_kind_view(),
+                        tracer,
+                    )
                     engine_set = frozenset(engine_indices)
                     if footprint is not None:
                         # The kernel wrote the whole plane, but engine

@@ -28,9 +28,9 @@ Models an array of ferroelectric (HZO-class) capacitors read
 The charge-share algebra itself is unchanged — at the plate terminal a
 FeCap cell is "a capacitor of value C(P)" — so this backend keeps
 ``uses_kernel = True`` and rides the batched kernel and shared-memory
-fan-out untouched.  The disturb update writes through each cell's
-watched ``capacitance`` attribute, which bumps ``array.version`` and
-thereby evicts warm worker pools and cached netlists automatically.
+fan-out untouched.  The disturb update rewrites the capacitance plane
+in bulk, which bumps ``array.version`` and thereby evicts warm worker
+pools and cached netlists automatically.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class FeCapArray(EDRAMArray):
     capacitance plane is *derived*: ``C = C_lin + (1+P)/2 · C_switch``
     from the per-cell dielectric/switching splits and the polarization
     plane.  :meth:`apply_read_disturb` advances the polarization and
-    writes the derived values back through the watched cells.
+    writes the derived values back into the capacitance plane.
     """
 
     technology = "fecap"
@@ -167,9 +167,9 @@ class FeCapArray(EDRAMArray):
         """Relax polarization by ``reads`` read cycles and update cells.
 
         Each read multiplies the polarization by ``(1 − read_disturb)``;
-        the derived capacitances are written back through the watched
-        ``DRAMCell.capacitance`` attribute so the array's bulk planes,
-        version counter and every cache keyed on it stay coherent.
+        the derived capacitances replace the array's capacitance plane in
+        one bulk edit, which syncs the materialized cells and bumps the
+        version counter once, so every cache keyed on it is evicted.
         Parametric capacitance defects (LOW_CAP/HIGH_CAP) re-apply their
         factor on top of the recomputed drawn value.
         """
@@ -181,13 +181,15 @@ class FeCapArray(EDRAMArray):
         self._polarization *= (1.0 - self.read_disturb) ** reads
         self.reads += reads
         derived = self._derived_capacitance()
-        for r in range(self.rows):
-            for c in range(self.cols):
-                cell = self._cells[r][c]
-                value = float(derived[r, c])
-                if cell.defect is not None and cell.defect.kind in _PARAMETRIC_CAP:
-                    value *= cell.defect.factor
-                cell.capacitance = value
+        parametric = np.logical_or.reduce(
+            [self.defect_mask(kind) for kind in _PARAMETRIC_CAP]
+        )
+        for r, c in zip(*np.nonzero(parametric)):
+            # Defective cells are always materialized (the defect was
+            # attached through the cell), so their factor is at hand.
+            defect = self.cell(int(r), int(c)).defect
+            derived[r, c] = float(derived[r, c]) * defect.factor  # type: ignore[union-attr]
+        self._set_capacitance_plane(derived)
 
 
 class FeCapTechnology(CellTechnology):

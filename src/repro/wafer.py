@@ -9,6 +9,10 @@ into a wafer map — the standard artefact a process engineer reads.
 radial + random profile), measures each die through the real scan path,
 and :class:`WaferReport` aggregates: per-die means, zonal statistics
 (centre/mid/edge rings), radial regression, and an ASCII wafer map.
+
+Dies are tiny and many, so per-die fixed costs (scanner, scan result,
+bitmap) would dwarf their kernel work: the die loop measures chunks of
+stacked dies in one pass instead (see :meth:`WaferModel._scan_dies`).
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ from repro.bitmap.analog import AnalogBitmap
 from repro.calibration.abacus import Abacus
 from repro.calibration.design import design_structure
 from repro.edram.array import EDRAMArray
+from repro.edram.defects import DefectKind
 from repro.errors import DiagnosisError, MeasurementError
 from repro.measure.config import ScanConfig
-from repro.measure.scan import ArrayScanner
+from repro.measure.scan import ArrayScanner, ScanResult
 from repro.measure.structure import MeasurementStructure
 from repro.obs.progress import NULL_PROGRESS
 from repro.resilience.checkpoint import resume_fingerprint
-from repro.resilience.faults import fault_point, inject
+from repro.resilience.faults import active_fault_plan, fault_point, inject
 from repro.tech.parameters import TechnologyCard
 from repro.technologies import get as get_technology
 from repro.units import fF, to_fF
@@ -42,6 +47,10 @@ from repro.units import fF, to_fF
 #: other technologies scale the wafer profile by their card nominal
 #: relative to this.
 _REFERENCE_NOMINAL = 30.0 * fF
+
+#: Cells per stacked kernel pass of the die loop; a chunk holds this
+#: many cells' worth of dies (at least one die).
+_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -266,12 +275,15 @@ class WaferModel:
     ) -> "WaferReport":
         """Fabricate and scan every die; return the wafer report.
 
-        ``config`` forwards to :meth:`ArrayScanner.scan` per die (fan
-        the die's macro tiles across worker processes, attach a tracer
-        or metrics registry); ``jobs`` is a convenience shorthand for
-        ``config.with_options(jobs=...)``.  The designed structure and
-        its memoized code-boundary table are shared by every die
-        scanner, so calibration is solved once per wafer.
+        Dies run through the chunked die loop (see :meth:`_scan_dies`):
+        kernel-eligible dies are measured a chunk at a time, the rest
+        per die through :meth:`ArrayScanner.scan` with ``config``.
+        ``jobs`` (shorthand for ``config.with_options(jobs=...)``) fans
+        out only those per-die scans; a tracer gets one ``kernel`` span
+        per chunk plus the per-die scans' own trees.  The designed
+        structure and its memoized code-boundary table are shared by
+        every die, so calibration is solved once per wafer.  Only the
+        per-die means and sigmas are kept.
 
         ``config.progress`` reports at **die** granularity (the die scans
         themselves run silent), and ``config.ledger`` receives one wafer
@@ -284,70 +296,26 @@ class WaferModel:
         exactly the draws their fabrication would have consumed, so the
         remaining dies print identically to an uninterrupted run.
         """
-        # A default config inherits the wafer's technology; an explicit
-        # one must agree — the per-die scans validate array-vs-config
-        # technology, so a mismatch here would fail on the first die
-        # with a less helpful message.
-        config = (
-            config if config is not None
-            else ScanConfig(technology=self.technology)
-        )
+        config = self._checked_config(config)
         if jobs is not None:
             config = config.with_options(jobs=jobs)
-        if config.technology != self.technology:
-            raise MeasurementError(
-                f"config.technology is {config.technology!r} but this "
-                f"wafer fabricates {self.technology!r} dies"
-            )
-        progress, ledger = config.progress, config.ledger
-        checkpointer = config.checkpoint
-        # The wafer loop owns progress, recording and checkpointing;
-        # per-die scans get a silent copy so they neither repaint the
-        # line, append runs, nor fight over the checkpoint file.
-        die_config = config.with_options(
-            progress=NULL_PROGRESS, ledger=None, checkpoint=None
-        )
-        structure, abacus = self._calibration()
+        ledger, checkpointer = config.ledger, config.checkpoint
         sites = self.sites()
         start = perf_counter()
         cpu_start = process_time()
-        means = np.full(len(sites), np.nan)
-        sigmas = np.full(len(sites), np.nan)
+        planes = {
+            "die_means": np.full(len(sites), np.nan),
+            "die_sigmas": np.full(len(sites), np.nan),
+        }
         done: set[int] = set()
         if checkpointer is not None:
             state = checkpointer.start(
-                "wafer",
-                resume_fingerprint(config),
-                {"die_means": means, "die_sigmas": sigmas},
-                total=len(sites),
+                "wafer", resume_fingerprint(config), planes, total=len(sites)
             )
-            means = state.arrays["die_means"]
-            sigmas = state.arrays["die_sigmas"]
+            planes = state.arrays
             done = set(state.completed)
-        ambient = (
-            inject(config.faults) if config.faults is not None else nullcontext()
-        )
-        with ambient:
-            progress.start(len(sites), label="wafer", units="dies")
-            for index, (x, y, r) in enumerate(sites):
-                if index in done:
-                    # Fast-forward: burn the two draws fabricate_die
-                    # would have consumed (die-mean normal, mismatch
-                    # seed) so later dies see the same RNG stream.
-                    self._burn_die_draws()
-                    progress.advance()
-                    continue
-                array = self.fabricate_die(r)
-                bitmap = AnalogBitmap(
-                    ArrayScanner(array, structure).scan(die_config), abacus
-                )
-                means[index] = bitmap.mean_capacitance()
-                sigmas[index] = bitmap.std_capacitance()
-                fault_point("wafer.die_done", die=index, x=x, y=y)
-                if checkpointer is not None:
-                    checkpointer.mark_done(index)
-                progress.advance()
-            progress.finish()
+        self._scan_dies(0, len(sites), config, planes, done, label="wafer")
+        means, sigmas = planes["die_means"], planes["die_sigmas"]
         dies = [
             DieSite(
                 x=x, y=y, radius_fraction=r,
@@ -402,6 +370,47 @@ class WaferModel:
         .finish()`` only after it has durably persisted the result, so
         a crash in between costs a re-merge, never the shard's work.
         """
+        config = self._checked_config(config)
+        total = len(self.sites())
+        lo, hi = int(die_range[0]), int(die_range[1])
+        if not 0 <= lo < hi <= total:
+            raise DiagnosisError(
+                f"die range [{lo}, {hi}) does not fit a wafer with "
+                f"{total} printed dies"
+            )
+        checkpointer = config.checkpoint
+        arrays = self._die_planes(hi - lo)
+        done: set[int] = set()
+        if checkpointer is not None:
+            fingerprint = resume_fingerprint(config)
+            fingerprint["die_range"] = [lo, hi]
+            state = checkpointer.start(
+                "shard", fingerprint, arrays, total=hi - lo
+            )
+            arrays = state.arrays
+            done = set(state.completed)
+        self._scan_dies(
+            lo, hi, config, arrays, done,
+            label=f"shard[{lo},{hi})", on_die=on_die,
+        )
+        run_id = checkpointer.run_id if checkpointer is not None else None
+        if checkpointer is not None and finish_checkpoint:
+            checkpointer.finish()
+        planes = self._die_planes(total)
+        for name, shard_plane in arrays.items():
+            planes[name][lo:hi] = shard_plane
+        return DieRangeScan(
+            die_range=(lo, hi), total_dies=total, run_id=run_id, **planes
+        )
+
+    def _checked_config(self, config: ScanConfig | None) -> ScanConfig:
+        """``config`` or the wafer's default, checked against its technology.
+
+        A default config inherits the wafer's technology; an explicit
+        one must agree — the per-die scans validate array-vs-config
+        technology, so a mismatch would otherwise fail on the first
+        die with a less helpful message.
+        """
         config = (
             config if config is not None
             else ScanConfig(technology=self.technology)
@@ -411,93 +420,147 @@ class WaferModel:
                 f"config.technology is {config.technology!r} but this "
                 f"wafer fabricates {self.technology!r} dies"
             )
-        sites = self.sites()
-        total = len(sites)
-        lo, hi = int(die_range[0]), int(die_range[1])
-        if not 0 <= lo < hi <= total:
-            raise DiagnosisError(
-                f"die range [{lo}, {hi}) does not fit a wafer with "
-                f"{total} printed dies"
-            )
-        progress = config.progress
-        checkpointer = config.checkpoint
+        return config
+
+    def _die_planes(self, count: int) -> dict[str, np.ndarray]:
+        """Neutral :class:`DieRangeScan` planes for ``count`` dies."""
+        shape = (count, self.die_rows, self.die_cols)
+        return {
+            "die_means": np.full(count, np.nan),
+            "die_sigmas": np.full(count, np.nan),
+            "die_vgs": np.zeros(shape),
+            "die_codes": np.zeros(shape, dtype=int),
+            "die_cell_quality": np.zeros(shape, dtype=np.uint8),
+            "die_quality": np.zeros(count, dtype=np.uint8),
+        }
+
+    def _scan_dies(
+        self,
+        lo: int,
+        hi: int,
+        config: ScanConfig,
+        planes: dict[str, np.ndarray],
+        done: set[int],
+        *,
+        label: str,
+        on_die: Callable[[int, int], None] | None = None,
+    ) -> None:
+        """Measure dies ``[lo, hi)`` into ``planes`` (indexed from ``lo``).
+
+        The die loop behind :meth:`measure_wafer` and
+        :meth:`measure_dies`.  Fabrication walks every printed die in
+        order; a die outside the range or already in ``done`` only burns
+        its RNG draws, so any range, resumed or not, prints the same
+        dies as one uninterrupted walk.  ``planes`` always holds
+        ``die_means``/``die_sigmas``; the cell planes are filled only
+        when present.
+
+        Dies are stacked ``_CHUNK_CELLS`` at a time into one plane and
+        measured by one kernel pass, one code conversion and one bitmap.
+        A die falls back to its own :meth:`ArrayScanner.scan` (with
+        ``config``, so ``jobs`` fans out only these scans) exactly when
+        that scan would not take the serial kernel: its backend opts out
+        of the kernel, ``force_engine`` or ``preflight`` is set, a fault
+        plan targets a site outside the wafer loop, or the die has
+        BRIDGE defects.  The ``wafer.die_done`` fault site, checkpoint
+        mark, progress and ``on_die`` fire per die, in die order, on
+        both paths.  A chunk reports one ``kernel`` span to
+        ``config.tracer``; only fallback scans fold :class:`ScanStats`
+        into ``config.metrics``.
+        """
+        progress, checkpointer = config.progress, config.checkpoint
+        # The wafer loop owns progress, recording and checkpointing;
+        # per-die scans get a silent copy so they neither repaint the
+        # line, append runs, nor fight over the checkpoint file.
         die_config = config.with_options(
             progress=NULL_PROGRESS, ledger=None, checkpoint=None
         )
         structure, abacus = self._calibration()
-        span = hi - lo
-        arrays = {
-            "die_means": np.full(span, np.nan),
-            "die_sigmas": np.full(span, np.nan),
-            "die_vgs": np.zeros((span, self.die_rows, self.die_cols)),
-            "die_codes": np.zeros(
-                (span, self.die_rows, self.die_cols), dtype=int
-            ),
-            "die_cell_quality": np.zeros(
-                (span, self.die_rows, self.die_cols), dtype=np.uint8
-            ),
-            "die_quality": np.zeros(span, dtype=np.uint8),
-        }
-        done: set[int] = set()
-        if checkpointer is not None:
-            fingerprint = resume_fingerprint(config)
-            fingerprint["die_range"] = [lo, hi]
-            state = checkpointer.start(
-                "shard", fingerprint, arrays, total=span
+        chunk_dies = max(1, _CHUNK_CELLS // (self.die_rows * self.die_cols))
+        chunk: list[tuple[int, int, int, EDRAMArray]] = []
+
+        def land(index, x, y, mean, sigma, vgs, codes, quality) -> None:
+            rel = index - lo
+            planes["die_means"][rel] = mean
+            planes["die_sigmas"][rel] = sigma
+            if "die_vgs" in planes:
+                planes["die_vgs"][rel] = vgs
+                planes["die_codes"][rel] = codes
+                planes["die_cell_quality"][rel] = quality
+                planes["die_quality"][rel] = int(DieQuality.GOOD)
+            fault_point("wafer.die_done", die=index, x=x, y=y)
+            if checkpointer is not None:
+                checkpointer.mark_done(index)
+            progress.advance()
+            if on_die is not None:
+                on_die(index, len(done) + 1)
+            done.add(index)
+
+        def flush() -> None:
+            if not chunk:
+                return
+            vgs, codes, _seconds = ArrayScanner(chunk[0][3], structure).kernel_planes(
+                np.concatenate([die.capacitance_view() for *_, die in chunk]),
+                np.concatenate([die.defect_kind_view() for *_, die in chunk]),
+                config.tracer,
             )
-            arrays = state.arrays
-            done = set(state.completed)
+            bitmap = AnalogBitmap(
+                ScanResult(
+                    codes=codes, vgs=vgs,
+                    num_steps=structure.design.num_steps,
+                    tiers=np.full(codes.shape, "c", dtype="<U1"),
+                ),
+                abacus,
+            )
+            in_range, estimates = bitmap.in_range, bitmap.estimates
+            for k, (index, x, y, _die) in enumerate(chunk):
+                rows = slice(k * self.die_rows, (k + 1) * self.die_rows)
+                # The die's own 2-D slice, masked row-major: the same
+                # values in the same order as its own bitmap's mean/std.
+                values = estimates[rows][in_range[rows]]
+                if values.size == 0:
+                    raise DiagnosisError("no in-range cells to average")
+                land(
+                    index, x, y, float(values.mean()), float(values.std()),
+                    vgs[rows], codes[rows], bitmap.scan.quality[rows],
+                )
+            chunk.clear()
+
         ambient = (
             inject(config.faults) if config.faults is not None else nullcontext()
         )
         with ambient:
-            progress.start(hi - lo, label=f"shard[{lo},{hi})", units="dies")
-            for index, (x, y, r) in enumerate(sites):
-                if not lo <= index < hi:
+            plan = active_fault_plan()
+            chunked = (
+                self._backend.uses_kernel
+                and not config.force_engine
+                and not config.preflight
+                and (plan is None
+                     or all(f.site.startswith("wafer.") for f in plan.faults))
+            )
+            progress.start(hi - lo, label=label, units="dies")
+            for index, (x, y, r) in enumerate(self.sites()):
+                if not lo <= index < hi or index in done:
                     self._burn_die_draws()
+                    if lo <= index < hi:
+                        progress.advance()
                     continue
-                if index in done:
-                    self._burn_die_draws()
-                    progress.advance()
+                die = self.fabricate_die(r)
+                if chunked and die.defect_count(DefectKind.BRIDGE) == 0:
+                    chunk.append((index, x, y, die))
+                    if len(chunk) == chunk_dies:
+                        flush()
                     continue
-                array = self.fabricate_die(r)
-                scan = ArrayScanner(array, structure).scan(die_config)
+                flush()
+                scan = ArrayScanner(die, structure).scan(die_config)
                 bitmap = AnalogBitmap(scan, abacus)
-                rel = index - lo
-                arrays["die_means"][rel] = bitmap.mean_capacitance()
-                arrays["die_sigmas"][rel] = bitmap.std_capacitance()
-                arrays["die_vgs"][rel] = scan.vgs
-                arrays["die_codes"][rel] = scan.codes
-                arrays["die_cell_quality"][rel] = scan.quality
-                arrays["die_quality"][rel] = int(DieQuality.GOOD)
-                fault_point("wafer.die_done", die=index, x=x, y=y)
-                if checkpointer is not None:
-                    checkpointer.mark_done(index)
-                progress.advance()
-                if on_die is not None:
-                    on_die(index, len(done) + 1)
-                done.add(index)
+                land(
+                    index, x, y,
+                    bitmap.mean_capacitance(), bitmap.std_capacitance(),
+                    scan.vgs, scan.codes, scan.quality,
+                )
+            flush()
             progress.finish()
-        run_id = checkpointer.run_id if checkpointer is not None else None
-        if checkpointer is not None and finish_checkpoint:
-            checkpointer.finish()
-        planes = {
-            "die_means": np.full(total, np.nan),
-            "die_sigmas": np.full(total, np.nan),
-            "die_vgs": np.zeros((total, self.die_rows, self.die_cols)),
-            "die_codes": np.zeros(
-                (total, self.die_rows, self.die_cols), dtype=int
-            ),
-            "die_cell_quality": np.zeros(
-                (total, self.die_rows, self.die_cols), dtype=np.uint8
-            ),
-            "die_quality": np.zeros(total, dtype=np.uint8),
-        }
-        for name, shard_plane in arrays.items():
-            planes[name][lo:hi] = shard_plane
-        return DieRangeScan(
-            die_range=(lo, hi), total_dies=total, run_id=run_id, **planes
-        )
 
 
 @dataclass

@@ -246,32 +246,40 @@ def test_ctrl_c_tears_down_workers_within_two_seconds():
 
 
 def test_wafer_interrupt_resume_bit_exact(tmp_path):
+    import repro.wafer
     from repro.wafer import WaferModel
 
-    reference = WaferModel(diameter_dies=3, seed=5).measure_wafer()
+    # A d3 wafer is one die chunk; on the d13 one (133 dies of 16x8,
+    # 64 per chunk) die 70 sits mid-way through the second chunk, so
+    # the interrupt lands after that chunk's kernel pass but before
+    # most of its dies have been marked done.
+    assert repro.wafer._CHUNK_CELLS // (16 * 8) == 64
+    for diameter, interrupted_at in ((3, 2), (13, 70)):
+        reference = WaferModel(diameter_dies=diameter, seed=5).measure_wafer()
 
-    ledger = RunLedger(tmp_path)
-    interrupt = FaultPlan(
-        [Fault("wafer.die_done", error=KeyboardInterrupt(), after=2, times=1)]
-    )
-    with pytest.raises(KeyboardInterrupt):
-        WaferModel(diameter_dies=3, seed=5).measure_wafer(
-            config=ScanConfig(checkpoint=Checkpointer(ledger), faults=interrupt)
+        ledger = RunLedger(tmp_path / f"d{diameter}")
+        interrupt = FaultPlan([
+            Fault("wafer.die_done", error=KeyboardInterrupt(),
+                  after=interrupted_at, times=1)
+        ])
+        with pytest.raises(KeyboardInterrupt):
+            WaferModel(diameter_dies=diameter, seed=5).measure_wafer(
+                config=ScanConfig(checkpoint=Checkpointer(ledger), faults=interrupt)
+            )
+        states = list_checkpoints(ledger)
+        assert [s.kind for s in states] == ["wafer"]
+        assert sorted(states[0].completed) == list(range(interrupted_at))
+
+        # Resume on a *fresh* model: the wafer RNG is fast-forwarded past
+        # the checkpointed dies, so the remaining dies print identically.
+        report = WaferModel(diameter_dies=diameter, seed=5).measure_wafer(
+            config=ScanConfig(checkpoint=Checkpointer(ledger, resume="r0001"))
         )
-    states = list_checkpoints(ledger)
-    assert [s.kind for s in states] == ["wafer"]
-    assert len(states[0].completed) == 2
-
-    # Resume on a *fresh* model: the wafer RNG is fast-forwarded past
-    # the checkpointed dies, so the remaining dies print identically.
-    report = WaferModel(diameter_dies=3, seed=5).measure_wafer(
-        config=ScanConfig(checkpoint=Checkpointer(ledger, resume="r0001"))
-    )
-    assert list_checkpoints(ledger) == []
-    for die, ref in zip(report.dies, reference.dies):
-        assert (die.x, die.y) == (ref.x, ref.y)
-        assert die.mean_capacitance == ref.mean_capacitance
-        assert die.sigma_capacitance == ref.sigma_capacitance
+        assert list_checkpoints(ledger) == []
+        for die, ref in zip(report.dies, reference.dies):
+            assert (die.x, die.y) == (ref.x, ref.y)
+            assert die.mean_capacitance == ref.mean_capacitance
+            assert die.sigma_capacitance == ref.sigma_capacitance
 
 
 def test_traced_scan_survives_worker_kill_with_complete_merged_trace(tmp_path):

@@ -8,6 +8,11 @@ from repro.errors import ArrayConfigError
 from repro.units import fF
 
 
+def _materialized(arr):
+    """How many DRAMCell objects the array has built so far."""
+    return sum(cell is not None for row in arr._cells for cell in row)
+
+
 class TestConstruction:
     def test_rejects_bad_dims(self):
         with pytest.raises(ArrayConfigError):
@@ -202,6 +207,31 @@ class TestBulkViews:
         v2 = arr.version
         arr.cell(0, 1).write(1.8, 0.0)
         assert arr.version == v2
+
+    def test_kernel_scan_materializes_no_cells(self):
+        from repro.measure.scan import ArrayScanner
+
+        rng = np.random.default_rng(3)
+        arr = EDRAMArray(
+            16, 8, macro_rows=8, capacitance_map=(25 + 10 * rng.random((16, 8))) * fF
+        )
+        result = ArrayScanner(arr).scan()
+        assert result.stats.kernel_cells == arr.num_cells
+        assert _materialized(arr) == 0
+
+    def test_cell_materialized_after_bulk_edit_reads_the_plane(self):
+        from repro.technologies.fecap import FeCapArray
+
+        arr = FeCapArray(4, 2, read_disturb=0.1)
+        early = arr.cell(0, 0)
+        arr.apply_read_disturb()
+        assert _materialized(arr) == 1
+        plane = arr.capacitance_view()
+        assert arr.cell(3, 1).capacitance == plane[3, 1]
+        assert arr.cell(3, 1).leak_current == arr.leak_view()[3, 1]
+        # A cell that existed before the edit was synced, not replaced.
+        assert arr.cell(0, 0) is early
+        assert early.capacitance == plane[0, 0]
 
     def test_macro_bulk_views_are_tile_slices(self):
         from repro.edram.defects import CellDefect, DefectKind

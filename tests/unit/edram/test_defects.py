@@ -1,10 +1,90 @@
 """Defect taxonomy and injector placement."""
 
+import numpy as np
 import pytest
 
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectInjector, DefectKind
 from repro.errors import DefectError
+
+
+class _PerCellInjector(DefectInjector):
+    """Reference placement: walk every candidate cell object in row-major
+    order, as the injector did before it read the defect-kind plane."""
+
+    def _free(self, row, col, kind):
+        return self.array.cell(row, col).defect is None and not (
+            kind == DefectKind.BRIDGE and col + 1 >= self.array.cols
+        )
+
+    def _place(self, kind, factor, cells):
+        locations = [(r, c) for r, c in cells if self._free(r, c, kind)]
+        for row, col in locations:
+            self.inject(row, col, CellDefect(kind, factor))
+        return locations
+
+    def scatter(self, kind, count, factor=1.0):
+        candidates = [
+            (r, c)
+            for r in range(self.array.rows)
+            for c in range(self.array.cols)
+            if self._free(r, c, kind)
+        ]
+        chosen = self._rng.choice(len(candidates), size=count, replace=False)
+        return self._place(kind, factor, [candidates[int(i)] for i in chosen])
+
+    def cluster(self, kind, center, radius, factor=1.0):
+        r0, c0 = center
+        return self._place(kind, factor, [
+            (r, c)
+            for r in range(max(0, r0 - radius), min(self.array.rows, r0 + radius + 1))
+            for c in range(max(0, c0 - radius), min(self.array.cols, c0 + radius + 1))
+        ])
+
+    def row_stripe(self, kind, row, factor=1.0):
+        return self._place(kind, factor, [(row, c) for c in range(self.array.cols)])
+
+    def column_stripe(self, kind, col, factor=1.0):
+        return self._place(kind, factor, [(r, col) for r in range(self.array.rows)])
+
+
+def _campaign(injector, seed):
+    """A mixed placement sequence; later steps must skip earlier defects."""
+    rng = np.random.default_rng(seed)
+    rows, cols = injector.array.rows, injector.array.cols
+    return [
+        injector.scatter(DefectKind.SHORT, 5),
+        injector.cluster(DefectKind.LOW_CAP, (int(rng.integers(rows)), cols - 1), 2, 0.5),
+        injector.row_stripe(DefectKind.BRIDGE, int(rng.integers(rows))),
+        injector.scatter(DefectKind.BRIDGE, 7),
+        injector.column_stripe(DefectKind.OPEN, int(rng.integers(cols - 1))),
+        injector.cluster(DefectKind.BRIDGE, (int(rng.integers(rows)), cols - 2), 1),
+        injector.scatter(DefectKind.RETENTION, 9, factor=50.0),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_placement_matches_per_cell_walk(seed):
+    planes, walk = EDRAMArray(12, 10), EDRAMArray(12, 10)
+    fast = DefectInjector(planes, seed=seed)
+    slow = _PerCellInjector(walk, seed=seed)
+    assert _campaign(fast, seed) == _campaign(slow, seed)
+    assert fast.injected == slow.injected
+    np.testing.assert_array_equal(planes.defect_kind_matrix(), walk.defect_kind_matrix())
+    np.testing.assert_array_equal(planes.capacitance_matrix(), walk.capacitance_matrix())
+
+
+def test_defective_build_materializes_only_defective_cells():
+    from repro.technologies import get
+
+    array = get("edram").build_array(256, 256, macro_rows=16, seed=3, with_defects=True)
+    built = {
+        (r, c)
+        for r, row in enumerate(array._cells)
+        for c, cell in enumerate(row)
+        if cell is not None
+    }
+    assert built == set(array.defect_locations())
 
 
 class TestCellDefectValidation:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import DiagnosisError
@@ -169,6 +170,75 @@ def test_wafer_config_technology_mismatch_rejected():
                        macro_rows=4, technology="fecap")
     with pytest.raises(MeasurementError, match="fecap"):
         model.measure_wafer(config=ScanConfig(technology="edram"))
+
+
+def _span_counts(tracer):
+    names = [span.name for span in tracer.spans]
+    return names.count("kernel"), names.count("scan")
+
+
+def test_die_loop_routes_dies_by_kernel_eligibility():
+    """Chunked and per-die paths agree; only ineligible dies leave the chunk."""
+    from repro.measure.config import ScanConfig
+    from repro.obs import Tracer
+    from repro.resilience import Fault, FaultPlan
+
+    def run(**options):
+        tracer = Tracer()
+        report = WaferModel(diameter_dies=5, seed=6).measure_wafer(
+            config=ScanConfig(tracer=tracer, **options)
+        )
+        return [d.mean_capacitance for d in report.dies], _span_counts(tracer)
+
+    dies = len(WaferModel(diameter_dies=5).sites())
+    chunked, spans = run()
+    assert spans == (1, 0)  # every die in one stacked kernel pass
+    # A plan on the wafer loop's own site keeps the chunk path ...
+    silent = Fault("wafer.die_done", error=RuntimeError("never"), after=10**6)
+    assert run(faults=FaultPlan([silent])) == (chunked, (1, 0))
+    # ... one on any other site sends every die through its own scan.
+    foreign = Fault("scan.closed_form", error=RuntimeError("never"), after=10**6)
+    means, spans = run(faults=FaultPlan([foreign]))
+    assert means == chunked and spans == (0, dies)
+    means, spans = run(preflight=True)
+    assert means == chunked and spans == (dies, dies)
+
+
+def test_bridge_dies_fall_back_in_order_mid_chunk():
+    from repro.bitmap.analog import AnalogBitmap
+    from repro.edram.defects import CellDefect, DefectInjector, DefectKind
+    from repro.measure.scan import ArrayScanner
+
+    def bridged_model():
+        model = WaferModel(diameter_dies=5, die_rows=8, die_cols=4,
+                           macro_rows=4, seed=8)
+        fabricate, count = model.fabricate_die, iter(range(1000))
+
+        def fabricate_die(radius_fraction):
+            die = fabricate(radius_fraction)
+            if next(count) % 3 == 1:
+                DefectInjector(die).inject(1, 0, CellDefect(DefectKind.BRIDGE))
+            return die
+
+        model.fabricate_die = fabricate_die
+        return model
+
+    reference = bridged_model()
+    structure, abacus = reference._calibration()
+    scans = [
+        ArrayScanner(reference.fabricate_die(r), structure).scan()
+        for _x, _y, r in reference.sites()
+    ]
+    landed = []
+    total = len(scans)
+    result = bridged_model().measure_dies(
+        (0, total), on_die=lambda index, done: landed.append((index, done))
+    )
+    assert landed == [(i, i + 1) for i in range(total)]
+    for index, scan in enumerate(scans):
+        assert result.die_means[index] == AnalogBitmap(scan, abacus).mean_capacitance()
+        np.testing.assert_array_equal(result.die_vgs[index], scan.vgs)
+        np.testing.assert_array_equal(result.die_codes[index], scan.codes)
 
 
 def test_wafer_die_fabrication_delegates_to_backend():
