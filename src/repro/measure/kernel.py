@@ -1,13 +1,12 @@
 """Batched closed-form measurement kernel: the whole array in one pass.
 
-The per-macro closed form in :mod:`repro.measure.scan` already avoids
-per-cell Python, but a whole-array scan still pays Python once per macro
-tile — mask slicing, branch-term algebra, two reductions and a
-``searchsorted`` per tile, plus a tracer span and a timing record each.
-On a 128×64 array that is 256 trips through the interpreter for ~30
-numpy operations' worth of real work.
+A per-macro closed form avoids per-cell Python, but a whole-array scan
+would still pay Python once per macro tile — mask slicing, branch-term
+algebra, two reductions and a ``searchsorted`` per tile, plus a tracer
+span and a timing record each.  On a 128×64 array that is 256 trips
+through the interpreter for ~30 numpy operations' worth of real work.
 
-This kernel evaluates the identical algebra for **every macro at once**
+This kernel evaluates the closed-form algebra for **every macro at once**
 on the array's bulk planes (capacitance, defect kinds — gathered as
 arrays, never as per-cell Python objects).  The only macro-dependent
 parts of the closed form are its two reductions, and both vectorize as
@@ -23,15 +22,16 @@ reshapes of the row-major planes:
   as a flat ``mr·mc`` run, and summing that run reproduces the
   per-tile flat sum bit for bit.
 
-Bit-exactness against the per-macro path is therefore not a tolerance
-claim but an operation-order identity, pinned by
+Bit-exactness against a tile-by-tile evaluation is therefore not a
+tolerance claim but an operation-order identity, pinned by
 ``tests/property/test_kernel_properties.py`` across random shapes,
-variation maps and defect populations.
+variation maps and defect populations.  It also makes a macro-row slab,
+or a single tile, bit-identical to its slice of a whole-array pass.
 
-The kernel covers the **closed-form tier only**.  Macros that need the
-exact engine (bridges), and scans running under a tracer, fault plan,
-checkpoint or ``force_engine``, keep the per-macro drivers — the scan
-engine's dispatch planner (:meth:`ArrayScanner.scan`) decides per scan.
+The kernel covers the **closed-form tier only**: bridge macros are
+overwritten by the engine tier, ``force_engine`` scans keep the
+per-macro drivers, and checkpointed or fault-armed scans take one pass
+per macro-row slab — :meth:`ArrayScanner.scan` decides per scan.
 """
 
 from __future__ import annotations
@@ -133,9 +133,10 @@ def closed_form_vgs_plane(
     constants:
         The shared closed-form constants and tile geometry.
 
-    Matches :meth:`ArrayScanner.closed_form_vgs` bit for bit on every
-    closed-form tile; engine tiles (bridges) produce the same number the
-    per-macro closed form would, which the caller overwrites.
+    Every tile's values depend on that tile alone, so any row-wise
+    slab of macro rows (or one tile) gives its slice of the whole-plane
+    result bit for bit; engine tiles (bridges) get closed-form values
+    the caller overwrites.
     """
     cjs, cbl, cpp = constants.cjs, constants.cbl, constants.cpp
     creft, vdd = constants.creft, constants.vdd
@@ -156,8 +157,8 @@ def closed_form_vgs_plane(
         accopen = kinds == _ACCOPEN
         normal = ~(short | open_ | accopen)
 
-        # Branch equivalents per cell in each role, exactly as derived
-        # in repro.measure.scan (all pre-charged to V_DD).
+        # Branch equivalents per cell in each role, as derived in
+        # repro.measure.scan (all pre-charged to V_DD).
         floating_series = _series(cap, cjs)
         off_term = np.where(normal | accopen, floating_series, 0.0)
         off_term = np.where(short, cjs, off_term)

@@ -22,7 +22,8 @@ with, per branch:
   storage junction),
 - plate wiring: ``C_pp``,
 - defect variants (shorts substitute their island's ground capacitance,
-  opens vanish) as derived in the module body.
+  opens vanish) as implemented in
+  :func:`repro.measure.kernel.closed_form_vgs_plane`.
 
 Macros containing BRIDGE defects fall back to the exact charge engine
 cell by cell — bridge topologies are many and rare, and the engine *is*
@@ -30,9 +31,11 @@ the reference.  Agreement between the closed form and the engine is
 pinned by integration tests.
 
 Performance layer (see docs/architecture.md "Performance architecture"):
-macro masks are O(1) slices of the array's incrementally maintained bulk
-matrices, the engine tier reuses one cached netlist per macro, and
-``scan(ScanConfig(jobs=N))`` fans macros out across a process pool.
+the closed form is the batched kernel of :mod:`repro.measure.kernel` —
+one whole-array pass, or one pass per macro-row slab when a checkpoint
+or fault plan needs per-macro landing — the engine tier reuses one
+cached netlist per macro, and ``scan(ScanConfig(jobs=N))`` fans macros
+out across a process pool.
 
 Observability (see docs/architecture.md "Observability"): every entry
 point takes a :class:`~repro.measure.config.ScanConfig` whose tracer
@@ -52,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.edram.array import EDRAMArray, MacroCell
-from repro.edram.defects import KIND_CODES, DefectKind
+from repro.edram.defects import DefectKind
 from repro.errors import (
     ConvergenceError,
     MeasurementError,
@@ -248,11 +251,10 @@ class ArrayScanner:
         self._cpp = m0.plate_parasitic
         self._creft = self.structure.c_ref_total
         self._vdd = tech.vdd
-        # Whole-array batched kernel (repro.measure.kernel); the scan
-        # planner falls back to the per-macro drivers whenever they are
-        # semantically observable (tracing, faults, checkpoints,
-        # force_engine) or when disabled here outright (benchmarks pin
-        # the per-macro baseline through this seam).
+        # Batched kernel (repro.measure.kernel); the scan planner skips
+        # it only under force_engine, for backends without a kernel, or
+        # when disabled here outright (benchmarks pin the per-macro
+        # baseline through this seam).
         self._use_kernel = use_kernel
 
     def codes_for_vgs(self, vgs: np.ndarray) -> np.ndarray:
@@ -297,74 +299,17 @@ class ArrayScanner:
             self._sequencers[macro.index] = sequencer
         return sequencer
 
-    # ------------------------------------------------------------------
-    # Closed form per macro
-    # ------------------------------------------------------------------
-
-    def _macro_masks(self, macro: MacroCell) -> dict[str, np.ndarray]:
-        kinds = macro.defect_kind_matrix()
-        return {
-            "cap": macro.capacitance_matrix(),
-            "short": kinds == KIND_CODES[DefectKind.SHORT],
-            "open": kinds == KIND_CODES[DefectKind.OPEN],
-            "accopen": kinds == KIND_CODES[DefectKind.ACCESS_OPEN],
-        }
-
     def closed_form_vgs(self, macro: MacroCell) -> np.ndarray:
-        """V_GS for every cell of ``macro`` via the vectorized closed form."""
-        cjs, cbl, cpp = self._cjs, self._cbl, self._cpp
-        creft, vdd = self._creft, self._vdd
+        """V_GS for every cell of ``macro``: the kernel on its one tile.
 
-        if self.array.defect_count() == 0 or not macro.defect_kind_matrix().any():
-            # Defect-free macro: every mask below is empty, so the
-            # branch equivalents collapse to the healthy-cell terms.
-            # Same algebra, same operation order — bit-identical to the
-            # masked path (pinned by the scan tests) without its ~15
-            # small-array ``np.where`` calls.
-            cap = macro.capacitance_matrix()
-            off_term = cap * cjs / (cap + cjs)
-            nbr_term = cap * (cbl + cjs) / (cap + (cbl + cjs))
-            off_all = float(off_term.sum())
-            off_rows = off_term.sum(axis=1)
-            nbr_rows = nbr_term.sum(axis=1)
-            x = (
-                cap
-                + cpp
-                + (nbr_rows[:, None] - nbr_term)
-                + (off_all - off_rows)[:, None]
-            )
-            return vdd * x / (x + creft)
-
-        m = self._macro_masks(macro)
-        cap, short, open_, accopen = m["cap"], m["short"], m["open"], m["accopen"]
-        normal = ~(short | open_ | accopen)
-
-        # Branch equivalents per cell in each role (all pre-charged V_DD).
-        floating_series = _series(cap, cjs)  # far side floats on C_js
-        off_term = np.where(normal | accopen, floating_series, 0.0)
-        off_term = np.where(short, cjs, off_term)
-
-        nbr_term = np.where(normal, _series(cap, cbl + cjs), 0.0)
-        nbr_term = np.where(accopen, floating_series, nbr_term)
-        nbr_term = np.where(short, cbl + cjs, nbr_term)
-
-        tgt_term = np.where(normal, cap, 0.0)
-        tgt_term = np.where(accopen, floating_series, tgt_term)
-
-        off_all = float(off_term.sum())
-        off_rows = off_term.sum(axis=1)  # per-row totals
-        nbr_rows = nbr_term.sum(axis=1)
-
-        x = (
-            tgt_term
-            + cpp
-            + (nbr_rows[:, None] - nbr_term)
-            + (off_all - off_rows)[:, None]
+        The engine tier's per-cell fallback and the per-macro drivers
+        call this; batched scans call :meth:`kernel_planes` instead.
+        """
+        return closed_form_vgs_plane(
+            macro.capacitance_matrix(),
+            macro.defect_kind_matrix(),
+            self.kernel_constants(),
         )
-        vgs = vdd * x / (x + creft)
-        # A shorted target clamps the plate to its grounded bitline.
-        vgs = np.where(short, 0.0, vgs)
-        return vgs
 
     # ------------------------------------------------------------------
     # Scan drivers
@@ -516,7 +461,8 @@ class ArrayScanner:
 
         Resilience (see docs/architecture.md "Resilience"): with
         ``config.checkpoint`` set, completed macros persist through the
-        run ledger and an interrupted scan resumes bit-exact; with
+        run ledger (once per macro-row slab on the serial kernel path)
+        and an interrupted scan resumes bit-exact; with
         ``jobs > 1`` the process pool is supervised (``config.retry``,
         ``config.timeout``) and macros whose workers keep dying are
         re-run in-process as the final rung, flagged DEGRADED.
@@ -558,21 +504,23 @@ class ArrayScanner:
                 from repro.sanitize.footprint import FootprintLog
 
                 footprint = FootprintLog((rows, cols))
-            # Dispatch planner: the batched kernel replaces the
-            # per-macro drivers only when they are semantically inert —
-            # no fault sites to honour, no checkpoint to resume into,
-            # no engine forcing.  Tracing is *not* a disqualifier:
-            # serial kernel passes get a parent-side "kernel" span, and
-            # parallel workers buffer spans per task and ship them back
-            # in the acks for the parent-side merge.
+            # Dispatch planner: the kernel evaluates every closed-form
+            # macro unless force_engine (or a backend without a kernel)
+            # pins the per-macro drivers; a checkpoint or fault plan
+            # splits it into one pass per macro-row slab.  Tracing is
+            # *not* a disqualifier: kernel passes get "kernel" spans and
+            # parallel workers ship theirs back in the acks.
             kernel_ok = (
                 self._use_kernel
                 and backend.uses_kernel
                 and not config.force_engine
+            )
+            whole_array = (
+                kernel_ok
                 and checkpointer is None
                 and active_fault_plan() is None
             )
-            if kernel_ok:
+            if whole_array:
                 # The kernel branches produce whole vgs/codes planes;
                 # pre-zeroed ones would be pure allocation waste on the
                 # hot path.
@@ -614,12 +562,13 @@ class ArrayScanner:
             kernel_seconds = 0.0
 
             def _finish_macro(
-                index: int, tier: str, cells: int, seconds: float
+                index: int, tier: str, cells: int, seconds: float,
+                persist: bool = True,
             ) -> None:
                 timings.append(MacroTiming(index, tier, cells, seconds))
                 progress.advance(cells)
                 fault_point("scan.macro_done", macro=index)
-                if checkpointer is not None:
+                if persist and checkpointer is not None:
                     checkpointer.mark_done(index)
 
             def _record_macro(index: int, source: str, task: str | None = None) -> None:
@@ -680,23 +629,19 @@ class ArrayScanner:
                         index, "checkpoint", task=f"checkpoint[{index}]"
                     )
                 pool_jobs = min(effective_jobs, len(remaining))
+                cells_per_macro = self.array.macro_rows * self.array.macro_cols
                 if kernel_ok:
-                    # A kernel-eligible scan has no checkpoint, so it
-                    # always covers the whole array.  Engine routing is
-                    # decided up front (O(1) for bridge-free arrays) so
-                    # both the slab planner and the serial overwrite
-                    # loop share one verdict per macro.
-                    cells_per_macro = (
-                        self.array.macro_rows * self.array.macro_cols
-                    )
+                    # Engine routing is decided up front (O(1) for
+                    # bridge-free arrays) so the kernel passes and the
+                    # engine overwrites share one verdict per macro.
                     if self.array.defect_count(DefectKind.BRIDGE) == 0:
                         engine_indices: list[int] = []
                     else:
                         engine_indices = [
-                            i for i in range(num_macros)
+                            i for i in remaining
                             if self._macro_needs_engine(self.array.macro(i))
                         ]
-                if kernel_ok and pool_jobs > 1:
+                if whole_array and pool_jobs > 1:
                     from repro.measure.parallel import (
                         scan_macros_kernel_parallel,
                     )
@@ -726,7 +671,7 @@ class ArrayScanner:
                     progress.advance(cells_per_macro * len(macro_seconds))
                     for index, _error in failures:
                         _rescue(index)
-                elif kernel_ok:
+                elif whole_array:
                     vgs, codes, kernel_seconds = self.kernel_planes(
                         self.array.capacitance_view(),
                         self.array.defect_kind_view(),
@@ -796,19 +741,63 @@ class ArrayScanner:
                     for index, _error in failures:
                         _rescue(index)
                 else:
+                    # Serial slabs: one kernel pass per macro row, tiles
+                    # landing in index order (fault sites, progress and
+                    # timings stay per macro), one persist per slab.
+                    # Without the kernel every macro is its own slab.
+                    per_slab = self.array.macros_per_row if kernel_ok else 1
+                    slabs: dict[int, list[int]] = {}
                     for index in remaining:
-                        macro = self.array.macro(index)
-                        macro_start = perf_counter()
-                        m_vgs, m_codes, tier, m_quality = self._scan_macro(
-                            macro, config
-                        )
-                        seconds = perf_counter() - macro_start
-                        self._place(
-                            macro, m_vgs, m_codes, tier, m_quality,
-                            vgs, codes, tiers, quality,
-                        )
-                        _record_macro(index, "parent")
-                        _finish_macro(index, tier, macro.num_cells, seconds)
+                        slabs.setdefault(index // per_slab, []).append(index)
+                    engine_set = frozenset(engine_indices) if kernel_ok else None
+                    mr = self.array.macro_rows
+                    good = quality_plane((mr, self.array.macro_cols))
+                    failed = np.full_like(good, CellQuality.FAILED)
+                    for slab_row, slab in slabs.items():
+                        if kernel_ok:
+                            rsl = slice(slab_row * mr, (slab_row + 1) * mr)
+                            s_vgs, s_codes, s_seconds = self.kernel_planes(
+                                self.array.capacitance_view()[rsl],
+                                self.array.defect_kind_view()[rsl],
+                                tracer,
+                            )
+                            kernel_seconds += s_seconds
+                            share = s_seconds / max(
+                                1, sum(i not in engine_set for i in slab)
+                            )
+                        for index in slab:
+                            macro = self.array.macro(index)
+                            if engine_set is None or index in engine_set:
+                                macro_start = perf_counter()
+                                m_vgs, m_codes, tier, m_quality = (
+                                    self._scan_macro(macro, config)
+                                )
+                                seconds = perf_counter() - macro_start
+                            else:
+                                csl = slice(macro.col_start, macro.col_stop)
+                                tier, seconds = "c", share
+                                try:
+                                    fault_point("scan.closed_form", macro=index)
+                                except ReproError:
+                                    # Same placeholder as _scan_macro's.
+                                    m_vgs = np.zeros(good.shape)
+                                    m_codes = self.codes_for_vgs(m_vgs)
+                                    m_quality = failed
+                                else:
+                                    m_vgs, m_codes = s_vgs[:, csl], s_codes[:, csl]
+                                    m_quality = good
+                                    kernel_cells += macro.num_cells
+                            self._place(
+                                macro, m_vgs, m_codes, tier, m_quality,
+                                vgs, codes, tiers, quality,
+                            )
+                            _record_macro(index, "parent")
+                            _finish_macro(
+                                index, tier, macro.num_cells, seconds,
+                                persist=False,
+                            )
+                        if checkpointer is not None:
+                            checkpointer.mark_done(*slab)
                 progress.finish()
 
                 sanitize_report: "LintReport | None" = None
@@ -832,7 +821,7 @@ class ArrayScanner:
                             "plane cells no task claims to have written",
                         ).inc(gap)
 
-                if kernel_ok:
+                if whole_array:
                     # Engine routing was decided up front; rescued
                     # macros re-run the same verdict, so the tier plane
                     # cannot disagree with the planner.

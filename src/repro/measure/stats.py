@@ -39,7 +39,7 @@ class MacroTiming(NamedTuple):
         Wall time spent scanning the tile.  Under a process pool this is
         measured inside the worker, so pool dispatch overhead is not
         attributed to any macro; under the vectorized kernel it is the
-        macro's cell-proportional share of the one batched pass.
+        macro's cell-proportional share of its batched pass.
     """
 
     index: int
@@ -214,7 +214,7 @@ class ScanStats:
         ]
         if self.kernel_cells:
             lines.append(
-                f"kernel: {self.kernel_cells} cells in one batched pass "
+                f"kernel: {self.kernel_cells} cells in batched passes "
                 f"({self.kernel_seconds * 1e3:.2f} ms)"
             )
         if self.degraded_cells or self.failed_cells:

@@ -357,6 +357,20 @@ class RunLedger:
         """Where unfinished (checkpointed) runs park their state."""
         return self.root / _CHECKPOINT_DIR
 
+    def checkpoint_files(self) -> list[Path]:
+        """Checkpoint files of unfinished runs, sorted by name.
+
+        A save in flight (or torn by a kill) is an ``rNNNN.tmp.npz``
+        beside the run's last good ``rNNNN.npz``; it is not a run of its
+        own and is skipped.
+        """
+        if not self.checkpoint_dir.exists():
+            return []
+        return sorted(
+            path for path in self.checkpoint_dir.glob("r*.npz")
+            if not path.name.endswith(".tmp.npz")
+        )
+
     # -- locking --------------------------------------------------------
 
     @contextmanager
@@ -407,9 +421,8 @@ class RunLedger:
         highest = 0
         for manifest in self.runs():
             highest = max(highest, _run_number(manifest.run_id))
-        if self.checkpoint_dir.exists():
-            for path in self.checkpoint_dir.glob("r*.npz"):
-                highest = max(highest, _run_number(path.stem))
+        for path in self.checkpoint_files():
+            highest = max(highest, _run_number(path.stem))
         return f"r{highest + 1:04d}"
 
     # -- reading --------------------------------------------------------

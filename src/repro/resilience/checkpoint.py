@@ -6,8 +6,11 @@ job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
 * A run that checkpoints **reserves its run id up front** (under the
   ledger's advisory lock) and persists its partial planes to
   ``<ledger>/checkpoints/<run_id>.npz`` after every completed unit of
-  work (macro for scans, die for wafer runs).  Writes are atomic
-  (tmp + rename), so a kill mid-save leaves the previous good state.
+  work (die for wafer runs); a serial kernel scan completes its macros
+  one macro-row slab at a time and persists once per slab.  Writes are
+  atomic (tmp + rename), so a kill mid-save leaves the previous good
+  state; the torn ``<run_id>.tmp.npz`` is never listed as a run and is
+  removed when that run resumes or finishes.
 * ``repro scan --resume r0042`` reloads that file, validates it against
   the resuming configuration via a **resume fingerprint** — the
   data-affecting config fields *excluding* ``jobs``, because worker
@@ -102,6 +105,10 @@ def _checkpoint_path(ledger: RunLedger, run_id: str) -> Path:
     return ledger.checkpoint_dir / f"{run_id}.npz"
 
 
+def _tmp_path(ledger: RunLedger, run_id: str) -> Path:
+    return ledger.checkpoint_dir / f"{run_id}.tmp.npz"
+
+
 def load_checkpoint(path: str | Path) -> ScanCheckpoint:
     """Read one checkpoint file, raising :class:`CheckpointError` when
     unreadable or malformed."""
@@ -138,12 +145,7 @@ def load_checkpoint(path: str | Path) -> ScanCheckpoint:
 
 def list_checkpoints(ledger: RunLedger) -> list[ScanCheckpoint]:
     """Every unfinished (checkpointed) run in the ledger, by run id."""
-    directory = ledger.checkpoint_dir
-    if not directory.exists():
-        return []
-    return [
-        load_checkpoint(path) for path in sorted(directory.glob("r*.npz"))
-    ]
+    return [load_checkpoint(path) for path in ledger.checkpoint_files()]
 
 
 class Checkpointer:
@@ -254,6 +256,8 @@ class Checkpointer:
                 self._write(state)
                 self._last_save = time.monotonic()
                 self._save_cost = self._last_save - began
+        # A save torn by an earlier kill of this run is superseded.
+        _tmp_path(self.ledger, state.run_id).unlink(missing_ok=True)
         # A reused Checkpointer must not carry the previous run's
         # completed-index cache into a new run.
         self._done_seen = None
@@ -303,8 +307,10 @@ class Checkpointer:
 
     # -- progress ------------------------------------------------------
 
-    def mark_done(self, index: int) -> None:
-        """Record unit ``index`` complete and persist the state.
+    def mark_done(self, *indices: int) -> None:
+        """Record units ``indices`` complete and persist the state once.
+
+        A scan passes a whole macro-row slab; wafer runs pass one die.
 
         With ``min_save_seconds`` set, the in-memory record always
         updates but the persist is skipped while the throttle window is
@@ -316,9 +322,10 @@ class Checkpointer:
         # completed list per unit would make a long run quadratic.
         if self._done_seen is None:
             self._done_seen = state._done_set()
-        if index not in self._done_seen:
-            state.completed.append(index)
-            self._done_seen.add(index)
+        for index in indices:
+            if index not in self._done_seen:
+                state.completed.append(index)
+                self._done_seen.add(index)
         if self.min_save_seconds > 0.0 and self._last_save is not None:
             gap = max(
                 self.min_save_seconds,
@@ -342,9 +349,8 @@ class Checkpointer:
         ``finish`` the ledger shows a completed run and no checkpoint.
         """
         state = self._require_state()
-        path = _checkpoint_path(self.ledger, state.run_id)
-        if path.exists():
-            path.unlink()
+        _checkpoint_path(self.ledger, state.run_id).unlink(missing_ok=True)
+        _tmp_path(self.ledger, state.run_id).unlink(missing_ok=True)
         self._done_seen = None
         return state.run_id
 
@@ -369,10 +375,9 @@ class Checkpointer:
                 "updated": _now(),
             }
         )
-        path = _checkpoint_path(self.ledger, state.run_id)
-        tmp = path.with_suffix(".tmp.npz")
+        tmp = _tmp_path(self.ledger, state.run_id)
         np.savez_compressed(tmp, meta=np.array(payload), **state.arrays)
-        os.replace(tmp, path)
+        os.replace(tmp, _checkpoint_path(self.ledger, state.run_id))
 
 
 def _now() -> str:

@@ -22,8 +22,11 @@ Fault sites currently instrumented (grep ``fault_point(`` for truth):
 ``solver.dc``           entry of :func:`repro.circuit.dc.dc_solve_vector`
 ``solver.newton``       each Newton rung attempt (attrs: ``rung``)
 ``sequencer.measure``   per engine-tier cell (attrs: row/col, global)
-``scan.closed_form``    per closed-form macro evaluation (attrs: macro)
-``scan.macro_done``     parent-side, after a macro lands (attrs: macro)
+``scan.closed_form``    per closed-form macro; in a kernel scan it fires
+                        after the macro's slab pass (attrs: macro)
+``scan.macro_done``     parent-side, after a macro lands; in a kernel
+                        scan per macro after the slab pass, before the
+                        slab's checkpoint persist (attrs: macro)
 ``wafer.die_done``      parent-side, after a die lands (attrs: die)
 ``worker.scan_macro``   inside a pool worker, before scanning a macro
                         (attrs: macro, attempt)

@@ -70,8 +70,10 @@ def test_sanitized_checkpoint_resume_covers_whole_plane(tmp_path):
     from repro.resilience import Checkpointer
 
     ledger = RunLedger(tmp_path)
+    # The checkpoint persists once per macro-row slab (two macros here):
+    # interrupting at the third macro leaves the first slab durable.
     interrupt = Fault(
-        "scan.macro_done", error=KeyboardInterrupt(), after=1, times=1
+        "scan.macro_done", error=KeyboardInterrupt(), after=2, times=1
     )
     array = _array()
     try:

@@ -157,3 +157,33 @@ def test_resume_fingerprint_excludes_jobs():
     assert resume_fingerprint(ScanConfig(jobs=1)) == resume_fingerprint(
         ScanConfig(jobs=8)
     )
+
+
+def test_torn_tmp_file_is_not_a_run_and_is_cleaned_up(tmp_path, capsys):
+    # A kill inside a save leaves a truncated rNNNN.tmp.npz beside the
+    # last good rNNNN.npz; it is neither listed nor counted as a run id,
+    # and resuming + finishing the run removes it with the checkpoint.
+    from repro.cli import main
+
+    ck = Checkpointer(tmp_path)
+    _start(ck)
+    ck.mark_done(0)
+    good = ck.path.read_bytes()
+    torn = ck.path.with_name("r0001.tmp.npz")
+    torn.write_bytes(good[: len(good) // 2])
+
+    ledger = RunLedger(tmp_path)
+    assert [c.run_id for c in list_checkpoints(ledger)] == ["r0001"]
+    with ledger.locked():
+        assert ledger.next_run_id() == "r0002"
+    assert main(["runs", "checkpoints", "--dir", str(tmp_path)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("r0001 ")
+
+    resumed = Checkpointer(tmp_path, resume="r0001")
+    state = _start(resumed)
+    assert state.completed == [0]
+    resumed.mark_done(1, 2, 3)
+    assert load_checkpoint(resumed.path).completed == [0, 1, 2, 3]
+    resumed.finish()
+    assert list(ledger.checkpoint_dir.iterdir()) == []
