@@ -88,25 +88,23 @@ class MarchTest:
         """Total operations applied to each cell (complexity metric)."""
         return sum(len(e.ops) for e in self.elements)
 
-    def _addresses(self, ops: ArrayOperations, order: Order) -> list[tuple[int, int]]:
-        addresses = [
-            (r, c) for r in range(ops.array.rows) for c in range(ops.array.cols)
-        ]
-        if order is Order.DESCENDING:
-            addresses.reverse()
-        return addresses
-
     def run(self, ops: ArrayOperations) -> DigitalBitmap:
-        """Execute against an array; returns the fail bitmap."""
+        """Execute against an array; returns the fail bitmap.
+
+        Each element is one :meth:`ArrayOperations.sweep`: every op runs
+        as one pass over the array.
+        """
         fails = np.zeros((ops.array.rows, ops.array.cols), dtype=bool)
         for element in self.elements:
-            for row, col in self._addresses(ops, element.order):
-                for op in element.ops:
-                    if op.read:
-                        if ops.read(row, col) != op.value:
-                            fails[row, col] = True
-                    else:
-                        ops.write(row, col, op.value)
+            reads = iter(
+                ops.sweep(
+                    [None if op.read else op.value for op in element.ops],
+                    descending=element.order is Order.DESCENDING,
+                )
+            )
+            for op in element.ops:
+                if op.read:
+                    fails |= next(reads) != op.value
         return DigitalBitmap(fails, source=self.name)
 
 
@@ -189,9 +187,5 @@ def retention_test(ops: ArrayOperations, pause: float, value: bool = True) -> Di
         raise DiagnosisError(f"pause must be >= 0, got {pause}")
     ops.write_solid(value)
     ops.pause(pause)
-    fails = np.zeros((ops.array.rows, ops.array.cols), dtype=bool)
-    for row in range(ops.array.rows):
-        for col in range(ops.array.cols):
-            if ops.read(row, col) != value:
-                fails[row, col] = True
+    fails = ops.read_all() != value
     return DigitalBitmap(fails, source=f"retention({pause * 1e3:.0f} ms)")

@@ -112,19 +112,10 @@ def extract_leakage(
             f"ladder shape {first_fail.shape} != bitmap {bitmap.shape}"
         )
     budget = bitmap.estimates * (v_write - v_min)  # NaN where out of range
-    rows, cols = bitmap.shape
-    lower = np.zeros((rows, cols))
-    upper = np.full((rows, cols), np.inf)
-    for r in range(rows):
-        for c in range(cols):
-            q = budget[r, c]
-            if not np.isfinite(q):
-                lower[r, c] = np.nan
-                upper[r, c] = np.nan
-                continue
-            k = int(first_fail[r, c])
-            if k < len(pauses):
-                lower[r, c] = q / pauses[k]
-            if k > 0:
-                upper[r, c] = q / pauses[k - 1]
+    t = np.asarray(pauses, dtype=float)
+    failed, passed = first_fail < len(pauses), first_fail > 0
+    lower = np.where(failed, budget / t[np.where(failed, first_fail, 0)], 0.0)
+    upper = np.where(passed, budget / t[np.where(passed, first_fail - 1, 0)], np.inf)
+    unusable = ~np.isfinite(budget)
+    lower[unusable] = upper[unusable] = np.nan
     return LeakageBounds(lower=lower, upper=upper)

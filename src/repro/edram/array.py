@@ -119,6 +119,10 @@ class EDRAMArray:
         self._kinds = np.zeros((rows, cols), dtype=np.int8)
         self._kind_counts: dict[DefectKind, int] = dict.fromkeys(DefectKind, 0)
         self._version = 0
+        # Functional-test state (stored voltage, last-write time), built
+        # by the first ArrayOperations: a scanned-only array never pays
+        # for two more planes.
+        self._functional: tuple[np.ndarray, np.ndarray] | None = None
 
     def _validated_map(self, arr: np.ndarray | None, default: float, name: str) -> np.ndarray:
         if arr is None:
@@ -174,9 +178,28 @@ class EDRAMArray:
                     object.__setattr__(cell, "capacitance", float(self._cap[r, c]))
         self._version += 1
 
+    def functional_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Writable (stored voltage, last-write time) planes, shape (rows, cols).
+
+        The behavioural state every
+        :class:`~repro.edram.operations.ArrayOperations` on this array
+        shares; allocated (all zeros, like a fresh cell) on first use.
+        """
+        if self._functional is None:
+            shape = (self.rows, self.cols)
+            self._functional = (np.zeros(shape), np.zeros(shape))
+        return self._functional
+
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
+
+    def check_address(self, row: int, col: int) -> None:
+        """Raise :class:`ArrayConfigError` unless (row, col) is in the array."""
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise ArrayConfigError(
+                f"address ({row}, {col}) outside array {self.rows}x{self.cols}"
+            )
 
     def cell(self, row: int, col: int) -> DRAMCell:
         """The cell at (row, col); raises on out-of-range addresses.
@@ -184,10 +207,7 @@ class EDRAMArray:
         Built from the bulk planes on first access, watched, and cached:
         later edits through the cell land back in the planes.
         """
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ArrayConfigError(
-                f"address ({row}, {col}) outside array {self.rows}x{self.cols}"
-            )
+        self.check_address(row, col)
         cell = self._cells[row][col]
         if cell is None:
             cell = DRAMCell(

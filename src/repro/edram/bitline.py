@@ -12,8 +12,14 @@ connection is designed to avoid).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
+
+import numpy as np
 
 from repro.errors import ArrayConfigError
+
+#: One cell's value or a plane of them (the arithmetic is elementwise).
+_Cells = TypeVar("_Cells", float, np.ndarray)
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,7 @@ class Bitline:
                 f"bitline capacitance must be positive, got {self.capacitance}"
             )
 
-    def share_with_cell(self, cell_capacitance: float, cell_voltage: float) -> float:
+    def share_with_cell(self, cell_capacitance: _Cells, cell_voltage: _Cells) -> _Cells:
         """Bitline voltage after charge-sharing with one cell.
 
         Standard DRAM read signal:
@@ -45,7 +51,7 @@ class Bitline:
         A zero cell capacitance (open cell) leaves the precharge level
         untouched.
         """
-        if cell_capacitance < 0:
+        if np.any(np.less(cell_capacitance, 0)):
             raise ArrayConfigError(
                 f"cell capacitance must be >= 0, got {cell_capacitance}"
             )
@@ -55,7 +61,7 @@ class Bitline:
             + cell_capacitance * cell_voltage
         ) / total
 
-    def read_signal(self, cell_capacitance: float, cell_voltage: float) -> float:
+    def read_signal(self, cell_capacitance: _Cells, cell_voltage: _Cells) -> _Cells:
         """Signed sense signal ΔV = V_BL' − V_precharge, volts.
 
         Positive for a stored '1' (cell above the precharge level).

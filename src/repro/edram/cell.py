@@ -17,9 +17,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.edram.defects import CellDefect, DefectKind
 from repro.errors import DefectError
 from repro.units import fA
+
+
+def drooped_voltage(
+    v_written: float | np.ndarray,
+    t_written: float | np.ndarray,
+    time: float | np.ndarray,
+    leak_current: float | np.ndarray,
+    capacitance: float | np.ndarray,
+) -> float | np.ndarray:
+    """Stored level at ``time`` after linear junction-leakage droop, volts.
+
+    A constant junction current drains the node from the level written
+    at ``t_written``; the result clamps at 0 V.  Elementwise on scalars
+    or planes: a plane evaluates the same IEEE operations in the same
+    order as one cell does, so both agree bit for bit.
+    """
+    dt = np.maximum(0.0, time - t_written)
+    return np.maximum(0.0, v_written - leak_current * dt / capacitance)
 
 
 @dataclass
@@ -39,6 +59,11 @@ class DRAMCell:
         Behavioural storage-node voltage, volts.
     t_written:
         Behavioural timestamp of the last write/refresh, seconds.
+
+    Cells of an :class:`~repro.edram.array.EDRAMArray` keep their
+    functional-test state in the array's planes instead
+    (:class:`~repro.edram.operations.ArrayOperations`); the two
+    behavioural fields serve standalone cells.
     """
 
     capacitance: float
@@ -139,9 +164,11 @@ class DRAMCell:
         """
         if self.is_plate_shorted():
             return plate_bias
-        dt = max(0.0, time - self.t_written)
-        droop = self.leak_current * dt / self.capacitance
-        return max(0.0, self.v_storage - droop)
+        return float(
+            drooped_voltage(
+                self.v_storage, self.t_written, time, self.leak_current, self.capacitance
+            )
+        )
 
     def retention_time(self, v_written: float, v_min: float) -> float:
         """Seconds until a written ``v_written`` droops to ``v_min``."""

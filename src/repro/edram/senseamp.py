@@ -12,6 +12,8 @@ configured distribution, mimicking one physical amplifier.
 
 from __future__ import annotations
 
+from typing import overload
+
 import numpy as np
 
 from repro.errors import ArrayConfigError
@@ -39,15 +41,22 @@ class SenseAmplifier:
         self.offset = float(np.random.default_rng(seed).normal(0.0, offset_sigma))
         self.fail_low = fail_low
 
-    def resolve(self, signal: float) -> bool:
+    @overload
+    def resolve(self, signal: float) -> bool: ...
+
+    @overload
+    def resolve(self, signal: np.ndarray) -> np.ndarray: ...
+
+    def resolve(self, signal: float | np.ndarray) -> bool | np.ndarray:
         """Resolve a signed sense signal ΔV into a data bit.
 
         Signals beyond the offset magnitude resolve correctly by sign;
-        weaker signals collapse to the amplifier's preferred state.
+        weaker signals collapse to the amplifier's preferred state.  A
+        plane of signals resolves to a boolean plane.
         """
-        if abs(signal) <= abs(self.offset):
-            return not self.fail_low
-        return signal > 0.0
+        signal = np.asarray(signal)
+        bits = np.where(np.abs(signal) <= abs(self.offset), not self.fail_low, signal > 0.0)
+        return bits if bits.ndim else bool(bits)
 
     def margin(self, signal: float) -> float:
         """Sensing margin |ΔV| − |offset| in volts (negative = unreliable)."""

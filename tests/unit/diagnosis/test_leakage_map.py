@@ -1,7 +1,11 @@
 """Leakage bitmap extraction (capacitance + retention ladder)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bitmap.analog import AnalogBitmap
 from repro.diagnosis.leakage_map import (
@@ -117,3 +121,43 @@ class TestValidation:
         _, bitmap, ladder, _ = setup
         with pytest.raises(DiagnosisError):
             extract_leakage(bitmap, ladder, PAUSES, v_write=0.9, v_min=1.8)
+
+
+def _reference_extract_leakage(estimates, first_fail, pauses, v_write, v_min):
+    """The per-cell loop :func:`extract_leakage` must reproduce exactly."""
+    budget = estimates * (v_write - v_min)
+    rows, cols = estimates.shape
+    lower = np.zeros((rows, cols))
+    upper = np.full((rows, cols), np.inf)
+    for r in range(rows):
+        for c in range(cols):
+            q = budget[r, c]
+            if not np.isfinite(q):
+                lower[r, c] = upper[r, c] = np.nan
+                continue
+            k = int(first_fail[r, c])
+            if k < len(pauses):
+                lower[r, c] = q / pauses[k]
+            if k > 0:
+                upper[r, c] = q / pauses[k - 1]
+    return lower, upper
+
+
+@given(
+    rows=st.integers(1, 8),
+    cols=st.integers(1, 8),
+    n_pauses=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_extract_leakage_matches_per_cell_loop(rows, cols, n_pauses, seed):
+    rng = np.random.default_rng(seed)
+    pauses = list(np.cumsum(rng.uniform(1e-3, 2.0, n_pauses)))
+    estimates = rng.uniform(5e-15, 60e-15, (rows, cols))
+    estimates[rng.random((rows, cols)) < 0.2] = np.nan  # out of range
+    first_fail = rng.integers(0, n_pauses + 1, (rows, cols))
+    bitmap = SimpleNamespace(estimates=estimates, shape=(rows, cols))
+    bounds = extract_leakage(bitmap, first_fail, pauses, v_write=1.8, v_min=0.9)
+    lower, upper = _reference_extract_leakage(estimates, first_fail, pauses, 1.8, 0.9)
+    np.testing.assert_array_equal(bounds.lower, lower)
+    np.testing.assert_array_equal(bounds.upper, upper)

@@ -219,6 +219,15 @@ class TestBulkViews:
         assert result.stats.kernel_cells == arr.num_cells
         assert _materialized(arr) == 0
 
+    def test_functional_tests_materialize_no_cells(self):
+        from repro.baselines.march import march_c_minus
+        from repro.edram.operations import ArrayOperations
+
+        arr = EDRAMArray(16, 8)
+        assert arr._functional is None  # allocated by ArrayOperations only
+        assert march_c_minus().run(ArrayOperations(arr)).fail_count == 0
+        assert _materialized(arr) == 0
+
     def test_cell_materialized_after_bulk_edit_reads_the_plane(self):
         from repro.technologies.fecap import FeCapArray
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.baselines.march import march_c_minus
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectKind
 from repro.edram.operations import ArrayOperations
 from repro.edram.senseamp import SenseAmplifier
-from repro.errors import ArrayConfigError
+from repro.errors import ArrayConfigError, DefectError
 
 
 @pytest.fixture()
@@ -109,6 +110,18 @@ class TestDefectBehaviour:
         ops.write(2, 2, False)
         ops.write(2, 1, True)
         assert ops.read(2, 2) is True
+
+    def test_bridge_on_last_column_is_rejected_before_any_op(self, tech):
+        arr = EDRAMArray(2, 4, tech=tech)
+        arr.cell(1, 3).apply_defect(CellDefect(DefectKind.BRIDGE))
+        ops = ArrayOperations(arr)
+        with pytest.raises(DefectError, match=r"BRIDGE at \(1, 3\)"):
+            march_c_minus().run(ops)
+        with pytest.raises(DefectError, match=r"BRIDGE at \(1, 3\)"):
+            ops.write(1, 3, True)
+        assert ops.now == 0.0
+        voltage, written = arr.functional_planes()
+        assert not voltage.any() and not written.any()
 
 
 class TestSignalLevels:
