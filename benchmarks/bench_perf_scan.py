@@ -14,11 +14,6 @@ defect-free 128×64 array, all bit-identical:
    planes instead of 256 per-macro trips.  Must be ≥ 10× over the
    cached serial driver, and it owns the headline ``cells_per_second``.
 
-``parallel4_seconds`` measures the shared-memory slab fan-out on a warm
-persistent pool (the steady-state of repeated scans); the gate requires
-it to beat the cached serial driver — process fan-out must never be
-slower than the single-process per-macro path it replaces.
-
 Results (cells/second, per-path timings, scan telemetry) are appended
 to the ``BENCH_scan.json`` history list at the repo root — a
 trajectory, not a snapshot.  Each entry carries a UTC timestamp and
@@ -50,7 +45,8 @@ from repro.edram.array import EDRAMArray
 from repro.edram.defects import DefectKind
 from repro.edram.variation_map import compose_maps, mismatch_map, uniform_map
 from repro.measure.config import ScanConfig
-from repro.measure.scan import ArrayScanner, _series
+from repro.measure.kernel import _series
+from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
 from repro.obs import JsonlProgress, MetricsRegistry, RunLedger, Tracer
 from repro.units import fF
@@ -241,20 +237,12 @@ def bench_perf_scan_speedup(benchmark, tech):
         kernel_seconds = min(kernel_seconds, benchmark.stats.stats.min)
     except AttributeError:  # plain-function run without the fixture
         pass
-    # Warm the persistent pool first: parallel4 pins the steady-state of
-    # repeated scans (wafer runs), not the one-off fork cost.
-    parallel_scan = kernel.scan(ScanConfig(jobs=4))
-    parallel_seconds, parallel_scan = _best_of(
-        lambda: kernel.scan(ScanConfig(jobs=4)), repeats=3
-    )
 
     # The optimisations must be invisible in the data.
     assert np.array_equal(fast_scan.codes, seed_scan.codes)
     assert np.array_equal(fast_scan.vgs, seed_scan.vgs)
     assert np.array_equal(fast_scan.codes, cached_scan.codes)
     assert np.array_equal(fast_scan.vgs, cached_scan.vgs)
-    assert np.array_equal(fast_scan.codes, parallel_scan.codes)
-    assert np.array_equal(fast_scan.vgs, parallel_scan.vgs)
     assert fast_scan.stats.kernel_cells == array.num_cells
 
     speedup = seed_seconds / cached_seconds
@@ -274,7 +262,6 @@ def bench_perf_scan_speedup(benchmark, tech):
         "seed_seconds": seed_seconds,
         "cached_serial_seconds": cached_seconds,
         "kernel_serial_seconds": kernel_seconds,
-        "parallel4_seconds": parallel_seconds,
         "speedup_serial_vs_seed": speedup,
         "kernel_speedup_vs_serial": kernel_speedup,
         "cells_per_second": array.num_cells / kernel_seconds,
@@ -293,7 +280,6 @@ def bench_perf_scan_speedup(benchmark, tech):
             f"batched kernel : {kernel_seconds * 1e3:8.2f} ms  "
             f"({kernel_speedup:.1f}x over serial, "
             f"{array.num_cells / kernel_seconds:,.0f} cells/s)",
-            f"parallel x4    : {parallel_seconds * 1e3:8.2f} ms  (warm pool)",
             f"appended to {BENCH_JSON.name} "
             f"({len(history)} entr{'y' if len(history) == 1 else 'ies'} "
             f"at {entry['git_rev']})",
@@ -304,10 +290,6 @@ def bench_perf_scan_speedup(benchmark, tech):
     assert kernel_speedup >= 10.0, (
         f"batched kernel only {kernel_speedup:.2f}x over the per-macro "
         f"serial driver (needs >= 10x)"
-    )
-    assert parallel_seconds <= cached_seconds, (
-        f"parallel x4 ({parallel_seconds * 1e3:.2f} ms) slower than the "
-        f"cached serial driver ({cached_seconds * 1e3:.2f} ms)"
     )
 
 
@@ -513,30 +495,24 @@ def bench_perf_scan_record_overhead(tech):
 
 
 def bench_perf_scan_resilience_overhead(tech):
-    """Resilience guard: armed supervision must cost < 5% on a clean scan.
+    """Resilience guard: an armed fault plan must cost < 5% on a clean scan.
 
-    The resilience layer adds a fault-point probe per cell and macro, a
-    quality plane per macro, and retry/timeout plumbing through the
-    config.  On a *clean* scan (fault plan armed but empty, retry and
-    timeout configured, nothing fires) all of that must be invisible:
+    The resilience layer adds a fault-point probe per cell and macro and
+    a quality plane per macro.  On a *clean* scan (fault plan armed but
+    empty, nothing fires) all of that must be invisible:
     the probe is one context-variable read, the quality plane is zeros.
     Same engine-tier workload and measurement discipline as the tracer
     gate (order-alternating rounds, GC paused, best-of minima, three
     independent attempts).
     """
-    from repro.resilience import FaultPlan, RetryPolicy
+    from repro.resilience import FaultPlan
 
     rows, cols = 16, 4
     array = _build(tech, rows=rows, cols=cols)
     structure = design_structure(tech, MACRO_ROWS, MACRO_COLS, bitline_rows=rows)
     scanner = ArrayScanner(array, structure)
     plain_config = ScanConfig(force_engine=True)
-    armed_config = ScanConfig(
-        force_engine=True,
-        faults=FaultPlan([]),
-        retry=RetryPolicy(),
-        timeout=60.0,
-    )
+    armed_config = ScanConfig(force_engine=True, faults=FaultPlan([]))
     baseline = scanner.scan(plain_config)  # warms the netlist cache
 
     def run(config):
@@ -577,7 +553,7 @@ def bench_perf_scan_resilience_overhead(tech):
             break
     overhead = min(attempts)
 
-    # Supervision must be invisible in the data...
+    # The armed plan must be invisible in the data...
     assert np.array_equal(armed_scan.codes, baseline.codes)
     assert np.array_equal(armed_scan.vgs, baseline.vgs)
     # ...and the clean scan must report a clean quality plane.
@@ -588,8 +564,7 @@ def bench_perf_scan_resilience_overhead(tech):
     report(
         "PERF: armed resilience overhead on a clean engine-tier scan",
         "\n".join([
-            f"array {rows}x{cols}, force_engine, empty fault plan + "
-            f"retry + timeout armed",
+            f"array {rows}x{cols}, force_engine, empty fault plan armed",
             f"plain best-of-20: {plain_best * 1e3:8.2f} ms",
             f"armed best-of-20: {armed_best * 1e3:8.2f} ms",
             f"overhead        : {overhead * 100:+.2f}%  (budget < 5%, "
@@ -695,102 +670,6 @@ def bench_perf_scan_registry_overhead(tech):
     )
 
 
-def bench_perf_scan_sanitize_overhead(tech):
-    """Sanitizer guard: ``--sanitize`` must cost < 10% on a warm-pool scan.
-
-    The write-footprint sanitizer ships a handful of ints per task back
-    in the acknowledgements and audits them parent-side — the data plane
-    never leaves shared memory, and because the sanitize flag rides in
-    the *task* tuples (not the pool's init payload) the warm persistent
-    pool is reused, so the audit must stay in the wall-time noise.
-    Same measurement discipline as the other overhead gates
-    (order-alternating rounds, GC paused, best-of minima, three
-    independent attempts), on the kernel-parallel fan-out where the
-    sanitizer actually runs.
-    """
-    rows = 2 * ROWS  # amortize the audit's fixed cost over a real scan
-    array = _build(tech, rows=rows)
-    structure = design_structure(tech, MACRO_ROWS, MACRO_COLS, bitline_rows=rows)
-    scanner = ArrayScanner(array, structure)
-    plain_config = ScanConfig(jobs=2)
-    sanitized_config = ScanConfig(jobs=2, sanitize=True)
-    baseline = scanner.scan(plain_config)  # warms the persistent pool
-
-    def run(config):
-        t0 = time.perf_counter()
-        scan = scanner.scan(config)
-        return time.perf_counter() - t0, scan
-
-    sanitized_scan = None
-
-    def measure():
-        nonlocal sanitized_scan
-        plain_times, sanitized_times = [], []
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for i in range(20):
-                if i % 2 == 0:
-                    seconds, _ = run(plain_config)
-                    plain_times.append(seconds)
-                    seconds, sanitized_scan = run(sanitized_config)
-                    sanitized_times.append(seconds)
-                else:
-                    seconds, sanitized_scan = run(sanitized_config)
-                    sanitized_times.append(seconds)
-                    seconds, _ = run(plain_config)
-                    plain_times.append(seconds)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return min(plain_times), min(sanitized_times)
-
-    attempts = []
-    for _ in range(3):
-        plain_best, sanitized_best = measure()
-        attempts.append(sanitized_best / plain_best - 1)
-        if attempts[-1] < 0.10:
-            break
-    overhead = min(attempts)
-
-    # The sanitizer must be invisible in the data...
-    assert np.array_equal(sanitized_scan.codes, baseline.codes)
-    assert np.array_equal(sanitized_scan.vgs, baseline.vgs)
-    # ...and actually auditing: a clean report over a non-empty log.
-    assert sanitized_scan.sanitize_report is not None
-    assert sanitized_scan.sanitize_report.ok
-    assert baseline.sanitize_report is None
-
-    entry = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_rev": _git_rev(),
-        "kind": "sanitize_overhead",
-        "array": [rows, COLS],
-        "plain_seconds": plain_best,
-        "sanitized_seconds": sanitized_best,
-        "sanitize_overhead": overhead,
-    }
-    history = _append_history(entry)
-
-    report(
-        "PERF: write-footprint sanitizer overhead on a warm-pool scan",
-        "\n".join([
-            f"array {rows}x{COLS}, kernel-parallel x2, warm pool",
-            f"plain     best-of-20: {plain_best * 1e3:8.2f} ms",
-            f"sanitized best-of-20: {sanitized_best * 1e3:8.2f} ms",
-            f"overhead            : {overhead * 100:+.2f}%  (budget < 10%, "
-            f"{len(attempts)} attempt(s))",
-            f"appended to {BENCH_JSON.name} ({len(history)} entries)",
-        ]),
-    )
-
-    assert overhead < 0.10, (
-        f"sanitize overhead {overhead * 100:.2f}% exceeds 10% budget "
-        f"(attempts: {', '.join(f'{a * 100:+.2f}%' for a in attempts)})"
-    )
-
-
 def bench_perf_scan_smoke(benchmark, tech):
     """CI smoke: one round on a small array, stats sanity only."""
     array = _build(tech, rows=32, cols=8)
@@ -804,111 +683,3 @@ def bench_perf_scan_smoke(benchmark, tech):
     # A defect-free un-instrumented scan must route through the kernel.
     assert scan.stats.kernel_cells == array.num_cells
     assert scan.stats.kernel_seconds > 0
-
-
-def bench_perf_scan_parallel_trace_overhead(tech):
-    """Distributed-tracing guard: ``--trace`` must cost < 15% on a warm
-    parallel kernel scan.
-
-    Tracing no longer disqualifies the shared-memory fast path: workers
-    run a private :class:`Tracer` per task and ship compact span tuples
-    back inside the acknowledgement, so the data plane stays in shared
-    memory and only the control plane grows.  This gate pins that —
-    a traced warm ``jobs=2`` scan must keep the kernel tier for every
-    cell, produce bit-exact planes, merge spans from at least two
-    distinct worker pids, and stay within 15% of the untraced wall time.
-    Same measurement discipline as the other overhead gates
-    (order-alternating rounds, GC paused, best-of minima, three
-    independent attempts).
-    """
-    rows = 2 * ROWS  # amortize the per-task tracer setup over a real scan
-    array = _build(tech, rows=rows)
-    structure = design_structure(tech, MACRO_ROWS, MACRO_COLS, bitline_rows=rows)
-    scanner = ArrayScanner(array, structure)
-    plain_config = ScanConfig(jobs=2)
-    baseline = scanner.scan(plain_config)  # warms the persistent pool
-
-    def run_plain():
-        t0 = time.perf_counter()
-        scanner.scan(plain_config)
-        return time.perf_counter() - t0
-
-    def run_traced():
-        tracer = Tracer()
-        t0 = time.perf_counter()
-        scan = scanner.scan(ScanConfig(jobs=2, tracer=tracer))
-        return time.perf_counter() - t0, scan, tracer
-
-    traced_scan = traced_tracer = None
-
-    def measure():
-        nonlocal traced_scan, traced_tracer
-        plain_times, traced_times = [], []
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for i in range(20):
-                if i % 2 == 0:
-                    plain_times.append(run_plain())
-                    seconds, traced_scan, traced_tracer = run_traced()
-                    traced_times.append(seconds)
-                else:
-                    seconds, traced_scan, traced_tracer = run_traced()
-                    traced_times.append(seconds)
-                    plain_times.append(run_plain())
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return min(plain_times), min(traced_times)
-
-    attempts = []
-    for _ in range(3):
-        plain_best, traced_best = measure()
-        attempts.append(traced_best / plain_best - 1)
-        if attempts[-1] < 0.15:
-            break
-    overhead = min(attempts)
-
-    # Tracing must be invisible in the data and must not evict the scan
-    # from the kernel fast path...
-    assert np.array_equal(traced_scan.codes, baseline.codes)
-    assert np.array_equal(traced_scan.vgs, baseline.vgs)
-    assert traced_scan.stats.kernel_cells == array.num_cells
-    # ...while the merged tree really is distributed: slab spans from at
-    # least two distinct worker processes under one scan root.
-    slab_pids = {
-        s.attributes["pid"] for s in traced_tracer.spans if s.name == "slab"
-    }
-    assert len(slab_pids) >= 2, f"expected >=2 worker pids, got {slab_pids}"
-    assert sum(1 for s in traced_tracer.spans if s.name == "scan") == 1
-
-    entry = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "git_rev": _git_rev(),
-        "kind": "parallel_trace_overhead",
-        "array": [rows, COLS],
-        "plain_seconds": plain_best,
-        "traced_seconds": traced_best,
-        "parallel_trace_overhead": overhead,
-        "worker_pids": len(slab_pids),
-    }
-    history = _append_history(entry)
-
-    report(
-        "PERF: distributed tracing overhead on a warm parallel kernel scan",
-        "\n".join([
-            f"array {rows}x{COLS}, kernel-parallel x2, warm pool",
-            f"plain  best-of-20: {plain_best * 1e3:8.2f} ms",
-            f"traced best-of-20: {traced_best * 1e3:8.2f} ms",
-            f"overhead         : {overhead * 100:+.2f}%  (budget < 15%, "
-            f"{len(attempts)} attempt(s))",
-            f"worker pids in merged trace: {len(slab_pids)}",
-            f"appended to {BENCH_JSON.name} ({len(history)} entries)",
-        ]),
-    )
-
-    assert overhead < 0.15, (
-        f"parallel trace overhead {overhead * 100:.2f}% exceeds 15% budget "
-        f"(attempts: {', '.join(f'{a * 100:+.2f}%' for a in attempts)})"
-    )

@@ -24,7 +24,7 @@ Exposes the library's main flows without writing Python:
   the EWMA/CUSUM drift gate and exits nonzero on out-of-control physics
 
 Common options are factored into shared parent parsers so every
-subcommand spells them identically: ``--seed``, ``--jobs``,
+subcommand spells them identically: ``--seed``,
 ``--format text|json`` (with ``--json`` as a shorthand for
 ``--format json``), and on the measurement commands ``--record [DIR]``
 (append a run manifest to the ledger), ``--label``, ``--progress`` /
@@ -33,9 +33,9 @@ subcommand spells them identically: ``--seed``, ``--jobs``,
 Resilience (``scan`` and ``wafer``): ``--checkpoint [DIR]`` persists
 completed macros/dies through the run ledger, ``--resume RUN_ID``
 continues an interrupted run bit-exactly (``repro runs checkpoints``
-lists the unfinished ones), and on ``scan`` ``--timeout``/``--retries``
-tune the supervised process pool.  Ctrl-C exits with status 130 after a
-bounded pool teardown, printing the resume command when one exists.
+lists the unfinished ones).  Ctrl-C exits with status 130, printing the
+resume command when one exists.  Process parallelism is the fleet's
+(``repro fleet run --shards N``); a scan runs in one process.
 """
 
 from __future__ import annotations
@@ -70,13 +70,6 @@ def _geometry_parent() -> argparse.ArgumentParser:
 def _seed_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--seed", type=int, default=0, help="randomness seed")
-    return parent
-
-
-def _jobs_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = serial)")
     return parent
 
 
@@ -200,7 +193,7 @@ def cmd_abacus(args) -> int:
 #: rebuild the identical array without the user retyping geometry.
 _SCAN_REBUILD_KEYS = (
     "rows", "cols", "macro_rows", "macro_cols",
-    "seed", "healthy", "nominal_ff", "force_engine", "tech",
+    "seed", "healthy", "nominal_ff", "force_engine", "preflight", "tech",
 )
 
 
@@ -264,27 +257,17 @@ def cmd_scan(args) -> int:
     want_metrics = args.metrics or args.metrics_out or args.format == "json"
     metrics = MetricsRegistry() if want_metrics else NULL_METRICS
 
-    retry = None
-    if args.retries is not None:
-        from repro.resilience import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=args.retries, seed=args.seed)
-
     array = _build_array(args, with_defects=not args.healthy)
     structure = _design_for(args, array)
     abacus = Abacus.for_array(structure, array)
     config = ScanConfig(
-        jobs=args.jobs,
         force_engine=args.force_engine,
         preflight=args.preflight,
         technology=args.tech,
         tracer=tracer,
         metrics=metrics,
         progress=_progress_from(args),
-        retry=retry,
-        timeout=args.timeout,
         checkpoint=checkpointer,
-        sanitize=args.sanitize,
     )
     cpu_start = process_time()
     try:
@@ -330,12 +313,6 @@ def cmd_scan(args) -> int:
         )
         run_id = manifest.run_id
 
-    sanitize_exit = 0
-    if scan.sanitize_report is not None:
-        # The sanitizer's verdict gates the command exactly like lint:
-        # overlap/gap errors turn the exit code nonzero.
-        sanitize_exit = scan.sanitize_report.exit_code
-
     if args.format == "json":
         payload = {
             "geometry": {
@@ -350,17 +327,13 @@ def cmd_scan(args) -> int:
             "code_histogram": {str(k): v for k, v in scan.code_histogram().items()},
             "stats": scan.stats.to_dict() if scan.stats is not None else None,
             "metrics": metrics.to_dict() if metrics.enabled else None,
-            "sanitize": (
-                json.loads(scan.sanitize_report.to_json())
-                if scan.sanitize_report is not None else None
-            ),
             "trace": args.trace,
             "saved": saved_to,
             "run_id": run_id,
             "ledger": args.record,
         }
         print(json.dumps(payload, indent=2))
-        return sanitize_exit
+        return 0
 
     print(f"scanned {array.num_cells} cells "
           f"({array.num_macros} tiles of {args.macro_rows}x{args.macro_cols})")
@@ -377,17 +350,11 @@ def cmd_scan(args) -> int:
               f"({len(tracer.spans)} spans; summarize with `repro trace`)")
     if args.metrics_out:
         print(f"metrics written to {args.metrics_out}")
-    if scan.sanitize_report is not None:
-        verdict = "clean" if scan.sanitize_report.ok else "VIOLATED"
-        print(f"sanitize: write-footprint contract {verdict} "
-              f"({scan.sanitize_report.summary()})")
-        if not scan.sanitize_report.ok:
-            print(scan.sanitize_report.format_text())
     if saved_to:
         print(f"scan saved to {saved_to}")
     if run_id:
         print(f"recorded as {run_id} in {args.record}")
-    return sanitize_exit
+    return 0
 
 
 def cmd_diagnose(args) -> int:
@@ -397,8 +364,7 @@ def cmd_diagnose(args) -> int:
     array = _build_array(args, with_defects=True)
     spec_lo, spec_hi = _backend_for(args).spec_window()
     pipeline = DiagnosisPipeline(spec_lo=spec_lo, spec_hi=spec_hi)
-    config = ScanConfig(jobs=args.jobs, technology=args.tech,
-                        progress=_progress_from(args))
+    config = ScanConfig(technology=args.tech, progress=_progress_from(args))
     start = perf_counter()
     cpu_start = process_time()
     report = pipeline.run(array, config)
@@ -537,7 +503,6 @@ def cmd_wafer(args) -> int:
         diameter_dies=args.diameter, seed=args.seed, technology=args.tech
     )
     config = ScanConfig(
-        jobs=args.jobs,
         technology=args.tech,
         progress=_progress_from(args),
         checkpoint=checkpointer,
@@ -868,7 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     geometry = _geometry_parent()
     seed = _seed_parent()
-    jobs = _jobs_parent()
     fmt = _format_parent()
     record = _record_parent()
     progress = _progress_parent()
@@ -884,14 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_abacus)
 
     p = sub.add_parser("scan",
-                       parents=[geometry, seed, jobs, fmt, record, progress,
+                       parents=[geometry, seed, fmt, record, progress,
                                 checkpoint, tech],
                        help="scan a synthesized array")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-macro wall-clock budget for parallel scans; a "
-                        "worker exceeding it is killed and the macro retried")
-    p.add_argument("--retries", type=int, default=None, metavar="N",
-                   help="attempts per macro under supervision (default 3)")
     p.add_argument("--healthy", action="store_true", help="no injected defects")
     p.add_argument("--nominal-ff", type=float, default=None, metavar="FF",
                    help="nominal cell capacitance in fF (default: the "
@@ -902,10 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route every macro through the exact charge engine")
     p.add_argument("--preflight", action="store_true",
                    help="run the static ERC pass before scanning")
-    p.add_argument("--sanitize", action="store_true",
-                   help="arm the write-footprint sanitizer: prove parallel "
-                        "workers' writes are disjoint and cover the planes "
-                        "(CCY101/CCY102; nonzero exit on violation)")
     p.add_argument("--trace", metavar="PATH",
                    help="record a span trace of the scan to this JSON-lines "
                         "path (summarize with `repro trace PATH`)")
@@ -916,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("diagnose",
-                       parents=[geometry, seed, jobs, fmt, record, progress,
+                       parents=[geometry, seed, fmt, record, progress,
                                 tech],
                        help="full diagnosis pipeline")
     p.set_defaults(func=cmd_diagnose)
@@ -925,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="summarize a span trace written by `scan --trace`")
     p.add_argument("paths", nargs="+", metavar="path",
                    help="JSON-lines trace file(s); several are merged "
-                        "into one trace (parent + worker spools)")
+                        "into one trace")
     p.add_argument("--timeline", action="store_true",
                    help="render a per-worker lane view (text Gantt, or "
                         "JSON with --format json) instead of the summary")
@@ -956,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("wafer",
-                       parents=[seed, jobs, record, progress, checkpoint,
+                       parents=[seed, record, progress, checkpoint,
                                 tech],
                        help="wafer-level monitoring demo")
     p.add_argument("--diameter", type=int, default=7, help="wafer width in dies")
@@ -1058,9 +1013,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # Supervised pools have already torn their workers down (the
-        # scan engine re-raises only after a forced shutdown); exit with
-        # the conventional SIGINT status instead of a traceback.
+        # Exit with the conventional SIGINT status instead of a
+        # traceback (the resume hint, if any, is already printed).
         print("interrupted", file=sys.stderr)
         return 130
     except BrokenPipeError:

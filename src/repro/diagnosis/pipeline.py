@@ -160,7 +160,7 @@ class DiagnosisPipeline:
     def run(self, array: EDRAMArray, config: ScanConfig | None = None) -> PipelineReport:
         """Run the full pipeline against one array.
 
-        ``config`` carries the scan options (jobs, tracer, metrics)
+        ``config`` carries the scan options (tracer, metrics, ...)
         through to the analog-scan stage; its tracer additionally
         records one ``diagnosis`` span with a ``stage:*`` child per
         pipeline stage, and its metrics registry is installed ambiently

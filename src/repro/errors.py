@@ -99,35 +99,6 @@ class ResilienceError(ReproError):
     invalid retry policy, checkpoint/config mismatch, ...)."""
 
 
-class WorkerCrashError(ResilienceError):
-    """A supervised worker process died while holding a task.
-
-    Attributes
-    ----------
-    exitcode:
-        The worker's exit code as reported by the OS (negative for
-        signal deaths, following :class:`multiprocessing.Process`).
-    """
-
-    def __init__(self, message: str, exitcode: int | None = None):
-        super().__init__(message)
-        self.exitcode = exitcode
-
-
-class TaskTimeoutError(ResilienceError):
-    """A supervised task exceeded its wall-clock budget and was killed.
-
-    Attributes
-    ----------
-    seconds:
-        The per-task timeout that was exceeded.
-    """
-
-    def __init__(self, message: str, seconds: float = float("nan")):
-        super().__init__(message)
-        self.seconds = seconds
-
-
 class CheckpointError(ResilienceError):
     """A scan/wafer checkpoint is unusable (unknown id, fingerprint
     mismatch against the resuming configuration, corrupted file, ...)."""
@@ -149,11 +120,6 @@ class DiagnosisError(ReproError):
 class LintError(ReproError):
     """The static-analysis subsystem was misused (unknown rule code,
     invalid target kind, unreadable source file, ...)."""
-
-
-class SanitizeError(LintError):
-    """The write-footprint sanitizer was misused or recorded impossible
-    data (out-of-bounds interval, inverted bounds, shape mismatch)."""
 
 
 class RuleViolation(LintError):

@@ -243,13 +243,13 @@ class FleetOrchestrator:
     def _fingerprint(self) -> dict[str, Any]:
         """The config consistency key every shard must match at merge."""
         from repro.measure.config import ScanConfig
-        from repro.resilience.checkpoint import resume_fingerprint
+        from repro.obs.ledger import config_fingerprint
 
         config = ScanConfig(
             technology=self.wafer.get("technology", "edram"),
             force_engine=self.force_engine,
         )
-        return {"config": resume_fingerprint(config), "wafer": self.wafer}
+        return {"config": config_fingerprint(config), "wafer": self.wafer}
 
     def _write_state(self, state: str) -> None:
         """Persist ``fleet.json`` atomically."""

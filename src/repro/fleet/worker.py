@@ -143,9 +143,14 @@ def run_shard(spec: dict[str, Any]) -> int:
 
     from repro.fleet.lease import ShardLease, write_lease
     from repro.measure.config import ScanConfig
-    from repro.obs.ledger import RunLedger
+    from repro.obs.ledger import (
+        RunLedger,
+        RunManifest,
+        config_fingerprint,
+        config_hash,
+    )
     from repro.obs.progress import NULL_PROGRESS, JsonlProgress
-    from repro.resilience.checkpoint import Checkpointer, resume_fingerprint
+    from repro.resilience.checkpoint import Checkpointer
     from repro.resilience.faults import install_plan, mark_worker_process
     from repro.wafer import WaferModel
 
@@ -219,12 +224,10 @@ def run_shard(spec: dict[str, Any]) -> int:
         "die_range": [lo, hi],
         "total_dies": scan.total_dies,
         "run_id": scan.run_id,
-        "fingerprint": resume_fingerprint(config),
+        "fingerprint": config_fingerprint(config),
         "wafer": wafer_kwargs,
     }
     _write_result(Path(spec["result_path"]), scan, meta)
-
-    from repro.obs.ledger import RunManifest, config_fingerprint, config_hash
 
     manifest = RunManifest(
         kind="shard",

@@ -31,8 +31,6 @@ CCY001    fork-captured-global-write   worker writes a fork-captured global
 CCY002    mutation-after-handoff       object mutated after worker handoff
 CCY003    shm-missing-cleanup          SharedMemory without unlink/atexit
 CCY004    fingerprint-drift            config_fingerprint misses a data field
-CCY101    overlapping-write-footprint  two tasks wrote the same cells
-CCY102    footprint-coverage-gap       cells no task claims to have written
 DET001    wallclock-in-measurement-path  time.time()/now() near results
 DET002    unseeded-rng                 RNG without a seeded Generator
 DET003    unordered-reduction          numeric reduction in set-hash order

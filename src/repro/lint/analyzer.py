@@ -30,8 +30,6 @@ from repro.tech.parameters import TechnologyCard
 
 # Rule modules register themselves on import; pull them in explicitly so
 # "import repro.lint.analyzer" alone yields the full built-in rule set.
-# (The CCY101/102 footprint rules live with their subject in
-# repro.sanitize.footprint and register when a sanitized scan imports it.)
 from repro.lint import (  # noqa: F401
     pylint_rules,
     rules_ccy,

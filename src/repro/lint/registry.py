@@ -10,7 +10,6 @@ Every lint rule registers itself under a stable code (``ERC001``,
 ``technology``  a :class:`~repro.tech.parameters.TechnologyCard`
 ``source``      a Python source file (AST rules)
 ``project``     the project's own invariants (no per-file subject)
-``footprint``   a recorded :class:`~repro.sanitize.FootprintLog`
 ==============  ====================================================
 
 Rules are plain functions decorated with :func:`rule`; the decorator
@@ -69,7 +68,7 @@ class RuleSpec:
 
 
 VALID_TARGETS = (
-    "circuit", "charge", "flow", "technology", "source", "project", "footprint"
+    "circuit", "charge", "flow", "technology", "source", "project"
 )
 
 

@@ -1,16 +1,17 @@
-"""Concurrency (CCY) rules: static races in the fork-based fan-out.
+"""Concurrency (CCY) rules: static races in fork-based worker code.
 
-The shared-memory fan-out (:mod:`repro.measure.parallel`) and the
-supervised pool (:mod:`repro.resilience.supervisor`) are correct today
-because of conventions the type system cannot see: forked workers hold a
-copy-on-write snapshot of the parent, so module-level mutable state
-written from a worker diverges silently; objects handed to a worker
-payload are frozen at fork time, so parent-side mutation afterwards
-desyncs the two sides; shared-memory segments leak OS handles unless a
-``close()``/``unlink()`` pair runs at interpreter exit; and the
-parent-side pool cache is only sound while its key covers every
-data-affecting :class:`~repro.measure.config.ScanConfig` field.  These
-rules turn each convention into a checked invariant:
+Process parallelism lives in the wafer fleet (:mod:`repro.fleet`), whose
+shard workers are separate processes.  Code that runs in such a worker
+is correct only under conventions the type system cannot see: a forked
+worker holds a copy-on-write snapshot of the parent, so module-level
+mutable state written from a worker diverges silently; objects handed
+to a worker payload are frozen at hand-off time, so parent-side
+mutation afterwards desyncs the two sides; shared-memory segments leak
+OS handles unless a ``close()``/``unlink()`` pair runs at interpreter
+exit; and every checkpoint resume and shard merge is only sound while
+the config fingerprint covers every data-affecting
+:class:`~repro.measure.config.ScanConfig` field.  These rules turn each
+convention into a checked invariant:
 
 ``CCY001 fork-captured-global-write``
     A function reachable from a worker entry point (``_init_worker``,
@@ -39,13 +40,13 @@ rules turn each convention into a checked invariant:
 
 ``CCY004 fingerprint-drift`` (target ``project``)
     The run ledger's :func:`~repro.obs.ledger.config_fingerprint` —
-    which also keys pool-cache reuse and checkpoint resume — no longer
+    which also keys checkpoint resume and fleet shard merges — no longer
     covers every data-affecting (``compare=True``) field of
     :class:`~repro.measure.config.ScanConfig`, or carries a stale key.
     A missing field means two materially different configs fingerprint
-    identically: cached pools and resumed checkpoints replay the wrong
-    run.  Checked against the live dataclasses, so the two definitions
-    can never drift apart silently.
+    identically: resumed checkpoints replay the wrong run.  Checked
+    against the live dataclasses, so the two definitions can never
+    drift apart silently.
 """
 
 from __future__ import annotations
@@ -475,16 +476,14 @@ def check_fingerprint_drift(
 ) -> Iterator[Diagnostic]:
     """Cross-check the ledger fingerprint against ScanConfig's fields.
 
-    The fingerprint keys three independent mechanisms — run-ledger
-    provenance, checkpoint resume, and (indirectly) warm-pool reuse —
-    so a ``compare=True`` field missing from it makes materially
-    different runs indistinguishable.  ``context`` may override
-    ``data_fields`` / ``fingerprint_keys`` / ``resume_keys`` /
-    ``pinned_fields`` (tests); by default the live dataclass and ledger
-    are introspected.
+    The fingerprint keys run-ledger provenance, checkpoint resume and
+    fleet shard merges, so a ``compare=True`` field missing from it
+    makes materially different runs indistinguishable.  ``context`` may
+    override ``data_fields`` / ``fingerprint_keys`` / ``pinned_fields``
+    (tests); by default the live dataclass and ledger are introspected.
 
     On top of the set-consistency checks, a **pinned** field list
-    (default: ``technology``) must be present in all three sets.  The
+    (default: ``technology``) must be present in both sets.  The
     consistency checks alone cannot catch a field being flipped to
     ``compare=False`` and dropped from the fingerprint *together* —
     for pinned fields that coordinated drift is an error too, because
@@ -492,25 +491,21 @@ def check_fingerprint_drift(
     """
     data_fields = context.get("data_fields")
     fingerprint_keys = context.get("fingerprint_keys")
-    resume_keys = context.get("resume_keys")
     if data_fields is None or fingerprint_keys is None:
         from dataclasses import fields as dataclass_fields
 
         from repro.measure.config import ScanConfig
         from repro.obs.ledger import config_fingerprint
-        from repro.resilience.checkpoint import resume_fingerprint
 
-        probe = ScanConfig()
         data_fields = [f.name for f in dataclass_fields(ScanConfig) if f.compare]
-        fingerprint_keys = set(config_fingerprint(probe))
-        resume_keys = set(resume_fingerprint(probe))
+        fingerprint_keys = set(config_fingerprint(ScanConfig()))
     data = set(data_fields)  # type: ignore[arg-type]
     prints = set(fingerprint_keys)  # type: ignore[arg-type]
     for name in sorted(data - prints):
         yield check_fingerprint_drift.diagnostic(
             f"data-affecting ScanConfig field {name!r} is missing from "
             "config_fingerprint(); two different runs would fingerprint "
-            "identically (ledger provenance, resume and cache keys all lie)",
+            "identically (ledger provenance and resume keys both lie)",
             subject="ScanConfig vs config_fingerprint",
             nodes=(name,),
         )
@@ -522,15 +517,6 @@ def check_fingerprint_drift(
             nodes=(name,),
             severity=Severity.WARNING,
         )
-    if resume_keys is not None:
-        expected_resume = prints - {"jobs"}
-        if set(resume_keys) != expected_resume:
-            yield check_fingerprint_drift.diagnostic(
-                "resume_fingerprint() must equal config_fingerprint() minus "
-                f"'jobs'; got {sorted(resume_keys)} vs expected "
-                f"{sorted(expected_resume)}",
-                subject="resume_fingerprint vs config_fingerprint",
-            )
     pinned = context.get("pinned_fields", ("technology",))
     for name in pinned:  # type: ignore[union-attr]
         missing = [
@@ -538,14 +524,13 @@ def check_fingerprint_drift(
             for set_name, keys in (
                 ("ScanConfig data fields", data),
                 ("config_fingerprint()", prints),
-                ("resume_fingerprint()", set(resume_keys) if resume_keys is not None else prints),
             )
             if name not in keys
         ]
         if missing:
             yield check_fingerprint_drift.diagnostic(
-                f"pinned field {name!r} must appear in the data-field, "
-                "fingerprint and resume key sets but is missing from "
+                f"pinned field {name!r} must appear in the data-field "
+                "and fingerprint key sets but is missing from "
                 f"{', '.join(missing)}; the technology choice selects the "
                 "cell physics, so dropping it anywhere makes runs against "
                 "different memories indistinguishable",

@@ -1,8 +1,8 @@
 """Determinism (DET) rules: nondeterminism that can reach measurement data.
 
-The project's reproducibility contract is bit-exactness: serial, kernel,
-parallel and resumed scans of the same array must produce identical
-planes, and the run ledger's drift gate assumes two runs with equal
+The project's reproducibility contract is bit-exactness: kernel,
+per-macro, resumed and sharded runs of the same array must produce
+identical planes, and the run ledger's drift gate assumes two runs with equal
 config fingerprints are replays.  Four bug classes silently break that
 contract; each gets a rule:
 
@@ -313,8 +313,8 @@ def check_completion_order_accumulation(
 ) -> Iterator[Diagnostic]:
     """Flag float ``+=`` inside completion-order callbacks and loops.
 
-    Covers functions passed as ``on_result=`` (the supervised pool's
-    completion hook) and loop bodies over ``as_completed(...)`` /
+    Covers functions passed as ``on_result=`` (a completion hook) and
+    loop bodies over ``as_completed(...)`` /
     ``.imap_unordered(...)``.  Integer counters are associative and
     stay legal; collect-then-sort is the deterministic alternative.
     """

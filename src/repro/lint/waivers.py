@@ -3,7 +3,7 @@
 A waiver file is a JSON list of objects::
 
     [
-      {"code": "CCY001", "location": "parallel.py",
+      {"code": "CCY001", "location": "worker.py",
        "reason": "sanctioned per-process installer",
        "expires": "2026-12-31"}
     ]

@@ -1,27 +1,20 @@
 """Scan configuration: one frozen object instead of a kwarg pile.
 
-The scan entry points accreted flags one PR at a time — ``jobs=`` for
-the process pool, ``preflight=`` for the ERC pass, ``force_engine=``
-for reference mode, ``tier=`` on per-cell measurements — and the
-observability layer needs two more (tracer, metrics).  Six loose
-keywords on three methods is an API smell; :class:`ScanConfig` carries
-them as one immutable value that callers build once and reuse:
+The scan entry points take their options — ``preflight`` for the ERC
+pass, ``force_engine`` for reference mode, ``tier`` for per-cell
+measurements — and the observability and resilience attachments
+(tracer, metrics, progress, ledger, fault plan, checkpoint) as one
+immutable :class:`ScanConfig` that callers build once and reuse:
 
     from repro.measure import ScanConfig
     from repro.obs import Tracer, MetricsRegistry
 
-    config = ScanConfig(jobs=4, tracer=Tracer(), metrics=MetricsRegistry())
+    config = ScanConfig(tracer=Tracer(), metrics=MetricsRegistry())
     result = ArrayScanner(array, structure).scan(config)
-
-The old keyword forms (``scan(jobs=4)``, ``scan_macro(macro, True)``,
-``measure_cell(r, c, tier="transient")``) still work through a
-deprecation shim that emits :class:`DeprecationWarning`; new code
-should pass a :class:`ScanConfig`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -34,7 +27,6 @@ if TYPE_CHECKING:
     from repro.obs.ledger import RunLedger
     from repro.resilience.checkpoint import Checkpointer
     from repro.resilience.faults import FaultPlan
-    from repro.resilience.retry import RetryPolicy
 
 __all__ = ["ScanConfig"]
 
@@ -48,9 +40,6 @@ class ScanConfig:
 
     Attributes
     ----------
-    jobs:
-        Worker processes to fan macro scans across; 1 scans serially
-        in-process.  Values above the macro count are capped.
     preflight:
         Run the static ERC pass (:mod:`repro.lint`) before scanning and
         raise :class:`~repro.errors.RuleViolation` on unwaived errors.
@@ -88,34 +77,16 @@ class ScanConfig:
         hash, seed, stats, per-run scalars).  ``None`` records nothing.
     faults:
         A :class:`repro.resilience.FaultPlan` armed for the duration of
-        the scan (chaos testing; ``None`` = disarmed).  Parallel scans
-        install a fresh copy in every worker process.
-    retry:
-        :class:`repro.resilience.RetryPolicy` for supervised parallel
-        scanning (crashed/timed-out macro tasks).  ``None`` uses the
-        default policy (3 attempts, exponential backoff + jitter).
-    timeout:
-        Per-macro wall-clock budget in seconds for supervised parallel
-        scanning; a worker exceeding it is terminated and the macro
-        retried.  ``None`` = unlimited.
+        the scan (chaos testing; ``None`` = disarmed).
     checkpoint:
         A :class:`repro.resilience.Checkpointer` persisting
         completed-macro state through the run ledger so an interrupted
         scan can ``--resume``.  ``None`` checkpoints nothing.
-    sanitize:
-        Arm the write-footprint sanitizer
-        (:mod:`repro.sanitize.footprint`): workers ship their write
-        rectangles back in acknowledgements and the scan proves pairwise
-        disjointness + full plane coverage afterwards, attaching the
-        CCY101/CCY102 report to ``ScanResult.sanitize_report``.  A
-        diagnostic mode — it never changes measured data, so it is
-        excluded from equality and the config fingerprint.
 
     Derive variants with :meth:`dataclasses.replace` or
     :meth:`ScanConfig.with_options`.
     """
 
-    jobs: int = 1
     preflight: bool = False
     force_engine: bool = False
     tier: str = "charge"
@@ -129,14 +100,9 @@ class ScanConfig:
     )
     ledger: "RunLedger | None" = field(default=None, compare=False)
     faults: "FaultPlan | None" = field(default=None, compare=False)
-    retry: "RetryPolicy | None" = field(default=None, compare=False)
-    timeout: float | None = field(default=None, compare=False)
     checkpoint: "Checkpointer | None" = field(default=None, compare=False)
-    sanitize: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise MeasurementError(f"jobs must be >= 1, got {self.jobs}")
         if self.tier not in _TIERS:
             raise MeasurementError(
                 f"unknown tier {self.tier!r} (expected one of {_TIERS})"
@@ -150,10 +116,6 @@ class ScanConfig:
             raise MeasurementError(
                 f"unknown technology {self.technology!r} "
                 f"(registered: {', '.join(names())})"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise MeasurementError(
-                f"timeout must be positive, got {self.timeout}"
             )
 
     def with_options(self, **changes: Any) -> "ScanConfig":
@@ -170,40 +132,3 @@ class ScanConfig:
         """True when scans through this config land in a run ledger."""
         return self.ledger is not None
 
-
-def _warn_legacy(method: str, names: list[str]) -> None:
-    warnings.warn(
-        f"{method}({', '.join(names)}=...) keywords are deprecated; "
-        f"pass a ScanConfig instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def coerce_scan_config(
-    config: "ScanConfig | bool | str | None",
-    method: str,
-    **legacy: Any,
-) -> ScanConfig:
-    """Resolve the (config, legacy kwargs) pair every entry point accepts.
-
-    ``config`` may be a :class:`ScanConfig`, ``None`` (defaults), or —
-    for backward compatibility with the old positional signatures — a
-    bool (``scan_macro(macro, True)`` meant ``force_engine``) or a str
-    (``measure_cell(r, c, "transient")`` meant ``tier``).  Any legacy
-    value, positional or keyword, emits :class:`DeprecationWarning`.
-    """
-    if isinstance(config, bool):
-        # Old positional force_engine flag.
-        legacy = {**legacy, "force_engine": config}
-        config = None
-    elif isinstance(config, str):
-        # Old positional tier name.
-        legacy = {**legacy, "tier": config}
-        config = None
-    supplied = {k: v for k, v in legacy.items() if v is not None}
-    if supplied:
-        _warn_legacy(method, sorted(supplied))
-        base = config if config is not None else ScanConfig()
-        return replace(base, **supplied)
-    return config if config is not None else ScanConfig()

@@ -30,12 +30,13 @@ cell by cell — bridge topologies are many and rare, and the engine *is*
 the reference.  Agreement between the closed form and the engine is
 pinned by integration tests.
 
-Performance layer (see docs/architecture.md "Performance architecture"):
-the closed form is the batched kernel of :mod:`repro.measure.kernel` —
-one whole-array pass, or one pass per macro-row slab when a checkpoint
-or fault plan needs per-macro landing — the engine tier reuses one
-cached netlist per macro, and ``scan(ScanConfig(jobs=N))`` fans macros
-out across a process pool.
+Performance layer (see docs/architecture.md "Scan driver: plan →
+execute → assemble"): the closed form is the batched kernel of
+:mod:`repro.measure.kernel` — one whole-array pass, or one pass per
+macro-row slab when a checkpoint or fault plan needs per-macro
+landing — and the engine tier reuses one cached netlist per macro.
+Process parallelism lives in the wafer fleet (:mod:`repro.fleet`),
+not inside a scan.
 
 Observability (see docs/architecture.md "Observability"): every entry
 point takes a :class:`~repro.measure.config.ScanConfig` whose tracer
@@ -50,7 +51,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter, process_time
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,24 +63,16 @@ from repro.errors import (
     ScanMismatchError,
     SingularCircuitError,
 )
-from repro.measure.config import ScanConfig, coerce_scan_config
-from repro.measure.kernel import (
-    KernelConstants,
-    _series,  # noqa: F401 - canonical home moved to kernel; re-exported here
-    closed_form_vgs_plane,
-)
+from repro.measure.config import ScanConfig
+from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
 from repro.measure.sequencer import MeasurementSequencer
 from repro.measure.stats import MacroTiming, ScanStats
 from repro.measure.structure import MeasurementDesign, MeasurementStructure
 from repro.obs.metrics import active_metrics, use_metrics
 from repro.obs.trace import NULL_TRACER
-from repro.resilience.checkpoint import resume_fingerprint
+from repro.obs.ledger import config_fingerprint
 from repro.resilience.faults import active_fault_plan, fault_point, inject
 from repro.resilience.quality import CellQuality, quality_counts, quality_plane
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.diagnostics import LintReport
-    from repro.sanitize.footprint import FootprintLog
 
 
 def _ambient_metrics(config: ScanConfig):
@@ -118,12 +110,6 @@ class ScanResult:
         :class:`~repro.resilience.quality.CellQuality` flags (0 GOOD,
         1 DEGRADED, 2 FAILED).  All-zero for clean scans; ``None``
         coerces to all-GOOD so hand-assembled results stay terse.
-    sanitize_report:
-        The write-footprint sanitizer's CCY101/CCY102
-        :class:`~repro.lint.diagnostics.LintReport` when the scan ran
-        with ``ScanConfig(sanitize=True)``; ``None`` otherwise.  Like
-        ``stats`` it describes the run, not the data, and is excluded
-        from equality.
     """
 
     codes: np.ndarray
@@ -132,7 +118,6 @@ class ScanResult:
     tiers: np.ndarray
     stats: ScanStats | None = field(default=None, compare=False)
     quality: np.ndarray | None = field(default=None, compare=False)
-    sanitize_report: "LintReport | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         # Hand-assembled results (tests, loaders) may pass plain lists;
@@ -217,9 +202,10 @@ class ArrayScanner:
         :func:`repro.calibration.design.design_structure` so the code
         scale matches the capacitance range.
     use_kernel:
-        Allow :meth:`scan` to dispatch eligible scans to the whole-array
-        batched kernel (:mod:`repro.measure.kernel`).  ``False`` pins
-        the per-macro drivers — the benchmark's serial baseline.
+        Allow :meth:`scan` to plan batched-kernel slabs
+        (:mod:`repro.measure.kernel`).  ``False`` plans one macro per
+        slab through the per-macro driver — the benchmark's
+        cached-serial baseline.
     """
 
     def __init__(
@@ -331,20 +317,10 @@ class ArrayScanner:
         )
 
     def scan_macro(
-        self,
-        macro: MacroCell,
-        config: ScanConfig | bool | None = None,
-        *,
-        force_engine: bool | None = None,
+        self, macro: MacroCell, config: ScanConfig | None = None
     ) -> tuple[np.ndarray, np.ndarray, str]:
-        """Scan one macro; returns (vgs, codes, tier_marker).
-
-        ``config`` is a :class:`ScanConfig`; the old positional/keyword
-        ``force_engine`` bool still works behind a deprecation shim.
-        """
-        config = coerce_scan_config(
-            config, "ArrayScanner.scan_macro", force_engine=force_engine
-        )
+        """Scan one macro; returns (vgs, codes, tier_marker)."""
+        config = config if config is not None else ScanConfig()
         with _ambient_metrics(config), _ambient_faults(config):
             vgs, codes, tier, _quality = self._scan_macro(macro, config)
             active_metrics().histogram(
@@ -357,8 +333,8 @@ class ArrayScanner:
     ) -> tuple[np.ndarray, np.ndarray, str, np.ndarray]:
         """Scan one macro with ambient metrics already installed.
 
-        The serial scan loop calls this directly — coercion and the
-        contextvar install happen once per scan, not once per macro.
+        The scan driver calls this directly — the contextvar install
+        happens once per scan, not once per macro.
         Returns ``(vgs, codes, tier, quality)``; the quality plane is
         all-GOOD unless a solver failure forced a fallback.
         """
@@ -427,53 +403,30 @@ class ArrayScanner:
                         quality[r, c] = CellQuality.FAILED
         return vgs
 
-    def scan(
-        self,
-        config: ScanConfig | bool | None = None,
-        *,
-        force_engine: bool | None = None,
-        jobs: int | None = None,
-        preflight: bool | None = None,
-    ) -> ScanResult:
+    def scan(self, config: ScanConfig | None = None) -> ScanResult:
         """Scan the whole array; returns the assembled :class:`ScanResult`.
 
-        Parameters
-        ----------
-        config:
-            A :class:`~repro.measure.config.ScanConfig` (jobs, preflight,
-            force_engine, tracer, metrics).  ``None`` uses the defaults:
-            serial, no preflight, closed-form routing, observability off.
-        force_engine, jobs, preflight:
-            Deprecated keyword forms of the corresponding
-            :class:`ScanConfig` fields; using any of them emits
-            :class:`DeprecationWarning`.
+        ``config`` is a :class:`~repro.measure.config.ScanConfig`;
+        ``None`` uses the defaults: no preflight, closed-form routing,
+        observability off.
 
         The returned result carries a :class:`ScanStats` telemetry
         record in ``result.stats``; when ``config.metrics`` is a real
         registry the stats are folded into it as well, and
-        ``config.tracer`` receives the scan → macro → cell → phase span
-        tree (parallel workers buffer their spans per task and ship
-        them back for a parent-side merge, stamped with
-        ``worker_id``/``pid``).  ``config.progress`` is advanced
-        once per completed macro (live completion/throughput/ETA), and
-        when ``config.ledger`` is set a run manifest (provenance +
-        per-run scalars) is appended to it on completion.
+        ``config.tracer`` receives the scan → kernel/macro → cell →
+        phase span tree.  ``config.progress`` is advanced as tiles land
+        (live completion/throughput/ETA), and when ``config.ledger`` is
+        set a run manifest (provenance + per-run scalars) is appended
+        to it on completion.
 
-        Resilience (see docs/architecture.md "Resilience"): with
-        ``config.checkpoint`` set, completed macros persist through the
-        run ledger (once per macro-row slab on the serial kernel path)
-        and an interrupted scan resumes bit-exact; with
-        ``jobs > 1`` the process pool is supervised (``config.retry``,
-        ``config.timeout``) and macros whose workers keep dying are
-        re-run in-process as the final rung, flagged DEGRADED.
+        One driver, three steps (see docs/architecture.md "Scan
+        driver"): :meth:`_plan` cuts the remaining macros into slabs,
+        each slab runs one kernel pass with its engine macros
+        overwritten, and :class:`_Assembler` lands the tiles and
+        persists once per slab.  With ``config.checkpoint`` set, an
+        interrupted scan resumes bit-exact from its last persisted slab.
         """
-        config = coerce_scan_config(
-            config,
-            "ArrayScanner.scan",
-            force_engine=force_engine,
-            jobs=jobs,
-            preflight=preflight,
-        )
+        config = config if config is not None else ScanConfig()
         # Resolve the cell-technology backend and check it matches the
         # array: the backend supplies post-scan physics and per-run
         # scalars, so measuring a FeCap array under config.technology
@@ -492,377 +445,124 @@ class ArrayScanner:
 
             raise_on_errors(preflight_array(self.array, self.structure))
         tracer = config.tracer
-        progress = config.progress
         checkpointer = config.checkpoint
         with _ambient_metrics(config), _ambient_faults(config):
             start = perf_counter()
             cpu_start = process_time()
             rows, cols = self.array.rows, self.array.cols
-            num_macros = self.array.num_macros
-            footprint: "FootprintLog | None" = None
-            if config.sanitize:
-                from repro.sanitize.footprint import FootprintLog
-
-                footprint = FootprintLog((rows, cols))
-            # Dispatch planner: the kernel evaluates every closed-form
-            # macro unless force_engine (or a backend without a kernel)
-            # pins the per-macro drivers; a checkpoint or fault plan
-            # splits it into one pass per macro-row slab.  Tracing is
-            # *not* a disqualifier: kernel passes get "kernel" spans and
-            # parallel workers ship theirs back in the acks.
+            # The kernel evaluates every closed-form macro unless
+            # force_engine (or a backend without a kernel) pins the
+            # per-macro drivers; a checkpoint or fault plan needs
+            # per-macro landing, so it splits the pass into row slabs.
             kernel_ok = (
                 self._use_kernel
                 and backend.uses_kernel
                 and not config.force_engine
             )
-            whole_array = (
+            bulk = (
                 kernel_ok
                 and checkpointer is None
                 and active_fault_plan() is None
             )
-            if whole_array:
-                # The kernel branches produce whole vgs/codes planes;
-                # pre-zeroed ones would be pure allocation waste on the
-                # hot path.
-                codes = vgs = None  # type: ignore[assignment]
-            else:
-                codes = np.zeros((rows, cols), dtype=int)
-                vgs = np.zeros((rows, cols))
-            tiers = np.full((rows, cols), "c", dtype="<U1")
-            quality = quality_plane((rows, cols))
-            timings: list[MacroTiming] = []
-
-            done: set[int] = set()
-            if checkpointer is not None:
-                state = checkpointer.start(
-                    "scan",
-                    resume_fingerprint(config),
-                    {"codes": codes, "vgs": vgs, "tiers": tiers,
-                     "quality": quality},
-                    total=num_macros,
-                )
-                # A resumed scan continues into the checkpointed planes;
-                # a fresh one adopts the (identical) arrays it just
-                # handed over so mark_done persists live state.
-                codes = state.arrays["codes"]
-                vgs = state.arrays["vgs"]
-                tiers = state.arrays["tiers"]
-                quality = state.arrays["quality"]
-                done = set(state.completed)
-            if done:
-                remaining = [i for i in range(num_macros) if i not in done]
-            else:
-                remaining = list(range(num_macros))
-
-            effective_jobs = min(config.jobs, num_macros)
-            telemetry: dict = {
-                "retries": 0, "timeouts": 0, "respawns": 0, "workers": [],
-            }
+            out = _Assembler(self.array, config, bulk)
+            done = out.resume(config)
             kernel_cells = 0
             kernel_seconds = 0.0
-
-            def _finish_macro(
-                index: int, tier: str, cells: int, seconds: float,
-                persist: bool = True,
-            ) -> None:
-                timings.append(MacroTiming(index, tier, cells, seconds))
-                progress.advance(cells)
-                fault_point("scan.macro_done", macro=index)
-                if persist and checkpointer is not None:
-                    checkpointer.mark_done(index)
-
-            def _record_macro(index: int, source: str, task: str | None = None) -> None:
-                # Parent-side footprint record for a macro written via
-                # _place (serial, rescue, engine-overwrite); worker-side
-                # writes ship their rectangles back in acknowledgements.
-                if footprint is None:
-                    return
-                macro = self.array.macro(index)
-                footprint.record(
-                    task if task is not None else f"macro[{index}]",
-                    macro.row_start, macro.row_stop,
-                    macro.col_start, macro.col_stop,
-                    source=source,
-                )
-
-            def _rescue(index: int) -> None:
-                # Final rung: the pool gave up on this macro (worker
-                # kept dying or timing out), so run it in-process —
-                # slower, but the planes stay whole.  Cells are flagged
-                # DEGRADED: the value did not come through the
-                # configured path.
-                macro = self.array.macro(index)
-                macro_start = perf_counter()
-                m_vgs, m_codes, tier, m_quality = self._scan_macro(
-                    macro, config
-                )
-                seconds = perf_counter() - macro_start
-                m_quality = np.maximum(
-                    m_quality, np.uint8(CellQuality.DEGRADED)
-                )
-                active_metrics().counter(
-                    "scan.macro_rescues",
-                    "macros re-run in-process after the pool gave up",
-                ).inc()
-                self._place(
-                    macro, m_vgs, m_codes, tier, m_quality,
-                    vgs, codes, tiers, quality,
-                )
-                # A rescue only runs when no worker acknowledgement ever
-                # landed, so recording under the same task key is the
-                # legal retry shape, not an overlap.
-                _record_macro(index, "rescue")
-                _finish_macro(index, tier, macro.num_cells, seconds)
-
             with tracer.span(
-                "scan",
-                rows=rows,
-                cols=cols,
-                jobs=effective_jobs,
-                force_engine=config.force_engine,
+                "scan", rows=rows, cols=cols, force_engine=config.force_engine
             ) as scan_span:
-                progress.start(rows * cols, label="scan", units="cells")
+                config.progress.start(rows * cols, label="scan", units="cells")
                 for index in sorted(done):
                     # Checkpointed macros are already in the planes.
-                    progress.advance(self.array.macro(index).num_cells)
-                    _record_macro(
-                        index, "checkpoint", task=f"checkpoint[{index}]"
+                    config.progress.advance(self.array.macro(index).num_cells)
+                # Engine routing is decided up front (O(1) for
+                # bridge-free arrays) so the kernel passes and the
+                # engine overwrites share one verdict per macro.
+                engine: frozenset[int] = frozenset()
+                if kernel_ok and self.array.defect_count(DefectKind.BRIDGE):
+                    engine = frozenset(
+                        i for i in range(self.array.num_macros)
+                        if i not in done
+                        and self._macro_needs_engine(self.array.macro(i))
                     )
-                pool_jobs = min(effective_jobs, len(remaining))
-                cells_per_macro = self.array.macro_rows * self.array.macro_cols
-                if kernel_ok:
-                    # Engine routing is decided up front (O(1) for
-                    # bridge-free arrays) so the kernel passes and the
-                    # engine overwrites share one verdict per macro.
-                    if self.array.defect_count(DefectKind.BRIDGE) == 0:
-                        engine_indices: list[int] = []
+                cap = self.array.capacitance_view()
+                kinds = self.array.defect_kind_view()
+                for rsl, slab in self._plan(done, kernel_ok, bulk):
+                    if kernel_ok:
+                        s_vgs, s_codes, s_seconds = self.kernel_planes(
+                            cap[rsl], kinds[rsl], tracer
+                        )
+                        kernel_seconds += s_seconds
+                        # On the bulk slab every engine macro is in it.
+                        tiles = len(slab) - len(
+                            engine if bulk else engine.intersection(slab)
+                        )
+                        share = s_seconds / max(1, tiles)
+                    if bulk:
+                        # Kernel tiles land as the planes themselves;
+                        # only the engine macros go tile by tile.
+                        out.land_plane(s_vgs, s_codes, engine, share)
+                        kernel_cells += tiles * out.cells_per_macro
+                        per_macro = sorted(engine)
                     else:
-                        engine_indices = [
-                            i for i in remaining
-                            if self._macro_needs_engine(self.array.macro(i))
-                        ]
-                if whole_array and pool_jobs > 1:
-                    from repro.measure.parallel import (
-                        scan_macros_kernel_parallel,
-                    )
-
-                    vgs, codes, quality, macro_seconds, failures, telemetry = (
-                        scan_macros_kernel_parallel(
-                            self.array, self.structure, pool_jobs,
-                            engine_indices=engine_indices,
-                            retry=config.retry,
-                            timeout=config.timeout,
-                            footprint=footprint,
-                            tracer=tracer,
-                            metrics=active_metrics(),
-                        )
-                    )
-                    for index, tier, seconds in macro_seconds:
-                        if tier == "e":
-                            macro = self.array.macro(index)
-                            tiers[macro.row_start:macro.row_stop,
-                                  macro.col_start:macro.col_stop] = "e"
+                        per_macro = slab
+                    for index in per_macro:
+                        macro = self.array.macro(index)
+                        if kernel_ok and index not in engine:
+                            csl = slice(macro.col_start, macro.col_stop)
+                            m_vgs, m_codes, m_quality = self._kernel_tile(
+                                macro, s_vgs[:, csl], s_codes[:, csl]
+                            )
+                            if m_quality is None:
+                                kernel_cells += macro.num_cells
+                            out.place(macro, m_vgs, m_codes, "c", m_quality, share)
                         else:
-                            kernel_cells += cells_per_macro
-                            kernel_seconds += seconds
-                        timings.append(
-                            MacroTiming(index, tier, cells_per_macro, seconds)
-                        )
-                    progress.advance(cells_per_macro * len(macro_seconds))
-                    for index, _error in failures:
-                        _rescue(index)
-                elif whole_array:
-                    vgs, codes, kernel_seconds = self.kernel_planes(
-                        self.array.capacitance_view(),
-                        self.array.defect_kind_view(),
-                        tracer,
-                    )
-                    engine_set = frozenset(engine_indices)
-                    if footprint is not None:
-                        # The kernel wrote the whole plane, but engine
-                        # macros are about to overwrite their tiles;
-                        # claim only the tiles the kernel's values
-                        # survive in, so the engine overwrites are not
-                        # misreported as overlaps.
-                        for index in range(num_macros):
-                            if index not in engine_set:
-                                _record_macro(index, "parent", task="kernel")
-                    n_kernel = num_macros - len(engine_set)
-                    kernel_cells = n_kernel * cells_per_macro
-                    share = kernel_seconds / n_kernel if n_kernel else 0.0
-                    timings.extend(
-                        MacroTiming(index, "c", cells_per_macro, share)
-                        for index in range(num_macros)
-                        if index not in engine_set
-                    )
-                    progress.advance(kernel_cells)
-                    for index in engine_indices:
-                        macro = self.array.macro(index)
-                        macro_start = perf_counter()
-                        m_vgs, m_codes, tier, m_quality = self._scan_macro(
-                            macro, config
-                        )
-                        seconds = perf_counter() - macro_start
-                        self._place(
-                            macro, m_vgs, m_codes, tier, m_quality,
-                            vgs, codes, tiers, quality,
-                        )
-                        _record_macro(index, "parent")
-                        _finish_macro(index, tier, macro.num_cells, seconds)
-                elif pool_jobs > 1:
-                    from repro.measure.parallel import scan_macros_parallel
-
-                    def _land(payload) -> None:
-                        index, m_vgs, m_codes, tier, m_quality, seconds = payload
-                        macro = self.array.macro(index)
-                        # The worker's own macro → cell → phase spans
-                        # ship back in the acknowledgement and are
-                        # merged (with worker_id/pid attributes) before
-                        # this hook runs, so no parent-side stand-in
-                        # span is synthesized here.
-                        self._place(
-                            macro, m_vgs, m_codes, tier, m_quality,
-                            vgs, codes, tiers, quality,
-                        )
-                        _finish_macro(index, tier, macro.num_cells, seconds)
-
-                    _, failures, telemetry = scan_macros_parallel(
-                        self.array, self.structure, config.force_engine,
-                        pool_jobs,
-                        indices=remaining,
-                        retry=config.retry,
-                        timeout=config.timeout,
-                        fault_plan=config.faults,
-                        on_result=_land,
-                        footprint=footprint,
-                        tracer=tracer,
-                        metrics=active_metrics(),
-                    )
-                    for index, _error in failures:
-                        _rescue(index)
-                else:
-                    # Serial slabs: one kernel pass per macro row, tiles
-                    # landing in index order (fault sites, progress and
-                    # timings stay per macro), one persist per slab.
-                    # Without the kernel every macro is its own slab.
-                    per_slab = self.array.macros_per_row if kernel_ok else 1
-                    slabs: dict[int, list[int]] = {}
-                    for index in remaining:
-                        slabs.setdefault(index // per_slab, []).append(index)
-                    engine_set = frozenset(engine_indices) if kernel_ok else None
-                    mr = self.array.macro_rows
-                    good = quality_plane((mr, self.array.macro_cols))
-                    failed = np.full_like(good, CellQuality.FAILED)
-                    for slab_row, slab in slabs.items():
-                        if kernel_ok:
-                            rsl = slice(slab_row * mr, (slab_row + 1) * mr)
-                            s_vgs, s_codes, s_seconds = self.kernel_planes(
-                                self.array.capacitance_view()[rsl],
-                                self.array.defect_kind_view()[rsl],
-                                tracer,
+                            macro_start = perf_counter()
+                            m_vgs, m_codes, tier, m_quality = self._scan_macro(
+                                macro, config
                             )
-                            kernel_seconds += s_seconds
-                            share = s_seconds / max(
-                                1, sum(i not in engine_set for i in slab)
-                            )
-                        for index in slab:
-                            macro = self.array.macro(index)
-                            if engine_set is None or index in engine_set:
-                                macro_start = perf_counter()
-                                m_vgs, m_codes, tier, m_quality = (
-                                    self._scan_macro(macro, config)
-                                )
-                                seconds = perf_counter() - macro_start
-                            else:
-                                csl = slice(macro.col_start, macro.col_stop)
-                                tier, seconds = "c", share
-                                try:
-                                    fault_point("scan.closed_form", macro=index)
-                                except ReproError:
-                                    # Same placeholder as _scan_macro's.
-                                    m_vgs = np.zeros(good.shape)
-                                    m_codes = self.codes_for_vgs(m_vgs)
-                                    m_quality = failed
-                                else:
-                                    m_vgs, m_codes = s_vgs[:, csl], s_codes[:, csl]
-                                    m_quality = good
-                                    kernel_cells += macro.num_cells
-                            self._place(
+                            out.place(
                                 macro, m_vgs, m_codes, tier, m_quality,
-                                vgs, codes, tiers, quality,
+                                perf_counter() - macro_start,
                             )
-                            _record_macro(index, "parent")
-                            _finish_macro(
-                                index, tier, macro.num_cells, seconds,
-                                persist=False,
-                            )
-                        if checkpointer is not None:
-                            checkpointer.mark_done(*slab)
-                progress.finish()
+                    out.persist(slab)
+                config.progress.finish()
+                out.check()
 
-                sanitize_report: "LintReport | None" = None
-                if footprint is not None:
-                    from repro.sanitize.footprint import check_footprints
-
-                    sanitize_report = check_footprints(footprint)
-                    overlap = footprint.overlap_cells()
-                    gap = footprint.gap_cells()
-                    scan_span.attributes["footprint_intervals"] = len(footprint)
-                    scan_span.attributes["footprint_overlap_cells"] = overlap
-                    scan_span.attributes["footprint_gap_cells"] = gap
-                    if overlap:
-                        active_metrics().counter(
-                            "scan.sanitize_overlap_cells",
-                            "plane cells written by more than one task",
-                        ).inc(overlap)
-                    if gap:
-                        active_metrics().counter(
-                            "scan.sanitize_gap_cells",
-                            "plane cells no task claims to have written",
-                        ).inc(gap)
-
-                if whole_array:
-                    # Engine routing was decided up front; rescued
-                    # macros re-run the same verdict, so the tier plane
-                    # cannot disagree with the planner.
-                    engine_cells = cells_per_macro * len(engine_indices)
+                if bulk:
+                    engine_cells = out.cells_per_macro * len(engine)
                 else:
-                    engine_cells = int((tiers == "e").sum())
+                    engine_cells = int((out.tiers == "e").sum())
                 scan_span.attributes["engine_cells"] = engine_cells
                 # One whole-plane observation instead of one per macro —
                 # same distribution, none of the per-tile conversion cost.
                 active_metrics().histogram(
                     "scan.codes", "measurement codes emitted"
-                ).observe_many(codes.ravel())
+                ).observe_many(out.codes.ravel())
 
             # MacroTiming is a NamedTuple with the unique index first,
             # so plain tuple order is index order (no per-item key call).
-            timings.sort()
+            out.timings.sort()
+            quality = out.quality
             stats = ScanStats(
                 total_cells=rows * cols,
                 wall_seconds=perf_counter() - start,
-                jobs=effective_jobs,
                 closed_form_cells=rows * cols - engine_cells,
                 engine_cells=engine_cells,
-                macro_timings=timings,
+                macro_timings=out.timings,
                 kernel_cells=kernel_cells,
                 kernel_seconds=kernel_seconds,
                 degraded_cells=int((quality == CellQuality.DEGRADED).sum()),
                 failed_cells=int((quality == CellQuality.FAILED).sum()),
-                macro_retries=telemetry["retries"],
-                macro_timeouts=telemetry["timeouts"],
-                worker_respawns=telemetry["respawns"],
-                pool_health=telemetry.get("workers", []),
             )
             stats.to_metrics(active_metrics())
         result = ScanResult(
-            codes=codes,
-            vgs=vgs,
+            codes=out.codes,
+            vgs=out.vgs,
             num_steps=self.structure.design.num_steps,
-            tiers=tiers,
+            tiers=out.tiers,
             stats=stats,
             quality=quality,
-            sanitize_report=sanitize_report,
         )
         # Post-scan physics (e.g. ferroelectric read-disturb) land
         # before the run is recorded, so the ledger's per-run scalars —
@@ -885,41 +585,58 @@ class ArrayScanner:
             checkpointer.finish()
         return result
 
-    @staticmethod
-    def _place(
-        macro: MacroCell,
-        m_vgs: np.ndarray,
-        m_codes: np.ndarray,
-        tier: str,
-        m_quality: np.ndarray,
-        vgs: np.ndarray,
-        codes: np.ndarray,
-        tiers: np.ndarray,
-        quality: np.ndarray,
-    ) -> None:
-        rsl = slice(macro.row_start, macro.row_stop)
-        csl = slice(macro.col_start, macro.col_stop)
-        vgs[rsl, csl] = m_vgs
-        codes[rsl, csl] = m_codes
-        tiers[rsl, csl] = tier
-        quality[rsl, csl] = m_quality
+    def _plan(
+        self, done: set[int], kernel_ok: bool, bulk: bool
+    ) -> list[tuple[slice, range | list[int]]]:
+        """Slabs of macro indices still to scan, with their row slices.
+
+        One slab for the whole array on the bulk path; one macro row
+        per slab when tiles must land one at a time (a checkpoint or
+        fault plan is armed); one macro per slab when the kernel is
+        off, so nothing runs that is not persisted right after.
+        """
+        array = self.array
+        if bulk:
+            return [(slice(0, array.rows), range(array.num_macros))]
+        per_row = array.macros_per_row
+        per_slab = per_row if kernel_ok else 1
+        slabs: dict[int, list[int]] = {}
+        for index in range(array.num_macros):
+            if index not in done:
+                slabs.setdefault(index // per_slab, []).append(index)
+        mr = array.macro_rows
+        plan: list[tuple[slice, range | list[int]]] = []
+        for slab in slabs.values():
+            row = slab[0] // per_row * mr
+            plan.append((slice(row, row + mr), slab))
+        return plan
+
+    def _kernel_tile(
+        self, macro: MacroCell, vgs: np.ndarray, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One macro's kernel tile, or the FAILED placeholder.
+
+        The ``scan.closed_form`` fault site fires here as it does in
+        :meth:`_scan_macro`; a refusal yields zeros flagged FAILED.
+        The quality is ``None`` for a good tile (all-GOOD).
+        """
+        try:
+            fault_point("scan.closed_form", macro=macro.index)
+        except ReproError:
+            vgs = np.zeros(vgs.shape)
+            failed = np.full(vgs.shape, CellQuality.FAILED, dtype=np.uint8)
+            return vgs, self.codes_for_vgs(vgs), failed
+        return vgs, codes, None
 
     def measure_cell(
-        self,
-        row: int,
-        col: int,
-        config: ScanConfig | str | None = None,
-        *,
-        tier: str | None = None,
+        self, row: int, col: int, config: ScanConfig | None = None
     ) -> "object":
         """Measure one cell by global address through a named tier.
 
-        ``config.tier`` selects ``"charge"`` or ``"transient"``; the old
-        ``tier=`` keyword (and positional string) still work behind a
-        deprecation shim.  Returns the
-        :class:`~repro.measure.result.MeasurementResult`.
+        ``config.tier`` selects ``"charge"`` or ``"transient"``.
+        Returns the :class:`~repro.measure.result.MeasurementResult`.
         """
-        config = coerce_scan_config(config, "ArrayScanner.measure_cell", tier=tier)
+        config = config if config is not None else ScanConfig()
         macro = self.array.macro(self.array.macro_of(row, col))
         lrow = row - macro.row_start
         lcol = col - macro.col_start
@@ -928,3 +645,113 @@ class ArrayScanner:
             if config.tier == "charge":
                 return sequencer.measure_charge(lrow, lcol, tracer=config.tracer)
             return sequencer.measure_transient(lrow, lcol, tracer=config.tracer)
+
+
+class _Assembler:
+    """The scan's result planes and the landing of tiles in them.
+
+    Every macro lands exactly once — restored from the checkpoint, as
+    part of a bulk kernel plane, or as its own tile — and :meth:`check`
+    proves it before the result is built.  Tile landings advance
+    progress and fire the ``scan.macro_done`` fault site; a bulk plane
+    does its progress in one call and fires no per-macro site, which
+    keeps a whole-array scan's bookkeeping off its hot path (the bulk
+    path only runs with no fault plan armed).
+    """
+
+    def __init__(self, array: EDRAMArray, config: ScanConfig, bulk: bool) -> None:
+        rows, cols = array.rows, array.cols
+        self.array = array
+        self.progress = config.progress
+        self.checkpointer = config.checkpoint
+        self.cells_per_macro = array.macro_rows * array.macro_cols
+        # A bulk scan adopts the kernel's planes (land_plane): pre-zeroed
+        # ones would be pure allocation waste on the hot path.
+        self.codes: np.ndarray
+        self.vgs: np.ndarray
+        if not bulk:
+            self.codes = np.zeros((rows, cols), dtype=int)
+            self.vgs = np.zeros((rows, cols))
+        self.tiers = np.full((rows, cols), "c", dtype="<U1")
+        self.quality = quality_plane((rows, cols))
+        self.timings: list[MacroTiming] = []
+        self._landed = np.zeros(array.num_macros, dtype=np.int64)
+
+    def resume(self, config: ScanConfig) -> set[int]:
+        """Start (or resume) the checkpoint; returns the macros already done.
+
+        A resumed scan continues into the checkpointed planes; a fresh
+        one adopts the (identical) arrays it just handed over, so each
+        persist saves live state.
+        """
+        if self.checkpointer is None:
+            return set()
+        state = self.checkpointer.start(
+            "scan",
+            config_fingerprint(config),
+            {"codes": self.codes, "vgs": self.vgs, "tiers": self.tiers,
+             "quality": self.quality},
+            total=self.array.num_macros,
+        )
+        self.codes = state.arrays["codes"]
+        self.vgs = state.arrays["vgs"]
+        self.tiers = state.arrays["tiers"]
+        self.quality = state.arrays["quality"]
+        done = set(state.completed)
+        self._landed[sorted(done)] += 1
+        return done
+
+    def land_plane(
+        self, vgs: np.ndarray, codes: np.ndarray, engine: frozenset[int],
+        share: float,
+    ) -> None:
+        """Adopt whole-array kernel planes; every non-engine tile lands."""
+        self.vgs, self.codes = vgs, codes
+        n = self.array.num_macros
+        cells = self.cells_per_macro
+        self.timings.extend(
+            MacroTiming(index, "c", cells, share)
+            for index in range(n) if index not in engine
+        )
+        kernel = np.ones(n, dtype=bool)
+        kernel[list(engine)] = False
+        self._landed += kernel
+        self.progress.advance(cells * (n - len(engine)))
+
+    def place(
+        self,
+        macro: MacroCell,
+        m_vgs: np.ndarray,
+        m_codes: np.ndarray,
+        tier: str,
+        m_quality: np.ndarray | None,
+        seconds: float,
+    ) -> None:
+        """Land one macro's tile (``m_quality=None`` means all-GOOD)."""
+        rsl = slice(macro.row_start, macro.row_stop)
+        csl = slice(macro.col_start, macro.col_stop)
+        self.vgs[rsl, csl] = m_vgs
+        self.codes[rsl, csl] = m_codes
+        self.tiers[rsl, csl] = tier
+        self.quality[rsl, csl] = (
+            CellQuality.GOOD if m_quality is None else m_quality
+        )
+        self._landed[macro.index] += 1
+        self.timings.append(MacroTiming(macro.index, tier, macro.num_cells, seconds))
+        self.progress.advance(macro.num_cells)
+        fault_point("scan.macro_done", macro=macro.index)
+
+    def persist(self, slab: range | list[int]) -> None:
+        """Mark a finished slab done: one checkpoint save per slab."""
+        if self.checkpointer is not None:
+            self.checkpointer.mark_done(*slab)
+
+    def check(self) -> None:
+        """Every macro landed exactly once (no gap, no double write)."""
+        wrong = np.flatnonzero(self._landed != 1)
+        if wrong.size:
+            sample = wrong[:8].tolist()
+            raise ScanMismatchError(
+                f"{wrong.size} macros did not land exactly once "
+                f"(first {sample}: {self._landed[sample].tolist()} landings)"
+            )

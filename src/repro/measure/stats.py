@@ -36,10 +36,8 @@ class MacroTiming(NamedTuple):
     cells:
         Cells in the macro tile.
     seconds:
-        Wall time spent scanning the tile.  Under a process pool this is
-        measured inside the worker, so pool dispatch overhead is not
-        attributed to any macro; under the vectorized kernel it is the
-        macro's cell-proportional share of its batched pass.
+        Wall time spent scanning the tile; under the vectorized kernel
+        it is the macro's share of its batched pass.
     """
 
     index: int
@@ -57,10 +55,7 @@ class ScanStats:
     total_cells:
         Cells scanned (rows × cols).
     wall_seconds:
-        End-to-end scan wall time, including assembly and (for parallel
-        scans) pool start-up and result collection.
-    jobs:
-        Worker processes used (1 = serial in-process scan).
+        End-to-end scan wall time, including assembly.
     closed_form_cells, engine_cells:
         Cells produced by the vectorized closed form vs the exact
         charge engine (bridge fallback / ``force_engine``).
@@ -74,21 +69,10 @@ class ScanStats:
         Cells whose value came from a fallback rung (DEGRADED) or is a
         flagged placeholder (FAILED) — see
         :class:`repro.resilience.CellQuality`.
-    macro_retries, macro_timeouts, worker_respawns:
-        Supervision telemetry of the parallel scan: macro tasks retried
-        after a failure, tasks killed for exceeding their wall-clock
-        budget, and worker processes respawned after dying.  All zero
-        for serial scans and healthy pools.
-    pool_health:
-        Per-worker health snapshots from the pool's final heartbeat
-        (``worker_id`` / ``pid`` / ``generation`` / ``tasks_completed``
-        / ``busy_seconds`` / ``idle_seconds`` / ``rss_kb`` / ``alive``),
-        in worker-slot order.  Empty for serial scans.
     """
 
     total_cells: int
     wall_seconds: float
-    jobs: int
     closed_form_cells: int
     engine_cells: int
     macro_timings: list[MacroTiming] = field(default_factory=list)
@@ -96,10 +80,6 @@ class ScanStats:
     kernel_seconds: float = 0.0
     degraded_cells: int = 0
     failed_cells: int = 0
-    macro_retries: int = 0
-    macro_timeouts: int = 0
-    worker_respawns: int = 0
-    pool_health: list[dict] = field(default_factory=list)
 
     @property
     def cells_per_second(self) -> float:
@@ -150,7 +130,6 @@ class ScanStats:
         registry.gauge("scan.cells_per_second", "last scan throughput").set(
             self.cells_per_second
         )
-        registry.gauge("scan.jobs", "last scan worker count").set(self.jobs)
         if self.kernel_cells:
             registry.counter(
                 "scan.cells_kernel", "cells via the whole-array batched kernel"
@@ -169,25 +148,12 @@ class ScanStats:
             registry.counter(
                 "scan.cells_failed", "cells flagged FAILED (placeholder value)"
             ).inc(self.failed_cells)
-        if self.macro_retries:
-            registry.counter(
-                "scan.macro_retries", "macro tasks retried after a failure"
-            ).inc(self.macro_retries)
-        if self.macro_timeouts:
-            registry.counter(
-                "scan.macro_timeouts", "macro tasks killed for exceeding timeout"
-            ).inc(self.macro_timeouts)
-        if self.worker_respawns:
-            registry.counter(
-                "scan.worker_respawns", "worker processes respawned after dying"
-            ).inc(self.worker_respawns)
 
     def to_dict(self) -> dict:
         """JSON-ready view (macro timings as plain lists)."""
         return {
             "total_cells": self.total_cells,
             "wall_seconds": self.wall_seconds,
-            "jobs": self.jobs,
             "cells_per_second": self.cells_per_second,
             "closed_form_cells": self.closed_form_cells,
             "engine_cells": self.engine_cells,
@@ -198,17 +164,13 @@ class ScanStats:
             ],
             "degraded_cells": self.degraded_cells,
             "failed_cells": self.failed_cells,
-            "macro_retries": self.macro_retries,
-            "macro_timeouts": self.macro_timeouts,
-            "worker_respawns": self.worker_respawns,
-            "pool_health": [dict(h) for h in self.pool_health],
         }
 
     def summary(self) -> str:
         """Human-readable multi-line summary (printed by the CLI)."""
         lines = [
             f"scan: {self.total_cells} cells in {self.wall_seconds:.3f} s "
-            f"({self.cells_per_second:,.0f} cells/s, jobs={self.jobs})",
+            f"({self.cells_per_second:,.0f} cells/s)",
             f"tiers: {self.closed_form_cells} closed-form, "
             f"{self.engine_cells} engine",
         ]
@@ -221,19 +183,6 @@ class ScanStats:
             lines.append(
                 f"quality: {self.degraded_cells} degraded, "
                 f"{self.failed_cells} failed"
-            )
-        if self.macro_retries or self.macro_timeouts or self.worker_respawns:
-            lines.append(
-                f"supervision: {self.macro_retries} retries, "
-                f"{self.macro_timeouts} timeouts, "
-                f"{self.worker_respawns} respawns"
-            )
-        if self.pool_health:
-            busy = sum(h.get("busy_seconds", 0.0) for h in self.pool_health)
-            rss = max(h.get("rss_kb", 0.0) for h in self.pool_health)
-            lines.append(
-                f"pool: {len(self.pool_health)} workers, "
-                f"{busy:.3f} s busy, peak rss {rss:,.0f} KiB"
             )
         slowest = self.slowest_macro()
         if slowest is not None:

@@ -79,13 +79,6 @@ DEFAULT_SCALARS: tuple[ScalarSpec, ...] = (
     # cells are placeholders -> ERROR.
     ScalarSpec("degraded_cells", severity=Severity.WARNING),
     ScalarSpec("failed_cells"),
-    # Pool-health scalars: retries/timeouts/respawns are 0 on a healthy
-    # pool, so any sustained supervision churn charts immediately.
-    # Advisory (perf) severity — a struggling pool degrades throughput,
-    # never the planes, so it must not fail the run gate.
-    ScalarSpec("macro_retries", severity=Severity.WARNING),
-    ScalarSpec("macro_timeouts", severity=Severity.WARNING),
-    ScalarSpec("worker_respawns", severity=Severity.WARNING),
 )
 
 #: The scalars charted for ``kind="lot"`` manifests — the fleet merge's

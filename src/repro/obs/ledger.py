@@ -86,9 +86,9 @@ def config_fingerprint(config: "ScanConfig") -> dict[str, Any]:
     Tracer/metrics/progress/ledger attachments change what is *recorded*
     about a run, never its data, so only the data-affecting fields enter
     the fingerprint — two runs with equal fingerprints are replays.
+    Checkpoint resume and fleet shard merges key on it too.
     """
     return {
-        "jobs": config.jobs,
         "preflight": config.preflight,
         "force_engine": config.force_engine,
         "tier": config.tier,
@@ -124,10 +124,7 @@ def scan_scalars(result: "ScanResult") -> dict[str, float]:
       voltages,
     - ``degraded_cells`` / ``failed_cells`` — fallback-ladder quality
       counts (the drift engine alarms on non-zero ``failed_cells``),
-    - throughput figures when the result carries :class:`ScanStats`,
-    - ``macro_retries`` / ``macro_timeouts`` / ``worker_respawns`` —
-      pool-health supervision counts, so the cross-run drift charts
-      flag a fleet whose workers started dying (advisory severity).
+    - throughput figures when the result carries :class:`ScanStats`.
     """
     codes = np.asarray(result.codes, dtype=float)
     vgs = np.asarray(result.vgs, dtype=float)
@@ -147,9 +144,6 @@ def scan_scalars(result: "ScanResult") -> dict[str, float]:
     if result.stats is not None:
         scalars["wall_seconds"] = float(result.stats.wall_seconds)
         scalars["cells_per_second"] = float(result.stats.cells_per_second)
-        scalars["macro_retries"] = float(result.stats.macro_retries)
-        scalars["macro_timeouts"] = float(result.stats.macro_timeouts)
-        scalars["worker_respawns"] = float(result.stats.worker_respawns)
     return scalars
 
 

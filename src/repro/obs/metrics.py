@@ -85,8 +85,8 @@ class Gauge:
     Each :meth:`set` stamps ``updated`` from a monotonic clock so that
     merging gauge shards from several processes can resolve
     last-writer-wins by write time (``perf_counter`` is system-wide
-    ``CLOCK_MONOTONIC`` on Linux, so stamps are comparable across the
-    forked pool workers).
+    ``CLOCK_MONOTONIC`` on Linux, so stamps are comparable across
+    processes on one host).
     """
 
     kind = "gauge"
@@ -232,7 +232,7 @@ class MetricsRegistry:
         return {m.name: m.to_dict() for m in self}
 
     def to_shipped(self) -> list[tuple[Any, ...]]:
-        """Compact wire form for shipping deltas over the worker ack pipe.
+        """Compact wire form of this registry, for merging into another.
 
         One tuple per instrument — ``("c", name, value)``,
         ``("g", name, value, updated)`` or ``("h", name, values)`` —

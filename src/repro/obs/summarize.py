@@ -93,11 +93,11 @@ def load_trace(source: str | TextIO) -> list[Span]:
 def merge_traces(traces: "Iterable[list[Span]]") -> list[Span]:
     """Combine several span lists into one re-identified trace.
 
-    Used by ``repro trace a.jsonl b.jsonl ...`` to view a parent trace
-    together with per-worker spool files: each input keeps its internal
-    parent links (re-mapped into one id space), its roots stay roots,
-    and the combined list preserves parent-before-child order so
-    :func:`summarize_trace` and the timeline renderer accept it
+    Used by ``repro trace a.jsonl b.jsonl ...`` to view several traces
+    (separate runs, or per-process spool files) together: each input
+    keeps its internal parent links (re-mapped into one id space), its
+    roots stay roots, and the combined list preserves parent-before-child
+    order so :func:`summarize_trace` and the timeline renderer accept it
     directly.  Span timestamps are assumed comparable (``perf_counter``
     is system-wide monotonic on Linux, shared across forked workers).
     """
@@ -166,7 +166,7 @@ def render_timeline(spans: list[Span], width: int = 72) -> str:
     One row per lane; ``█`` marks instants the lane had a lane-root
     span open, ``·`` marks idle.  The right-hand column totals the
     lane's busy seconds and span count — enough to spot a straggler
-    worker or a serialized pool at a glance.
+    worker at a glance.
     """
     data = timeline_dict(spans)
     total = data["duration_seconds"]

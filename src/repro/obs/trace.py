@@ -32,7 +32,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from repro.errors import ObservabilityError
 
@@ -97,38 +97,6 @@ class Span:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ObservabilityError(f"malformed span record: {data!r}") from exc
-
-    def to_tuple(self) -> tuple[Any, ...]:
-        """Compact wire form for shipping spans over the worker ack pipe.
-
-        ``(name, span_id, parent_id, start, end, attr_items)`` — plain
-        ints/floats/strings so the tuple pickles small, mirroring the
-        footprint-rectangle payloads the pool already ships.
-        """
-        return (
-            self.name,
-            self.span_id,
-            self.parent_id,
-            self.start,
-            self.end,
-            tuple(self.attributes.items()),
-        )
-
-    @classmethod
-    def from_tuple(cls, data: Sequence[Any]) -> "Span":
-        """Rebuild a span from :meth:`to_tuple` output."""
-        try:
-            name, span_id, parent_id, start, end, attrs = data
-            return cls(
-                name=name,
-                span_id=int(span_id),
-                parent_id=None if parent_id is None else int(parent_id),
-                start=float(start),
-                end=None if end is None else float(end),
-                attributes=dict(attrs),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ObservabilityError(f"malformed span tuple: {data!r}") from exc
 
 
 class _SpanContext:
@@ -257,8 +225,8 @@ class Tracer:
         re-identified into this tracer's id space, internal parent links
         are remapped, and former roots are attached under ``parent_id``
         — or, when ``graft`` is true and ``parent_id`` is ``None``,
-        under the currently open span, so a pool can merge worker spans
-        while the parent's ``macro``/``scan`` span is still open.
+        under the currently open span, so spans recorded elsewhere (a
+        worker process, another shard) nest under the caller's open span.
         ``worker_id``/``pid`` are stamped into every merged span's
         attributes, marking which process produced it.
 

@@ -12,8 +12,6 @@ each of them from "lose the run" into data:
   (GOOD/DEGRADED/FAILED) riding alongside the scan planes;
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy` with bounded
   attempts and seeded exponential backoff + jitter;
-- :mod:`~repro.resilience.supervisor` — :class:`SupervisedPool`, the
-  retry/timeout/respawn process pool behind ``ArrayScanner.scan(jobs=N)``;
 - :mod:`~repro.resilience.checkpoint` — :class:`Checkpointer` /
   checkpoint files under the run ledger powering ``--resume``.
 """
@@ -23,7 +21,6 @@ from repro.resilience.checkpoint import (
     ScanCheckpoint,
     list_checkpoints,
     load_checkpoint,
-    resume_fingerprint,
 )
 from repro.resilience.faults import (
     Fault,
@@ -41,7 +38,6 @@ from repro.resilience.quality import (
     worst_quality,
 )
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
-from repro.resilience.supervisor import SupervisedPool, TaskFailure
 
 __all__ = [
     "Fault",
@@ -58,11 +54,8 @@ __all__ = [
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "NO_RETRY",
-    "SupervisedPool",
-    "TaskFailure",
     "Checkpointer",
     "ScanCheckpoint",
     "load_checkpoint",
     "list_checkpoints",
-    "resume_fingerprint",
 ]

@@ -12,10 +12,10 @@ job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
   state; the torn ``<run_id>.tmp.npz`` is never listed as a run and is
   removed when that run resumes or finishes.
 * ``repro scan --resume r0042`` reloads that file, validates it against
-  the resuming configuration via a **resume fingerprint** — the
-  data-affecting config fields *excluding* ``jobs``, because worker
-  count never changes the planes — and re-executes only the units not
-  yet marked complete.  Bit-exactness with an uninterrupted run follows
+  the resuming configuration via its
+  :func:`~repro.obs.ledger.config_fingerprint` — the data-affecting
+  config fields — and re-executes only the units not yet marked
+  complete.  Bit-exactness with an uninterrupted run follows
   from per-unit determinism: completed planes are byte-identical, and
   the remaining units recompute exactly what they always would.
 * On completion the manifest is recorded under the reserved id and the
@@ -35,40 +35,21 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.errors import CheckpointError
 from repro.obs.ledger import RunLedger
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.measure.config import ScanConfig
-
 __all__ = [
     "ScanCheckpoint",
     "Checkpointer",
-    "resume_fingerprint",
     "load_checkpoint",
     "list_checkpoints",
 ]
 
 _FORMAT = 1
-
-
-def resume_fingerprint(config: "ScanConfig") -> dict[str, Any]:
-    """Config fields a resumed run must replay exactly.
-
-    ``jobs`` is deliberately excluded: parallelism changes wall-clock,
-    never planes (the bit-exactness contract pinned by the scan perf
-    tests), so a run checkpointed at ``jobs=8`` may legitimately resume
-    at ``jobs=1`` on a smaller machine.
-    """
-    from repro.obs.ledger import config_fingerprint
-
-    fingerprint = config_fingerprint(config)
-    fingerprint.pop("jobs", None)
-    return fingerprint
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Deterministic fault injection: make the stack fail on purpose.
 
-Robustness claims are worthless untested — "the scan survives a dead
-worker" means nothing until a test kills a worker at a chosen macro and
-asserts the bitmap still comes back complete.  This module is that
+Robustness claims are worthless untested — "the wafer survives a dead
+worker" means nothing until a test kills a worker at a chosen die and
+asserts the lot still comes back complete.  This module is that
 trigger: a :class:`FaultPlan` describes *where* (a named fault site plus
 attribute matchers), *when* (skip counts, firing limits, seeded
 probabilities) and *how* (raise an exception, kill the process, stall)
@@ -11,8 +11,8 @@ stack's failure boundaries consult the ambient plan.
 
 Determinism is the design centre: a plan fires as a pure function of
 the (site, attributes, per-fault invocation count, seed) tuple — never
-of wall-clock time or OS scheduling — so a chaos test that kills worker
-3 at macro 2 does exactly that on every run, and a resumed scan sees
+of wall-clock time or OS scheduling — so a chaos test that kills a
+shard worker at die 2 does exactly that on every run, and a resumed scan sees
 exactly the faults an uninterrupted scan would have seen for the macros
 it actually re-executes.
 
@@ -28,8 +28,6 @@ Fault sites currently instrumented (grep ``fault_point(`` for truth):
                         scan per macro after the slab pass, before the
                         slab's checkpoint persist (attrs: macro)
 ``wafer.die_done``      parent-side, after a die lands (attrs: die)
-``worker.scan_macro``   inside a pool worker, before scanning a macro
-                        (attrs: macro, attempt)
 ``ledger.append``       before a manifest line is appended
 ======================  ===============================================
 
@@ -64,14 +62,14 @@ _KINDS = ("raise", "kill", "sleep")
 #: Exit status used by ``kill`` faults — distinctive in waitpid output.
 KILL_EXIT_STATUS = 86
 
-#: True inside supervised worker processes (set by the supervisor);
+#: True inside fleet shard worker processes (set at worker start-up);
 #: ``kill`` faults only fire there, so a mis-targeted plan can never
 #: take down the parent interpreter.
 _IN_WORKER = False
 
 
 def mark_worker_process() -> None:
-    """Flag this process as a supervised worker (enables ``kill``)."""
+    """Flag this process as a fleet shard worker (enables ``kill``)."""
     global _IN_WORKER
     _IN_WORKER = True
 
@@ -93,7 +91,7 @@ class Fault:
     match:
         Attribute selectors; the fault only considers invocations whose
         ``fault_point`` attributes equal every listed value (e.g.
-        ``{"macro": 2, "attempt": 0}``).
+        ``{"macro": 2}``).
     times:
         Maximum firings (``None`` = unlimited).  Counted per fault over
         matching invocations, within one process.
@@ -139,10 +137,9 @@ class Fault:
 class FaultPlan:
     """An armed set of :class:`Fault` entries plus their firing state.
 
-    Plans are picklable (the supervisor ships them to worker processes);
-    invocation counters are per-process runtime state and reset on
-    unpickle, so every worker sees the plan fresh — which is exactly
-    what "kill attempt 0 of macro 2" semantics need.
+    Plans are picklable; invocation counters are per-process runtime
+    state and reset on unpickle, so a plan handed to another process
+    starts fresh there.
     """
 
     def __init__(self, faults: tuple[Fault, ...] | list[Fault] = (), seed: int = 0) -> None:

@@ -1,9 +1,10 @@
 """Retry policy: bounded attempts with deterministic backoff + jitter.
 
-The supervisor retries a macro when its worker dies or times out.  Two
-requirements shape this module: retries must *back off* (a macro that
-crashes twice in 50 ms is not going to pass on the third immediate
-try, and hammering respawns burns CPU the healthy workers need), and
+The fleet orchestrator retries a shard when its worker dies or stops
+heartbeating.  Two requirements shape this module: retries must *back
+off* (a shard that crashes twice in 50 ms is not going to pass on the
+third immediate try, and hammering respawns burns CPU the healthy
+workers need), and
 the whole schedule must be *deterministic* (chaos tests assert exact
 retry counts; a resumed run must not depend on ``random`` module
 state).  Jitter therefore comes from a seeded hash of (attempt, key),
@@ -78,7 +79,7 @@ class RetryPolicy:
         return backoff * (1.0 + self.jitter * u)
 
 
-#: Supervisor default: three tries, fast first retry, bounded backoff.
+#: Fleet default: three tries, fast first retry, bounded backoff.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 #: One attempt, no second chances — for benches and strict tests.

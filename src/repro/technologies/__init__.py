@@ -5,7 +5,7 @@ electrical terminals — the shared **plate**, the **bitlines**, and the
 **wordlines**.  Everything memory-technology-specific (cell electrical
 model, defect semantics, variation maps, parameter corners, quality
 thresholds) lives behind that seam, so the same sequencer, scan engine,
-closed-form kernel, shared-memory fan-out, resilience ladder, run-ledger
+closed-form kernel, resilience ladder, run-ledger
 fingerprints and drift charts can measure other memories unchanged.
 
 This package owns the seam.  A backend implements

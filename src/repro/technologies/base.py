@@ -14,8 +14,7 @@ A backend owns everything on the *array side* of the measurement seam:
 - optional **post-scan physics** (e.g. ferroelectric read-disturb) and
   per-run **extra scalars** for the drift charts.
 
-The scan engine, closed-form kernel, shared-memory fan-out, resilience
-ladder, ledger fingerprints and drift detection all stay
+The scan engine, closed-form kernel, resilience ladder, ledger fingerprints and drift detection all stay
 technology-agnostic: they consume the array's bulk planes and the
 structure's constants, both of which the backend produced.  A backend
 whose charge-sharing algebra deviates from the paper's closed form opts
@@ -232,8 +231,8 @@ class CellTechnology(abc.ABC):
         before the run is recorded.  The default is a no-op (an eDRAM
         capacitive measurement is non-destructive at this abstraction);
         the ferroelectric backend applies cumulative read-disturb here,
-        which bumps ``array.version`` and thereby invalidates warm pools
-        and cached netlists automatically.
+        which bumps ``array.version`` and thereby invalidates cached
+        netlists automatically.
         """
 
     def extra_scalars(self, array: "EDRAMArray") -> dict[str, float]:

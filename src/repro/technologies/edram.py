@@ -30,21 +30,10 @@ class EDRAMTechnology(CellTechnology):
     uses_kernel = True
     mismatch_sigma = 0.8 * fF
 
-    def __init__(self, card: "TechnologyCard | None" = None) -> None:
-        self._card = card
-
     def base_card(self) -> "TechnologyCard":
         from repro.tech.parameters import default_technology
 
-        return self._card if self._card is not None else default_technology()
-
-    def with_card(self, card: "TechnologyCard") -> "EDRAMTechnology":
-        """A variant backend pinned to a specific technology card.
-
-        The :func:`~repro.wafer.WaferModel` deprecation shim forwards
-        legacy ``tech=TechnologyCard`` arguments through here.
-        """
-        return EDRAMTechnology(card)
+        return default_technology()
 
     def build_array(
         self,

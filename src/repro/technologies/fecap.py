@@ -27,10 +27,9 @@ Models an array of ferroelectric (HZO-class) capacitors read
 
 The charge-share algebra itself is unchanged — at the plate terminal a
 FeCap cell is "a capacitor of value C(P)" — so this backend keeps
-``uses_kernel = True`` and rides the batched kernel and shared-memory
-fan-out untouched.  The disturb update rewrites the capacitance plane
-in bulk, which bumps ``array.version`` and thereby evicts warm worker
-pools and cached netlists automatically.
+``uses_kernel = True`` and rides the batched kernel untouched.  The
+disturb update rewrites the capacitance plane in bulk, which bumps
+``array.version`` and thereby evicts cached netlists automatically.
 """
 
 from __future__ import annotations

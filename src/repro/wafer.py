@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter, process_time
@@ -37,9 +36,8 @@ from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner, ScanResult
 from repro.measure.structure import MeasurementStructure
 from repro.obs.progress import NULL_PROGRESS
-from repro.resilience.checkpoint import resume_fingerprint
+from repro.obs.ledger import config_fingerprint
 from repro.resilience.faults import active_fault_plan, fault_point, inject
-from repro.tech.parameters import TechnologyCard
 from repro.technologies import get as get_technology
 from repro.units import fF, to_fF
 
@@ -130,11 +128,6 @@ class WaferModel:
         backend fabricates every die with its own variation model and
         supplies the measurement range the per-wafer structure is
         designed for.
-    tech:
-        **Deprecated.** Legacy ``TechnologyCard`` override; forwards
-        through a card-pinned eDRAM backend and emits
-        :class:`DeprecationWarning`.  Pass ``technology=<name>``
-        instead.
     seed:
         Reproducibility.
     """
@@ -150,7 +143,6 @@ class WaferModel:
         radial_drop: float | None = None,
         die_sigma: float | None = None,
         cell_sigma: float | None = None,
-        tech: TechnologyCard | None = None,
         seed: int = 0,
         technology: str = "edram",
     ) -> None:
@@ -158,42 +150,19 @@ class WaferModel:
             raise DiagnosisError("wafer needs at least 3 dies across")
         if die_rows % macro_rows or die_cols % macro_cols:
             raise DiagnosisError("macro tiling must divide the die array")
-        if tech is not None:
-            warnings.warn(
-                "WaferModel(tech=TechnologyCard) is deprecated; pass "
-                "technology=<registry name> instead (the card override "
-                "forwards through a pinned 'edram' backend)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if technology != "edram":
-                raise DiagnosisError(
-                    "tech=TechnologyCard only applies to the 'edram' "
-                    f"backend, not technology={technology!r}"
-                )
-            self._backend = get_technology("edram").with_card(tech)
-        else:
-            self._backend = get_technology(technology)
+        self._backend = get_technology(technology)
         self.technology = technology
         self.tech = self._backend.base_card()
         # The historical absolute defaults were sized for the 30 fF
         # eDRAM nominal; other technologies keep the same *relative*
-        # wafer profile unless overridden.  The legacy tech= path keeps
-        # the historical absolute defaults exactly (nominal was 30 fF
-        # regardless of the card).
-        scale = (
-            1.0 if tech is not None
-            else self.tech.cell_capacitance / _REFERENCE_NOMINAL
-        )
-        default_nominal = (
-            _REFERENCE_NOMINAL if tech is not None else self.tech.cell_capacitance
-        )
+        # wafer profile unless overridden.
+        scale = self.tech.cell_capacitance / _REFERENCE_NOMINAL
         self.diameter = diameter_dies
         self.die_rows = die_rows
         self.die_cols = die_cols
         self.macro_rows = macro_rows
         self.macro_cols = macro_cols
-        self.nominal = nominal if nominal is not None else default_nominal
+        self.nominal = nominal if nominal is not None else self.tech.cell_capacitance
         self.radial_drop = radial_drop if radial_drop is not None else 2.5 * fF * scale
         self.die_sigma = die_sigma if die_sigma is not None else 0.4 * fF * scale
         self.cell_sigma = cell_sigma if cell_sigma is not None else 0.8 * fF * scale
@@ -270,17 +239,14 @@ class WaferModel:
         self._rng.normal(0.0, self.die_sigma)
         self._rng.integers(1 << 31)
 
-    def measure_wafer(
-        self, jobs: int | None = None, config: ScanConfig | None = None
-    ) -> "WaferReport":
+    def measure_wafer(self, config: ScanConfig | None = None) -> "WaferReport":
         """Fabricate and scan every die; return the wafer report.
 
         Dies run through the chunked die loop (see :meth:`_scan_dies`):
         kernel-eligible dies are measured a chunk at a time, the rest
-        per die through :meth:`ArrayScanner.scan` with ``config``.
-        ``jobs`` (shorthand for ``config.with_options(jobs=...)``) fans
-        out only those per-die scans; a tracer gets one ``kernel`` span
-        per chunk plus the per-die scans' own trees.  The designed
+        per die through :meth:`ArrayScanner.scan` with ``config``; a
+        tracer gets one ``kernel`` span per chunk plus the per-die
+        scans' own trees.  The designed
         structure and its memoized code-boundary table are shared by
         every die, so calibration is solved once per wafer.  Only the
         per-die means and sigmas are kept.
@@ -297,8 +263,6 @@ class WaferModel:
         remaining dies print identically to an uninterrupted run.
         """
         config = self._checked_config(config)
-        if jobs is not None:
-            config = config.with_options(jobs=jobs)
         ledger, checkpointer = config.ledger, config.checkpoint
         sites = self.sites()
         start = perf_counter()
@@ -310,7 +274,7 @@ class WaferModel:
         done: set[int] = set()
         if checkpointer is not None:
             state = checkpointer.start(
-                "wafer", resume_fingerprint(config), planes, total=len(sites)
+                "wafer", config_fingerprint(config), planes, total=len(sites)
             )
             planes = state.arrays
             done = set(state.completed)
@@ -382,7 +346,7 @@ class WaferModel:
         arrays = self._die_planes(hi - lo)
         done: set[int] = set()
         if checkpointer is not None:
-            fingerprint = resume_fingerprint(config)
+            fingerprint = config_fingerprint(config)
             fingerprint["die_range"] = [lo, hi]
             state = checkpointer.start(
                 "shard", fingerprint, arrays, total=hi - lo
@@ -458,7 +422,7 @@ class WaferModel:
         Dies are stacked ``_CHUNK_CELLS`` at a time into one plane and
         measured by one kernel pass, one code conversion and one bitmap.
         A die falls back to its own :meth:`ArrayScanner.scan` (with
-        ``config``, so ``jobs`` fans out only these scans) exactly when
+        ``config``) exactly when
         that scan would not take the serial kernel: its backend opts out
         of the kernel, ``force_engine`` or ``preflight`` is set, a fault
         plan targets a site outside the wafer loop, or the die has

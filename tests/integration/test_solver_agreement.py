@@ -13,6 +13,7 @@ import pytest
 
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectKind
+from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
 from repro.units import fF, mV
@@ -79,7 +80,7 @@ def test_closed_form_matches_engine_on_random_arrays(tech, structure_8x2):
                 arr.cell(r, c).apply_defect(CellDefect(kind))
         scanner = ArrayScanner(arr, structure_8x2)
         fast = scanner.scan()
-        slow = scanner.scan(force_engine=True)
+        slow = scanner.scan(ScanConfig(force_engine=True))
         assert np.allclose(fast.vgs, slow.vgs, atol=1e-9), f"trial {trial}"
         assert np.array_equal(fast.codes, slow.codes), f"trial {trial}"
 

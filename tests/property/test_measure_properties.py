@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.calibration.design import design_structure
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectKind
+from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
 from repro.tech.parameters import default_technology
@@ -56,7 +57,7 @@ def test_closed_form_always_matches_engine(caps, defect_idx, kind):
         arr.cell(defect_idx // 2, defect_idx % 2).apply_defect(CellDefect(kind))
     scanner = ArrayScanner(arr, _STRUCTURE_4X2)
     fast = scanner.scan()
-    slow = scanner.scan(force_engine=True)
+    slow = scanner.scan(ScanConfig(force_engine=True))
     assert np.allclose(fast.vgs, slow.vgs, atol=1e-9)
     assert np.array_equal(fast.codes, slow.codes)
 

@@ -116,21 +116,3 @@ def test_kernel_vs_per_macro_bit_exact_for_every_backend(technology, seed):
     np.testing.assert_array_equal(fast.codes, slow.codes)
     np.testing.assert_array_equal(fast.vgs, slow.vgs)
     np.testing.assert_array_equal(fast.quality, slow.quality)
-
-
-@pytest.mark.parametrize("technology", ["edram", "fecap", "1t"])
-def test_parallel_fanout_matches_serial_for_every_backend(technology):
-    """The shared-memory fan-out is backend-agnostic too."""
-    backend = get(technology)
-    serial_array = backend.build_array(16, 4, macro_rows=4, seed=7, with_defects=True)
-    parallel_array = backend.build_array(16, 4, macro_rows=4, seed=7, with_defects=True)
-    structure = backend.design_structure(serial_array)
-    serial = ArrayScanner(serial_array, structure).scan(
-        ScanConfig(technology=technology)
-    )
-    parallel = ArrayScanner(parallel_array, structure).scan(
-        ScanConfig(technology=technology, jobs=2)
-    )
-    np.testing.assert_array_equal(serial.codes, parallel.codes)
-    np.testing.assert_array_equal(serial.vgs, parallel.vgs)
-    np.testing.assert_array_equal(serial.quality, parallel.quality)

@@ -5,6 +5,7 @@ import pytest
 from repro.edram.defects import CellDefect, DefectKind
 from repro.errors import RuleViolation, SingularCircuitError
 from repro.lint import preflight_array, preflight_macro, raise_on_errors
+from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
 from tests.unit.lint import fixtures
@@ -119,13 +120,41 @@ def test_measure_charge_preflight_raises_on_sabotaged_network():
 def test_scan_preflight_matches_plain_scan():
     array, structure = _shorted()
     plain = ArrayScanner(array, structure).scan()
-    checked = ArrayScanner(array, structure).scan(preflight=True)
+    checked = ArrayScanner(array, structure).scan(ScanConfig(preflight=True))
     assert (plain.codes == checked.codes).all()
 
 
 # ---------------------------------------------------------------------------
 # ERC-aided solver errors
 # ---------------------------------------------------------------------------
+
+
+def test_preflight_violation_raises_before_any_scan_work(monkeypatch):
+    """A failing preflight must raise before any tile is measured."""
+    import repro.lint as lint_pkg
+    from repro.lint.diagnostics import Diagnostic, LintReport, Severity
+
+    bad = LintReport([
+        Diagnostic(
+            code="ERC003", slug="charge-trap", severity=Severity.ERROR,
+            message="unreachable charged node", subject="macro[0]",
+            nodes=("s0_0",),
+        )
+    ])
+    monkeypatch.setattr(lint_pkg, "preflight_array", lambda *a, **k: bad)
+
+    def _boom(*args, **kwargs):  # pragma: no cover - must not be reached
+        raise AssertionError("scan work ran despite failed preflight")
+
+    monkeypatch.setattr(ArrayScanner, "kernel_planes", _boom)
+    monkeypatch.setattr(ArrayScanner, "_scan_macro", _boom)
+
+    from repro.edram.array import EDRAMArray
+
+    array = EDRAMArray(8, 8, macro_rows=4, macro_cols=4)
+    with pytest.raises(RuleViolation, match="ERC003") as excinfo:
+        ArrayScanner(array).scan(ScanConfig(preflight=True))
+    assert any(d.code == "ERC003" for d in excinfo.value.diagnostics)
 
 
 def test_singular_mna_error_names_offending_nodes():

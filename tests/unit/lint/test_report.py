@@ -125,10 +125,6 @@ def test_builtin_registry_has_all_documented_codes():
         "CCY001", "CCY002", "CCY003", "CCY004",
         "DET001", "DET002", "DET003", "DET004",
     }
-    # The footprint rules register on ``repro.sanitize`` import.
-    import repro.sanitize  # noqa: F401
-
-    assert {"CCY101", "CCY102"} <= set(REGISTRY.codes())
 
 
 def test_registry_rejects_duplicate_codes():

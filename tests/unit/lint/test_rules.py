@@ -253,12 +253,12 @@ def test_every_netlist_rule_code_is_exercised():
             report = lint_technology(subject)
         assert code in report.codes(), f"fixture for {code} did not trigger it"
         seen.add(code)
-    # Source, project and footprint rules are exercised by their own
-    # suites (test_rules_ccy/_det, sanitize/test_footprint); everything
-    # else must have a netlist fixture here.
+    # Source and project rules are exercised by their own suites
+    # (test_rules_ccy/_det/_flt); everything else must have a netlist
+    # fixture here.
     other_codes = {
         spec.code
-        for target in ("source", "project", "footprint")
+        for target in ("source", "project")
         for spec in REGISTRY.for_target(target)
     }
     assert seen | other_codes == set(REGISTRY.codes())

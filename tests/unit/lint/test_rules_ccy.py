@@ -240,9 +240,8 @@ def test_ccy004_live_codebase_is_clean():
 
 def test_ccy004_missing_data_field_is_error():
     report = _run_ccy004(
-        data_fields=["jobs", "tier", "oversample"],
-        fingerprint_keys={"jobs", "tier"},
-        resume_keys={"tier"},
+        data_fields=["force_engine", "tier", "oversample"],
+        fingerprint_keys={"force_engine", "tier"},
     )
     assert not report.ok
     assert any("oversample" in d.message for d in report.errors)
@@ -250,9 +249,8 @@ def test_ccy004_missing_data_field_is_error():
 
 def test_ccy004_stale_fingerprint_key_is_warning():
     report = _run_ccy004(
-        data_fields=["jobs", "tier"],
-        fingerprint_keys={"jobs", "tier", "ghost"},
-        resume_keys={"tier", "ghost"},
+        data_fields=["force_engine", "tier"],
+        fingerprint_keys={"force_engine", "tier", "ghost"},
     )
     assert report.ok  # warnings only
     warning = next(iter(report.warnings))
@@ -260,33 +258,21 @@ def test_ccy004_stale_fingerprint_key_is_warning():
     assert "ghost" in warning.message
 
 
-def test_ccy004_resume_must_be_fingerprint_minus_jobs():
-    report = _run_ccy004(
-        data_fields=["jobs", "tier"],
-        fingerprint_keys={"jobs", "tier"},
-        resume_keys={"jobs", "tier"},
-    )
-    assert not report.ok
-    assert any("resume_fingerprint" in d.message for d in report.errors)
-
-
 def test_ccy004_pinned_field_present_everywhere_is_clean():
     report = _run_ccy004(
-        data_fields=["jobs", "tier", "technology"],
-        fingerprint_keys={"jobs", "tier", "technology"},
-        resume_keys={"tier", "technology"},
+        data_fields=["force_engine", "tier", "technology"],
+        fingerprint_keys={"force_engine", "tier", "technology"},
         pinned_fields=("technology",),
     )
     assert report.ok
 
 
 def test_ccy004_pinned_field_dropped_everywhere_is_error():
-    # Flipping technology to compare=False AND dropping it from both
-    # fingerprints is self-consistent — only the pinned check sees it.
+    # Flipping technology to compare=False AND dropping it from the
+    # fingerprint is self-consistent — only the pinned check sees it.
     report = _run_ccy004(
-        data_fields=["jobs", "tier"],
-        fingerprint_keys={"jobs", "tier"},
-        resume_keys={"tier"},
+        data_fields=["force_engine", "tier"],
+        fingerprint_keys={"force_engine", "tier"},
         pinned_fields=("technology",),
     )
     assert not report.ok
@@ -294,32 +280,14 @@ def test_ccy004_pinned_field_dropped_everywhere_is_error():
     assert errors and "technology" in errors[0].message
 
 
-def test_ccy004_pinned_field_missing_from_resume_only_is_error():
-    report = _run_ccy004(
-        data_fields=["jobs", "tier", "technology"],
-        fingerprint_keys={"jobs", "tier", "technology"},
-        resume_keys={"tier"},
-        pinned_fields=("technology",),
-    )
-    assert not report.ok
-    assert any(
-        "pinned" in d.message and "resume_fingerprint" in d.message
-        for d in report.errors
-    )
-
-
 def test_ccy004_live_codebase_pins_technology():
     # The live introspection path (no context overrides) must see
-    # ScanConfig.technology in all three sets — this is the guard the
-    # satellite task asks for.
+    # ScanConfig.technology in both sets.
     from dataclasses import fields as dataclass_fields
 
     from repro.measure.config import ScanConfig
     from repro.obs.ledger import config_fingerprint
-    from repro.resilience.checkpoint import resume_fingerprint
 
-    probe = ScanConfig()
     assert "technology" in {f.name for f in dataclass_fields(ScanConfig) if f.compare}
-    assert "technology" in config_fingerprint(probe)
-    assert "technology" in resume_fingerprint(probe)
+    assert "technology" in config_fingerprint(ScanConfig())
     assert lint_project(only=("CCY004",)).ok

@@ -7,7 +7,9 @@ from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectInjector, DefectKind
 from repro.edram.variation_map import mismatch_map, uniform_map, compose_maps
 from repro.errors import MeasurementError
-from repro.measure.scan import ArrayScanner, _series
+from repro.measure.config import ScanConfig
+from repro.measure.kernel import _series
+from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
 from repro.units import fF
 
@@ -99,11 +101,30 @@ class TestScanAssembly:
         result = ArrayScanner(arr, structure_8x2).scan()
         assert set(result.tiers.ravel()) == {"e"}
 
+    def test_assembler_refuses_a_gap_or_a_double_landing(self, tech):
+        # The driver's exactly-once tiling check: a macro never landed,
+        # or landed twice, is an internal error, not a silent bitmap hole.
+        from repro.errors import ScanMismatchError
+        from repro.measure.scan import _Assembler
+
+        arr = EDRAMArray(8, 4, tech=tech, macro_cols=2, macro_rows=4)
+        tile = np.zeros((4, 2))
+        out = _Assembler(arr, ScanConfig(), bulk=False)
+        for index in (0, 1, 2):
+            out.place(arr.macro(index), tile, tile.astype(int), "c", None, 0.0)
+        with pytest.raises(ScanMismatchError, match=r"\[3\]: \[0\]"):
+            out.check()
+        out.place(arr.macro(3), tile, tile.astype(int), "c", None, 0.0)
+        out.check()
+        out.place(arr.macro(1), tile, tile.astype(int), "c", None, 0.0)
+        with pytest.raises(ScanMismatchError, match=r"\[1\]: \[2\]"):
+            out.check()
+
     def test_force_engine_matches_closed_form(self, tech, structure_2x2):
         arr = EDRAMArray(2, 2, tech=tech)
         scanner = ArrayScanner(arr, structure_2x2)
         fast = scanner.scan()
-        slow = scanner.scan(force_engine=True)
+        slow = scanner.scan(ScanConfig(force_engine=True))
         assert np.array_equal(fast.codes, slow.codes)
         assert np.allclose(fast.vgs, slow.vgs, atol=1e-9)
 
@@ -120,13 +141,13 @@ class TestMeasureCell:
     def test_charge_tier_by_global_address(self, tech, structure_8x2):
         arr = EDRAMArray(16, 4, tech=tech, macro_cols=2, macro_rows=8)
         scanner = ArrayScanner(arr, structure_8x2)
-        result = scanner.measure_cell(10, 3, tier="charge")
+        result = scanner.measure_cell(10, 3, ScanConfig(tier="charge"))
         assert result.address == (10, 3)
 
     def test_unknown_tier_rejected(self, tech, structure_2x2):
         scanner = ArrayScanner(EDRAMArray(2, 2, tech=tech), structure_2x2)
         with pytest.raises(MeasurementError):
-            scanner.measure_cell(0, 0, tier="psychic")
+            scanner.measure_cell(0, 0, ScanConfig(tier="psychic"))
 
 
 class TestScanDiff:

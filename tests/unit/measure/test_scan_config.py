@@ -1,4 +1,4 @@
-"""ScanConfig: validation, immutability, and the deprecation shim."""
+"""ScanConfig: validation, immutability, and the entry points that take it."""
 
 import dataclasses
 import warnings
@@ -8,7 +8,7 @@ import pytest
 
 from repro.edram.array import EDRAMArray
 from repro.errors import MeasurementError, ScanMismatchError
-from repro.measure.config import ScanConfig, coerce_scan_config
+from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 
@@ -16,16 +16,11 @@ from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 class TestScanConfig:
     def test_defaults(self):
         config = ScanConfig()
-        assert config.jobs == 1
         assert config.preflight is False
         assert config.force_engine is False
         assert config.tier == "charge"
         assert config.tracer is NULL_TRACER
         assert config.metrics is NULL_METRICS
-
-    def test_jobs_validated(self):
-        with pytest.raises(MeasurementError):
-            ScanConfig(jobs=0)
 
     def test_tier_validated(self):
         with pytest.raises(MeasurementError):
@@ -33,17 +28,17 @@ class TestScanConfig:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ScanConfig().jobs = 4  # type: ignore[misc]
+            ScanConfig().force_engine = True  # type: ignore[misc]
 
     def test_with_options_revalidates(self):
-        config = ScanConfig().with_options(jobs=4)
-        assert config.jobs == 4
+        config = ScanConfig().with_options(tier="transient")
+        assert config.tier == "transient"
         with pytest.raises(MeasurementError):
-            config.with_options(jobs=-1)
+            config.with_options(tier="psychic")
 
     def test_equality_ignores_observers(self):
         assert ScanConfig(tracer=Tracer()) == ScanConfig(metrics=MetricsRegistry())
-        assert ScanConfig(jobs=2) != ScanConfig(jobs=3)
+        assert ScanConfig(force_engine=True) != ScanConfig()
 
     def test_observed_property(self):
         assert not ScanConfig().observed
@@ -51,78 +46,13 @@ class TestScanConfig:
         assert ScanConfig(metrics=MetricsRegistry()).observed
 
 
-class TestCoercion:
-    def test_none_gives_defaults_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coerce_scan_config(None, "m") == ScanConfig()
-
-    def test_config_passes_through_silently(self):
-        config = ScanConfig(jobs=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coerce_scan_config(config, "m") is config
-
-    def test_legacy_keyword_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            config = coerce_scan_config(None, "ArrayScanner.scan", jobs=4)
-        assert config.jobs == 4
-
-    def test_legacy_positional_bool_is_force_engine(self):
-        with pytest.warns(DeprecationWarning, match="force_engine"):
-            config = coerce_scan_config(True, "ArrayScanner.scan_macro")
-        assert config.force_engine is True
-
-    def test_legacy_positional_str_is_tier(self):
-        with pytest.warns(DeprecationWarning, match="tier"):
-            config = coerce_scan_config("transient", "ArrayScanner.measure_cell")
-        assert config.tier == "transient"
-
-    def test_legacy_overrides_config_fields(self):
-        base = ScanConfig(jobs=2, force_engine=False)
-        with pytest.warns(DeprecationWarning):
-            config = coerce_scan_config(base, "m", force_engine=True)
-        assert config.force_engine is True
-        assert config.jobs == 2  # untouched fields survive
-
-
-class TestEntryPointShims:
-    def test_scan_legacy_kwargs_warn(self, tech, structure_2x2):
-        scanner = ArrayScanner(EDRAMArray(2, 2, tech=tech), structure_2x2)
-        with pytest.warns(DeprecationWarning):
-            scanner.scan(jobs=1)
-
+class TestEntryPoints:
     def test_scan_config_path_is_silent(self, tech, structure_2x2):
         scanner = ArrayScanner(EDRAMArray(2, 2, tech=tech), structure_2x2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             scanner.scan(ScanConfig())
             scanner.scan()
-
-    def test_scan_macro_positional_bool_still_works(self, tech, structure_2x2):
-        arr = EDRAMArray(2, 2, tech=tech)
-        scanner = ArrayScanner(arr, structure_2x2)
-        with pytest.warns(DeprecationWarning):
-            _, codes_legacy, tier = scanner.scan_macro(arr.macro(0), True)
-        assert tier == "e"
-        _, codes_config, _ = scanner.scan_macro(
-            arr.macro(0), ScanConfig(force_engine=True)
-        )
-        assert np.array_equal(codes_legacy, codes_config)
-
-    def test_measure_cell_positional_str_still_works(self, tech, structure_2x2):
-        scanner = ArrayScanner(EDRAMArray(2, 2, tech=tech), structure_2x2)
-        with pytest.warns(DeprecationWarning):
-            legacy = scanner.measure_cell(0, 0, "charge")
-        modern = scanner.measure_cell(0, 0, ScanConfig(tier="charge"))
-        assert legacy.code == modern.code
-
-    def test_legacy_and_config_scans_agree(self, tech, structure_2x2):
-        scanner = ArrayScanner(EDRAMArray(2, 2, tech=tech), structure_2x2)
-        with pytest.warns(DeprecationWarning):
-            legacy = scanner.scan(force_engine=True)
-        modern = scanner.scan(ScanConfig(force_engine=True))
-        assert np.array_equal(legacy.codes, modern.codes)
 
 
 class TestScanDiffValidation:

@@ -1,19 +1,19 @@
-"""Performance layer of the scan path: parallel fan-out, caches, stats.
+"""Performance layer of the scan path: caches, bridge routing, stats.
 
 The contract under test: every optimisation is *invisible* in the data.
-Parallel scans are bit-exact against serial scans, cached netlists give
-bit-identical voltages to freshly built ones, and the vectorized bridge
-check routes exactly the macros the old per-cell walk routed.
+Cached netlists give bit-identical voltages to freshly built ones, and
+the vectorized bridge check routes exactly the macros the old per-cell
+walk routed.  Bit-exactness across scan paths is the oracle's
+(``tests/property/test_scan_path_oracle.py``).
 """
 
-import numpy as np
 import pytest
 
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectInjector, DefectKind
-from repro.errors import MeasurementError
 from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
+from repro.measure.stats import MacroTiming, ScanStats
 from repro.units import fF
 
 
@@ -44,40 +44,6 @@ def zoo_structure(tech):
     return design_structure(tech, 4, 2, bitline_rows=16)
 
 
-class TestParallelBitExactness:
-    def test_parallel_equals_serial_on_defect_zoo(self, zoo_array, zoo_structure):
-        scanner = ArrayScanner(zoo_array, zoo_structure)
-        serial = scanner.scan()
-        parallel = scanner.scan(jobs=3)
-        assert np.array_equal(serial.codes, parallel.codes)
-        assert np.array_equal(serial.vgs, parallel.vgs)  # bit-exact, no tolerance
-        assert np.array_equal(serial.tiers, parallel.tiers)
-        # Both engine (bridge fallback) and closed-form tiers must appear.
-        assert {"c", "e"} == set(serial.tiers.ravel())
-
-    def test_parallel_equals_serial_with_force_engine(self, zoo_array, zoo_structure):
-        scanner = ArrayScanner(zoo_array, zoo_structure)
-        serial = scanner.scan(force_engine=True)
-        parallel = scanner.scan(force_engine=True, jobs=2)
-        assert np.array_equal(serial.codes, parallel.codes)
-        assert np.array_equal(serial.vgs, parallel.vgs)
-        assert set(serial.tiers.ravel()) == {"e"}
-
-    def test_jobs_above_macro_count_is_capped(self, tech, structure_2x2):
-        arr = EDRAMArray(2, 2, tech=tech)  # a single macro
-        scanner = ArrayScanner(arr, structure_2x2)
-        result = scanner.scan(jobs=64)
-        assert result.stats is not None
-        assert result.stats.jobs == 1  # capped to num_macros
-
-    def test_invalid_jobs_rejected(self, tech, structure_2x2):
-        scanner = ArrayScanner(EDRAMArray(2, 2, tech=tech), structure_2x2)
-        with pytest.raises(MeasurementError):
-            scanner.scan(jobs=0)
-        with pytest.raises(MeasurementError):
-            scanner.scan(jobs=-2)
-
-
 class TestScanStats:
     def test_stats_shape_and_tier_counts(self, zoo_array, zoo_structure):
         result = ArrayScanner(zoo_array, zoo_structure).scan()
@@ -86,7 +52,6 @@ class TestScanStats:
         assert stats.total_cells == zoo_array.num_cells
         assert stats.closed_form_cells + stats.engine_cells == stats.total_cells
         assert stats.engine_cells == int((result.tiers == "e").sum())
-        assert stats.jobs == 1
         assert stats.wall_seconds > 0
         assert stats.cells_per_second > 0
         assert len(stats.macro_timings) == zoo_array.num_macros
@@ -99,11 +64,6 @@ class TestScanStats:
         for macro in zoo_array.macros():
             expected = result.tiers[macro.row_start, macro.col_start]
             assert by_index[macro.index] == expected
-
-    def test_parallel_stats_record_jobs(self, zoo_array, zoo_structure):
-        result = ArrayScanner(zoo_array, zoo_structure).scan(jobs=3)
-        assert result.stats.jobs == 3
-        assert len(result.stats.macro_timings) == zoo_array.num_macros
 
     def test_summary_and_dict_roundtrip(self, zoo_array, zoo_structure):
         stats = ArrayScanner(zoo_array, zoo_structure).scan().stats
@@ -190,3 +150,45 @@ class TestDenseHistogram:
         assert sorted(hist) == list(range(result.num_steps + 1))
         assert sum(hist.values()) == arr.num_cells
         assert all(n >= 0 for n in hist.values())
+
+
+class TestTimingSummary:
+    def _stats(self, seconds):
+        timings = [
+            MacroTiming(i, "c", 4, value) for i, value in enumerate(seconds)
+        ]
+        return ScanStats(
+            total_cells=4 * len(timings),
+            wall_seconds=sum(seconds),
+            closed_form_cells=4 * len(timings),
+            engine_cells=0,
+            macro_timings=timings,
+        )
+
+    def test_percentiles_of_known_distribution(self):
+        stats = self._stats([0.001 * (i + 1) for i in range(100)])
+        summary = stats.timing_summary()
+        assert summary["p50"] == pytest.approx(0.0505, rel=1e-6)
+        assert summary["p95"] == pytest.approx(0.09505, rel=1e-6)
+        assert summary["max"] == pytest.approx(0.100, rel=1e-6)
+
+    def test_empty_timings_summarize_to_zero(self):
+        stats = self._stats([])
+        assert stats.timing_summary() == {"p50": 0.0, "p95": 0.0, "max": 0.0}
+
+    def test_kernel_fields_surface_in_summary_and_dict(self, tech):
+        array = EDRAMArray(8, 4, tech=tech, macro_rows=4, macro_cols=2)
+        stats = ArrayScanner(array, None).scan().stats
+        assert stats.kernel_cells == array.num_cells
+        assert stats.kernel_seconds > 0
+        assert "batched pass" in stats.summary()
+        payload = stats.to_dict()
+        assert payload["kernel_cells"] == array.num_cells
+        assert payload["kernel_seconds"] == stats.kernel_seconds
+
+    def test_legacy_scan_reports_zero_kernel_cells(self, tech):
+        array = EDRAMArray(8, 4, tech=tech, macro_rows=4, macro_cols=2)
+        stats = ArrayScanner(array, None, use_kernel=False).scan().stats
+        assert stats.kernel_cells == 0
+        assert stats.kernel_seconds == 0.0
+        assert "batched pass" not in stats.summary()

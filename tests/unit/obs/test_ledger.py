@@ -38,16 +38,16 @@ def ledger(tmp_path):
 
 class TestProvenance:
     def test_fingerprint_covers_data_fields_only(self):
-        fp = config_fingerprint(ScanConfig(jobs=2, tier="transient"))
+        fp = config_fingerprint(ScanConfig(force_engine=True, tier="transient"))
         assert fp == {
-            "jobs": 2, "preflight": False, "force_engine": False,
+            "preflight": False, "force_engine": True,
             "tier": "transient", "technology": "edram",
         }
 
     def test_hash_stable_and_sensitive(self):
         base = ScanConfig()
         assert config_hash(base) == config_hash(ScanConfig())
-        assert config_hash(base) != config_hash(ScanConfig(jobs=2))
+        assert config_hash(base) != config_hash(ScanConfig(force_engine=True))
 
     def test_hash_ignores_observers(self):
         assert config_hash(ScanConfig()) == config_hash(

@@ -198,21 +198,6 @@ class TestNullTracer:
         assert NULL_TRACER.enabled is False
 
 
-class TestWireCodec:
-    def test_to_tuple_from_tuple_round_trip(self):
-        tracer = Tracer(clock=make_clock())
-        with tracer.span("scan", rows=4):
-            with tracer.span("macro", index=0):
-                pass
-        for span in tracer.spans:
-            clone = Span.from_tuple(span.to_tuple())
-            assert clone.to_dict() == span.to_dict()
-
-    def test_from_tuple_malformed_raises(self):
-        with pytest.raises(ObservabilityError, match="span tuple"):
-            Span.from_tuple(("only", "three", 3))
-
-
 class TestMerge:
     def _worker_spans(self):
         worker = Tracer(clock=make_clock())

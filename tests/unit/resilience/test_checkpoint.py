@@ -10,7 +10,6 @@ from repro.resilience.checkpoint import (
     Checkpointer,
     list_checkpoints,
     load_checkpoint,
-    resume_fingerprint,
 )
 
 
@@ -151,12 +150,18 @@ def test_list_checkpoints_orders_by_run_id(tmp_path):
     assert list_checkpoints(RunLedger(tmp_path / "empty")) == []
 
 
-def test_resume_fingerprint_excludes_jobs():
-    # jobs changes wall-clock, never planes; a checkpoint written at
-    # jobs=8 must resume on a single-core machine.
-    assert resume_fingerprint(ScanConfig(jobs=1)) == resume_fingerprint(
-        ScanConfig(jobs=8)
-    )
+def test_config_fingerprint_is_the_stored_checkpoint_key():
+    # Checkpoints store this dict and resume compares against it, so it
+    # must keep the exact keys and values older checkpoints were
+    # written with, or their runs would refuse to resume.
+    from repro.obs.ledger import config_fingerprint
+
+    assert config_fingerprint(ScanConfig()) == {
+        "preflight": False,
+        "force_engine": False,
+        "tier": "charge",
+        "technology": "edram",
+    }
 
 
 def test_torn_tmp_file_is_not_a_run_and_is_cleaned_up(tmp_path, capsys):

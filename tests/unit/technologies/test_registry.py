@@ -112,14 +112,13 @@ class TestScanConfigTechnology:
             scanner.scan(ScanConfig(technology="edram"))
 
     def test_technology_in_fingerprint_and_resume_keys(self):
+        # The fingerprint is also the checkpoint resume key.
         from repro.obs.ledger import config_fingerprint, config_hash
-        from repro.resilience.checkpoint import resume_fingerprint
 
         edram = ScanConfig()
         fecap = ScanConfig(technology="fecap")
         assert config_fingerprint(fecap)["technology"] == "fecap"
         assert config_hash(edram) != config_hash(fecap)
-        assert resume_fingerprint(fecap)["technology"] == "fecap"
 
 
 class TestProtocolDefaults:

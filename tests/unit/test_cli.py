@@ -362,6 +362,38 @@ def test_checkpointed_scan_completes_and_cleans_up(tmp_path, capsys):
     assert "no unfinished runs" in capsys.readouterr().out
 
 
+def test_preflight_scan_resumes_with_the_printed_hint(tmp_path, capsys):
+    # An interrupted --preflight scan prints a resume hint that must
+    # rebuild the same config: preflight is part of the checkpoint's
+    # fingerprint, so the hint has to restore it from the checkpoint.
+    import numpy as np
+
+    from repro.io import load_scan
+    from repro.resilience import Fault, FaultPlan, inject
+
+    geometry = ["--rows", "16", "--cols", "4", "--macro-rows", "4",
+                "--seed", "3"]
+    ck_dir = tmp_path / "runs"
+    interrupt = Fault("scan.macro_done", error=KeyboardInterrupt(),
+                      after=3, times=1)
+    with inject(FaultPlan([interrupt])):
+        assert main(["scan", *geometry, "--preflight",
+                     "--checkpoint", str(ck_dir)]) == 130
+    err = capsys.readouterr().err
+    hint = err.split("resume with: ", 1)[1].splitlines()[0]
+    assert hint == f"repro scan --resume r0001 --checkpoint {ck_dir}"
+
+    resumed_path = tmp_path / "resumed.npz"
+    assert main([*hint.split()[1:], "--save", str(resumed_path)]) == 0
+    plain_path = tmp_path / "plain.npz"
+    assert main(["scan", *geometry, "--save", str(plain_path)]) == 0
+    resumed, plain = load_scan(resumed_path), load_scan(plain_path)
+    for plane in ("codes", "vgs", "tiers", "quality"):
+        np.testing.assert_array_equal(getattr(resumed, plane), getattr(plain, plane))
+    assert main(["runs", "checkpoints", "--dir", str(ck_dir)]) == 0
+    assert "no unfinished runs" in capsys.readouterr().out
+
+
 def test_tech_list_command(capsys):
     assert main(["tech", "list"]) == 0
     out = capsys.readouterr().out
@@ -422,11 +454,11 @@ def test_wafer_command_per_technology(capsys):
     assert "wafer mean" in capsys.readouterr().out
 
 
-def _write_parallel_trace(tmp_path, name="trace-par.jsonl", jobs=2):
+def _write_trace(tmp_path, name="trace.jsonl"):
     trace_path = tmp_path / name
     assert main([
         "scan", "--rows", "8", "--cols", "4", "--macro-rows", "4",
-        "--healthy", "--jobs", str(jobs), "--trace", str(trace_path),
+        "--healthy", "--trace", str(trace_path),
     ]) == 0
     return trace_path
 
@@ -434,8 +466,8 @@ def _write_parallel_trace(tmp_path, name="trace-par.jsonl", jobs=2):
 def test_trace_command_merges_multiple_paths(tmp_path, capsys):
     import json
 
-    first = _write_parallel_trace(tmp_path, "a.jsonl")
-    second = _write_parallel_trace(tmp_path, "b.jsonl")
+    first = _write_trace(tmp_path, "a.jsonl")
+    second = _write_trace(tmp_path, "b.jsonl")
     capsys.readouterr()
     assert main(["trace", str(first), str(second), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -446,30 +478,29 @@ def test_trace_command_merges_multiple_paths(tmp_path, capsys):
 def test_trace_command_missing_path_names_file(tmp_path, capsys):
     from repro.errors import ObservabilityError
 
-    present = _write_parallel_trace(tmp_path)
+    present = _write_trace(tmp_path)
     capsys.readouterr()
     with pytest.raises(ObservabilityError, match="absent.jsonl"):
         main(["trace", str(present), str(tmp_path / "absent.jsonl")])
 
 
 def test_trace_timeline_text(tmp_path, capsys):
-    trace_path = _write_parallel_trace(tmp_path)
+    trace_path = _write_trace(tmp_path)
     capsys.readouterr()
     assert main(["trace", str(trace_path), "--timeline"]) == 0
     out = capsys.readouterr().out
-    assert "parent" in out
-    # Worker lanes appear because the parallel scan merged worker spans.
-    assert "w0" in out or "w1" in out
+    assert "parent" in out and "1 lanes" in out
 
 
 def test_trace_timeline_json(tmp_path, capsys):
     import json
 
-    trace_path = _write_parallel_trace(tmp_path)
+    trace_path = _write_trace(tmp_path)
     capsys.readouterr()
     assert main(["trace", str(trace_path), "--timeline", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     lanes = {lane["lane"] for lane in payload["lanes"]}
-    assert "parent" in lanes
-    assert any(lane.startswith("w") for lane in lanes)
+    # A scan runs in one process: one lane (worker lanes come from
+    # traces merged with Tracer.merge(worker_id=...)).
+    assert lanes == {"parent"}
     assert payload["duration_seconds"] > 0.0

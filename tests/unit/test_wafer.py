@@ -128,28 +128,6 @@ def test_measure_wafer_reports_die_progress():
     assert events[-1]["done"] == len(model.sites())
 
 
-def test_legacy_tech_card_kwarg_warns_and_forwards():
-    from repro.tech.corners import Corner, corner_technology
-
-    card = corner_technology(Corner.FF)
-    with pytest.warns(DeprecationWarning, match="technology="):
-        model = WaferModel(diameter_dies=3, die_rows=8, die_cols=4,
-                           macro_rows=4, tech=card, seed=3)
-    assert model.tech == card
-    # The shimmed model keeps the historical absolute defaults.
-    assert model.nominal == 30.0 * fF
-    assert model.measure_wafer().wafer_mean > 0
-
-
-def test_legacy_tech_card_requires_edram_backend():
-    from repro.tech.parameters import default_technology
-
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(DiagnosisError):
-            WaferModel(diameter_dies=3, tech=default_technology(),
-                       technology="fecap")
-
-
 @pytest.mark.parametrize("technology", ["fecap", "1t"])
 def test_wafer_per_technology(technology):
     from repro.technologies import get
