@@ -140,6 +140,21 @@ def test_kernel_matches_per_macro_closed_form(array):
         np.testing.assert_array_equal(scanner.closed_form_vgs(macro), reference)
 
 
+@given(array=_arrays())
+@settings(max_examples=40, deadline=None)
+def test_kernel_scan_matches_legacy_scan(array):
+    # Scan-level dispatch: the kernel path must reproduce the legacy
+    # per-macro serial scan exactly — codes, V_GS, tiers and quality.
+    fast = ArrayScanner(array, None).scan()
+    slow = ArrayScanner(array, None, use_kernel=False).scan()
+    np.testing.assert_array_equal(fast.vgs, slow.vgs)
+    np.testing.assert_array_equal(fast.codes, slow.codes)
+    np.testing.assert_array_equal(fast.tiers, slow.tiers)
+    np.testing.assert_array_equal(fast.quality, slow.quality)
+    assert fast.stats.kernel_cells == array.num_cells
+    assert slow.stats.kernel_cells == 0
+
+
 @given(array=_arrays(), data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_failed_tiles_survive_kernel_dispatch(array, data):
@@ -209,3 +224,20 @@ def test_degraded_engine_cells_survive_kernel_dispatch():
     np.testing.assert_array_equal(fast.quality, slow.quality)
     assert fast.quality[2, 1] == CellQuality.DEGRADED
     assert fast.stats.degraded_cells == 1
+
+
+def test_bridge_macros_ride_engine_tier_next_to_kernel_macros():
+    # Without faults the kernel handles every closed-form macro while
+    # bridge macros take the exact engine — mixed tiers, one result.
+    def build() -> EDRAMArray:
+        array = EDRAMArray(8, 4, tech=_TECH, macro_rows=4, macro_cols=2)
+        array.cell(5, 2).apply_defect(CellDefect(DefectKind.BRIDGE))
+        return array
+
+    fast = ArrayScanner(build(), None).scan()
+    slow = ArrayScanner(build(), None, use_kernel=False).scan()
+    np.testing.assert_array_equal(fast.vgs, slow.vgs)
+    np.testing.assert_array_equal(fast.codes, slow.codes)
+    np.testing.assert_array_equal(fast.tiers, slow.tiers)
+    assert (fast.tiers[4:8, 2:4] == "e").all()
+    assert fast.stats.kernel_cells == fast.vgs.size - 8

@@ -1,11 +1,13 @@
-"""Property tests: checkpointed scans persist per slab and resume across plans.
+"""Property tests: checkpointed scans crash and resume bit-exact, per slab.
 
-A kernel scan with a checkpoint runs one kernel pass per macro-row slab
-and persists once per slab; with the kernel off every macro is its own
-slab.  A per-macro checkpoint (ending mid-slab) must resume through the
-row-slab plan to the planes (vgs, codes, tiers, quality) of a plain
-uninterrupted ``scan()``.  Interrupting and resuming within one plan is
-part of the scan-path oracle (``tests/property/test_scan_path_oracle.py``).
+A serial kernel scan with a checkpoint runs one kernel pass per
+macro-row slab and persists once per slab.  The crash/resume oracle:
+interrupt the scan at any ``scan.macro_done`` firing, resume it from the
+checkpoint it left, and the planes (vgs, codes, tiers, quality) must
+equal a plain uninterrupted ``scan()`` — with bridge macros riding the
+engine tier inside their slab.  The persisted ``completed`` list must
+always be whole slabs, and a per-macro checkpoint (as the per-macro
+driver writes it, ending mid-slab) must resume just as exactly.
 """
 
 import tempfile
@@ -100,6 +102,21 @@ def _resume_matches_plain_scan(ledger, recipe, run_id):
             getattr(resumed, plane), getattr(plain, plane), err_msg=plane
         )
     assert list_checkpoints(ledger) == []
+
+
+@given(recipe=_recipes(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_slab_interrupt_resumes_bit_exact(recipe, data):
+    array = _build(recipe)
+    per_row = array.macros_per_row
+    after = data.draw(st.integers(0, array.num_macros - 1))
+    with tempfile.TemporaryDirectory() as root:
+        ledger = RunLedger(root)
+        state = _interrupted(ledger, recipe, after)
+        # Only slabs finished before the interrupted macro's slab are
+        # durable: the persisted list is always whole macro rows.
+        assert state.completed == list(range(after // per_row * per_row))
+        _resume_matches_plain_scan(ledger, recipe, state.run_id)
 
 
 @given(recipe=_recipes(), data=st.data())

@@ -1,11 +1,14 @@
 """The instrumented hot paths: scans, the sequencer, the pipeline.
 
-The invariant here is **coverage**: an engine-tier scan must produce
-the full scan → macro → cell → phase 1–5 span tree the docs promise.
-That attaching a tracer/metrics registry changes no bit is pinned by
-the scan-path oracle (``tests/property/test_scan_path_oracle.py``).
+Two invariants matter most:
+
+- **bit-exactness** — attaching a tracer/metrics registry must not
+  change a single code (the no-op default path is the production path);
+- **coverage** — an engine-tier scan must produce the full
+  scan → macro → cell → phase 1–5 span tree the docs promise.
 """
 
+import numpy as np
 import pytest
 
 from repro.diagnosis.pipeline import DiagnosisPipeline
@@ -28,6 +31,18 @@ def bridged_array(tech):
     arr = EDRAMArray(8, 4, tech=tech, macro_cols=2)
     arr.cell(2, 0).apply_defect(CellDefect(DefectKind.BRIDGE))
     return arr
+
+
+class TestBitExactness:
+    def test_traced_scan_codes_identical(self, bridged_array, structure_8x2):
+        scanner = ArrayScanner(bridged_array, structure_8x2)
+        plain = scanner.scan()
+        observed = scanner.scan(
+            ScanConfig(tracer=Tracer(), metrics=MetricsRegistry())
+        )
+        assert np.array_equal(plain.codes, observed.codes)
+        assert np.array_equal(plain.vgs, observed.vgs)
+        assert np.array_equal(plain.tiers, observed.tiers)
 
 
 class TestSpanCoverage:
