@@ -8,10 +8,11 @@ workers over a socket — it polls leases (and the OS exit codes), so a
 SIGKILLed worker is indistinguishable from a powered-off machine: its
 lease simply goes stale and supervision takes over.
 
-Writes are atomic (tmp + rename) and reads are tolerant: a half-written
-or corrupt lease reads as ``None``, which the orchestrator treats the
-same as "no heartbeat yet" — a crashed writer must never be able to
-wedge its own recovery by leaving garbage behind.
+Writes are durable (:func:`~repro.resilience.durable.durable_write`)
+and reads are tolerant: a half-written or corrupt lease reads as
+``None``, which the orchestrator treats the same as "no heartbeat yet"
+— a crashed writer must never be able to wedge its own recovery by
+leaving garbage behind.
 
 Wall-clock time (``time.time``) is deliberate here: leases are compared
 across processes and survive restarts, so a monotonic clock (whose
@@ -23,10 +24,11 @@ lint rules do not apply.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from repro.resilience.durable import durable_write
 
 __all__ = ["ShardLease", "write_lease", "read_lease", "heartbeat_age"]
 
@@ -54,12 +56,11 @@ class ShardLease:
 
 
 def write_lease(path: str | Path, lease: ShardLease) -> None:
-    """Persist ``lease`` atomically (tmp + rename)."""
+    """Persist ``lease`` durably."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(asdict(lease)) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    text = json.dumps(asdict(lease)) + "\n"
+    durable_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def read_lease(path: str | Path) -> ShardLease | None:

@@ -13,7 +13,7 @@ fingerprint, or the merge refuses).  Concretely:
 - every shard result's config fingerprint (and wafer parameters) must
   equal the fleet's — mixing results from different configurations is
   a :class:`~repro.errors.FleetError`, not a quiet wrong answer,
-- writes are atomic (tmp + rename) and the merge is **idempotent**:
+- writes are durable (tmp, fsync, rename) and the merge is **idempotent**:
   re-running it over the same shard results produces byte-identical
   ``lot.npz`` / ``lot.json`` (no timestamps inside — provenance time
   lives in the run-ledger manifest, not the artifact),
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import FleetError
 from repro.fleet.lease import read_lease
+from repro.resilience.durable import durable_write
 from repro.wafer import DieQuality
 
 __all__ = ["LotMerge", "merge_lot", "lot_scalars"]
@@ -212,7 +213,7 @@ def merge_lot(
 
     Reads ``fleet.json``, validates partition and fingerprints, fills
     retry-exhausted shards' ranges with FAILED die quality, writes
-    ``lot.npz`` + ``lot.json`` atomically, and (when ``ledger`` is
+    ``lot.npz`` + ``lot.json`` durably, and (when ``ledger`` is
     given) records a ``kind="lot"`` manifest carrying the lot scalars
     for the drift engine.  Idempotent: merging again without new shard
     results rewrites byte-identical artifacts.
@@ -345,17 +346,11 @@ def merge_lot(
         "failed_ranges": [list(r) for r in sorted(failed_ranges)],
         "scalars": scalars,
     }
-    npz_path = root / "lot.npz"
-    tmp = npz_path.with_suffix(".tmp.npz")
-    np.savez_compressed(tmp, meta=np.array(json.dumps(lot_meta)), **planes)
-    os.replace(tmp, npz_path)
-    json_path = root / "lot.json"
-    tmp_json = json_path.with_suffix(".tmp")
-    tmp_json.write_text(
-        json.dumps(lot_meta, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp_json, json_path)
+    durable_write(root / "lot.npz", lambda fh: np.savez_compressed(
+        fh, meta=np.array(json.dumps(lot_meta)), **planes
+    ))
+    text = json.dumps(lot_meta, indent=2, sort_keys=True) + "\n"
+    durable_write(root / "lot.json", lambda fh: fh.write(text.encode("utf-8")))
 
     run_id = None
     if ledger is not None:

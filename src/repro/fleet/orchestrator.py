@@ -20,11 +20,15 @@ alive through anything short of losing every machine:
   marked ``failed`` and the lot completes without it — the merge stage
   fills its die range with FAILED quality instead of sinking the lot.
 
-Fleet state lives in ``fleet.json`` at the fleet root (atomic tmp +
-rename), so ``repro fleet status`` and the merge stage read a
+Fleet state lives in ``fleet.json`` at the fleet root (written
+durably), so ``repro fleet status`` and the merge stage read a
 consistent picture even while the fleet is running, and health gauges
-stream into the ambient metrics registry in the same style as the
-supervised pool's telemetry.
+stream into the ambient metrics registry.
+
+No worker outlives its orchestrator: if :meth:`FleetOrchestrator.run`
+exits by an exception, every live worker is SIGKILLed and reaped first,
+so a re-run in the same root can never put a second writer on a shard's
+checkpoint, lease or result.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from typing import Any
 from repro.errors import FleetError
 from repro.fleet.lease import heartbeat_age, read_lease
 from repro.fleet.partition import ShardRange, plan_shards, validate_partition
+from repro.resilience.durable import durable_write
 
 __all__ = [
     "DEFAULT_FLEET_DIR",
@@ -252,7 +257,7 @@ class FleetOrchestrator:
         return {"config": config_fingerprint(config), "wafer": self.wafer}
 
     def _write_state(self, state: str) -> None:
-        """Persist ``fleet.json`` atomically."""
+        """Persist ``fleet.json`` durably."""
         payload = {
             "format": FLEET_FORMAT,
             "state": state,
@@ -270,9 +275,8 @@ class FleetOrchestrator:
             },
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.fleet_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, self.fleet_path)
+        text = json.dumps(payload, indent=2) + "\n"
+        durable_write(self.fleet_path, lambda fh: fh.write(text.encode("utf-8")))
 
     # -- supervision ---------------------------------------------------
 
@@ -298,9 +302,8 @@ class FleetOrchestrator:
         }
         spec_path = Path(paths["spec_path"])
         spec_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = spec_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, spec_path)
+        text = json.dumps(spec, indent=2) + "\n"
+        durable_write(spec_path, lambda fh: fh.write(text.encode("utf-8")))
 
         # A fresh worker needs a beat of Python startup before it writes
         # its own lease; a leftover lease from a previous generation (or
@@ -340,7 +343,7 @@ class FleetOrchestrator:
         return None
 
     def _emit_gauges(self, running: int, backoff: int) -> None:
-        """Fleet health telemetry, pool-heartbeat style (ambient registry)."""
+        """Fleet health gauges into the ambient metrics registry."""
         from repro.obs.metrics import active_metrics
 
         registry = active_metrics()
@@ -378,7 +381,9 @@ class FleetOrchestrator:
         Returns a :class:`FleetReport` whose ``state`` is ``healthy``
         (every shard done), ``degraded`` (some failed, some done) or
         ``failed`` (every shard failed).  Never raises on shard death —
-        only on orchestration misuse (bad partition, bad parameters).
+        only on orchestration misuse (bad partition, bad parameters) or
+        an interrupt, and then only after killing and reaping every live
+        worker.
         """
         from repro.wafer import WaferModel
 
@@ -405,83 +410,92 @@ class FleetOrchestrator:
         restart_at: dict[int, float] = {}
         last_gauges = 0.0
 
-        while True:
-            now = time.monotonic()
-            # 1. Reap exits.
-            for status in self._statuses:
-                proc = procs.get(status.shard_id)
-                if proc is None or status.state != "running":
-                    continue
-                code = proc.poll()
-                if code is None:
-                    continue
-                procs.pop(status.shard_id)
-                status.exitcode = code
-                if code == 0:
-                    status.state = "done"
-                    lease = read_lease(
-                        self._paths(status.shard_id)["lease_path"]
+        try:
+            while True:
+                now = time.monotonic()
+                # 1. Reap exits.
+                for status in self._statuses:
+                    proc = procs.get(status.shard_id)
+                    if proc is None or status.state != "running":
+                        continue
+                    code = proc.poll()
+                    if code is None:
+                        continue
+                    procs.pop(status.shard_id)
+                    status.exitcode = code
+                    if code == 0:
+                        status.state = "done"
+                        lease = read_lease(
+                            self._paths(status.shard_id)["lease_path"]
+                        )
+                        if lease is not None:
+                            status.run_id = lease.run_id
+                    else:
+                        self._handle_death(status, restart_at, now)
+                # 2. Kill wedged workers (stale lease while still running).
+                for status in self._statuses:
+                    if status.state != "running":
+                        continue
+                    proc = procs.get(status.shard_id)
+                    if proc is None:
+                        continue
+                    lease = read_lease(self._paths(status.shard_id)["lease_path"])
+                    # Only a lease the current worker wrote can condemn it —
+                    # a stale file from another pid/generation says nothing
+                    # about this process's health.
+                    if (
+                        lease is None
+                        or lease.pid != proc.pid
+                        or lease.generation != status.attempts - 1
+                    ):
+                        continue
+                    age = heartbeat_age(lease)
+                    if age > self.heartbeat_timeout:
+                        try:
+                            proc.send_signal(signal.SIGKILL)
+                        except OSError:  # pragma: no cover - already gone
+                            pass
+                        proc.wait()
+                        procs.pop(status.shard_id, None)
+                        status.exitcode = -signal.SIGKILL
+                        self._handle_death(status, restart_at, now)
+                # 3. Fill free worker slots: unstarted shards in id order,
+                #    then respawns whose backoff elapsed.  The first loop
+                #    iteration does the initial spawns through this path.
+                running = sum(1 for s in self._statuses if s.state == "running")
+                for status in self._statuses:
+                    if running >= cap:
+                        break
+                    if status.state == "pending":
+                        procs[status.shard_id] = self._spawn(status)
+                        running += 1
+                    elif status.state == "backoff" and now >= restart_at.get(
+                        status.shard_id, 0.0
+                    ):
+                        restart_at.pop(status.shard_id, None)
+                        status.respawns += 1
+                        procs[status.shard_id] = self._spawn(status)
+                        running += 1
+                # 4. Telemetry + persisted status (throttled).
+                if now - last_gauges >= self.poll_seconds:
+                    last_gauges = now
+                    self._emit_gauges(
+                        running=sum(
+                            1 for s in self._statuses if s.state == "running"
+                        ),
+                        backoff=len(restart_at),
                     )
-                    if lease is not None:
-                        status.run_id = lease.run_id
-                else:
-                    self._handle_death(status, restart_at, now)
-            # 2. Kill wedged workers (stale lease while still running).
-            for status in self._statuses:
-                if status.state != "running":
-                    continue
-                proc = procs.get(status.shard_id)
-                if proc is None:
-                    continue
-                lease = read_lease(self._paths(status.shard_id)["lease_path"])
-                # Only a lease the current worker wrote can condemn it —
-                # a stale file from another pid/generation says nothing
-                # about this process's health.
-                if (
-                    lease is None
-                    or lease.pid != proc.pid
-                    or lease.generation != status.attempts - 1
-                ):
-                    continue
-                age = heartbeat_age(lease)
-                if age > self.heartbeat_timeout:
-                    try:
-                        proc.send_signal(signal.SIGKILL)
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-                    proc.wait()
-                    procs.pop(status.shard_id, None)
-                    status.exitcode = -signal.SIGKILL
-                    self._handle_death(status, restart_at, now)
-            # 3. Fill free worker slots: unstarted shards in id order,
-            #    then respawns whose backoff elapsed.  The first loop
-            #    iteration does the initial spawns through this path.
-            running = sum(1 for s in self._statuses if s.state == "running")
-            for status in self._statuses:
-                if running >= cap:
+                if all(s.state in ("done", "failed") for s in self._statuses):
                     break
-                if status.state == "pending":
-                    procs[status.shard_id] = self._spawn(status)
-                    running += 1
-                elif status.state == "backoff" and now >= restart_at.get(
-                    status.shard_id, 0.0
-                ):
-                    restart_at.pop(status.shard_id, None)
-                    status.respawns += 1
-                    procs[status.shard_id] = self._spawn(status)
-                    running += 1
-            # 4. Telemetry + persisted status (throttled).
-            if now - last_gauges >= self.poll_seconds:
-                last_gauges = now
-                self._emit_gauges(
-                    running=sum(
-                        1 for s in self._statuses if s.state == "running"
-                    ),
-                    backoff=len(restart_at),
-                )
-            if all(s.state in ("done", "failed") for s in self._statuses):
-                break
-            time.sleep(self.poll_seconds)
+                time.sleep(self.poll_seconds)
+        except BaseException:
+            # Never leave a worker running past its supervisor: a re-run
+            # in this root would put a second writer on its files.
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                proc.wait()
+            raise
 
         done = sum(1 for s in self._statuses if s.state == "done")
         if done == len(self._statuses):

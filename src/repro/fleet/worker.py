@@ -10,8 +10,8 @@ but the spec path, and a human can re-run a dead shard by hand.
 
 Crash-safety ordering is the point of this module:
 
-1. measure the range (checkpoint persists after every die, atomically),
-2. write ``result.npz`` (tmp + rename),
+1. measure the range (checkpoint persists after every die, durably),
+2. write ``result.npz`` (durably),
 3. record the shard manifest into the shard's run ledger,
 4. **only then** delete the checkpoint (``Checkpointer.finish``),
 5. flip the lease to ``done``.
@@ -34,6 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import FleetError, ResilienceError
+from repro.resilience.durable import durable_write
 
 __all__ = ["fault_plan_from_spec", "load_spec", "run_shard", "main"]
 
@@ -98,7 +99,7 @@ def load_spec(path: str | Path) -> dict[str, Any]:
 
 
 def _write_result(path: Path, scan, meta: dict[str, Any]) -> None:
-    """Persist the shard planes atomically (tmp + rename).
+    """Persist the shard planes durably.
 
     Uncompressed on purpose: results live only until the merge reads
     them, and compressing multi-megabyte die planes costs the worker
@@ -106,9 +107,8 @@ def _write_result(path: Path, scan, meta: dict[str, Any]) -> None:
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({"format": _RESULT_FORMAT, **meta})
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(
-        tmp,
+    durable_write(path, lambda fh: np.savez(
+        fh,
         meta=np.array(payload),
         die_means=scan.die_means,
         die_sigmas=scan.die_sigmas,
@@ -116,8 +116,7 @@ def _write_result(path: Path, scan, meta: dict[str, Any]) -> None:
         die_codes=scan.die_codes,
         die_cell_quality=scan.die_cell_quality,
         die_quality=scan.die_quality,
-    )
-    os.replace(tmp, path)
+    ))
 
 
 def _shard_scalars(scan) -> dict[str, float]:

@@ -25,6 +25,7 @@ from repro.calibration.abacus import Abacus
 from repro.errors import CalibrationError, MeasurementError
 from repro.measure.scan import ScanResult
 from repro.measure.structure import MeasurementStructure
+from repro.resilience.durable import durable_write
 from repro.units import aF
 
 #: Format 2 added the per-cell quality plane (format-1 files load as
@@ -42,16 +43,18 @@ def save_scan(result: ScanResult, path: str | Path) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(".npz")
-    np.savez_compressed(
+    return durable_write(
         path,
-        format=np.array(_SCAN_FORMAT),
-        codes=result.codes,
-        vgs=result.vgs,
-        tiers=result.tiers.astype("<U1"),
-        num_steps=np.array(result.num_steps),
-        quality=result.quality,
+        lambda fh: np.savez_compressed(
+            fh,
+            format=np.array(_SCAN_FORMAT),
+            codes=result.codes,
+            vgs=result.vgs,
+            tiers=result.tiers.astype("<U1"),
+            num_steps=np.array(result.num_steps),
+            quality=result.quality,
+        ),
     )
-    return path
 
 
 def load_scan(path: str | Path) -> ScanResult:
@@ -110,8 +113,8 @@ def save_abacus(abacus: Abacus, path: str | Path) -> Path:
         "design": _design_fingerprint(abacus.structure),
         "edges_af": [edge * 1e18 for edge in abacus.edges],
     }
-    path.write_text(json.dumps(payload, indent=2))
-    return path
+    text = json.dumps(payload, indent=2)
+    return durable_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def load_abacus(path: str | Path, structure: MeasurementStructure) -> Abacus:

@@ -27,9 +27,6 @@ UNT001    suspicious-unit-magnitude    element value implies an SI slip
 PY001     raw-si-literal               femto-scale magic float in source
 PY002     bare-assert                  assert as runtime validation
 ERC006    swallowed-repro-error        broad except eats ReproError silently
-CCY001    fork-captured-global-write   worker writes a fork-captured global
-CCY002    mutation-after-handoff       object mutated after worker handoff
-CCY003    shm-missing-cleanup          SharedMemory without unlink/atexit
 CCY004    fingerprint-drift            config_fingerprint misses a data field
 DET001    wallclock-in-measurement-path  time.time()/now() near results
 DET002    unseeded-rng                 RNG without a seeded Generator

@@ -96,7 +96,7 @@ def lint_technology(tech: TechnologyCard, only: Iterable[str] | None = None) -> 
 def lint_source(
     paths: Iterable[str | Path], only: Iterable[str] | None = None
 ) -> LintReport:
-    """Run AST source rules (PY/ERC006/CCY/DET) over files and directories."""
+    """Run AST source rules (PY/ERC006/DET) over files and directories."""
     report = LintReport()
     specs = REGISTRY.for_target("source", only)
     for path in pylint_rules.iter_python_files([Path(p) for p in paths]):

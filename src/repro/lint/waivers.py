@@ -3,8 +3,8 @@
 A waiver file is a JSON list of objects::
 
     [
-      {"code": "CCY001", "location": "worker.py",
-       "reason": "sanctioned per-process installer",
+      {"code": "DET002", "location": "noise.py",
+       "reason": "legacy draw, seeded by the caller",
        "expires": "2026-12-31"}
     ]
 

@@ -354,16 +354,12 @@ class RunLedger:
     def checkpoint_files(self) -> list[Path]:
         """Checkpoint files of unfinished runs, sorted by name.
 
-        A save in flight (or torn by a kill) is an ``rNNNN.tmp.npz``
-        beside the run's last good ``rNNNN.npz``; it is not a run of its
-        own and is skipped.
+        A save in flight (or torn by a kill) is an ``rNNNN.npz.tmp``
+        beside the run's last good ``rNNNN.npz``; the glob skips it.
         """
         if not self.checkpoint_dir.exists():
             return []
-        return sorted(
-            path for path in self.checkpoint_dir.glob("r*.npz")
-            if not path.name.endswith(".tmp.npz")
-        )
+        return sorted(self.checkpoint_dir.glob("r*.npz"))
 
     # -- locking --------------------------------------------------------
 
@@ -501,7 +497,7 @@ class RunLedger:
 
         Id allocation and the append happen under the ledger's advisory
         lock (:meth:`locked`), so concurrent recorders serialise
-        cleanly.  A checkpointed run that reserved its id up front
+        cleanly; the line is fsynced before the lock is released.  A checkpointed run that reserved its id up front
         passes it via ``run_id`` instead of allocating a new one.
 
         When ``scan`` is given its planes are saved under
@@ -529,6 +525,8 @@ class RunLedger:
             fault_point("ledger.append", run_id=manifest.run_id, kind=manifest.kind)
             with open(self.manifest_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(manifest.to_dict()) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
         return manifest
 
     def _base_manifest(

@@ -294,14 +294,15 @@ class MetricsRegistry:
         self.merge_shipped(other.to_shipped())
 
     def write_jsonl(self, target: str | TextIO) -> None:
-        """Write one JSON object per instrument to a path or open file."""
+        """Write one JSON object per instrument to a path (durably) or open file."""
         if hasattr(target, "write"):
             for metric in self:
                 target.write(json.dumps(metric.to_dict()) + "\n")  # type: ignore[union-attr]
         else:
-            with open(target, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-                for metric in self:
-                    fh.write(json.dumps(metric.to_dict()) + "\n")
+            from repro.resilience.durable import durable_write
+
+            text = "".join(json.dumps(m.to_dict()) + "\n" for m in self)
+            durable_write(target, lambda fh: fh.write(text.encode("utf-8")))  # type: ignore[arg-type]
 
     def summary_table(self) -> str:
         """Aligned text table of every instrument (the CLI's view)."""

@@ -29,7 +29,6 @@ test suite.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -274,9 +273,9 @@ class Tracer:
     def write_jsonl(self, target: str | TextIO) -> None:
         """Write the trace as JSON lines to a path or open text file.
 
-        Path targets are written atomically (temp sibling + rename) so a
-        process killed mid-export can never leave a truncated trace file
-        behind for the parent's merge to choke on.
+        Path targets go through
+        :func:`~repro.resilience.durable.durable_write`, so a process
+        killed mid-export never leaves a truncated trace file behind.
         """
         if self._stack:
             open_names = ", ".join(s.name for s in self._stack)
@@ -287,19 +286,10 @@ class Tracer:
             for span in self.spans:
                 target.write(json.dumps(span.to_dict()) + "\n")  # type: ignore[union-attr]
             return
-        path = os.fspath(target)  # type: ignore[arg-type]
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for span in self.spans:
-                    fh.write(json.dumps(span.to_dict()) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        from repro.resilience.durable import durable_write
+
+        text = "".join(json.dumps(span.to_dict()) + "\n" for span in self.spans)
+        durable_write(target, lambda fh: fh.write(text.encode("utf-8")))  # type: ignore[arg-type]
 
 
 class _NullAttributes:

@@ -13,7 +13,9 @@ each of them from "lose the run" into data:
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy` with bounded
   attempts and seeded exponential backoff + jitter;
 - :mod:`~repro.resilience.checkpoint` — :class:`Checkpointer` /
-  checkpoint files under the run ledger powering ``--resume``.
+  checkpoint files under the run ledger powering ``--resume``;
+- :mod:`~repro.resilience.durable` — ``durable_write``, the one way a
+  whole file reaches disk (tmp, fsync, rename, directory fsync).
 """
 
 from repro.resilience.checkpoint import (

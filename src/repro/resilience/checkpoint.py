@@ -7,10 +7,11 @@ job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
   ledger's advisory lock) and persists its partial planes to
   ``<ledger>/checkpoints/<run_id>.npz`` after every completed unit of
   work (die for wafer runs); a serial kernel scan completes its macros
-  one macro-row slab at a time and persists once per slab.  Writes are
-  atomic (tmp + rename), so a kill mid-save leaves the previous good
-  state; the torn ``<run_id>.tmp.npz`` is never listed as a run and is
-  removed when that run resumes or finishes.
+  one macro-row slab at a time and persists once per slab.  Writes go
+  through :func:`~repro.resilience.durable.durable_write`, so a kill
+  mid-save leaves the previous good state; the torn
+  ``<run_id>.npz.tmp`` is never listed as a run, the next save replaces
+  it and :meth:`Checkpointer.finish` removes it.
 * ``repro scan --resume r0042`` reloads that file, validates it against
   the resuming configuration via its
   :func:`~repro.obs.ledger.config_fingerprint` — the data-affecting
@@ -30,7 +31,6 @@ CLI's array-rebuild arguments or the wafer's per-die state).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.obs.ledger import RunLedger
+from repro.resilience.durable import durable_write, tmp_path
 
 __all__ = [
     "ScanCheckpoint",
@@ -84,10 +85,6 @@ class ScanCheckpoint:
 
 def _checkpoint_path(ledger: RunLedger, run_id: str) -> Path:
     return ledger.checkpoint_dir / f"{run_id}.npz"
-
-
-def _tmp_path(ledger: RunLedger, run_id: str) -> Path:
-    return ledger.checkpoint_dir / f"{run_id}.tmp.npz"
 
 
 def load_checkpoint(path: str | Path) -> ScanCheckpoint:
@@ -237,8 +234,6 @@ class Checkpointer:
                 self._write(state)
                 self._last_save = time.monotonic()
                 self._save_cost = self._last_save - began
-        # A save torn by an earlier kill of this run is superseded.
-        _tmp_path(self.ledger, state.run_id).unlink(missing_ok=True)
         # A reused Checkpointer must not carry the previous run's
         # completed-index cache into a new run.
         self._done_seen = None
@@ -330,8 +325,11 @@ class Checkpointer:
         ``finish`` the ledger shows a completed run and no checkpoint.
         """
         state = self._require_state()
-        _checkpoint_path(self.ledger, state.run_id).unlink(missing_ok=True)
-        _tmp_path(self.ledger, state.run_id).unlink(missing_ok=True)
+        path = _checkpoint_path(self.ledger, state.run_id)
+        path.unlink(missing_ok=True)
+        # A save torn by a kill of an earlier generation of this run
+        # (a throttled shard may finish without saving again).
+        tmp_path(path).unlink(missing_ok=True)
         self._done_seen = None
         return state.run_id
 
@@ -356,9 +354,12 @@ class Checkpointer:
                 "updated": _now(),
             }
         )
-        tmp = _tmp_path(self.ledger, state.run_id)
-        np.savez_compressed(tmp, meta=np.array(payload), **state.arrays)
-        os.replace(tmp, _checkpoint_path(self.ledger, state.run_id))
+        durable_write(
+            _checkpoint_path(self.ledger, state.run_id),
+            lambda fh: np.savez_compressed(
+                fh, meta=np.array(payload), **state.arrays
+            ),
+        )
 
 
 def _now() -> str:

@@ -29,6 +29,10 @@ Fault sites currently instrumented (grep ``fault_point(`` for truth):
                         slab's checkpoint persist (attrs: macro)
 ``wafer.die_done``      parent-side, after a die lands (attrs: die)
 ``ledger.append``       before a manifest line is appended
+``durable.write``       in :func:`~repro.resilience.durable.durable_write`,
+                        after the tmp is fsynced, before the rename
+                        (attrs: target — file name, parent — its
+                        directory's name)
 ======================  ===============================================
 
 Zero-cost when disarmed: :func:`fault_point` is one context-variable

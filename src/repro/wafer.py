@@ -495,12 +495,16 @@ class WaferModel:
         )
         with ambient:
             plan = active_fault_plan()
+            # Persistence sites fire outside die scans (those record and
+            # checkpoint nothing), so they keep the chunked path too.
             chunked = (
                 self._backend.uses_kernel
                 and not config.force_engine
                 and not config.preflight
-                and (plan is None
-                     or all(f.site.startswith("wafer.") for f in plan.faults))
+                and (plan is None or all(
+                    f.site.startswith(("wafer.", "durable.", "ledger."))
+                    for f in plan.faults
+                ))
             )
             progress.start(hi - lo, label=label, units="dies")
             for index, (x, y, r) in enumerate(self.sites()):

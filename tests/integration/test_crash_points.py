@@ -1,0 +1,239 @@
+"""Crash-point drill: fail at every persistence boundary, then recover.
+
+Every whole-file write goes through ``durable_write``, whose
+``durable.write`` fault point sits between the tmp's fsync and its
+rename, and the run ledger's manifest append fires ``ledger.append``.
+The persistence boundaries of a run are therefore exactly the
+invocations of those two sites, and the code lists them itself: after a
+clean run, each setting is replayed with one fault at the k-th
+invocation of a site (``after=k, times=1``) for k = 0, 1, 2, ... until
+a replay in which the fault never fires (the method of ALICE, Pillai et
+al., OSDI 2014, and CrashMonkey, Mohan et al., OSDI 2018).
+
+Every replay must recover to planes bit-identical with the clean run
+(or an exact FAILED range), leave no ``*.tmp`` under its root, refuse a
+resume only with a :class:`CheckpointError` that says why (a fresh run
+then reproduces the clean planes), and leave no worker process running
+once its orchestrator returns or raises.
+"""
+
+import numpy as np
+import pytest
+
+from repro.edram.array import EDRAMArray
+from repro.errors import CheckpointError
+from repro.fleet import FleetOrchestrator, merge_lot
+from repro.measure.config import ScanConfig
+from repro.measure.scan import ArrayScanner
+from repro.obs.ledger import RunLedger
+from repro.resilience import Checkpointer, Fault, FaultPlan, RetryPolicy, inject
+from repro.resilience.checkpoint import list_checkpoints
+from repro.wafer import WaferModel
+
+SITES = ("durable.write", "ledger.append")
+
+WAFER = {"diameter_dies": 5, "seed": 3}  # 21 dies
+
+_LOT_PLANES = (
+    "die_means", "die_sigmas", "die_vgs", "die_codes",
+    "die_cell_quality", "die_quality",
+)
+
+
+def _drill(replay) -> dict[str, int]:
+    """Boundaries per site: replays whose fault fired, counted until one
+    does not."""
+    found = {}
+    for site in SITES:
+        k = 0
+        while replay(site, k):
+            k += 1
+        found[site] = k
+    return found
+
+
+def _no_tmp(root):
+    assert sorted(str(p) for p in root.rglob("*.tmp")) == []
+
+
+def _resume_or_restart(run, ledger, run_id):
+    """Resume the interrupted run; if nothing is left to resume, the
+    refusal must say why and a fresh run must take over."""
+    unfinished = [c.run_id for c in list_checkpoints(ledger)]
+    if unfinished:
+        assert unfinished == [run_id]
+        return run(Checkpointer(ledger, resume=run_id))
+    with pytest.raises(CheckpointError, match=f"no checkpoint '{run_id}'"):
+        run(Checkpointer(ledger, resume=run_id))
+    return run(Checkpointer(ledger))
+
+
+def _interrupted_in_process(tmp_path, run, site, k):
+    """One in-process replay: KeyboardInterrupt at the k-th ``site``,
+    then resume (or refuse + restart).  Returns (fired, result, ledger)."""
+    root = tmp_path / f"{site}-{k}"
+    ledger = RunLedger(root)
+    checkpointer = Checkpointer(ledger)
+    plan = FaultPlan([Fault(site, error=KeyboardInterrupt(), after=k, times=1)])
+    try:
+        with inject(plan):
+            result = run(checkpointer)
+    except KeyboardInterrupt:
+        assert plan.firings
+        _no_tmp(root)
+        run_id = checkpointer.state.run_id if checkpointer.state else "r0001"
+        result = _resume_or_restart(run, ledger, run_id)
+    assert list_checkpoints(ledger) == []
+    assert len(ledger.runs()) == 1
+    _no_tmp(root)
+    return bool(plan.firings), result
+
+
+# ----------------------------------------------------------------------
+# Scan: in-process, recorded and checkpointed
+# ----------------------------------------------------------------------
+
+
+def _scan(checkpointer):
+    array = EDRAMArray(16, 8, macro_rows=4, macro_cols=4)
+    return ArrayScanner(array, None).scan(
+        ScanConfig(checkpoint=checkpointer, ledger=checkpointer.ledger)
+    )
+
+
+def test_scan_recovers_from_every_crash_point(tmp_path):
+    clean = _scan(Checkpointer(tmp_path / "clean"))
+
+    def replay(site, k):
+        fired, result = _interrupted_in_process(tmp_path, _scan, site, k)
+        for plane in ("vgs", "codes", "tiers", "quality"):
+            np.testing.assert_array_equal(
+                getattr(result, plane), getattr(clean, plane)
+            )
+        return fired
+
+    # Reservation + one save per macro-row slab (4) + the artifact.
+    assert _drill(replay) == {"durable.write": 6, "ledger.append": 1}
+
+
+# ----------------------------------------------------------------------
+# Wafer: measure_wafer with a checkpoint
+# ----------------------------------------------------------------------
+
+
+def _wafer(checkpointer):
+    report = WaferModel(**WAFER).measure_wafer(
+        ScanConfig(checkpoint=checkpointer, ledger=checkpointer.ledger)
+    )
+    return np.array(
+        [(d.mean_capacitance, d.sigma_capacitance) for d in report.dies]
+    )
+
+
+def test_wafer_recovers_from_every_crash_point(tmp_path):
+    clean = _wafer(Checkpointer(tmp_path / "clean"))
+
+    def replay(site, k):
+        fired, result = _interrupted_in_process(tmp_path, _wafer, site, k)
+        np.testing.assert_array_equal(result, clean)
+        return fired
+
+    # Reservation + one save per die.
+    assert _drill(replay) == {"durable.write": 22, "ledger.append": 1}
+
+
+# ----------------------------------------------------------------------
+# Fleet: shard workers and the orchestrator + merge
+# ----------------------------------------------------------------------
+
+
+def _fleet(root, **overrides):
+    return FleetOrchestrator(
+        root, wafer=dict(WAFER), shards=2, poll_seconds=0.02,
+        retry=RetryPolicy(max_attempts=3, base_delay=0.01),
+        max_concurrent=2, **overrides,
+    )
+
+
+@pytest.fixture(scope="module")
+def clean_lot(tmp_path_factory):
+    root = tmp_path_factory.mktemp("clean") / "fleet"
+    assert _fleet(root).run().state == "healthy"
+    return merge_lot(root)
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every worker process the orchestrator starts."""
+    procs = []
+    real_spawn = FleetOrchestrator._spawn
+
+    def recording_spawn(self, status):
+        proc = real_spawn(self, status)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(FleetOrchestrator, "_spawn", recording_spawn)
+    return procs
+
+
+def _assert_lot_matches(lot, clean):
+    assert lot.state == "healthy" and lot.failed_ranges == []
+    for plane in _LOT_PLANES:
+        np.testing.assert_array_equal(getattr(lot, plane), getattr(clean, plane))
+
+
+def _assert_no_orphans(procs):
+    assert [p.pid for p in procs if p.poll() is None] == []
+
+
+def test_shard_workers_recover_from_every_crash_point(
+    tmp_path, clean_lot, spawned
+):
+    def replay(site, k):
+        root = tmp_path / f"{site}-{k}"
+        faults = {"seed": 0, "faults": [
+            {"site": site, "kind": "kill", "after": k, "times": 1},
+        ]}
+        report = _fleet(root, faults=faults, fault_attempts="first").run()
+        _assert_no_orphans(spawned)
+        assert report.state == "healthy"
+        _assert_lot_matches(merge_lot(root), clean_lot)
+        _no_tmp(root)
+        return report.respawns > 0
+
+    found = _drill(replay)
+    # Per worker: the first lease, the checkpoint reservation, the
+    # result and the done lease at least; heartbeats and throttled
+    # saves add more.  One shard manifest each.
+    assert found["durable.write"] >= 4
+    assert found["ledger.append"] == 1
+
+
+def test_orchestrator_and_merge_recover_from_every_crash_point(
+    tmp_path, clean_lot, spawned
+):
+    def job(root, ledger):
+        _fleet(root).run()
+        return merge_lot(root, ledger=ledger)
+
+    def replay(site, k):
+        root = tmp_path / f"{site}-{k}" / "fleet"
+        ledger = RunLedger(root.parent / "lots")
+        plan = FaultPlan([
+            Fault(site, error=KeyboardInterrupt(), after=k, times=1)
+        ])
+        try:
+            with inject(plan):
+                lot = job(root, ledger)
+        except KeyboardInterrupt:
+            _assert_no_orphans(spawned)
+            lot = job(root, ledger)
+        _assert_no_orphans(spawned)
+        _assert_lot_matches(lot, clean_lot)
+        assert len(ledger.runs()) == 1
+        _no_tmp(root.parent)
+        return bool(plan.firings)
+
+    # fleet.json twice, two specs, lot.npz, lot.json; one lot manifest.
+    assert _drill(replay) == {"durable.write": 6, "ledger.append": 1}

@@ -122,7 +122,7 @@ def test_builtin_registry_has_all_documented_codes():
     assert set(REGISTRY.codes()) >= {
         "ERC001", "ERC002", "ERC003", "ERC004", "ERC005", "ERC006",
         "PRM001", "UNT001", "PY001", "PY002",
-        "CCY001", "CCY002", "CCY003", "CCY004",
+        "CCY004",
         "DET001", "DET002", "DET003", "DET004",
     }
 

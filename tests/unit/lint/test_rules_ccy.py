@@ -1,222 +1,7 @@
-"""Concurrency rules (CCY001-004): fork races, handoff, shm, fingerprint."""
+"""Concurrency rule CCY004: config-fingerprint drift."""
 
-from repro.lint import REGISTRY, LintReport, lint_project, lint_source
+from repro.lint import REGISTRY, LintReport, lint_project
 from repro.lint.diagnostics import Severity
-
-
-def _write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-# ----------------------------------------------------------------------
-# CCY001 fork-captured-global-write
-# ----------------------------------------------------------------------
-
-WORKER_WRITES_GLOBAL = """\
-_CACHE = {}
-
-def _init_worker(scanner):
-    _CACHE["scanner"] = scanner
-"""
-
-
-def test_ccy001_flags_worker_write_to_module_global(tmp_path):
-    path = _write(tmp_path, "pool.py", WORKER_WRITES_GLOBAL)
-    report = lint_source([path], only=("CCY001",))
-    assert report.codes() == {"CCY001"}
-    d = next(iter(report))
-    assert "_CACHE" in d.nodes
-    assert "fork-captured" in d.message
-    assert str(path) in (d.location or "")
-
-
-def test_ccy001_reaches_through_helper_calls(tmp_path):
-    body = (
-        "_STATE = []\n"
-        "def _helper(x):\n"
-        "    _STATE.append(x)\n"
-        "def _scan_one(task):\n"
-        "    _helper(task)\n"
-    )
-    report = lint_source([_write(tmp_path, "pool.py", body)], only=("CCY001",))
-    assert report.codes() == {"CCY001"}
-    assert "_helper" in next(iter(report)).message
-
-
-def test_ccy001_flags_initializer_keyword_entry(tmp_path):
-    body = (
-        "_STATE = {}\n"
-        "def _setup(x):\n"
-        "    _STATE[0] = x\n"
-        "def start(pool_cls):\n"
-        "    return pool_cls(initializer=_setup, initargs=(1,))\n"
-    )
-    report = lint_source([_write(tmp_path, "pool.py", body)], only=("CCY001",))
-    assert report.codes() == {"CCY001"}
-
-
-def test_ccy001_flags_global_rebind(tmp_path):
-    body = (
-        "_PLAN = None\n"
-        "def _init_worker(plan):\n"
-        "    global _PLAN\n"
-        "    _PLAN = plan\n"
-    )
-    report = lint_source([_write(tmp_path, "pool.py", body)], only=("CCY001",))
-    assert report.codes() == {"CCY001"}
-    assert "rebinds" in next(iter(report)).message
-
-
-def test_ccy001_pragma_suppresses(tmp_path):
-    body = (
-        "_CACHE = {}\n"
-        "def _init_worker(s):\n"
-        "    _CACHE['s'] = s  # lint: allow-worker-state\n"
-    )
-    assert len(lint_source([_write(tmp_path, "pool.py", body)],
-                           only=("CCY001",))) == 0
-
-
-def test_ccy001_local_shadow_is_clean(tmp_path):
-    body = (
-        "_CACHE = {}\n"
-        "def _scan_one(task):\n"
-        "    _CACHE = {}\n"
-        "    _CACHE['t'] = task\n"
-        "    return _CACHE\n"
-    )
-    assert len(lint_source([_write(tmp_path, "pool.py", body)],
-                           only=("CCY001",))) == 0
-
-
-def test_ccy001_no_worker_entry_means_no_findings(tmp_path):
-    body = "_CACHE = {}\ndef install(s):\n    _CACHE['s'] = s\n"
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY001",))) == 0
-
-
-def test_ccy001_test_files_exempt(tmp_path):
-    path = _write(tmp_path, "test_pool.py", WORKER_WRITES_GLOBAL)
-    assert len(lint_source([path], only=("CCY001",))) == 0
-
-
-# ----------------------------------------------------------------------
-# CCY002 mutation-after-handoff
-# ----------------------------------------------------------------------
-
-
-def test_ccy002_flags_append_after_submit(tmp_path):
-    body = (
-        "def drive(pool):\n"
-        "    tasks = [1, 2]\n"
-        "    pool.run(tasks)\n"
-        "    tasks.append(3)\n"
-    )
-    report = lint_source([_write(tmp_path, "mod.py", body)], only=("CCY002",))
-    assert report.codes() == {"CCY002"}
-    assert "tasks" in next(iter(report)).nodes
-
-
-def test_ccy002_flags_initargs_then_item_assign(tmp_path):
-    body = (
-        "def start(pool_cls, plan):\n"
-        "    pool_cls(initializer=f, initargs=(plan,))\n"
-        "    plan['extra'] = 1\n"
-        "def f(p):\n"
-        "    return p\n"
-    )
-    report = lint_source([_write(tmp_path, "mod.py", body)], only=("CCY002",))
-    assert report.codes() == {"CCY002"}
-
-
-def test_ccy002_mutation_before_handoff_is_clean(tmp_path):
-    body = (
-        "def drive(pool):\n"
-        "    tasks = []\n"
-        "    tasks.append(1)\n"
-        "    pool.run(tasks)\n"
-    )
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY002",))) == 0
-
-
-def test_ccy002_rebinding_after_handoff_is_clean(tmp_path):
-    body = (
-        "def drive(pool):\n"
-        "    tasks = [1]\n"
-        "    pool.run(tasks)\n"
-        "    tasks = [2]\n"
-        "    return tasks\n"
-    )
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY002",))) == 0
-
-
-def test_ccy002_pragma_suppresses(tmp_path):
-    body = (
-        "def drive(pool):\n"
-        "    tasks = [1]\n"
-        "    pool.run(tasks)\n"
-        "    tasks.append(2)  # lint: allow-handoff-mutation\n"
-    )
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY002",))) == 0
-
-
-# ----------------------------------------------------------------------
-# CCY003 shm-missing-cleanup
-# ----------------------------------------------------------------------
-
-
-def test_ccy003_flags_create_without_any_teardown(tmp_path):
-    body = (
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def alloc(n):\n"
-        "    return SharedMemory(create=True, size=n)\n"
-    )
-    report = lint_source([_write(tmp_path, "mod.py", body)], only=("CCY003",))
-    messages = " ".join(d.message for d in report)
-    assert len(report) == 2
-    assert "unlink" in messages
-    assert "atexit" in messages
-
-
-def test_ccy003_unlink_plus_atexit_is_clean(tmp_path):
-    body = (
-        "import atexit\n"
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def alloc(n):\n"
-        "    seg = SharedMemory(create=True, size=n)\n"
-        "    atexit.register(close)\n"
-        "    return seg\n"
-        "def close():\n"
-        "    seg.close()\n"
-        "    seg.unlink()\n"
-    )
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY003",))) == 0
-
-
-def test_ccy003_attach_without_create_is_clean(tmp_path):
-    body = (
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def attach(name):\n"
-        "    return SharedMemory(name=name)\n"
-    )
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY003",))) == 0
-
-
-def test_ccy003_pragma_suppresses(tmp_path):
-    body = (
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def alloc(n):\n"
-        "    return SharedMemory(create=True, size=n)  # lint: allow-shm-lifecycle\n"
-    )
-    assert len(lint_source([_write(tmp_path, "mod.py", body)],
-                           only=("CCY003",))) == 0
 
 
 # ----------------------------------------------------------------------

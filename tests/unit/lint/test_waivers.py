@@ -71,7 +71,7 @@ def test_expired_waiver_stops_suppressing_and_warns():
 
 def test_stale_expired_waiver_matching_nothing_still_warns():
     report = LintReport()
-    apply_waivers(report, [Waiver(code="CCY003", expires="2025-01-01")],
+    apply_waivers(report, [Waiver(code="DET002", expires="2025-01-01")],
                   today=TODAY)
     assert len(report.warnings) == 1
     assert "matching nothing (stale entry)" in report.warnings[0].message
@@ -87,10 +87,10 @@ def test_load_waivers_roundtrip(tmp_path):
     path.write_text(json.dumps([
         {"code": "PY002", "location": "mod.py", "reason": "legacy",
          "expires": "2026-12-31"},
-        {"code": "CCY001"},
+        {"code": "DET001"},
     ]), encoding="utf-8")
     waivers = load_waivers(path)
-    assert [w.code for w in waivers] == ["PY002", "CCY001"]
+    assert [w.code for w in waivers] == ["PY002", "DET001"]
     assert waivers[0].expires == "2026-12-31"
 
 

@@ -279,13 +279,13 @@ class TestAtomicWrite:
             replaced.append((str(src), str(dst)))
             return real_replace(src, dst)
 
-        monkeypatch.setattr("repro.obs.trace.os.replace", spying_replace)
+        monkeypatch.setattr("repro.resilience.durable.os.replace", spying_replace)
         tracer = Tracer(clock=make_clock())
         with tracer.span("scan"):
             pass
         tracer.write_jsonl(target)
         assert replaced and replaced[0][1] == str(target)
-        assert ".tmp." in replaced[0][0]
+        assert replaced[0][0] == str(target) + ".tmp"
         lines = target.read_text().splitlines()
         assert json.loads(lines[0])["name"] == "scan"
 
@@ -295,7 +295,7 @@ class TestAtomicWrite:
         def exploding_replace(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.obs.trace.os.replace", exploding_replace)
+        monkeypatch.setattr("repro.resilience.durable.os.replace", exploding_replace)
         tracer = Tracer(clock=make_clock())
         with tracer.span("scan"):
             pass

@@ -165,7 +165,7 @@ def test_config_fingerprint_is_the_stored_checkpoint_key():
 
 
 def test_torn_tmp_file_is_not_a_run_and_is_cleaned_up(tmp_path, capsys):
-    # A kill inside a save leaves a truncated rNNNN.tmp.npz beside the
+    # A kill inside a save leaves a truncated rNNNN.npz.tmp beside the
     # last good rNNNN.npz; it is neither listed nor counted as a run id,
     # and resuming + finishing the run removes it with the checkpoint.
     from repro.cli import main
@@ -174,7 +174,7 @@ def test_torn_tmp_file_is_not_a_run_and_is_cleaned_up(tmp_path, capsys):
     _start(ck)
     ck.mark_done(0)
     good = ck.path.read_bytes()
-    torn = ck.path.with_name("r0001.tmp.npz")
+    torn = ck.path.with_name("r0001.npz.tmp")
     torn.write_bytes(good[: len(good) // 2])
 
     ledger = RunLedger(tmp_path)

@@ -174,6 +174,10 @@ def test_die_loop_routes_dies_by_kernel_eligibility():
     # A plan on the wafer loop's own site keeps the chunk path ...
     silent = Fault("wafer.die_done", error=RuntimeError("never"), after=10**6)
     assert run(faults=FaultPlan([silent])) == (chunked, (1, 0))
+    # ... and so does one on a persistence site, which fires outside die
+    # scans (the crash-point drill arms those) ...
+    persist = Fault("durable.write", error=RuntimeError("never"), after=10**6)
+    assert run(faults=FaultPlan([persist])) == (chunked, (1, 0))
     # ... one on any other site sends every die through its own scan,
     # which takes one kernel pass per macro-row slab (two per die).
     foreign = Fault("scan.closed_form", error=RuntimeError("never"), after=10**6)
