@@ -670,6 +670,64 @@ def bench_perf_scan_registry_overhead(tech):
     )
 
 
+def bench_perf_scan_checkpoint_cost(tech, tmp_path, monkeypatch):
+    """Write-cost gate: a checkpointed scan writes each row about once.
+
+    A 512×512 checkpointed scan (32 macro-row slabs) must land planes
+    bit-identical to a plain scan, make exactly 1 + slabs durable
+    writes (the manifest, then one journal segment per slab) and
+    persist at most 1.25× one set of result planes in total.  These are
+    counts and bytes, so the gate is deterministic; wall times are
+    reported, not gated, because fsync latency varies from host to host.
+    """
+    import repro.resilience.checkpoint as checkpoint_module
+    from repro.resilience import Checkpointer
+
+    rows = cols = 512
+    array = _build(tech, rows=rows, cols=cols)
+    structure = design_structure(tech, MACRO_ROWS, MACRO_COLS, bitline_rows=rows)
+    scanner = ArrayScanner(array, structure)
+    plain_seconds, plain = _best_of(scanner.scan)
+
+    written = []
+    durable_write = checkpoint_module.durable_write
+
+    def counting_write(path, writer):
+        durable_write(path, writer)
+        written.append(path.stat().st_size)
+
+    def checkpointed():
+        written.clear()
+        return scanner.scan(ScanConfig(checkpoint=Checkpointer(tmp_path)))
+
+    monkeypatch.setattr(checkpoint_module, "durable_write", counting_write)
+    checkpoint_seconds, scan = _best_of(checkpointed)
+
+    planes = ("codes", "vgs", "tiers", "quality")
+    for plane in planes:
+        assert np.array_equal(getattr(scan, plane), getattr(plain, plane)), plane
+    slabs = array.macros_per_col
+    plane_bytes = sum(getattr(plain, plane).nbytes for plane in planes)
+    persisted = sum(written)
+    report(
+        "PERF: checkpointed scan write cost",
+        "\n".join([
+            f"array {rows}x{cols}, {MACRO_ROWS}x{MACRO_COLS} macros, "
+            f"{slabs} slabs",
+            f"durable writes   : {len(written)}  (manifest + 1 per slab)",
+            f"persisted bytes  : {persisted / 1e6:.2f} MB  "
+            f"({persisted / plane_bytes:.2f}x one set of planes "
+            f"{plane_bytes / 1e6:.2f} MB)",
+            f"plain scan       : {plain_seconds * 1e3:8.1f} ms (best of 3)",
+            f"checkpointed scan: {checkpoint_seconds * 1e3:8.1f} ms (best of 3, "
+            f"{checkpoint_seconds / plain_seconds:.2f}x, not gated)",
+        ]),
+    )
+    assert len(written) == 1 + slabs
+    assert persisted <= 1.25 * plane_bytes
+    assert list(Checkpointer(tmp_path).ledger.checkpoint_dir.iterdir()) == []
+
+
 def bench_perf_scan_smoke(benchmark, tech):
     """CI smoke: one round on a small array, stats sanity only."""
     array = _build(tech, rows=32, cols=8)

@@ -13,6 +13,9 @@ fingerprint, or the merge refuses).  Concretely:
 - every shard result's config fingerprint (and wafer parameters) must
   equal the fleet's — mixing results from different configurations is
   a :class:`~repro.errors.FleetError`, not a quiet wrong answer,
+- a shard result holds only its ``[start, stop)`` slice of each plane;
+  the merge scatters the slices and refuses one whose length is not
+  its range's,
 - writes are durable (tmp, fsync, rename) and the merge is **idempotent**:
   re-running it over the same shard results produces byte-identical
   ``lot.npz`` / ``lot.json`` (no timestamps inside — provenance time
@@ -284,16 +287,23 @@ def merge_lot(
                 f"{meta.get('die_range')} but the partition assigns "
                 f"[{start}, {stop})"
             )
+        for name, array in arrays.items():
+            if array.shape[:1] != (stop - start,):
+                raise FleetError(
+                    f"shard {shard_id} result plane {name!r} has shape "
+                    f"{array.shape}, but its range [{start}, {stop}) holds "
+                    f"{stop - start} dies"
+                )
         shard_runs[key] = meta.get("run_id")
         if planes is None:
             planes = {
-                name: np.zeros_like(array)
+                name: np.zeros((total_dies, *array.shape[1:]), array.dtype)
                 for name, array in arrays.items()
             }
             planes["die_means"][:] = np.nan
             planes["die_sigmas"][:] = np.nan
         for name, array in arrays.items():
-            planes[name][start:stop] = array[start:stop]
+            planes[name][start:stop] = array
 
     if planes is None:
         # Every shard failed: an all-FAILED lot with empty planes.

@@ -167,7 +167,10 @@ class FleetOrchestrator:
         Route worker scans through the exact engine (reference mode).
     checkpoint_every_seconds:
         Worker checkpoint persistence throttle (``Checkpointer
-        .min_save_seconds``); ``0.0`` persists after every die.
+        .min_save_seconds``): the dies a worker finishes within one
+        window go to its checkpoint journal as one segment, so a crash
+        re-runs at most that window.  ``0.0`` writes a segment per die
+        (a file create and two fsyncs each).
     max_concurrent:
         Worker subprocesses allowed to run at once; ``None`` (the
         default) caps at the cores this process may schedule on.

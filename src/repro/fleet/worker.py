@@ -38,8 +38,8 @@ from repro.resilience.durable import durable_write
 
 __all__ = ["fault_plan_from_spec", "load_spec", "run_shard", "main"]
 
-#: ``result.npz`` format version.
-_RESULT_FORMAT = 1
+#: ``result.npz`` format version (2: planes hold only the shard's range).
+_RESULT_FORMAT = 2
 
 
 def fault_plan_from_spec(payload: dict[str, Any] | None):
@@ -99,23 +99,26 @@ def load_spec(path: str | Path) -> dict[str, Any]:
 
 
 def _write_result(path: Path, scan, meta: dict[str, Any]) -> None:
-    """Persist the shard planes durably.
+    """Persist the shard's ``[lo, hi)`` slice of each plane durably.
 
-    Uncompressed on purpose: results live only until the merge reads
-    them, and compressing multi-megabyte die planes costs the worker
-    more wall time than the disk it saves.
+    Range-sized, so a shard's result scales with its own dies, not the
+    wafer; the merge scatters each slice into the lot.  Uncompressed on
+    purpose: results live only until the merge reads them, and
+    compressing multi-megabyte die planes costs the worker more wall
+    time than the disk it saves.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = json.dumps({"format": _RESULT_FORMAT, **meta})
+    lo, hi = scan.die_range
     durable_write(path, lambda fh: np.savez(
         fh,
         meta=np.array(payload),
-        die_means=scan.die_means,
-        die_sigmas=scan.die_sigmas,
-        die_vgs=scan.die_vgs,
-        die_codes=scan.die_codes,
-        die_cell_quality=scan.die_cell_quality,
-        die_quality=scan.die_quality,
+        die_means=scan.die_means[lo:hi],
+        die_sigmas=scan.die_sigmas[lo:hi],
+        die_vgs=scan.die_vgs[lo:hi],
+        die_codes=scan.die_codes[lo:hi],
+        die_cell_quality=scan.die_cell_quality[lo:hi],
+        die_quality=scan.die_quality[lo:hi],
     ))
 
 

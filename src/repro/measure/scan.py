@@ -33,8 +33,9 @@ pinned by integration tests.
 Performance layer (see docs/architecture.md "Scan driver: plan →
 execute → assemble"): the closed form is the batched kernel of
 :mod:`repro.measure.kernel` — one whole-array pass, or one pass per
-macro-row slab when a checkpoint or fault plan needs per-macro
-landing — and the engine tier reuses one cached netlist per macro.
+macro-row slab when a checkpoint persists per slab or a fault plan
+needs per-macro landing — and the engine tier reuses one cached
+netlist per macro.
 Process parallelism lives in the wafer fleet (:mod:`repro.fleet`),
 not inside a scan.
 
@@ -452,18 +453,16 @@ class ArrayScanner:
             rows, cols = self.array.rows, self.array.cols
             # The kernel evaluates every closed-form macro unless
             # force_engine (or a backend without a kernel) pins the
-            # per-macro drivers; a checkpoint or fault plan needs
-            # per-macro landing, so it splits the pass into row slabs.
+            # per-macro drivers.  A checkpoint persists once per row
+            # slab, so it splits the pass into slabs; only an armed
+            # fault plan needs each tile landed on its own.
             kernel_ok = (
                 self._use_kernel
                 and backend.uses_kernel
                 and not config.force_engine
             )
-            bulk = (
-                kernel_ok
-                and checkpointer is None
-                and active_fault_plan() is None
-            )
+            per_tile = active_fault_plan() is not None
+            bulk = kernel_ok and checkpointer is None and not per_tile
             out = _Assembler(self.array, config, bulk)
             done = out.resume(config)
             kernel_cells = 0
@@ -504,6 +503,16 @@ class ArrayScanner:
                         out.land_plane(s_vgs, s_codes, engine, share)
                         kernel_cells += tiles * out.cells_per_macro
                         per_macro = sorted(engine)
+                    elif kernel_ok and not per_tile:
+                        # One landing for the slab's kernel tiles.
+                        per_macro = [i for i in slab if i in engine]
+                        out.land_slab(
+                            rsl,
+                            [i for i in slab if i not in engine]
+                            if per_macro else slab,
+                            s_vgs, s_codes, share,
+                        )
+                        kernel_cells += tiles * out.cells_per_macro
                     else:
                         per_macro = slab
                     for index in per_macro:
@@ -525,7 +534,7 @@ class ArrayScanner:
                                 macro, m_vgs, m_codes, tier, m_quality,
                                 perf_counter() - macro_start,
                             )
-                    out.persist(slab)
+                    out.persist(slab, rsl)
                 config.progress.finish()
                 out.check()
 
@@ -591,23 +600,25 @@ class ArrayScanner:
         """Slabs of macro indices still to scan, with their row slices.
 
         One slab for the whole array on the bulk path; one macro row
-        per slab when tiles must land one at a time (a checkpoint or
-        fault plan is armed); one macro per slab when the kernel is
-        off, so nothing runs that is not persisted right after.
+        per slab when a checkpoint persists per slab or a fault plan
+        needs tiles landed one at a time; one macro per slab when the
+        kernel is off, so nothing runs that is not persisted right
+        after.
         """
         array = self.array
         if bulk:
             return [(slice(0, array.rows), range(array.num_macros))]
         per_row = array.macros_per_row
         per_slab = per_row if kernel_ok else 1
-        slabs: dict[int, list[int]] = {}
-        for index in range(array.num_macros):
-            if index not in done:
-                slabs.setdefault(index // per_slab, []).append(index)
         mr = array.macro_rows
         plan: list[tuple[slice, range | list[int]]] = []
-        for slab in slabs.values():
-            row = slab[0] // per_row * mr
+        for first in range(0, array.num_macros, per_slab):
+            slab: range | list[int] = range(first, first + per_slab)
+            if done:
+                slab = [index for index in slab if index not in done]
+                if not slab:
+                    continue
+            row = first // per_row * mr
             plan.append((slice(row, row + mr), slab))
         return plan
 
@@ -651,12 +662,12 @@ class _Assembler:
     """The scan's result planes and the landing of tiles in them.
 
     Every macro lands exactly once — restored from the checkpoint, as
-    part of a bulk kernel plane, or as its own tile — and :meth:`check`
-    proves it before the result is built.  Tile landings advance
-    progress and fire the ``scan.macro_done`` fault site; a bulk plane
-    does its progress in one call and fires no per-macro site, which
-    keeps a whole-array scan's bookkeeping off its hot path (the bulk
-    path only runs with no fault plan armed).
+    part of a bulk kernel plane or slab, or as its own tile — and
+    :meth:`check` proves it before the result is built.  Tile landings
+    advance progress and fire the ``scan.macro_done`` fault site; a
+    bulk plane or slab does its progress in one call and fires no
+    per-macro site, which keeps a scan's bookkeeping off its hot path
+    (both only run with no fault plan armed).
     """
 
     def __init__(self, array: EDRAMArray, config: ScanConfig, bulk: bool) -> None:
@@ -718,6 +729,33 @@ class _Assembler:
         self._landed += kernel
         self.progress.advance(cells * (n - len(engine)))
 
+    def land_slab(
+        self, rsl: slice, tiles: range | list[int], vgs: np.ndarray,
+        codes: np.ndarray, share: float,
+    ) -> None:
+        """Land the kernel ``tiles`` of one row slab from its kernel planes.
+
+        A whole slab lands as one band; a slab that a per-macro
+        checkpoint left half done lands only its undone tiles' columns,
+        since its done tiles already hold their journaled values.
+        """
+        array = self.array
+        if len(tiles) == array.macros_per_row:
+            columns = [slice(None)]
+        else:
+            columns = [
+                slice(m.col_start, m.col_stop) for m in map(array.macro, tiles)
+            ]
+        for csl in columns:
+            self.vgs[rsl, csl] = vgs[:, csl]
+            self.codes[rsl, csl] = codes[:, csl]
+            self.tiers[rsl, csl] = "c"
+            self.quality[rsl, csl] = CellQuality.GOOD
+        cells = self.cells_per_macro
+        self.timings.extend(MacroTiming(index, "c", cells, share) for index in tiles)
+        self._landed[tiles] += 1
+        self.progress.advance(cells * len(tiles))
+
     def place(
         self,
         macro: MacroCell,
@@ -741,10 +779,10 @@ class _Assembler:
         self.progress.advance(macro.num_cells)
         fault_point("scan.macro_done", macro=macro.index)
 
-    def persist(self, slab: range | list[int]) -> None:
-        """Mark a finished slab done: one checkpoint save per slab."""
+    def persist(self, slab: range | list[int], rows: slice) -> None:
+        """Mark a finished slab done: one journal segment of its rows."""
         if self.checkpointer is not None:
-            self.checkpointer.mark_done(*slab)
+            self.checkpointer.mark_done(*slab, rows=rows)
 
     def check(self) -> None:
         """Every macro landed exactly once (no gap, no double write)."""

@@ -32,6 +32,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -48,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (io -> scan -> config
     from repro.diagnosis.pipeline import PipelineReport
     from repro.measure.config import ScanConfig
     from repro.measure.scan import ScanResult
+    from repro.measure.stats import ScanStats
     from repro.wafer import WaferReport
 
 __all__ = [
@@ -69,6 +71,13 @@ _ARTIFACT_DIR = "artifacts"
 _CHECKPOINT_DIR = "checkpoints"
 _LOCK_NAME = ".lock"
 _FORMAT = 1
+
+#: The head of a manifest line as :meth:`RunLedger.record` writes it:
+#: ``RunManifest.to_dict`` keys ``format`` then ``run_id`` first, so the
+#: id is readable without decoding the rest of the line.
+_HEAD = rb'\{"format": \d+, "run_id": "([^"\\]*)", '
+_LINE_HEADS = re.compile(rb"^" + _HEAD, re.MULTILINE)
+_ANY_HEAD = re.compile(_HEAD)
 
 #: How long :meth:`RunLedger.locked` waits for the advisory lock before
 #: giving up with a :class:`LedgerError`.
@@ -337,6 +346,9 @@ class RunLedger:
 
     def __init__(self, root: str | Path = DEFAULT_LEDGER_DIR) -> None:
         self.root = Path(root)
+        #: (inode, bytes, highest id number) of the manifest prefix
+        #: :meth:`next_run_id` has already read.
+        self._ids_read: tuple[int, int, int] = (-1, 0, 0)
 
     @property
     def manifest_path(self) -> Path:
@@ -352,10 +364,11 @@ class RunLedger:
         return self.root / _CHECKPOINT_DIR
 
     def checkpoint_files(self) -> list[Path]:
-        """Checkpoint files of unfinished runs, sorted by name.
+        """Checkpoint manifests of unfinished runs, sorted by name.
 
-        A save in flight (or torn by a kill) is an ``rNNNN.npz.tmp``
-        beside the run's last good ``rNNNN.npz``; the glob skips it.
+        The glob skips a manifest write in flight (or torn by a kill),
+        ``rNNNN.npz.tmp``, and each run's ``rNNNN.journal`` segment
+        directory.
         """
         if not self.checkpoint_dir.exists():
             return []
@@ -406,16 +419,54 @@ class RunLedger:
 
         Scans both the manifest *and* the checkpoint directory, so an
         unfinished checkpointed run keeps its reserved id even though
-        no manifest line exists for it yet.
+        no manifest line exists for it yet.  Only the run ids are read
+        (see :meth:`_highest_recorded`), and only those recorded since
+        this ledger last looked.
         """
-        highest = 0
-        for manifest in self.runs():
-            highest = max(highest, _run_number(manifest.run_id))
+        highest = self._highest_recorded()
         for path in self.checkpoint_files():
             highest = max(highest, _run_number(path.stem))
         return f"r{highest + 1:04d}"
 
     # -- reading --------------------------------------------------------
+
+    def _highest_recorded(self) -> int:
+        """The highest ``rNNNN`` number recorded in the manifest.
+
+        The manifest is append-only, so the ledger remembers how far it
+        has read and reads only the lines appended since; those it reads
+        off their heads, without decoding JSON.  The shortcut holds only
+        while every new line is one whole manifest as :meth:`record`
+        writes it: one head, at the start, and ending ``}``.  Anything
+        else — a torn last line, a torn line the next append ran into, a
+        hand-edited line — falls back to :meth:`runs`, which raises the
+        same :class:`LedgerError` it always does.
+        """
+        try:
+            fh = open(self.manifest_path, "rb")
+        except FileNotFoundError:
+            return 0
+        with fh:
+            stat = os.fstat(fh.fileno())
+            inode, offset, highest = self._ids_read
+            if stat.st_ino != inode or stat.st_size < offset:
+                offset, highest = 0, 0  # a different file: read it all
+            fh.seek(offset)
+            new = fh.read()
+        ids = _LINE_HEADS.findall(new)
+        lines = new.count(b"\n")
+        if len(ids) == lines == new.count(b"}\n") == len(_ANY_HEAD.findall(new)):
+            highest = max([highest, *(_run_number(i.decode()) for i in ids)])
+        else:
+            highest = max(
+                [0, *(_run_number(m.run_id) for m in self.runs())]
+            )
+            if not new.endswith(b"\n"):
+                # An unterminated last line: read it again next time.
+                self._ids_read = (-1, 0, 0)
+                return highest
+        self._ids_read = (stat.st_ino, offset + len(new), highest)
+        return highest
 
     def runs(self) -> list[RunManifest]:
         """All manifests in record order (empty for a fresh ledger)."""
@@ -588,7 +639,7 @@ class RunLedger:
             wall_seconds=wall, cpu_seconds=cpu_seconds,
             trace_path=trace_path, extra=extra,
         )
-        manifest.stats = result.stats.to_dict() if result.stats is not None else None
+        manifest.stats = _manifest_stats(result.stats)
         manifest.scalars = scan_scalars(result)
         if bitmap is not None:
             manifest.scalars.update(bitmap_scalars(bitmap))
@@ -658,7 +709,7 @@ class RunLedger:
             trace_path=None, extra=extra,
         )
         scan = report.scan
-        manifest.stats = scan.stats.to_dict() if scan.stats is not None else None
+        manifest.stats = _manifest_stats(scan.stats)
         manifest.scalars = scan_scalars(scan)
         manifest.scalars.update(bitmap_scalars(report.analog))
         process = report.process
@@ -731,6 +782,20 @@ def _lock_holder(fh) -> str:
     except (PermissionError, OSError):  # pragma: no cover - other-uid holder
         liveness = "alive"
     return f"pid {pid} ({liveness})"
+
+
+def _manifest_stats(stats: "ScanStats | None") -> dict[str, Any] | None:
+    """``stats.to_dict()`` without the per-macro timings.
+
+    A manifest line is read back whole by every ledger query; the
+    per-macro list was most of a scan's line (one entry per macro) and
+    nothing reads it from the ledger — ``--stats-out`` still has it.
+    """
+    if stats is None:
+        return None
+    record = stats.to_dict()
+    del record["macro_timings"]
+    return record
 
 
 def _run_number(run_id: str) -> int:

@@ -4,38 +4,44 @@ A million-cell wafer run that dies at 97% — power cut, pre-empted batch
 job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
 
 * A run that checkpoints **reserves its run id up front** (under the
-  ledger's advisory lock) and persists its partial planes to
-  ``<ledger>/checkpoints/<run_id>.npz`` after every completed unit of
-  work (die for wafer runs); a serial kernel scan completes its macros
-  one macro-row slab at a time and persists once per slab.  Writes go
-  through :func:`~repro.resilience.durable.durable_write`, so a kill
-  mid-save leaves the previous good state; the torn
-  ``<run_id>.npz.tmp`` is never listed as a run, the next save replaces
-  it and :meth:`Checkpointer.finish` removes it.
-* ``repro scan --resume r0042`` reloads that file, validates it against
-  the resuming configuration via its
+  ledger's advisory lock) by writing a small manifest,
+  ``<ledger>/checkpoints/<run_id>.npz``: kind, config fingerprint, unit
+  count, caller meta and each plane's name, shape and dtype — no plane
+  data.
+* Every persist then appends one **journal segment**,
+  ``<run_id>.journal/NNNNNN.npz``: the unit indices it completes, the
+  leading-axis rows those units cover, and just those rows of each
+  plane.  A segment costs O(units since the last persist), not O(plane),
+  so a run writes each row about once however many times it persists
+  (a wafer run persists after every die, a kernel scan once per
+  macro-row slab).  Manifest and segments go through
+  :func:`~repro.resilience.durable.durable_write`, so a kill mid-write
+  leaves the previous good state; a torn ``*.tmp`` is never listed as a
+  run or replayed, and the next write to its name replaces it.
+* ``repro scan --resume r0042`` validates the manifest against the
+  resuming configuration via its
   :func:`~repro.obs.ledger.config_fingerprint` — the data-affecting
-  config fields — and re-executes only the units not yet marked
-  complete.  Bit-exactness with an uninterrupted run follows
-  from per-unit determinism: completed planes are byte-identical, and
-  the remaining units recompute exactly what they always would.
-* On completion the manifest is recorded under the reserved id and the
-  checkpoint file is deleted — a checkpoint file existing *is* the
-  statement "this run has not finished".
-
-The payload is a single ``.npz``: named planes plus one JSON ``meta``
-string (fingerprint, completed indices, and caller metadata such as the
-CLI's array-rebuild arguments or the wafer's per-die state).
+  config fields — and the caller's blank planes, replays the segments
+  in order into those blanks and re-executes only the units not yet
+  complete.  Bit-exactness with an uninterrupted run follows from
+  per-unit determinism: journaled rows are byte-identical, and the
+  remaining units recompute exactly what they always would.
+* On completion the run is recorded under the reserved id and
+  :meth:`Checkpointer.finish` removes the manifest, then the journal —
+  a manifest existing *is* the statement "this run has not finished".
+  A journal whose manifest is gone (a crash between the two removals)
+  is not a run; the next fresh :meth:`Checkpointer.start` sweeps it.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -50,17 +56,17 @@ __all__ = [
     "list_checkpoints",
 ]
 
-_FORMAT = 1
+_FORMAT = 2
 
 
 @dataclass
 class ScanCheckpoint:
-    """In-memory image of one checkpoint file.
+    """In-memory image of one checkpoint (manifest + replayed journal).
 
     ``arrays`` holds the partial result planes (written into in place
     by the run as units complete); ``completed`` lists the finished
     unit indices in completion order; ``meta`` is caller-owned JSON
-    state (array-rebuild args, wafer die records, ...).
+    state (array-rebuild args, ...).
     """
 
     kind: str
@@ -87,38 +93,120 @@ def _checkpoint_path(ledger: RunLedger, run_id: str) -> Path:
     return ledger.checkpoint_dir / f"{run_id}.npz"
 
 
-def load_checkpoint(path: str | Path) -> ScanCheckpoint:
-    """Read one checkpoint file, raising :class:`CheckpointError` when
-    unreadable or malformed."""
-    path = Path(path)
+def _journal_dir(manifest: Path) -> Path:
+    """``<run_id>.journal`` beside ``<run_id>.npz`` — out of the
+    ledger's ``r*.npz`` checkpoint glob."""
+    return manifest.with_suffix(".journal")
+
+
+def _segments(journal: Path) -> list[Path]:
+    """The journal's segments in write order (torn ``*.tmp`` skipped)."""
+    if not journal.is_dir():
+        return []
+    return sorted(journal.glob("[0-9]*.seg"), key=lambda p: int(p.stem))
+
+
+def _read_manifest(
+    path: Path,
+) -> tuple[ScanCheckpoint, dict[str, tuple[tuple[int, ...], np.dtype]]]:
+    """The run described by manifest ``path`` (no planes yet) and its
+    plane layout ``{name: (shape, dtype)}``."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            payload = json.loads(str(data["meta"]))
-            arrays = {
-                key: np.array(data[key]) for key in data.files if key != "meta"
-            }
-    except CheckpointError:
-        raise
+            header = json.loads(str(data["meta"]))
     except Exception as exc:  # lint: allow-broad-except - wrapped and re-raised
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     try:
-        if int(payload["format"]) != _FORMAT:
+        if int(header["format"]) != _FORMAT:
             raise CheckpointError(
-                f"checkpoint {path} has format {payload['format']}, "
+                f"checkpoint {path} has format {header['format']}, "
                 f"expected {_FORMAT}"
             )
-        return ScanCheckpoint(
-            kind=str(payload["kind"]),
-            run_id=str(payload["run_id"]),
-            fingerprint=dict(payload["fingerprint"]),
-            total=int(payload["total"]),
-            completed=[int(i) for i in payload["completed"]],
-            arrays=arrays,
-            meta=dict(payload.get("meta", {})),
-            created=str(payload.get("created", "")),
+        layout = {
+            str(name): (tuple(int(n) for n in spec["shape"]),
+                        np.dtype(spec["dtype"]))
+            for name, spec in header["planes"].items()
+        }
+        state = ScanCheckpoint(
+            kind=str(header["kind"]),
+            run_id=str(header["run_id"]),
+            fingerprint=dict(header["fingerprint"]),
+            total=int(header["total"]),
+            meta=dict(header.get("meta", {})),
+            created=str(header.get("created", "")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+    return state, layout
+
+
+def _row_index(rows: list[int]) -> slice | np.ndarray:
+    """Index for sorted unique ``rows``: a slice when they are a run."""
+    if rows and rows[-1] - rows[0] + 1 == len(rows):
+        return slice(rows[0], rows[-1] + 1)
+    return np.asarray(rows, dtype=np.intp)
+
+
+def _replay(journal: Path, arrays: dict[str, np.ndarray]) -> tuple[list[int], int]:
+    """Apply every segment of ``journal`` to ``arrays`` in write order.
+
+    Returns the completed unit indices (in completion order) and the
+    number of the last segment, so the run appends after it.
+    """
+    completed: list[int] = []
+    seen: set[int] = set()
+    last = 0
+    for path in _segments(journal):
+        try:
+            with open(path, "rb") as fh:
+                header = json.loads(fh.readline())
+                if header["format"] != _FORMAT or header["planes"] != sorted(arrays):
+                    raise ValueError(
+                        f"format {header['format']} with planes "
+                        f"{header['planes']}, expected format {_FORMAT} with "
+                        f"{sorted(arrays)}"
+                    )
+                rows = [int(r) for r in header["rows"]]
+                index = _row_index(rows)
+                for name in header["planes"]:
+                    plane = _ints(arrays[name])
+                    block = np.lib.format.read_array(fh, allow_pickle=False)
+                    if block.shape != (len(rows), *plane.shape[1:]) or (
+                        not np.can_cast(block.dtype, plane.dtype)
+                    ):
+                        raise ValueError(
+                            f"plane {name!r} block is {block.dtype}"
+                            f"{block.shape} for {len(rows)} rows of "
+                            f"{plane.dtype}{plane.shape}"
+                        )
+                    plane[index] = block
+                units = [int(u) for u in header["units"]]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"malformed checkpoint segment {path}: {exc}"
+            ) from exc
+        for unit in units:
+            if unit not in seen:
+                seen.add(unit)
+                completed.append(unit)
+        last = int(path.stem)
+    return completed, last
+
+
+def load_checkpoint(path: str | Path) -> ScanCheckpoint:
+    """Read one checkpoint — manifest plus journal — raising
+    :class:`CheckpointError` when unreadable or malformed.
+
+    The planes are the journal replayed into zeros of the manifest's
+    layout: rows no segment covers read as zero.
+    """
+    path = Path(path)
+    state, layout = _read_manifest(path)
+    state.arrays = {
+        name: np.zeros(shape, dtype) for name, (shape, dtype) in layout.items()
+    }
+    state.completed, _ = _replay(_journal_dir(path), state.arrays)
+    return state
 
 
 def list_checkpoints(ledger: RunLedger) -> list[ScanCheckpoint]:
@@ -143,25 +231,19 @@ class Checkpointer:
         arguments here so ``--resume`` can reconstruct the array).
         Ignored when resuming — the stored meta wins.
     min_save_seconds:
-        Minimum seconds between the atomic persists that
-        :meth:`mark_done` triggers.  ``0.0`` (the default) persists
-        after every unit — the strongest crash guarantee.  A fleet
-        shard raises this to bound checkpoint I/O on large wafers:
-        completed units still accumulate in memory on every
-        ``mark_done``, a crash merely re-runs the units finished since
-        the last persist, and resume stays bit-exact because re-run
-        dies reproduce their planes from the same RNG fast-forward.
-        Once throttled, the gap also adapts to the measured write cost
-        (a persist is deferred until it would cost at most
-        ``_MAX_SAVE_FRACTION`` of the elapsed runtime), so checkpoint
-        I/O stays a bounded fraction of the run no matter how large
-        the planes grow.  An explicit :meth:`save` always writes,
-        throttle or not.
+        Minimum seconds between the journal segments that
+        :meth:`mark_done` writes.  ``0.0`` (the default) persists after
+        every call — the strongest crash guarantee.  A segment costs
+        O(units since the last one) plus a fixed file create and two
+        fsyncs, so a run of many tiny units (a fleet shard's dies)
+        raises this to bound that fixed cost: completed units still
+        accumulate in memory on every ``mark_done`` and go out together
+        in the next segment, a crash merely re-runs the units finished
+        since the last persist, and resume stays bit-exact because
+        re-run dies reproduce their planes from the same RNG
+        fast-forward.  An explicit :meth:`save` always writes what is
+        pending.
     """
-
-    #: With throttling on, persists wait until their measured write
-    #: cost is at most this fraction of the time since the last one.
-    _MAX_SAVE_FRACTION = 0.05
 
     def __init__(
         self,
@@ -176,9 +258,11 @@ class Checkpointer:
         self.base_meta = dict(meta or {})
         self.min_save_seconds = float(min_save_seconds)
         self.state: ScanCheckpoint | None = None
-        self._last_save: float | None = None
-        self._save_cost = 0.0
+        self._last_save = 0.0
         self._done_seen: set[int] | None = None
+        self._segment = 0
+        self._pending_units: list[int] = []
+        self._pending_rows: set[int] = set()
 
     @property
     def resuming(self) -> bool:
@@ -192,7 +276,13 @@ class Checkpointer:
 
     @property
     def path(self) -> Path:
+        """The run's manifest, ``checkpoints/<run_id>.npz``."""
         return _checkpoint_path(self.ledger, self.run_id)
+
+    @property
+    def journal(self) -> Path:
+        """The run's segment directory, ``checkpoints/<run_id>.journal``."""
+        return _journal_dir(self.path)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -205,12 +295,14 @@ class Checkpointer:
         total: int,
         meta: dict[str, Any] | None = None,
     ) -> ScanCheckpoint:
-        """Open the run: reserve a fresh id, or reload + validate ``resume``.
+        """Open the run: reserve a fresh id, or validate + replay ``resume``.
 
-        On resume the loaded planes replace the caller's blanks (the
-        caller keeps writing into ``state.arrays``); kind, fingerprint,
-        unit count and array shapes must all match or the mismatch is
-        refused with a :class:`CheckpointError` naming the difference.
+        ``arrays`` are the caller's blank planes; the run keeps writing
+        into ``state.arrays``, which are those same arrays (on resume
+        with the journal replayed into them).  On resume kind,
+        fingerprint, unit count and plane layout must all match or the
+        mismatch is refused with a :class:`CheckpointError` naming the
+        difference.
         """
         if "meta" in arrays:
             raise CheckpointError("array name 'meta' is reserved")
@@ -228,17 +320,35 @@ class Checkpointer:
                     meta={**self.base_meta, **(meta or {})},
                     created=_now(),
                 )
-                # Writing the file inside the lock *is* the id
-                # reservation — next_run_id scans this directory.
-                began = time.monotonic()
-                self._write(state)
-                self._last_save = time.monotonic()
-                self._save_cost = self._last_save - began
+                manifest = _checkpoint_path(self.ledger, run_id)
+                self._sweep_journals(manifest)
+                _journal_dir(manifest).mkdir(parents=True)
+                # Writing the manifest inside the lock *is* the id
+                # reservation — next_run_id scans this directory.  Its
+                # directory fsync also makes the journal's entry durable.
+                self._write_manifest(state)
+            self._segment = 0
         # A reused Checkpointer must not carry the previous run's
-        # completed-index cache into a new run.
+        # completed-index cache or pending rows into a new run.
         self._done_seen = None
+        self._pending_units, self._pending_rows = [], set()
+        self._last_save = time.monotonic()
         self.state = state
         return state
+
+    def _sweep_journals(self, manifest: Path) -> None:
+        """Remove journals no manifest owns (call under the ledger lock).
+
+        A crash between :meth:`finish`'s two removals leaves one; so
+        does a run whose id is being reused after it finished
+        unrecorded — its stale segments must never replay into the new
+        run.
+        """
+        for journal in self.ledger.checkpoint_dir.glob("r*.journal"):
+            if journal == _journal_dir(manifest) or not journal.with_suffix(
+                ".npz"
+            ).exists():
+                shutil.rmtree(journal, ignore_errors=True)
 
     def _load_resume(
         self,
@@ -249,12 +359,14 @@ class Checkpointer:
     ) -> ScanCheckpoint:
         path = _checkpoint_path(self.ledger, str(self.resume))
         if not path.exists():
-            known = ", ".join(c.run_id for c in list_checkpoints(self.ledger))
+            known = ", ".join(
+                p.stem for p in self.ledger.checkpoint_files()
+            )
             raise CheckpointError(
                 f"no checkpoint {self.resume!r} in {self.ledger.checkpoint_dir} "
                 f"(unfinished runs: {known or '(none)'})"
             )
-        state = load_checkpoint(path)
+        state, layout = _read_manifest(path)
         if state.kind != kind:
             raise CheckpointError(
                 f"checkpoint {state.run_id} is a {state.kind!r} run, "
@@ -271,55 +383,77 @@ class Checkpointer:
                 f"checkpoint {state.run_id} covers {state.total} units, "
                 f"resuming run has {total}"
             )
+        if set(layout) != set(arrays):
+            raise CheckpointError(
+                f"checkpoint {state.run_id} holds planes {sorted(layout)}, "
+                f"resuming run has {sorted(arrays)}"
+            )
         for name, blank in arrays.items():
-            stored = state.arrays.get(name)
-            if stored is None or stored.shape != blank.shape:
+            shape, dtype = layout[name]
+            if shape != blank.shape:
                 raise CheckpointError(
                     f"checkpoint {state.run_id} plane {name!r} has shape "
-                    f"{None if stored is None else stored.shape}, "
-                    f"expected {blank.shape} — different array geometry?"
+                    f"{shape}, expected {blank.shape} — different array "
+                    "geometry?"
                 )
+            if dtype != blank.dtype:
+                raise CheckpointError(
+                    f"checkpoint {state.run_id} plane {name!r} has dtype "
+                    f"{dtype}, expected {blank.dtype}"
+                )
+        state.arrays = dict(arrays)
+        journal = _journal_dir(path)
+        state.completed, self._segment = _replay(journal, state.arrays)
+        journal.mkdir(exist_ok=True)
         return state
 
     # -- progress ------------------------------------------------------
 
-    def mark_done(self, *indices: int) -> None:
-        """Record units ``indices`` complete and persist the state once.
+    def mark_done(
+        self, *indices: int, rows: int | slice | Iterable[int] | None = None
+    ) -> None:
+        """Record units ``indices`` complete; persist them in one segment.
 
-        A scan passes a whole macro-row slab; wafer runs pass one die.
+        ``rows`` are the leading-axis rows of the planes those units
+        filled — a scan passes its slab's row slice, a die range passes
+        each die's offset in its planes.  ``None`` means the units' own
+        indices (unit ``i`` is row ``i``).
 
         With ``min_save_seconds`` set, the in-memory record always
-        updates but the persist is skipped while the throttle window is
-        open — the durable checkpoint then trails the live run by at
-        most one window of work.
+        updates but the persist waits while the throttle window is
+        open; the next segment then carries every unit marked since.
         """
         state = self._require_state()
         # Membership via a cached set — rebuilding one from the
         # completed list per unit would make a long run quadratic.
         if self._done_seen is None:
             self._done_seen = state._done_set()
-        for index in indices:
-            if index not in self._done_seen:
-                state.completed.append(index)
-                self._done_seen.add(index)
-        if self.min_save_seconds > 0.0 and self._last_save is not None:
-            gap = max(
-                self.min_save_seconds,
-                self._save_cost / self._MAX_SAVE_FRACTION,
-            )
-            if time.monotonic() - self._last_save < gap:
-                return
+        seen = self._done_seen
+        fresh = [index for index in dict.fromkeys(indices) if index not in seen]
+        seen.update(fresh)
+        state.completed.extend(fresh)
+        self._pending_units.extend(fresh)
+        self._pending_rows.update(_rows(indices if rows is None else rows))
+        if time.monotonic() - self._last_save < self.min_save_seconds:
+            return
         self.save()
 
     def save(self) -> None:
-        """Persist the current state atomically (never throttled)."""
-        began = time.monotonic()
-        self._write(self._require_state())
+        """Persist the pending rows as one journal segment (never throttled).
+
+        A no-op when nothing is pending: the journal already holds
+        every row marked done.
+        """
+        state = self._require_state()
+        if not self._pending_rows:
+            return
+        self._write_segment(state)
+        self._pending_units, self._pending_rows = [], set()
         self._last_save = time.monotonic()
-        self._save_cost = self._last_save - began
 
     def finish(self) -> str:
-        """Close the run: delete the checkpoint file, return the run id.
+        """Close the run: remove the manifest, then the journal; return
+        the run id.
 
         The caller records the final manifest under this id — after
         ``finish`` the ledger shows a completed run and no checkpoint.
@@ -327,10 +461,11 @@ class Checkpointer:
         state = self._require_state()
         path = _checkpoint_path(self.ledger, state.run_id)
         path.unlink(missing_ok=True)
-        # A save torn by a kill of an earlier generation of this run
-        # (a throttled shard may finish without saving again).
+        # A manifest write torn by a kill of an earlier generation.
         tmp_path(path).unlink(missing_ok=True)
+        shutil.rmtree(_journal_dir(path), ignore_errors=True)
         self._done_seen = None
+        self._pending_units, self._pending_rows = [], set()
         return state.run_id
 
     def _require_state(self) -> ScanCheckpoint:
@@ -338,28 +473,87 @@ class Checkpointer:
             raise CheckpointError("checkpointer not started")
         return self.state
 
-    def _write(self, state: ScanCheckpoint) -> None:
-        directory = self.ledger.checkpoint_dir
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "format": _FORMAT,
-                "kind": state.kind,
-                "run_id": state.run_id,
-                "fingerprint": state.fingerprint,
-                "total": state.total,
-                "completed": state.completed,
-                "meta": state.meta,
-                "created": state.created,
-                "updated": _now(),
-            }
-        )
+    def _write_manifest(self, state: ScanCheckpoint) -> None:
+        """The run's manifest: one JSON ``meta`` entry in an ``.npz``."""
+        payload = np.array(json.dumps(_manifest_header(state)))
         durable_write(
             _checkpoint_path(self.ledger, state.run_id),
-            lambda fh: np.savez_compressed(
-                fh, meta=np.array(payload), **state.arrays
-            ),
+            lambda fh: np.savez(fh, meta=payload),
         )
+
+    def _write_segment(self, state: ScanCheckpoint) -> None:
+        """The next journal segment: the pending units and their rows.
+
+        One JSON header line, then one ``.npy`` record per plane in
+        sorted name order.  No compression and no zip container: a
+        segment holds only the rows it completes, and at that size the
+        fsyncs dominate.  Integer blocks travel in the narrowest dtype
+        that holds their values (unicode as code points), which halves
+        a scan slab's bytes; replay widens them back exactly.
+        """
+        rows = sorted(self._pending_rows)
+        index = _row_index(rows)
+        names = sorted(state.arrays)
+        header = json.dumps({
+            "format": _FORMAT,
+            "units": self._pending_units,
+            "rows": rows,
+            "planes": names,
+        })
+
+        def write(fh) -> None:
+            fh.write(header.encode("utf-8") + b"\n")
+            for name in names:
+                np.lib.format.write_array(
+                    fh, _narrow(_ints(state.arrays[name][index])),
+                    allow_pickle=False,
+                )
+
+        self._segment += 1
+        durable_write(self.journal / f"{self._segment:06d}.seg", write)
+
+
+def _manifest_header(state: ScanCheckpoint) -> dict[str, Any]:
+    return {
+        "format": _FORMAT,
+        "kind": state.kind,
+        "run_id": state.run_id,
+        "fingerprint": state.fingerprint,
+        "total": state.total,
+        "meta": state.meta,
+        "created": state.created,
+        "planes": {
+            name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
+            for name, plane in state.arrays.items()
+        },
+    }
+
+
+def _rows(rows: int | slice | Iterable[int]) -> Iterable[int]:
+    if isinstance(rows, slice):
+        return range(rows.start or 0, rows.stop, rows.step or 1)
+    if isinstance(rows, (int, np.integer)):
+        return (int(rows),)
+    return (int(r) for r in rows)
+
+
+def _ints(plane: np.ndarray) -> np.ndarray:
+    """``plane`` itself, or a view of a unicode plane's UCS-4 code points."""
+    return plane.view(np.uint32) if plane.dtype.kind == "U" else plane
+
+
+def _narrow(block: np.ndarray) -> np.ndarray:
+    """An integer block in the narrowest dtype that holds its values
+    (others unchanged); a safe cast widens it back bit-exactly."""
+    if block.dtype.kind not in "iu" or not block.size:
+        return block
+    narrow = np.promote_types(
+        np.min_scalar_type(block.min()), np.min_scalar_type(block.max())
+    )
+    # A negative low with a uint64 high promotes to float: keep as is.
+    if narrow.kind not in "iu" or narrow.itemsize >= block.dtype.itemsize:
+        return block
+    return block.astype(narrow)
 
 
 def _now() -> str:

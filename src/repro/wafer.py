@@ -454,7 +454,7 @@ class WaferModel:
                 planes["die_quality"][rel] = int(DieQuality.GOOD)
             fault_point("wafer.die_done", die=index, x=x, y=y)
             if checkpointer is not None:
-                checkpointer.mark_done(index)
+                checkpointer.mark_done(index, rows=rel)
             progress.advance()
             if on_die is not None:
                 on_die(index, len(done) + 1)

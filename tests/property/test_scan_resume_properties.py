@@ -137,24 +137,29 @@ def test_per_macro_checkpoint_resumes_bit_exact_through_slabs(recipe, data):
 @given(recipe=_recipes())
 @settings(max_examples=15, deadline=None)
 def test_checkpointed_scan_persists_once_per_slab(recipe):
-    # R macro rows: one write reserves the run id, then one per slab.
+    # R macro rows: the manifest write reserves the run id, then one
+    # journal segment per slab.
     writes = []
-    original = Checkpointer._write
+    manifest, segment = Checkpointer._write_manifest, Checkpointer._write_segment
 
-    def counting(self, state):
-        writes.append(list(state.completed))
-        original(self, state)
+    def counting(original):
+        def write(self, state):
+            writes.append(list(state.completed))
+            original(self, state)
+        return write
 
     array = _build(recipe)
     per_row = array.macros_per_row
     with tempfile.TemporaryDirectory() as root:
-        Checkpointer._write = counting
+        Checkpointer._write_manifest = counting(manifest)
+        Checkpointer._write_segment = counting(segment)
         try:
             ArrayScanner(array, None).scan(
                 ScanConfig(checkpoint=Checkpointer(RunLedger(root)))
             )
         finally:
-            Checkpointer._write = original
+            Checkpointer._write_manifest = manifest
+            Checkpointer._write_segment = segment
     assert writes == [
         list(range(slab * per_row)) for slab in range(array.macros_per_col + 1)
     ]

@@ -216,6 +216,20 @@ class TestMergeRefusals:
         with pytest.raises(FleetError, match="mixed lots"):
             merge_lot(clone)
 
+    def test_refuses_result_longer_than_its_range(self, fleet_root, tmp_path):
+        # A result must hold exactly its shard's [start, stop) slice; a
+        # full-length plane (the old layout) is refused, not misplaced.
+        clone = _copy(fleet_root, tmp_path)
+        path = clone / "results" / "s01.npz"
+        with np.load(path, allow_pickle=False) as data:
+            planes = {name: np.array(data[name]) for name in data.files}
+        planes["die_means"] = np.concatenate(
+            [np.full(5, np.nan), planes["die_means"]]
+        )
+        np.savez(path, **planes)
+        with pytest.raises(FleetError, match=r"'die_means' has shape \(9,\).*\[5, 9\) holds 4"):
+            merge_lot(clone)
+
     def test_refuses_defective_partition(self, fleet_root, tmp_path):
         clone = _copy(fleet_root, tmp_path)
 

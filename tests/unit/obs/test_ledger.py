@@ -171,6 +171,69 @@ class TestReading:
         assert record["kind"] == "scan"
 
 
+class TestRunIds:
+    """``next_run_id`` reads run ids off line heads, never whole lines."""
+
+    def test_thousand_runs_decode_nothing(self, ledger, monkeypatch):
+        ledger.record_scan(ArrayScanner(small_array()).scan())
+        line = ledger.manifest_path.read_text(encoding="utf-8")
+        with open(ledger.manifest_path, "a", encoding="utf-8") as fh:
+            for n in range(2, 1001):
+                fh.write(line.replace('"r0001"', f'"r{n:04d}"', 1))
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("next_run_id decoded a manifest line")
+
+        monkeypatch.setattr("repro.obs.ledger.json.loads", no_decoding)
+        with ledger.locked():
+            assert ledger.next_run_id() == "r1001"
+
+    def test_reserved_lower_id_recorded_late_still_yields_max_plus_one(
+        self, ledger
+    ):
+        result = ArrayScanner(small_array()).scan()
+        ledger.record_scan(result)  # r0001
+        ledger.record_scan(result, run_id="r0005")
+        ledger.record_scan(result, run_id="r0003")  # reserved earlier
+        assert [m.run_id for m in ledger.runs()] == ["r0001", "r0005", "r0003"]
+        with ledger.locked():
+            assert ledger.next_run_id() == "r0006"
+
+    def test_torn_last_line_raises_like_runs(self, ledger):
+        ledger.record_scan(ArrayScanner(small_array()).scan())
+        line = ledger.manifest_path.read_text(encoding="utf-8")
+        with open(ledger.manifest_path, "a", encoding="utf-8") as fh:
+            fh.write(line.replace('"r0001"', '"r0002"')[: len(line) // 2])
+        with pytest.raises(LedgerError, match=r":2 is not valid JSON"):
+            ledger.runs()
+        with ledger.locked(), pytest.raises(
+            LedgerError, match=r":2 is not valid JSON"
+        ):
+            ledger.next_run_id()
+
+    def test_torn_line_run_into_by_the_next_append_raises(self, ledger):
+        result = ArrayScanner(small_array()).scan()
+        ledger.record_scan(result)
+        line = ledger.manifest_path.read_text(encoding="utf-8")
+        with open(ledger.manifest_path, "a", encoding="utf-8") as fh:
+            fh.write(line.replace('"r0001"', '"r0002"')[: len(line) // 2])
+        ledger.record_scan(result, run_id="r0003")
+        with ledger.locked(), pytest.raises(LedgerError, match="not valid JSON"):
+            ledger.next_run_id()
+
+    def test_scan_manifest_drops_macro_timings_but_stats_keep_them(
+        self, ledger
+    ):
+        result = ArrayScanner(small_array()).scan()
+        manifest = ledger.record_scan(result)
+        assert "macro_timings" not in manifest.stats
+        (line,) = ledger.manifest_path.read_text(encoding="utf-8").splitlines()
+        assert "macro_timings" not in json.loads(line)["stats"]
+        assert manifest.stats["total_cells"] == result.stats.total_cells
+        stats = result.stats.to_dict()
+        assert len(stats["macro_timings"]) == small_array().num_macros
+
+
 class TestDiff:
     def test_identical_runs_diff_clean(self, ledger):
         result = ArrayScanner(small_array(seed=7)).scan()

@@ -1,5 +1,7 @@
 """Checkpointer lifecycle, resume validation, and file robustness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,154 @@ def test_torn_tmp_file_is_not_a_run_and_is_cleaned_up(tmp_path, capsys):
     assert load_checkpoint(resumed.path).completed == [0, 1, 2, 3]
     resumed.finish()
     assert list(ledger.checkpoint_dir.iterdir()) == []
+
+
+def test_segments_hold_only_the_marked_rows_and_replay_in_order(tmp_path):
+    ck = Checkpointer(tmp_path)
+    state = _start(ck)
+    state.arrays["codes"][0:2] = 5
+    ck.mark_done(0, rows=slice(0, 2))
+    state.arrays["codes"][1] = 6  # a later segment rewrites row 1
+    state.arrays["codes"][3] = 8
+    ck.mark_done(1, rows=[3, 1])
+    segments = sorted(p.name for p in ck.journal.iterdir())
+    assert segments == ["000001.seg", "000002.seg"]
+    loaded = load_checkpoint(ck.path)
+    assert loaded.completed == [0, 1]
+    np.testing.assert_array_equal(
+        loaded.arrays["codes"][:, 0], [5, 6, 0, 8]
+    )
+
+
+def test_replay_restores_every_dtype_bit_exact(tmp_path):
+    # Integer blocks travel narrowed and unicode as code points; replay
+    # must widen both back to the caller's exact values.
+    blanks = {
+        "ints": np.zeros((3, 2), dtype=np.int64),
+        "tiers": np.full((3, 2), "c", dtype="<U1"),
+        "quality": np.zeros((3, 2), dtype=np.uint8),
+        "vgs": np.zeros((3, 2)),
+    }
+    ck = Checkpointer(tmp_path)
+    state = ck.start("scan", {}, blanks, total=3)
+    state.arrays["ints"][:] = [[-3, 70000], [0, 1], [2**40, -(2**40)]]
+    state.arrays["tiers"][1] = ["e", "é"]
+    state.arrays["quality"][2] = [1, 2]
+    state.arrays["vgs"][:] = np.linspace(0.1, 0.9, 6).reshape(3, 2)
+    ck.mark_done(0, 1, 2)
+    fresh = {name: np.zeros_like(plane) for name, plane in blanks.items()}
+    resumed = Checkpointer(tmp_path, resume=state.run_id).start(
+        "scan", {}, fresh, total=3
+    )
+    for name, plane in state.arrays.items():
+        assert resumed.arrays[name].dtype == plane.dtype
+        np.testing.assert_array_equal(resumed.arrays[name], plane)
+
+
+def test_resume_refuses_dtype_mismatch(tmp_path):
+    _start(Checkpointer(tmp_path))
+    wrong = {"codes": np.zeros((4, 4), dtype=np.int32), "vgs": np.zeros((4, 4))}
+    with pytest.raises(CheckpointError, match="'codes' has dtype int64"):
+        Checkpointer(tmp_path, resume="r0001").start(
+            "scan", {"rows": 4}, wrong, total=4
+        )
+
+
+def test_throttled_units_share_one_segment(tmp_path):
+    ck = Checkpointer(tmp_path, min_save_seconds=3600.0)
+    state = _start(ck)
+    state.arrays["vgs"][2] = 0.25
+    ck.mark_done(2)
+    state.arrays["vgs"][0] = 0.75
+    ck.mark_done(0)
+    assert list(ck.journal.iterdir()) == []
+    ck.save()
+    (segment,) = ck.journal.iterdir()
+    loaded = load_checkpoint(ck.path)
+    assert loaded.completed == [2, 0]
+    np.testing.assert_array_equal(loaded.arrays["vgs"][:, 0], [0.75, 0, 0.25, 0])
+    ck.save()  # nothing pending: no empty segment
+    assert list(ck.journal.iterdir()) == [segment]
+
+
+def test_journal_without_manifest_is_no_run_and_next_start_removes_it(tmp_path):
+    # A crash between finish()'s two removals leaves the journal alone.
+    ck = Checkpointer(tmp_path)
+    _start(ck)
+    ck.mark_done(0)
+    orphan = ck.journal
+    ck.path.unlink()
+
+    ledger = RunLedger(tmp_path)
+    assert ledger.checkpoint_files() == []
+    assert list_checkpoints(ledger) == []
+    with ledger.locked():
+        assert ledger.next_run_id() == "r0001"
+
+    # The id is free again; the new run must not replay the stale rows.
+    nxt = Checkpointer(tmp_path)
+    state = _start(nxt)
+    assert state.run_id == "r0001"
+    assert list(orphan.iterdir()) == []
+    assert load_checkpoint(nxt.path).completed == []
+    nxt.finish()
+    assert list(ledger.checkpoint_dir.iterdir()) == []
+
+
+def test_start_sweeps_only_journals_without_a_manifest(tmp_path):
+    live = Checkpointer(tmp_path)
+    _start(live)
+    live.mark_done(0)
+    stale = RunLedger(tmp_path).checkpoint_dir / "r0007.journal"
+    stale.mkdir()
+    (stale / "000001.seg").write_bytes(b"stale")
+    _start(Checkpointer(tmp_path))
+    assert not stale.exists()
+    assert load_checkpoint(live.path).completed == [0]
+
+
+def test_torn_segment_tmp_is_not_replayed_and_finish_removes_it(tmp_path):
+    ck = Checkpointer(tmp_path)
+    _start(ck)
+    ck.mark_done(0)
+    torn = ck.journal / "000002.seg.tmp"
+    torn.write_bytes(b"{\"format\": 2, \"units\": [1]")
+    assert load_checkpoint(ck.path).completed == [0]
+
+    resumed = Checkpointer(tmp_path, resume="r0001")
+    assert _start(resumed).completed == [0]
+    resumed.finish()
+    assert list(RunLedger(tmp_path).checkpoint_dir.iterdir()) == []
+
+
+def test_torn_manifest_tmp_alone_is_no_run_and_finish_removes_it(tmp_path):
+    # A kill inside start's manifest write: only rNNNN.npz.tmp exists.
+    ledger = RunLedger(tmp_path)
+    ledger.checkpoint_dir.mkdir(parents=True)
+    torn = ledger.checkpoint_dir / "r0001.npz.tmp"
+    torn.write_bytes(b"PK\x03\x04 torn")
+    assert list_checkpoints(ledger) == []
+    with ledger.locked():
+        assert ledger.next_run_id() == "r0001"
+    ck = Checkpointer(tmp_path)
+    _start(ck)
+    assert not torn.exists()  # the manifest write replaced it
+    torn.write_bytes(b"PK\x03\x04 torn again")
+    ck.finish()
+    assert list(ledger.checkpoint_dir.iterdir()) == []
+
+
+def test_format_1_checkpoint_is_refused_naming_its_format(tmp_path):
+    ledger = RunLedger(tmp_path)
+    ledger.checkpoint_dir.mkdir(parents=True)
+    old = ledger.checkpoint_dir / "r0001.npz"
+    meta = {
+        "format": 1, "kind": "scan", "run_id": "r0001",
+        "fingerprint": {"rows": 4}, "total": 4, "completed": [0],
+        "meta": {}, "created": "",
+    }
+    np.savez_compressed(old, meta=np.array(json.dumps(meta)), **_blanks())
+    with pytest.raises(CheckpointError, match="has format 1, expected 2"):
+        load_checkpoint(old)
+    with pytest.raises(CheckpointError, match="has format 1, expected 2"):
+        _start(Checkpointer(tmp_path, resume="r0001"))

@@ -58,7 +58,9 @@ def test_fault_point_exception_keeps_old_bytes_and_no_tmp(tmp_path):
 def test_torn_tmp_is_no_checkpoint_or_run_id_and_next_write_replaces_it(tmp_path):
     ck = Checkpointer(tmp_path)
     ck.start("scan", {"k": 1}, {"plane": np.zeros(4)}, total=4)
-    torn = durable.tmp_path(ck.path)
+    # A kill inside the first journal segment's write; mark_done writes
+    # segments, not the manifest, so the next one to replace is this.
+    torn = durable.tmp_path(ck.journal / "000001.seg")
     torn.write_bytes(b"PK\x03\x04 torn")
 
     ledger = RunLedger(tmp_path)
