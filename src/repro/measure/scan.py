@@ -737,7 +737,9 @@ class _Assembler:
 
         A whole slab lands as one band; a slab that a per-macro
         checkpoint left half done lands only its undone tiles' columns,
-        since its done tiles already hold their journaled values.
+        since its done tiles already hold their journaled values.  As
+        in :meth:`land_plane`, an undone tile's tiers and quality are
+        still their blank ``"c"`` and GOOD.
         """
         array = self.array
         if len(tiles) == array.macros_per_row:
@@ -749,8 +751,6 @@ class _Assembler:
         for csl in columns:
             self.vgs[rsl, csl] = vgs[:, csl]
             self.codes[rsl, csl] = codes[:, csl]
-            self.tiers[rsl, csl] = "c"
-            self.quality[rsl, csl] = CellQuality.GOOD
         cells = self.cells_per_macro
         self.timings.extend(MacroTiming(index, "c", cells, share) for index in tiles)
         self._landed[tiles] += 1
