@@ -21,7 +21,12 @@ in-process wafer 0.95–1.32 s, fleet 1.35–2.23 s (ratio 1.03–2.25),
 slowest shard 0.65–1.24 s, fixed cost 0.67–1.01 s.  Before the chunked
 loop the same split gave fleet 7.6–9.2 s and fixed cost 0.74–0.98 s
 (3 runs), so the fixed cost itself did not change; 1.5 s leaves about
-50 % headroom over the worst run for a loaded host.  The gate takes the
+50 % headroom over the worst run for a loaded host.  Most of the fixed
+cost was each worker's import of ``repro``.  Once package names
+resolved lazily, a worker stopped loading the analysis packages, and
+the fixed cost fell to 0.57–0.85 s (median 0.60 s) from 0.86–1.44 s
+(median 0.89 s).  That is 5 alternating runs per side on the same
+2-vCPU host with Python 3.11.  The bound stays 1.5 s.  The gate takes the
 best of up to ``ATTEMPTS`` runs, because a loaded machine inflates any
 single wall-clock reading.
 

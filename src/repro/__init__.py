@@ -35,49 +35,108 @@ Subpackages
   and cross-run drift detection
 """
 
-from repro.errors import ReproError
-from repro.tech import TechnologyCard, default_technology, Corner, corner_technology
-from repro.edram import EDRAMArray, DefectKind, CellDefect, DefectInjector
-from repro.measure import (
-    MeasurementDesign,
-    MeasurementStructure,
-    MeasurementSequencer,
-    MeasurementResult,
-    ArrayScanner,
-    ScanConfig,
-)
-from repro.obs import (
-    DriftEngine,
-    MetricsRegistry,
-    ProgressReporter,
-    RunLedger,
-    Tracer,
-    check_ledger,
-)
-from repro.calibration import (
-    design_structure,
-    Abacus,
-    accuracy_sweep,
-    SpecificationWindow,
-)
-from repro.bitmap import AnalogBitmap, DigitalBitmap, categorize, fit_gradient
-from repro.diagnosis import (
-    CellClassifier,
-    ProcessMonitor,
-    FailureAnalyzer,
-    RepairPlanner,
-    DiagnosisPipeline,
-)
-from repro.technologies import (
-    CellTechnology,
-    get as get_technology,
-    names as technology_names,
-    register as register_technology,
-)
-from repro.controller import BISTController, TestScheduler, ScanOrder
-from repro.wafer import WaferModel, WaferReport
-from repro.io import save_scan, load_scan, save_abacus, load_abacus
-from repro.baselines import mats_pp, march_c_minus, BitlineMeasurement, DirectProbe
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.errors import ReproError
+    from repro.tech import TechnologyCard, default_technology, Corner, corner_technology
+    from repro.edram import EDRAMArray, DefectKind, CellDefect, DefectInjector
+    from repro.measure import (
+        MeasurementDesign,
+        MeasurementStructure,
+        MeasurementSequencer,
+        MeasurementResult,
+        ArrayScanner,
+        ScanConfig,
+    )
+    from repro.obs import (
+        DriftEngine,
+        MetricsRegistry,
+        ProgressReporter,
+        RunLedger,
+        Tracer,
+        check_ledger,
+    )
+    from repro.calibration import (
+        design_structure,
+        Abacus,
+        accuracy_sweep,
+        SpecificationWindow,
+    )
+    from repro.bitmap import AnalogBitmap, DigitalBitmap, categorize, fit_gradient
+    from repro.diagnosis import (
+        CellClassifier,
+        ProcessMonitor,
+        FailureAnalyzer,
+        RepairPlanner,
+        DiagnosisPipeline,
+    )
+    from repro.technologies import (
+        CellTechnology,
+        get as get_technology,
+        names as technology_names,
+        register as register_technology,
+    )
+    from repro.controller import BISTController, TestScheduler, ScanOrder
+    from repro.wafer import WaferModel, WaferReport
+    from repro.io import save_scan, load_scan, save_abacus, load_abacus
+    from repro.baselines import mats_pp, march_c_minus, BitlineMeasurement, DirectProbe
+
+_EXPORTS = {
+    "ReproError": "repro.errors",
+    "TechnologyCard": "repro.tech",
+    "default_technology": "repro.tech",
+    "Corner": "repro.tech",
+    "corner_technology": "repro.tech",
+    "EDRAMArray": "repro.edram",
+    "DefectKind": "repro.edram",
+    "CellDefect": "repro.edram",
+    "DefectInjector": "repro.edram",
+    "MeasurementDesign": "repro.measure",
+    "MeasurementStructure": "repro.measure",
+    "MeasurementSequencer": "repro.measure",
+    "MeasurementResult": "repro.measure",
+    "ArrayScanner": "repro.measure",
+    "ScanConfig": "repro.measure",
+    "CellTechnology": "repro.technologies",
+    "get_technology": "repro.technologies:get",
+    "technology_names": "repro.technologies:names",
+    "register_technology": "repro.technologies:register",
+    "Tracer": "repro.obs",
+    "MetricsRegistry": "repro.obs",
+    "ProgressReporter": "repro.obs",
+    "RunLedger": "repro.obs",
+    "DriftEngine": "repro.obs",
+    "check_ledger": "repro.obs",
+    "design_structure": "repro.calibration",
+    "Abacus": "repro.calibration",
+    "accuracy_sweep": "repro.calibration",
+    "SpecificationWindow": "repro.calibration",
+    "AnalogBitmap": "repro.bitmap",
+    "DigitalBitmap": "repro.bitmap",
+    "categorize": "repro.bitmap",
+    "fit_gradient": "repro.bitmap",
+    "CellClassifier": "repro.diagnosis",
+    "ProcessMonitor": "repro.diagnosis",
+    "FailureAnalyzer": "repro.diagnosis",
+    "RepairPlanner": "repro.diagnosis",
+    "DiagnosisPipeline": "repro.diagnosis",
+    "BISTController": "repro.controller",
+    "TestScheduler": "repro.controller",
+    "ScanOrder": "repro.controller",
+    "WaferModel": "repro.wafer",
+    "WaferReport": "repro.wafer",
+    "save_scan": "repro.io",
+    "load_scan": "repro.io",
+    "save_abacus": "repro.io",
+    "load_abacus": "repro.io",
+    "mats_pp": "repro.baselines",
+    "march_c_minus": "repro.baselines",
+    "BitlineMeasurement": "repro.baselines",
+    "DirectProbe": "repro.baselines",
+}
 
 __version__ = "1.0.0"
 
@@ -135,3 +194,5 @@ __all__ = [
     "DirectProbe",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

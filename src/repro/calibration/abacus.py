@@ -96,13 +96,16 @@ class Abacus:
         macro_cols: int,
         bitline_rows: int | None = None,
     ) -> "Abacus":
-        """Exact abacus from the closed-form transfer chain."""
+        """Exact abacus from the closed-form transfer chain.
+
+        Reads the structure's memoized boundary table, so a scanner built
+        on the same structure afterwards solves no boundary again.
+        """
         tech = structure.tech
         background = nominal_background(tech, rows, macro_cols, bitline_rows)
         creft = structure.c_ref_total
         edges = []
-        for code in range(1, structure.design.num_steps + 1):
-            v = structure.vgs_for_code_boundary(code)
+        for code, v in enumerate(structure.code_boundaries().tolist(), start=1):
             if v >= tech.vdd:
                 raise CalibrationError(
                     f"code {code} boundary requires V_GS {v:.3f} V >= V_DD; "

@@ -30,19 +30,51 @@ Three execution tiers produce the same code and are cross-validated:
   evaluation of the same algebra for whole-array scans.
 """
 
-from repro.measure.config import ScanConfig
-from repro.measure.result import MeasurementResult, CodeMeaning
-from repro.measure.shift_register import ShiftRegister
-from repro.measure.current_dac import ProgrammableCurrentReference
-from repro.measure.sense import SenseChain, InverterDesign
-from repro.measure.structure import MeasurementDesign, MeasurementStructure
-from repro.measure.phases import PhasePlan, Phase
-from repro.measure.sequencer import MeasurementSequencer
-from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
-from repro.measure.scan import ArrayScanner, ScanResult
-from repro.measure.stats import MacroTiming, ScanStats
-from repro.measure.noise import NoiseAnalysis, NoiseBudget
-from repro.measure.faults import FaultSpec, FaultySequencer, StructureFault, fault_signature
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.measure.config import ScanConfig
+    from repro.measure.result import MeasurementResult, CodeMeaning
+    from repro.measure.shift_register import ShiftRegister
+    from repro.measure.current_dac import ProgrammableCurrentReference
+    from repro.measure.sense import SenseChain, InverterDesign
+    from repro.measure.structure import MeasurementDesign, MeasurementStructure
+    from repro.measure.phases import PhasePlan, Phase
+    from repro.measure.sequencer import MeasurementSequencer
+    from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
+    from repro.measure.scan import ArrayScanner, ScanResult
+    from repro.measure.stats import MacroTiming, ScanStats
+    from repro.measure.noise import NoiseAnalysis, NoiseBudget
+    from repro.measure.faults import FaultSpec, FaultySequencer, StructureFault, fault_signature
+
+_EXPORTS = {
+    "MeasurementResult": "repro.measure.result",
+    "CodeMeaning": "repro.measure.result",
+    "ShiftRegister": "repro.measure.shift_register",
+    "ProgrammableCurrentReference": "repro.measure.current_dac",
+    "SenseChain": "repro.measure.sense",
+    "InverterDesign": "repro.measure.sense",
+    "MeasurementDesign": "repro.measure.structure",
+    "MeasurementStructure": "repro.measure.structure",
+    "PhasePlan": "repro.measure.phases",
+    "Phase": "repro.measure.phases",
+    "MeasurementSequencer": "repro.measure.sequencer",
+    "KernelConstants": "repro.measure.kernel",
+    "closed_form_vgs_plane": "repro.measure.kernel",
+    "ArrayScanner": "repro.measure.scan",
+    "ScanConfig": "repro.measure.config",
+    "ScanResult": "repro.measure.scan",
+    "ScanStats": "repro.measure.stats",
+    "MacroTiming": "repro.measure.stats",
+    "NoiseAnalysis": "repro.measure.noise",
+    "NoiseBudget": "repro.measure.noise",
+    "FaultSpec": "repro.measure.faults",
+    "FaultySequencer": "repro.measure.faults",
+    "StructureFault": "repro.measure.faults",
+    "fault_signature": "repro.measure.faults",
+}
 
 __all__ = [
     "MeasurementResult",
@@ -70,3 +102,5 @@ __all__ = [
     "StructureFault",
     "fault_signature",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

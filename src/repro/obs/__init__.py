@@ -30,51 +30,97 @@ finding shape and :mod:`repro.io` for artifacts.  Every layer above may
 use this package.
 """
 
-from repro.obs.drift import (
-    DEFAULT_SCALARS,
-    LOT_SCALARS,
-    DriftEngine,
-    ScalarSpec,
-    SeriesCheck,
-    check_bench_history,
-    check_ledger,
-)
-from repro.obs.ledger import (
-    DEFAULT_LEDGER_DIR,
-    RunDiff,
-    RunLedger,
-    RunManifest,
-    bitmap_scalars,
-    config_fingerprint,
-    config_hash,
-    scan_scalars,
-)
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    active_metrics,
-    use_metrics,
-)
-from repro.obs.progress import (
-    NULL_PROGRESS,
-    JsonlProgress,
-    NullProgress,
-    ProgressReporter,
-)
-from repro.obs.summarize import (
-    SpanAggregate,
-    TraceSummary,
-    load_trace,
-    merge_traces,
-    render_timeline,
-    summarize_trace,
-    timeline_dict,
-)
-from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.drift import (
+        DEFAULT_SCALARS,
+        LOT_SCALARS,
+        DriftEngine,
+        ScalarSpec,
+        SeriesCheck,
+        check_bench_history,
+        check_ledger,
+    )
+    from repro.obs.ledger import (
+        DEFAULT_LEDGER_DIR,
+        RunDiff,
+        RunLedger,
+        RunManifest,
+        bitmap_scalars,
+        config_fingerprint,
+        config_hash,
+        scan_scalars,
+    )
+    from repro.obs.metrics import (
+        NULL_METRICS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        NullMetricsRegistry,
+        active_metrics,
+        use_metrics,
+    )
+    from repro.obs.progress import (
+        NULL_PROGRESS,
+        JsonlProgress,
+        NullProgress,
+        ProgressReporter,
+    )
+    from repro.obs.summarize import (
+        SpanAggregate,
+        TraceSummary,
+        load_trace,
+        merge_traces,
+        render_timeline,
+        summarize_trace,
+        timeline_dict,
+    )
+    from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
+
+_EXPORTS = {
+    "RunLedger": "repro.obs.ledger",
+    "RunManifest": "repro.obs.ledger",
+    "RunDiff": "repro.obs.ledger",
+    "DEFAULT_LEDGER_DIR": "repro.obs.ledger",
+    "config_fingerprint": "repro.obs.ledger",
+    "config_hash": "repro.obs.ledger",
+    "scan_scalars": "repro.obs.ledger",
+    "bitmap_scalars": "repro.obs.ledger",
+    "DriftEngine": "repro.obs.drift",
+    "ScalarSpec": "repro.obs.drift",
+    "SeriesCheck": "repro.obs.drift",
+    "DEFAULT_SCALARS": "repro.obs.drift",
+    "LOT_SCALARS": "repro.obs.drift",
+    "check_ledger": "repro.obs.drift",
+    "check_bench_history": "repro.obs.drift",
+    "ProgressReporter": "repro.obs.progress",
+    "JsonlProgress": "repro.obs.progress",
+    "NullProgress": "repro.obs.progress",
+    "NULL_PROGRESS": "repro.obs.progress",
+    "Tracer": "repro.obs.trace",
+    "NullTracer": "repro.obs.trace",
+    "Span": "repro.obs.trace",
+    "NULL_TRACER": "repro.obs.trace",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "NullMetricsRegistry": "repro.obs.metrics",
+    "NULL_METRICS": "repro.obs.metrics",
+    "active_metrics": "repro.obs.metrics",
+    "use_metrics": "repro.obs.metrics",
+    "load_trace": "repro.obs.summarize",
+    "merge_traces": "repro.obs.summarize",
+    "render_timeline": "repro.obs.summarize",
+    "timeline_dict": "repro.obs.summarize",
+    "summarize_trace": "repro.obs.summarize",
+    "TraceSummary": "repro.obs.summarize",
+    "SpanAggregate": "repro.obs.summarize",
+}
 
 __all__ = [
     "RunLedger",
@@ -116,3 +162,5 @@ __all__ = [
     "TraceSummary",
     "SpanAggregate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.calibration.abacus import Abacus
+from repro.calibration.design import design_structure, nominal_background
+from repro.edram.array import EDRAMArray
 from repro.errors import CalibrationError
+from repro.measure.scan import ArrayScanner
+from repro.measure.structure import MeasurementStructure
 from repro.units import fF, to_fF
 
 
@@ -66,6 +70,32 @@ class TestAnalyticAbacus:
         assert "ambiguous" in table
         assert "over range" in table
 
+    def test_abacus_and_scanner_share_one_boundary_solve(self, tech, monkeypatch):
+        calls = []
+        solve = MeasurementStructure.vgs_for_code_boundary
+
+        def counted(self, code):
+            calls.append(code)
+            return solve(self, code)
+
+        monkeypatch.setattr(MeasurementStructure, "vgs_for_code_boundary", counted)
+        array = EDRAMArray(16, 4, tech=tech, macro_cols=2, macro_rows=8)
+        structure = design_structure(tech, 8, 2, bitline_rows=16)
+        abacus = Abacus.for_array(structure, array)
+        ArrayScanner(array, structure)
+        num_steps = structure.design.num_steps
+        assert calls == list(range(1, num_steps + 1))
+
+        background = nominal_background(tech, 8, 2, 16)
+        reference = []
+        for code in range(1, num_steps + 1):
+            v = solve(structure, code)
+            x = structure.c_ref_total * v / (tech.vdd - v)
+            reference.append(max(0.0, x - background))
+        np.testing.assert_array_equal(
+            abacus.edges, np.maximum.accumulate(np.asarray(reference))
+        )
+
 
 class TestSimulatedAbacus:
     def test_matches_analytic(self, structure_2x2, abacus_2x2):
@@ -75,8 +105,6 @@ class TestSimulatedAbacus:
         assert np.allclose(simulated.edges, abacus_2x2.edges, atol=0.02 * fF)
 
     def test_for_array_convenience(self, tech, structure_8x2):
-        from repro.edram.array import EDRAMArray
-
         arr = EDRAMArray(64, 2, tech=tech, macro_rows=8)
         ab = Abacus.for_array(structure_8x2, arr)
         assert ab.num_steps == structure_8x2.design.num_steps
