@@ -9,10 +9,10 @@ defect-free 128×64 array, all bit-identical:
 2. **cached serial** — the per-macro driver with incrementally
    maintained numpy matrices, the memoized boundary table and cached
    netlists (``use_kernel=False``).  Must stay ≥ 3× over seed.
-3. **kernel** — the whole-array batched kernel
-   (:mod:`repro.measure.kernel`): one vectorized pass over the bulk
-   planes instead of 256 per-macro trips.  Must be ≥ 10× over the
-   cached serial driver, and it owns the headline ``cells_per_second``.
+3. **kernel** — the batched kernel (:mod:`repro.measure.kernel`): one
+   vectorized pass per macro-row slab (8 here) instead of 256
+   per-macro trips.  Must be ≥ 10× over the cached serial driver, and
+   it owns the headline ``cells_per_second``.
 
 Results (cells/second, per-path timings, scan telemetry) are appended
 to the ``BENCH_scan.json`` history list at the repo root — a
@@ -68,33 +68,11 @@ def _git_rev():
         return "unknown"
 
 
-def _summarize_timings(entry):
-    """Migrate an entry's bulky per-macro timings to the p50/p95/max form.
-
-    Early history entries persisted every ``[index, tier, cells,
-    seconds]`` tuple — hundreds of rows per entry.  New entries carry
-    only ``macro_timing_summary``; old ones are rewritten to match the
-    first time the history is touched.
-    """
-    from repro.measure.stats import _percentile
-
-    stats = entry.get("stats") if isinstance(entry, dict) else None
-    if not isinstance(stats, dict) or "macro_timings" not in stats:
-        return
-    seconds = sorted(row[3] for row in stats.pop("macro_timings"))
-    stats["macro_timing_summary"] = {
-        "p50": _percentile(seconds, 0.50),
-        "p95": _percentile(seconds, 0.95),
-        "max": seconds[-1] if seconds else 0.0,
-    }
-
-
 def _append_history(entry):
     """Append ``entry`` to the BENCH_scan.json trajectory.
 
-    Pre-history snapshots (a bare dict) are migrated in place, per-macro
-    timing lists in old entries are compacted to their summary form, and
-    the list is capped so the file never grows without bound.
+    Pre-history snapshots (a bare dict) are migrated in place, and the
+    list is capped so the file never grows without bound.
     """
     history = []
     if BENCH_JSON.exists():
@@ -106,8 +84,6 @@ def _append_history(entry):
             history = existing
         elif isinstance(existing, dict):
             history = [existing]
-    for old in history:
-        _summarize_timings(old)
     history.append(entry)
     history = history[-HISTORY_CAP:]
     BENCH_JSON.write_text(json.dumps(history, indent=2) + "\n")
@@ -247,13 +223,6 @@ def bench_perf_scan_speedup(benchmark, tech):
 
     speedup = seed_seconds / cached_seconds
     kernel_speedup = cached_seconds / kernel_seconds
-    stats = fast_scan.stats
-    stats_dict = stats.to_dict() if stats is not None else None
-    if stats_dict is not None:
-        # Per-macro tuples are too bulky for a history file; persist
-        # the distribution summary instead.
-        stats_dict.pop("macro_timings", None)
-        stats_dict["macro_timing_summary"] = stats.timing_summary()
     entry = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_rev": _git_rev(),
@@ -265,7 +234,7 @@ def bench_perf_scan_speedup(benchmark, tech):
         "speedup_serial_vs_seed": speedup,
         "kernel_speedup_vs_serial": kernel_speedup,
         "cells_per_second": array.num_cells / kernel_seconds,
-        "stats": stats_dict,
+        "stats": fast_scan.stats.to_dict(),
     }
     history = _append_history(entry)
 

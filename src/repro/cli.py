@@ -670,7 +670,6 @@ def cmd_tech_list(args) -> int:
         print(json.dumps(described, indent=2))
         return 0
     for info in described:
-        kernel = "closed-form kernel" if info["uses_kernel"] else "per-macro engine"
         lo, hi = info["range_fF"]
         spec_lo, spec_hi = info["spec_window_fF"]
         print(f"{info['name']:8s} {info['display']}")
@@ -679,7 +678,7 @@ def cmd_tech_list(args) -> int:
         print(f"  card       : {info['card']} "
               f"(VDD {info['vdd']:.1f} V, nominal {info['nominal_fF']:.1f} fF)")
         print(f"  range      : {lo:.1f}-{hi:.1f} fF over "
-              f"{info['num_steps']} steps, {kernel}")
+              f"{info['num_steps']} steps")
         print(f"  spec window: {spec_lo:.1f}-{spec_hi:.1f} fF")
         corners = ", ".join(
             f"{tag}={corner['nominal_fF']:.1f}fF"

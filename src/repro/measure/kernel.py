@@ -1,4 +1,4 @@
-"""Batched closed-form measurement kernel: the whole array in one pass.
+"""Batched closed-form measurement kernel: every macro of a plane in one pass.
 
 A per-macro closed form avoids per-cell Python, but a whole-array scan
 would still pay Python once per macro tile — mask slicing, branch-term
@@ -29,9 +29,10 @@ variation maps and defect populations.  It also makes a macro-row slab,
 or a single tile, bit-identical to its slice of a whole-array pass.
 
 The kernel covers the **closed-form tier only**: bridge macros are
-overwritten by the engine tier, ``force_engine`` scans keep the
-per-macro drivers, and checkpointed or fault-armed scans take one pass
-per macro-row slab — :meth:`ArrayScanner.scan` decides per scan.
+overwritten by the engine tier and ``force_engine`` scans keep the
+per-macro drivers.  :meth:`ArrayScanner.scan` runs one pass per
+macro-row slab, and a scan's ``kernel_seconds`` is the sum over its
+slab passes; a wafer runs one pass per chunk of stacked dies.
 """
 
 from __future__ import annotations

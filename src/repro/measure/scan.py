@@ -32,10 +32,9 @@ pinned by integration tests.
 
 Performance layer (see docs/architecture.md "Scan driver: plan →
 execute → assemble"): the closed form is the batched kernel of
-:mod:`repro.measure.kernel` — one whole-array pass, or one pass per
-macro-row slab when a checkpoint persists per slab or a fault plan
-needs per-macro landing — and the engine tier reuses one cached
-netlist per macro.
+:mod:`repro.measure.kernel`, one pass per macro-row slab whose kernel
+tiles land together (tile by tile only when a fault plan is armed),
+and the engine tier reuses one cached netlist per macro.
 Process parallelism lives in the wafer fleet (:mod:`repro.fleet`),
 not inside a scan.
 
@@ -239,9 +238,8 @@ class ArrayScanner:
         self._creft = self.structure.c_ref_total
         self._vdd = tech.vdd
         # Batched kernel (repro.measure.kernel); the scan planner skips
-        # it only under force_engine, for backends without a kernel, or
-        # when disabled here outright (benchmarks pin the per-macro
-        # baseline through this seam).
+        # it only under force_engine or when disabled here outright
+        # (benchmarks pin the per-macro baseline through this seam).
         self._use_kernel = use_kernel
 
     def codes_for_vgs(self, vgs: np.ndarray) -> np.ndarray:
@@ -316,18 +314,6 @@ class ArrayScanner:
         return bool(
             bridge[macro.row_start : macro.row_stop, col_lo : macro.col_stop].any()
         )
-
-    def scan_macro(
-        self, macro: MacroCell, config: ScanConfig | None = None
-    ) -> tuple[np.ndarray, np.ndarray, str]:
-        """Scan one macro; returns (vgs, codes, tier_marker)."""
-        config = config if config is not None else ScanConfig()
-        with _ambient_metrics(config), _ambient_faults(config):
-            vgs, codes, tier, _quality = self._scan_macro(macro, config)
-            active_metrics().histogram(
-                "scan.codes", "measurement codes emitted"
-            ).observe_many(codes.ravel())
-            return vgs, codes, tier
 
     def _scan_macro(
         self, macro: MacroCell, config: ScanConfig
@@ -421,11 +407,12 @@ class ArrayScanner:
         to it on completion.
 
         One driver, three steps (see docs/architecture.md "Scan
-        driver"): :meth:`_plan` cuts the remaining macros into slabs,
-        each slab runs one kernel pass with its engine macros
-        overwritten, and :class:`_Assembler` lands the tiles and
-        persists once per slab.  With ``config.checkpoint`` set, an
-        interrupted scan resumes bit-exact from its last persisted slab.
+        driver"): :meth:`_plan` cuts the remaining macros into
+        macro-row slabs (single macros with the kernel off), each slab
+        runs one kernel pass with its engine macros overwritten, and
+        :class:`_Assembler` lands the tiles and persists once per slab.
+        With ``config.checkpoint`` set, an interrupted scan resumes
+        bit-exact from its last persisted slab.
         """
         config = config if config is not None else ScanConfig()
         # Resolve the cell-technology backend and check it matches the
@@ -452,19 +439,15 @@ class ArrayScanner:
             cpu_start = process_time()
             rows, cols = self.array.rows, self.array.cols
             # The kernel evaluates every closed-form macro unless
-            # force_engine (or a backend without a kernel) pins the
-            # per-macro drivers.  A checkpoint persists once per row
-            # slab, so it splits the pass into slabs; only an armed
-            # fault plan needs each tile landed on its own.
-            kernel_ok = (
-                self._use_kernel
-                and backend.uses_kernel
-                and not config.force_engine
-            )
+            # force_engine pins the per-macro drivers.  It runs one pass
+            # per macro-row slab and lands each slab's kernel tiles in
+            # one call; only an armed fault plan needs each tile landed
+            # on its own.
+            kernel_ok = self._use_kernel and not config.force_engine
             per_tile = active_fault_plan() is not None
-            bulk = kernel_ok and checkpointer is None and not per_tile
-            out = _Assembler(self.array, config, bulk)
+            out = _Assembler(self.array, config)
             done = out.resume(config)
+            timings: list[MacroTiming] = []
             kernel_cells = 0
             kernel_seconds = 0.0
             with tracer.span(
@@ -486,33 +469,21 @@ class ArrayScanner:
                     )
                 cap = self.array.capacitance_view()
                 kinds = self.array.defect_kind_view()
-                for rsl, slab in self._plan(done, kernel_ok, bulk):
+                for rsl, slab in self._plan(done, kernel_ok):
                     if kernel_ok:
                         s_vgs, s_codes, s_seconds = self.kernel_planes(
                             cap[rsl], kinds[rsl], tracer
                         )
                         kernel_seconds += s_seconds
-                        # On the bulk slab every engine macro is in it.
-                        tiles = len(slab) - len(
-                            engine if bulk else engine.intersection(slab)
-                        )
-                        share = s_seconds / max(1, tiles)
-                    if bulk:
-                        # Kernel tiles land as the planes themselves;
-                        # only the engine macros go tile by tile.
-                        out.land_plane(s_vgs, s_codes, engine, share)
-                        kernel_cells += tiles * out.cells_per_macro
-                        per_macro = sorted(engine)
-                    elif kernel_ok and not per_tile:
+                    if kernel_ok and not per_tile:
                         # One landing for the slab's kernel tiles.
                         per_macro = [i for i in slab if i in engine]
-                        out.land_slab(
-                            rsl,
+                        tiles = (
                             [i for i in slab if i not in engine]
-                            if per_macro else slab,
-                            s_vgs, s_codes, share,
+                            if per_macro else slab
                         )
-                        kernel_cells += tiles * out.cells_per_macro
+                        out.land_slab(rsl, tiles, s_vgs, s_codes)
+                        kernel_cells += len(tiles) * out.cells_per_macro
                     else:
                         per_macro = slab
                     for index in per_macro:
@@ -524,24 +495,22 @@ class ArrayScanner:
                             )
                             if m_quality is None:
                                 kernel_cells += macro.num_cells
-                            out.place(macro, m_vgs, m_codes, "c", m_quality, share)
+                            out.place(macro, m_vgs, m_codes, "c", m_quality)
                         else:
                             macro_start = perf_counter()
                             m_vgs, m_codes, tier, m_quality = self._scan_macro(
                                 macro, config
                             )
-                            out.place(
-                                macro, m_vgs, m_codes, tier, m_quality,
+                            timings.append(MacroTiming(
+                                index, tier, macro.num_cells,
                                 perf_counter() - macro_start,
-                            )
+                            ))
+                            out.place(macro, m_vgs, m_codes, tier, m_quality)
                     out.persist(slab, rsl)
                 config.progress.finish()
                 out.check()
 
-                if bulk:
-                    engine_cells = out.cells_per_macro * len(engine)
-                else:
-                    engine_cells = int((out.tiers == "e").sum())
+                engine_cells = int(np.count_nonzero(out.tiers == "e"))
                 scan_span.attributes["engine_cells"] = engine_cells
                 # One whole-plane observation instead of one per macro —
                 # same distribution, none of the per-tile conversion cost.
@@ -549,16 +518,14 @@ class ArrayScanner:
                     "scan.codes", "measurement codes emitted"
                 ).observe_many(out.codes.ravel())
 
-            # MacroTiming is a NamedTuple with the unique index first,
-            # so plain tuple order is index order (no per-item key call).
-            out.timings.sort()
             quality = out.quality
             stats = ScanStats(
                 total_cells=rows * cols,
                 wall_seconds=perf_counter() - start,
                 closed_form_cells=rows * cols - engine_cells,
                 engine_cells=engine_cells,
-                macro_timings=out.timings,
+                # Plan order is macro-index order.
+                macro_timings=timings,
                 kernel_cells=kernel_cells,
                 kernel_seconds=kernel_seconds,
                 degraded_cells=int((quality == CellQuality.DEGRADED).sum()),
@@ -595,19 +562,15 @@ class ArrayScanner:
         return result
 
     def _plan(
-        self, done: set[int], kernel_ok: bool, bulk: bool
+        self, done: set[int], kernel_ok: bool
     ) -> list[tuple[slice, range | list[int]]]:
         """Slabs of macro indices still to scan, with their row slices.
 
-        One slab for the whole array on the bulk path; one macro row
-        per slab when a checkpoint persists per slab or a fault plan
-        needs tiles landed one at a time; one macro per slab when the
-        kernel is off, so nothing runs that is not persisted right
+        One macro row per slab for the kernel; one macro per slab when
+        the kernel is off, so nothing runs that is not persisted right
         after.
         """
         array = self.array
-        if bulk:
-            return [(slice(0, array.rows), range(array.num_macros))]
         per_row = array.macros_per_row
         per_slab = per_row if kernel_ok else 1
         mr = array.macro_rows
@@ -662,30 +625,24 @@ class _Assembler:
     """The scan's result planes and the landing of tiles in them.
 
     Every macro lands exactly once — restored from the checkpoint, as
-    part of a bulk kernel plane or slab, or as its own tile — and
-    :meth:`check` proves it before the result is built.  Tile landings
-    advance progress and fire the ``scan.macro_done`` fault site; a
-    bulk plane or slab does its progress in one call and fires no
-    per-macro site, which keeps a scan's bookkeeping off its hot path
-    (both only run with no fault plan armed).
+    part of a kernel slab, or as its own tile — and :meth:`check`
+    proves it before the result is built.  Tile landings advance
+    progress and fire the ``scan.macro_done`` fault site; a slab does
+    its progress in one call and fires no per-macro site, which keeps
+    a scan's bookkeeping off its hot path (slabs land whole only with
+    no fault plan armed).
     """
 
-    def __init__(self, array: EDRAMArray, config: ScanConfig, bulk: bool) -> None:
+    def __init__(self, array: EDRAMArray, config: ScanConfig) -> None:
         rows, cols = array.rows, array.cols
         self.array = array
         self.progress = config.progress
         self.checkpointer = config.checkpoint
         self.cells_per_macro = array.macro_rows * array.macro_cols
-        # A bulk scan adopts the kernel's planes (land_plane): pre-zeroed
-        # ones would be pure allocation waste on the hot path.
-        self.codes: np.ndarray
-        self.vgs: np.ndarray
-        if not bulk:
-            self.codes = np.zeros((rows, cols), dtype=int)
-            self.vgs = np.zeros((rows, cols))
+        self.codes = np.zeros((rows, cols), dtype=int)
+        self.vgs = np.zeros((rows, cols))
         self.tiers = np.full((rows, cols), "c", dtype="<U1")
         self.quality = quality_plane((rows, cols))
-        self.timings: list[MacroTiming] = []
         self._landed = np.zeros(array.num_macros, dtype=np.int64)
 
     def resume(self, config: ScanConfig) -> set[int]:
@@ -712,34 +669,16 @@ class _Assembler:
         self._landed[sorted(done)] += 1
         return done
 
-    def land_plane(
-        self, vgs: np.ndarray, codes: np.ndarray, engine: frozenset[int],
-        share: float,
-    ) -> None:
-        """Adopt whole-array kernel planes; every non-engine tile lands."""
-        self.vgs, self.codes = vgs, codes
-        n = self.array.num_macros
-        cells = self.cells_per_macro
-        self.timings.extend(
-            MacroTiming(index, "c", cells, share)
-            for index in range(n) if index not in engine
-        )
-        kernel = np.ones(n, dtype=bool)
-        kernel[list(engine)] = False
-        self._landed += kernel
-        self.progress.advance(cells * (n - len(engine)))
-
     def land_slab(
         self, rsl: slice, tiles: range | list[int], vgs: np.ndarray,
-        codes: np.ndarray, share: float,
+        codes: np.ndarray,
     ) -> None:
         """Land the kernel ``tiles`` of one row slab from its kernel planes.
 
         A whole slab lands as one band; a slab that a per-macro
-        checkpoint left half done lands only its undone tiles' columns,
-        since its done tiles already hold their journaled values.  As
-        in :meth:`land_plane`, an undone tile's tiers and quality are
-        still their blank ``"c"`` and GOOD.
+        checkpoint left half done, or that holds engine macros, lands
+        only its kernel tiles' columns.  A kernel tile's tiers and
+        quality are still their blank ``"c"`` and GOOD.
         """
         array = self.array
         if len(tiles) == array.macros_per_row:
@@ -751,10 +690,8 @@ class _Assembler:
         for csl in columns:
             self.vgs[rsl, csl] = vgs[:, csl]
             self.codes[rsl, csl] = codes[:, csl]
-        cells = self.cells_per_macro
-        self.timings.extend(MacroTiming(index, "c", cells, share) for index in tiles)
         self._landed[tiles] += 1
-        self.progress.advance(cells * len(tiles))
+        self.progress.advance(self.cells_per_macro * len(tiles))
 
     def place(
         self,
@@ -763,7 +700,6 @@ class _Assembler:
         m_codes: np.ndarray,
         tier: str,
         m_quality: np.ndarray | None,
-        seconds: float,
     ) -> None:
         """Land one macro's tile (``m_quality=None`` means all-GOOD)."""
         rsl = slice(macro.row_start, macro.row_stop)
@@ -775,7 +711,6 @@ class _Assembler:
             CellQuality.GOOD if m_quality is None else m_quality
         )
         self._landed[macro.index] += 1
-        self.timings.append(MacroTiming(macro.index, tier, macro.num_cells, seconds))
         self.progress.advance(macro.num_cells)
         fault_point("scan.macro_done", macro=macro.index)
 

@@ -1,4 +1,4 @@
-"""Scan telemetry: wall time, tier mix, throughput, per-macro timings.
+"""Scan telemetry: wall time, tier mix, throughput, kernel and macro timings.
 
 Production test economics are throughput economics — the paper's
 structure wins because it measures every cell in microseconds, and the
@@ -6,8 +6,9 @@ ROADMAP's north star is a scan that runs as fast as the hardware allows.
 :class:`ScanStats` makes that measurable: every
 :meth:`~repro.measure.scan.ArrayScanner.scan` attaches one to its
 :class:`~repro.measure.scan.ScanResult`, recording how long the scan
-took, which execution tier handled how many cells, and how each
-macro-cell contributed.  The CLI prints the summary;
+took, which execution tier handled how many cells, how long the
+batched kernel's slab passes took, and how long each macro that ran on
+its own (engine tier, kernel off) took.  The CLI prints the summary;
 ``benchmarks/bench_perf_scan.py`` serialises it into ``BENCH_scan.json``
 so the repository keeps a performance trajectory across changes.
 """
@@ -19,13 +20,11 @@ from typing import NamedTuple
 
 
 class MacroTiming(NamedTuple):
-    """Timing of one macro-cell scan.
+    """Measured wall time of one macro-cell scanned on its own.
 
-    A NamedTuple, not a dataclass: a whole-array scan constructs one per
-    macro even on the vectorized-kernel fast path (where per-macro wall
-    time is apportioned from the single kernel pass), and tuple
-    construction is what keeps that bookkeeping invisible next to a
-    sub-millisecond scan.
+    Only macros the per-macro driver ran get one (engine tier, kernel
+    off, ``force_engine``); kernel tiles get none — their time is the
+    slab passes' ``kernel_seconds``.
 
     Attributes
     ----------
@@ -36,8 +35,7 @@ class MacroTiming(NamedTuple):
     cells:
         Cells in the macro tile.
     seconds:
-        Wall time spent scanning the tile; under the vectorized kernel
-        it is the macro's share of its batched pass.
+        Wall time spent scanning the tile.
     """
 
     index: int
@@ -60,11 +58,14 @@ class ScanStats:
         Cells produced by the vectorized closed form vs the exact
         charge engine (bridge fallback / ``force_engine``).
     kernel_cells, kernel_seconds:
-        Cells produced by the whole-array batched kernel and the wall
-        time of that single pass (a subset of the closed-form cells;
-        both 0 when the scan ran the per-macro drivers).
+        Cells landed from the batched kernel and the summed wall time
+        of its macro-row slab passes (a subset of the closed-form
+        cells; both 0 when the scan ran the per-macro drivers).
     macro_timings:
-        Per-macro timings, in macro-index order.
+        Measured timings of the macros scanned on their own, in
+        macro-index order; empty for a clean kernel scan.  With
+        nothing restored from a checkpoint and no tile FAILED,
+        ``kernel_cells`` plus their cells is ``total_cells``.
     degraded_cells, failed_cells:
         Cells whose value came from a fallback rung (DEGRADED) or is a
         flagged placeholder (FAILED) — see
@@ -89,18 +90,13 @@ class ScanStats:
         return self.total_cells / self.wall_seconds
 
     def slowest_macro(self) -> MacroTiming | None:
-        """The macro that took longest, or None for empty scans."""
+        """The timed macro that took longest, or None if none was timed."""
         if not self.macro_timings:
             return None
         return max(self.macro_timings, key=lambda t: t.seconds)
 
     def timing_summary(self) -> dict[str, float]:
-        """p50/p95/max of the per-macro seconds.
-
-        The compact form history files persist: hundreds of per-macro
-        tuples per benchmark entry ballooned ``BENCH_scan.json``, and
-        the distribution tails are what regressions show up in anyway.
-        """
+        """p50/p95/max of the timed macros' seconds (all 0.0 if none)."""
         seconds = sorted(t.seconds for t in self.macro_timings)
         return {
             "p50": _percentile(seconds, 0.50),
@@ -132,13 +128,13 @@ class ScanStats:
         )
         if self.kernel_cells:
             registry.counter(
-                "scan.cells_kernel", "cells via the whole-array batched kernel"
+                "scan.cells_kernel", "cells via the batched kernel"
             ).inc(self.kernel_cells)
             registry.gauge(
-                "scan.kernel_seconds", "last batched-kernel pass wall time"
+                "scan.kernel_seconds", "last scan's summed kernel slab passes"
             ).set(self.kernel_seconds)
         registry.histogram(
-            "scan.macro_seconds", "per-macro scan wall time"
+            "scan.macro_seconds", "wall time of macros scanned on their own"
         ).observe_many(t.seconds for t in self.macro_timings)
         if self.degraded_cells:
             registry.counter(

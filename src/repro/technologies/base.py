@@ -16,11 +16,9 @@ A backend owns everything on the *array side* of the measurement seam:
 
 The scan engine, closed-form kernel, resilience ladder, ledger fingerprints and drift detection all stay
 technology-agnostic: they consume the array's bulk planes and the
-structure's constants, both of which the backend produced.  A backend
-whose charge-sharing algebra deviates from the paper's closed form opts
-out of the batched kernel by setting :attr:`CellTechnology.uses_kernel`
-to ``False`` — the scan planner then keeps the per-macro drivers (see
-docs/architecture.md, "Cell-technology backends").
+structure's constants, both of which the backend produced, so every
+backend's arrays ride the batched kernel (see docs/architecture.md,
+"Cell-technology backends").
 """
 
 from __future__ import annotations
@@ -58,9 +56,6 @@ class CellTechnology(abc.ABC):
     headline: str = "capacitance"
     #: Literature reference for the cell physics.
     reference: str = ""
-    #: Whether the batched closed-form kernel's charge-share algebra is
-    #: valid for this technology.  ``False`` pins the per-macro drivers.
-    uses_kernel: bool = True
     #: Within-die mismatch sigma used by the default array synthesis.
     mismatch_sigma: float = 0.8 * fF
 
@@ -253,7 +248,6 @@ class CellTechnology(abc.ABC):
             "display": self.display,
             "headline": self.headline,
             "reference": self.reference,
-            "uses_kernel": self.uses_kernel,
             "card": card.name,
             "vdd": card.vdd,
             "nominal_fF": to_fF(card.cell_capacitance),

@@ -27,7 +27,6 @@ class EDRAMTechnology(CellTechnology):
     display = "1T1C eDRAM, 0.18 um (the paper's technology)"
     headline = "capacitance"
     reference = "DATE 2005 (source paper)"
-    uses_kernel = True
     mismatch_sigma = 0.8 * fF
 
     def base_card(self) -> "TechnologyCard":

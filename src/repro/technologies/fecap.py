@@ -26,8 +26,8 @@ Models an array of ferroelectric (HZO-class) capacitors read
   EWMA/CUSUM drift charts are built to flag.
 
 The charge-share algebra itself is unchanged — at the plate terminal a
-FeCap cell is "a capacitor of value C(P)" — so this backend keeps
-``uses_kernel = True`` and rides the batched kernel untouched.  The
+FeCap cell is "a capacitor of value C(P)" — so this backend rides the
+batched kernel untouched.  The
 disturb update rewrites the capacitance plane in bulk, which bumps
 ``array.version`` and thereby evicts cached netlists automatically.
 """
@@ -198,7 +198,6 @@ class FeCapTechnology(CellTechnology):
     display = "ferroelectric capacitor array (capacitive read)"
     headline = "capacitance + read-disturb"
     reference = "arXiv:2506.09480"
-    uses_kernel = True
     mismatch_sigma = 1.0 * fF
 
     def base_card(self) -> TechnologyCard:

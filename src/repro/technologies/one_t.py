@@ -15,8 +15,7 @@ What that means for the measurement structure:
   so the paper's charge-share converter measures it directly — the
   structure just has to be *designed* for a 1–8 fF range instead of
   10–55 fF, which :meth:`Capacitorless1TTechnology.measurement_range`
-  requests.  The closed-form kernel's algebra is unchanged
-  (``uses_kernel = True``).
+  requests.  The closed-form kernel's algebra is unchanged.
 
 - **The headline figure of merit is retention time**, ``t_ret =
   (V_written − V_min)·C_body / I_leak``.  The backend derives it from
@@ -124,7 +123,6 @@ class Capacitorless1TTechnology(CellTechnology):
     display = "capacitorless 1T floating-body array (retention-limited)"
     headline = "retention"
     reference = "arXiv:1910.03907"
-    uses_kernel = True
     mismatch_sigma = 0.3 * fF
 
     def base_card(self) -> TechnologyCard:

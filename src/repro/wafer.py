@@ -498,8 +498,7 @@ class WaferModel:
             # Persistence sites fire outside die scans (those record and
             # checkpoint nothing), so they keep the chunked path too.
             chunked = (
-                self._backend.uses_kernel
-                and not config.force_engine
+                not config.force_engine
                 and not config.preflight
                 and (plan is None or all(
                     f.site.startswith(("wafer.", "durable.", "ledger."))

@@ -1,14 +1,15 @@
 """One oracle for every scan path: same array in, same planes out.
 
 ``ArrayScanner.scan`` has one driver, but the plan it builds differs by
-configuration: the whole array in one kernel pass, one macro-row slab
-at a time when a checkpoint or fault plan is armed, one macro at a time
-with the kernel off.  Observers (tracer, metrics) and an interrupt
-followed by ``--resume`` must not move a bit either.  This property
+configuration: one kernel pass per macro-row slab whose kernel tiles
+land together, tile by tile when a fault plan is armed, one macro at a
+time with the kernel off.  Observers (tracer, metrics), a checkpoint
+and an interrupt followed by ``--resume`` must not move a bit either.  This property
 fabricates a random array — SHORT/OPEN/LOW_CAP mixes plus the other
 closed-form kinds, BRIDGE chains and bridges that cross into the next
 macro — runs it through every path, and asserts identical ``vgs``,
-``codes``, ``tiers`` and ``quality`` planes and equal tier counts.
+``codes``, ``tiers`` and ``quality`` planes, equal tier counts, and
+that kernel cells and timed macros partition what each scan measured.
 
 ``force_engine`` is not a path here: the exact engine agrees with the
 closed form to solver precision, not bit for bit, and keeps its own
@@ -120,7 +121,10 @@ def _scan(recipe, config=None, use_kernel=True):
 
 
 def _interrupted_then_resumed(recipe, after, per_row):
-    """Ctrl-C at the ``after``-th ``scan.macro_done``, then ``--resume``."""
+    """Ctrl-C at the ``after``-th ``scan.macro_done``, then ``--resume``.
+
+    Returns the resumed result and the number of macros it restored.
+    """
     with tempfile.TemporaryDirectory() as root:
         ledger = RunLedger(root)
         interrupt = Fault("scan.macro_done", error=KeyboardInterrupt(),
@@ -136,7 +140,7 @@ def _interrupted_then_resumed(recipe, after, per_row):
             recipe, ScanConfig(checkpoint=Checkpointer(ledger, resume=state.run_id))
         )
         assert list_checkpoints(ledger) == []
-        return resumed
+        return resumed, len(state.completed)
 
 
 @given(recipe=_recipes(), data=st.data())
@@ -151,6 +155,9 @@ def test_every_scan_path_lands_the_same_planes(recipe, data):
             recipe, ScanConfig(checkpoint=Checkpointer(RunLedger(root)))
         )
     after = data.draw(st.integers(0, array.num_macros - 1), label="interrupt_at")
+    resumed, restored = _interrupted_then_resumed(
+        recipe, after, array.macros_per_row
+    )
     paths = {
         "checkpointed row slabs": checkpointed,
         "fault-armed row slabs": _scan(recipe, ScanConfig(faults=FaultPlan([]))),
@@ -158,9 +165,7 @@ def test_every_scan_path_lands_the_same_planes(recipe, data):
         "traced with metrics": _scan(
             recipe, ScanConfig(tracer=Tracer(), metrics=MetricsRegistry())
         ),
-        "interrupted then resumed": _interrupted_then_resumed(
-            recipe, after, array.macros_per_row
-        ),
+        "interrupted then resumed": resumed,
     }
     for name, result in paths.items():
         for plane in _PLANES:
@@ -187,6 +192,21 @@ def test_every_scan_path_lands_the_same_planes(recipe, data):
     assert reference.stats.kernel_cells == kernel_cells
     assert paths["fault-armed row slabs"].stats.kernel_cells == kernel_cells
     assert paths["kernel off"].stats.kernel_cells == 0
-    assert [t.index for t in reference.stats.macro_timings] == list(
-        range(array.num_macros)
-    )
+
+    # Exactly-once accounting: every macro a scan measured is either in
+    # its kernel cells or in its own timing (engine macros, or all of
+    # them with the kernel off); a resumed scan measured only the
+    # macros after the ones it restored, which are the first ones.
+    for name, result in {"plain": reference, **paths}.items():
+        first = restored if name == "interrupted then resumed" else 0
+        measured = range(first, array.num_macros)
+        expected = (
+            list(measured) if name == "kernel off"
+            else sorted(engine.intersection(measured))
+        )
+        timings = result.stats.macro_timings
+        assert [t.index for t in timings] == expected, name
+        assert (
+            result.stats.kernel_cells + sum(t.cells for t in timings)
+            == cells * len(measured)
+        ), name

@@ -109,14 +109,14 @@ class TestScanAssembly:
 
         arr = EDRAMArray(8, 4, tech=tech, macro_cols=2, macro_rows=4)
         tile = np.zeros((4, 2))
-        out = _Assembler(arr, ScanConfig(), bulk=False)
+        out = _Assembler(arr, ScanConfig())
         for index in (0, 1, 2):
-            out.place(arr.macro(index), tile, tile.astype(int), "c", None, 0.0)
+            out.place(arr.macro(index), tile, tile.astype(int), "c", None)
         with pytest.raises(ScanMismatchError, match=r"\[3\]: \[0\]"):
             out.check()
-        out.place(arr.macro(3), tile, tile.astype(int), "c", None, 0.0)
+        out.place(arr.macro(3), tile, tile.astype(int), "c", None)
         out.check()
-        out.place(arr.macro(1), tile, tile.astype(int), "c", None, 0.0)
+        out.place(arr.macro(1), tile, tile.astype(int), "c", None)
         with pytest.raises(ScanMismatchError, match=r"\[1\]: \[2\]"):
             out.check()
 

@@ -46,24 +46,44 @@ def zoo_structure(tech):
 
 class TestScanStats:
     def test_stats_shape_and_tier_counts(self, zoo_array, zoo_structure):
-        result = ArrayScanner(zoo_array, zoo_structure).scan()
-        stats = result.stats
-        assert stats is not None
-        assert stats.total_cells == zoo_array.num_cells
-        assert stats.closed_form_cells + stats.engine_cells == stats.total_cells
-        assert stats.engine_cells == int((result.tiers == "e").sum())
-        assert stats.wall_seconds > 0
-        assert stats.cells_per_second > 0
-        assert len(stats.macro_timings) == zoo_array.num_macros
-        assert [t.index for t in stats.macro_timings] == list(range(zoo_array.num_macros))
-        assert sum(t.cells for t in stats.macro_timings) == stats.total_cells
+        routing = ArrayScanner(zoo_array, zoo_structure)
+        engine = [
+            m.index for m in zoo_array.macros() if routing._macro_needs_engine(m)
+        ]
+        assert engine and len(engine) < zoo_array.num_macros
+        for use_kernel in (True, False):
+            result = ArrayScanner(
+                zoo_array, zoo_structure, use_kernel=use_kernel
+            ).scan()
+            stats = result.stats
+            assert stats is not None
+            assert stats.total_cells == zoo_array.num_cells
+            assert stats.closed_form_cells + stats.engine_cells == stats.total_cells
+            assert stats.engine_cells == int((result.tiers == "e").sum())
+            assert stats.wall_seconds > 0
+            assert stats.cells_per_second > 0
+            # Only macros scanned on their own are timed: the bridged
+            # ones on a kernel scan, every macro with the kernel off.
+            timed = [t.index for t in stats.macro_timings]
+            assert timed == (engine if use_kernel else list(range(zoo_array.num_macros)))
+            # Kernel cells and timed cells partition a fault-free scan.
+            assert (
+                stats.kernel_cells + sum(t.cells for t in stats.macro_timings)
+                == stats.total_cells
+            )
 
     def test_macro_timings_carry_tier_markers(self, zoo_array, zoo_structure):
-        result = ArrayScanner(zoo_array, zoo_structure).scan()
-        by_index = {t.index: t.tier for t in result.stats.macro_timings}
-        for macro in zoo_array.macros():
-            expected = result.tiers[macro.row_start, macro.col_start]
-            assert by_index[macro.index] == expected
+        for use_kernel in (True, False):
+            result = ArrayScanner(
+                zoo_array, zoo_structure, use_kernel=use_kernel
+            ).scan()
+            assert result.stats.macro_timings
+            for timing in result.stats.macro_timings:
+                macro = zoo_array.macro(timing.index)
+                tile = result.tiers[macro.row_start:macro.row_stop,
+                                    macro.col_start:macro.col_stop]
+                assert set(tile.ravel()) == {timing.tier}
+                assert timing.cells == macro.num_cells
 
     def test_summary_and_dict_roundtrip(self, zoo_array, zoo_structure):
         stats = ArrayScanner(zoo_array, zoo_structure).scan().stats
@@ -182,6 +202,11 @@ class TestTimingSummary:
         assert stats.kernel_cells == array.num_cells
         assert stats.kernel_seconds > 0
         assert "batched pass" in stats.summary()
+        # Kernel tiles are not timed one by one: a clean kernel scan
+        # has no macro timings and so no straggler to report.
+        assert stats.macro_timings == []
+        assert stats.slowest_macro() is None
+        assert "slowest macro" not in stats.summary()
         payload = stats.to_dict()
         assert payload["kernel_cells"] == array.num_cells
         assert payload["kernel_seconds"] == stats.kernel_seconds

@@ -137,7 +137,18 @@ class TestScanMetrics:
         assert metrics.gauge("scan.wall_seconds").value == pytest.approx(
             result.stats.wall_seconds
         )
-        assert metrics.histogram("scan.macro_seconds").count == arr.num_macros
+        # One observation per timed macro: none on a clean kernel scan,
+        # every macro with the kernel off.
+        assert metrics.histogram("scan.macro_seconds").count == len(
+            result.stats.macro_timings
+        ) == 0
+        metrics = MetricsRegistry()
+        result = ArrayScanner(arr, structure_8x2, use_kernel=False).scan(
+            ScanConfig(metrics=metrics)
+        )
+        assert metrics.histogram("scan.macro_seconds").count == len(
+            result.stats.macro_timings
+        ) == arr.num_macros
 
     def test_counters_accumulate_across_scans(self, tech, structure_2x2):
         metrics = MetricsRegistry()

@@ -1,6 +1,5 @@
-"""The technology registry: resolution, registration, kernel opt-out."""
+"""The technology registry: resolution, registration, protocol defaults."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MeasurementError, TechnologyError
@@ -59,36 +58,6 @@ class TestRegistration:
 
     def test_unregister_unknown_is_noop(self):
         unregister("never-registered")
-
-
-class _NoKernelTechnology(EDRAMTechnology):
-    name = "nokernel"
-    uses_kernel = False
-
-
-class TestKernelOptOut:
-    def test_opting_out_routes_every_macro_through_the_drivers(self):
-        """uses_kernel=False pins the per-macro path, bit-exactly."""
-        register("nokernel", _NoKernelTechnology())
-        try:
-            backend = get("nokernel")
-            array = backend.build_array(16, 4, macro_rows=8, seed=11)
-            # Tag the array so the scanner accepts the pairing.
-            array.technology = "nokernel"
-            structure = backend.design_structure(array)
-            config = ScanConfig(technology="nokernel")
-            result = ArrayScanner(array, structure).scan(config)
-            assert result.stats.kernel_cells == 0
-
-            reference = get("edram").build_array(16, 4, macro_rows=8, seed=11)
-            kernel = ArrayScanner(
-                reference, get("edram").design_structure(reference)
-            ).scan()
-            assert kernel.stats.kernel_cells == reference.num_cells
-            np.testing.assert_array_equal(result.codes, kernel.codes)
-            np.testing.assert_array_equal(result.vgs, kernel.vgs)
-        finally:
-            unregister("nokernel")
 
 
 class TestScanConfigTechnology:

@@ -184,7 +184,7 @@ def test_die_loop_routes_dies_by_kernel_eligibility():
     means, spans = run(faults=FaultPlan([foreign]))
     assert means == chunked and spans == (2 * dies, dies)
     means, spans = run(preflight=True)
-    assert means == chunked and spans == (dies, dies)
+    assert means == chunked and spans == (2 * dies, dies)
 
 
 def test_bridge_dies_fall_back_in_order_mid_chunk():
