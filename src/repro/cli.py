@@ -855,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nominal cell capacitance in fF (default: the "
                         "technology card's nominal, 30 for edram; shift it "
                         "to inject process drift into recorded runs)")
-    p.add_argument("--save", help="write the scan to this .npz path")
+    p.add_argument("--save", help="write the scan's planes to this path "
+                   "(.npz appended if missing; read with repro.io.load_scan)")
     p.add_argument("--force-engine", action="store_true",
                    help="route every macro through the exact charge engine")
     p.add_argument("--preflight", action="store_true",

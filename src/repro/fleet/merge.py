@@ -39,11 +39,12 @@ import numpy as np
 from repro.errors import FleetError
 from repro.fleet.lease import read_lease
 from repro.resilience.durable import durable_write
-from repro.wafer import DieQuality
+from repro.resilience.planes import read_planes, write_planes
+from repro.wafer import DieQuality, WaferModel
 
 __all__ = ["LotMerge", "merge_lot", "lot_scalars"]
 
-#: ``lot.npz`` / ``lot.json`` format version.
+#: ``lot.json`` format version.
 _LOT_FORMAT = 1
 
 
@@ -85,17 +86,6 @@ def _lint_partition(partition: list[list[int]], total_dies: int) -> None:
         raise FleetError(
             f"recorded shard partition fails FLT validation: {detail}"
         )
-
-
-def _radial_geometry(wafer_kwargs: dict[str, Any]) -> list[tuple[int, int, float]]:
-    """Die sites (x, y, radius fraction) from the recorded wafer params.
-
-    Geometry only — no fabrication, no RNG draws — so reconstructing it
-    at merge time cannot perturb determinism.
-    """
-    from repro.wafer import WaferModel
-
-    return WaferModel(**wafer_kwargs).sites()
 
 
 #: Concentric radius-fraction rings behind the zone scalars.
@@ -191,20 +181,6 @@ def _live_worker_pids(state: dict[str, Any]) -> list[int]:
     return sorted(pids)
 
 
-def _load_shard_result(path: Path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            arrays = {
-                key: np.array(data[key])
-                for key in data.files
-                if key != "meta"
-            }
-    except (OSError, ValueError, KeyError) as exc:
-        raise FleetError(f"unreadable shard result {path}: {exc}") from exc
-    return meta, arrays
-
-
 def merge_lot(
     root: str | Path,
     *,
@@ -245,7 +221,9 @@ def merge_lot(
     _lint_partition(partition, total_dies)
     fleet_print = state["fingerprint"]
 
-    planes: dict[str, np.ndarray] | None = None
+    wafer_kwargs = dict(fleet_print["wafer"])
+    model = WaferModel(**wafer_kwargs)
+    planes = model.die_planes(total_dies)
     shard_runs: dict[str, str | None] = {}
     failed_ranges: list[tuple[int, int]] = []
     respawns = 0
@@ -268,7 +246,10 @@ def merge_lot(
             failed_ranges.append((start, stop))
             shard_runs[key] = None
             continue
-        meta, arrays = _load_shard_result(result_path)
+        try:
+            meta, arrays = read_planes(result_path, "shard-result")
+        except (OSError, ValueError) as exc:
+            raise FleetError(f"unreadable shard result {result_path}: {exc}") from exc
         if meta.get("fingerprint") != fleet_print["config"]:
             raise FleetError(
                 f"shard {shard_id} measured under config "
@@ -287,49 +268,27 @@ def merge_lot(
                 f"{meta.get('die_range')} but the partition assigns "
                 f"[{start}, {stop})"
             )
+        if sorted(arrays) != sorted(planes):
+            raise FleetError(
+                f"shard {shard_id} result holds planes {sorted(arrays)}, "
+                f"the lot needs {sorted(planes)}"
+            )
         for name, array in arrays.items():
-            if array.shape[:1] != (stop - start,):
+            if array.shape != planes[name][start:stop].shape:
                 raise FleetError(
                     f"shard {shard_id} result plane {name!r} has shape "
                     f"{array.shape}, but its range [{start}, {stop}) holds "
                     f"{stop - start} dies"
                 )
         shard_runs[key] = meta.get("run_id")
-        if planes is None:
-            planes = {
-                name: np.zeros((total_dies, *array.shape[1:]), array.dtype)
-                for name, array in arrays.items()
-            }
-            planes["die_means"][:] = np.nan
-            planes["die_sigmas"][:] = np.nan
         for name, array in arrays.items():
             planes[name][start:stop] = array
 
-    if planes is None:
-        # Every shard failed: an all-FAILED lot with empty planes.
-        die_rows = fleet_print["wafer"].get("die_rows", 16)
-        die_cols = fleet_print["wafer"].get("die_cols", 8)
-        planes = {
-            "die_means": np.full(total_dies, np.nan),
-            "die_sigmas": np.full(total_dies, np.nan),
-            "die_vgs": np.zeros((total_dies, die_rows, die_cols)),
-            "die_codes": np.zeros(
-                (total_dies, die_rows, die_cols), dtype=int
-            ),
-            "die_cell_quality": np.zeros(
-                (total_dies, die_rows, die_cols), dtype=np.uint8
-            ),
-            "die_quality": np.zeros(total_dies, dtype=np.uint8),
-        }
-    for start, stop in failed_ranges:
+    for start, stop in failed_ranges:  # means and sigmas stay NaN
         planes["die_quality"][start:stop] = int(DieQuality.FAILED)
-        planes["die_means"][start:stop] = np.nan
-        planes["die_sigmas"][start:stop] = np.nan
 
-    wafer_kwargs = dict(fleet_print["wafer"])
-    sites = _radial_geometry(wafer_kwargs)
     scalars = lot_scalars(
-        sites,
+        model.sites(),
         planes["die_means"],
         planes["die_sigmas"],
         planes["die_quality"],
@@ -346,7 +305,6 @@ def merge_lot(
         lot_state = "degraded"
 
     lot_meta = {
-        "format": _LOT_FORMAT,
         "state": lot_state,
         "label": label or state.get("label", ""),
         "total_dies": total_dies,
@@ -356,10 +314,12 @@ def merge_lot(
         "failed_ranges": [list(r) for r in sorted(failed_ranges)],
         "scalars": scalars,
     }
-    durable_write(root / "lot.npz", lambda fh: np.savez_compressed(
-        fh, meta=np.array(json.dumps(lot_meta)), **planes
+    durable_write(root / "lot.npz", lambda fh: write_planes(
+        fh, {"kind": "lot", **lot_meta}, planes
     ))
-    text = json.dumps(lot_meta, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(
+        {"format": _LOT_FORMAT, **lot_meta}, indent=2, sort_keys=True
+    ) + "\n"
     durable_write(root / "lot.json", lambda fh: fh.write(text.encode("utf-8")))
 
     run_id = None

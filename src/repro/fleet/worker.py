@@ -35,11 +35,9 @@ import numpy as np
 
 from repro.errors import FleetError, ResilienceError
 from repro.resilience.durable import durable_write
+from repro.resilience.planes import write_planes
 
 __all__ = ["fault_plan_from_spec", "load_spec", "run_shard", "main"]
-
-#: ``result.npz`` format version (2: planes hold only the shard's range).
-_RESULT_FORMAT = 2
 
 
 def fault_plan_from_spec(payload: dict[str, Any] | None):
@@ -98,28 +96,19 @@ def load_spec(path: str | Path) -> dict[str, Any]:
     return spec
 
 
-def _write_result(path: Path, scan, meta: dict[str, Any]) -> None:
-    """Persist the shard's ``[lo, hi)`` slice of each plane durably.
+def _write_result(path: Path, model, scan, meta: dict[str, Any]) -> None:
+    """Persist the shard's ``[lo, hi)`` slice of each die plane durably.
 
     Range-sized, so a shard's result scales with its own dies, not the
-    wafer; the merge scatters each slice into the lot.  Uncompressed on
-    purpose: results live only until the merge reads them, and
-    compressing multi-megabyte die planes costs the worker more wall
-    time than the disk it saves.
+    wafer; the merge scatters each slice into the lot.  One plane
+    container (:mod:`repro.resilience.planes`) of kind
+    ``shard-result``, with ``meta`` as its header fields.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps({"format": _RESULT_FORMAT, **meta})
     lo, hi = scan.die_range
-    durable_write(path, lambda fh: np.savez(
-        fh,
-        meta=np.array(payload),
-        die_means=scan.die_means[lo:hi],
-        die_sigmas=scan.die_sigmas[lo:hi],
-        die_vgs=scan.die_vgs[lo:hi],
-        die_codes=scan.die_codes[lo:hi],
-        die_cell_quality=scan.die_cell_quality[lo:hi],
-        die_quality=scan.die_quality[lo:hi],
-    ))
+    header = {"kind": "shard-result", **meta}
+    planes = {name: getattr(scan, name)[lo:hi] for name in model.die_planes(0)}
+    durable_write(path, lambda fh: write_planes(fh, header, planes))
 
 
 def _shard_scalars(scan) -> dict[str, float]:
@@ -229,7 +218,7 @@ def run_shard(spec: dict[str, Any]) -> int:
         "fingerprint": config_fingerprint(config),
         "wafer": wafer_kwargs,
     }
-    _write_result(Path(spec["result_path"]), scan, meta)
+    _write_result(Path(spec["result_path"]), model, scan, meta)
 
     manifest = RunManifest(
         kind="shard",

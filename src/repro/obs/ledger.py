@@ -8,7 +8,9 @@ produced which numbers.  A :class:`RunLedger` owns a directory
 
 - ``manifest.jsonl`` — one :class:`RunManifest` per line, append-only,
 - ``artifacts/<run_id>.npz`` — the raw scan planes of runs recorded
-  with an artifact (what ``runs diff`` reloads for bitmap deltas).
+  with an artifact, one plane container
+  (:mod:`repro.resilience.planes`) each — what ``runs diff`` reloads
+  for bitmap deltas.
 
 A manifest freezes everything needed to trust or reproduce a run: the
 value fields of the frozen :class:`~repro.measure.config.ScanConfig`
@@ -29,6 +31,7 @@ does, so it can fold calibrated-bitmap statistics into scan manifests).
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -111,6 +114,7 @@ def config_hash(config: "ScanConfig") -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+@functools.cache
 def _package_version() -> str:
     try:
         from importlib.metadata import version
@@ -524,10 +528,6 @@ class RunLedger:
         from repro.io import load_scan
 
         path = self.root / manifest.artifact
-        if not path.exists():
-            raise LedgerError(
-                f"run {manifest.run_id} artifact missing at {path}"
-            )
         try:
             return load_scan(path)
         except MeasurementError as exc:

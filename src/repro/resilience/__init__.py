@@ -15,7 +15,9 @@ each of them from "lose the run" into data:
 - :mod:`~repro.resilience.checkpoint` — :class:`Checkpointer` /
   checkpoint files under the run ledger powering ``--resume``;
 - :mod:`~repro.resilience.durable` — ``durable_write``, the one way a
-  whole file reaches disk (tmp, fsync, rename, directory fsync).
+  whole file reaches disk (tmp, fsync, rename, directory fsync);
+- :mod:`~repro.resilience.planes` — ``write_planes``/``read_planes``,
+  the one container every file holding planes uses.
 """
 
 from repro.resilience.checkpoint import (

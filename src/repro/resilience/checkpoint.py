@@ -5,19 +5,17 @@ job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
 
 * A run that checkpoints **reserves its run id up front** (under the
   ledger's advisory lock) by writing a small manifest,
-  ``<ledger>/checkpoints/<run_id>.npz``: kind, config fingerprint, unit
-  count, caller meta and each plane's name, shape and dtype — no plane
-  data.
-* Every persist then appends one **journal segment**,
-  ``<run_id>.journal/NNNNNN.npz``: the unit indices it completes, the
-  leading-axis rows those units cover, and just those rows of each
-  plane.  A segment costs O(units since the last persist), not O(plane),
-  so a run writes each row about once however many times it persists
-  (a wafer run persists after every die, a kernel scan once per
-  macro-row slab).  Manifest and segments go through
-  :func:`~repro.resilience.durable.durable_write`, so a kill mid-write
-  leaves the previous good state; a torn ``*.tmp`` is never listed as a
-  run or replayed, and the next write to its name replaces it.
+  ``<ledger>/checkpoints/<run_id>.npz``: a plane container
+  (:mod:`repro.resilience.planes`) whose header holds kind, config
+  fingerprint, unit count, caller meta and each plane's name, shape and
+  dtype — and no planes.
+* Every persist then writes one **journal segment**,
+  ``<run_id>.journal/NNNNNN.seg``: a container of the unit indices it
+  completes, the leading-axis rows those units cover, and just those
+  rows of each plane — O(units since the last persist), not O(plane).
+  Each file is one :func:`~repro.resilience.durable.durable_write`, so a
+  kill mid-write leaves the previous good state; a torn ``*.tmp`` is
+  never listed as a run or replayed, and the next write replaces it.
 * ``repro scan --resume r0042`` validates the manifest against the
   resuming configuration via its
   :func:`~repro.obs.ledger.config_fingerprint` — the data-affecting
@@ -35,7 +33,6 @@ job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
 
 from __future__ import annotations
 
-import json
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -48,6 +45,7 @@ import numpy as np
 from repro.errors import CheckpointError
 from repro.obs.ledger import RunLedger
 from repro.resilience.durable import durable_write, tmp_path
+from repro.resilience.planes import read_planes, write_planes
 
 __all__ = [
     "ScanCheckpoint",
@@ -55,9 +53,6 @@ __all__ = [
     "load_checkpoint",
     "list_checkpoints",
 ]
-
-_FORMAT = 2
-
 
 @dataclass
 class ScanCheckpoint:
@@ -112,23 +107,17 @@ def _read_manifest(
     """The run described by manifest ``path`` (no planes yet) and its
     plane layout ``{name: (shape, dtype)}``."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            header = json.loads(str(data["meta"]))
-    except Exception as exc:  # lint: allow-broad-except - wrapped and re-raised
+        header, _ = read_planes(path, "checkpoint")
+    except (OSError, ValueError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     try:
-        if int(header["format"]) != _FORMAT:
-            raise CheckpointError(
-                f"checkpoint {path} has format {header['format']}, "
-                f"expected {_FORMAT}"
-            )
         layout = {
             str(name): (tuple(int(n) for n in spec["shape"]),
                         np.dtype(spec["dtype"]))
-            for name, spec in header["planes"].items()
+            for name, spec in header["layout"].items()
         }
         state = ScanCheckpoint(
-            kind=str(header["kind"]),
+            kind=str(header["run_kind"]),
             run_id=str(header["run_id"]),
             fingerprint=dict(header["fingerprint"]),
             total=int(header["total"]),
@@ -158,33 +147,30 @@ def _replay(journal: Path, arrays: dict[str, np.ndarray]) -> tuple[list[int], in
     last = 0
     for path in _segments(journal):
         try:
-            with open(path, "rb") as fh:
-                header = json.loads(fh.readline())
-                if header["format"] != _FORMAT or header["planes"] != sorted(arrays):
+            header, blocks = read_planes(path, "segment")
+            rows = [int(r) for r in header["rows"]]
+            units = [int(u) for u in header["units"]]
+            if sorted(blocks) != sorted(arrays):
+                raise ValueError(
+                    f"planes {sorted(blocks)}, expected {sorted(arrays)}"
+                )
+            for name, block in blocks.items():
+                plane = arrays[name]
+                if block.dtype != plane.dtype or (
+                    block.shape != (len(rows), *plane.shape[1:])
+                ):
                     raise ValueError(
-                        f"format {header['format']} with planes "
-                        f"{header['planes']}, expected format {_FORMAT} with "
-                        f"{sorted(arrays)}"
+                        f"plane {name!r} block is {block.dtype}"
+                        f"{block.shape} for {len(rows)} rows of "
+                        f"{plane.dtype}{plane.shape}"
                     )
-                rows = [int(r) for r in header["rows"]]
-                index = _row_index(rows)
-                for name in header["planes"]:
-                    plane = _ints(arrays[name])
-                    block = np.lib.format.read_array(fh, allow_pickle=False)
-                    if block.shape != (len(rows), *plane.shape[1:]) or (
-                        not np.can_cast(block.dtype, plane.dtype)
-                    ):
-                        raise ValueError(
-                            f"plane {name!r} block is {block.dtype}"
-                            f"{block.shape} for {len(rows)} rows of "
-                            f"{plane.dtype}{plane.shape}"
-                        )
-                    plane[index] = block
-                units = [int(u) for u in header["units"]]
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint segment {path}: {exc}"
             ) from exc
+        index = _row_index(rows)
+        for name, block in blocks.items():
+            arrays[name][index] = block
         for unit in units:
             if unit not in seen:
                 seen.add(unit)
@@ -304,8 +290,6 @@ class Checkpointer:
         mismatch is refused with a :class:`CheckpointError` naming the
         difference.
         """
-        if "meta" in arrays:
-            raise CheckpointError("array name 'meta' is reserved")
         if self.resume is not None:
             state = self._load_resume(kind, fingerprint, arrays, total)
         else:
@@ -474,59 +458,40 @@ class Checkpointer:
         return self.state
 
     def _write_manifest(self, state: ScanCheckpoint) -> None:
-        """The run's manifest: one JSON ``meta`` entry in an ``.npz``."""
-        payload = np.array(json.dumps(_manifest_header(state)))
+        """The run's manifest: a plane-container header with no planes."""
+        header = {
+            "kind": "checkpoint",
+            "run_kind": state.kind,
+            "run_id": state.run_id,
+            "fingerprint": state.fingerprint,
+            "total": state.total,
+            "meta": state.meta,
+            "created": state.created,
+            "layout": {
+                name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
+                for name, plane in state.arrays.items()
+            },
+        }
         durable_write(
             _checkpoint_path(self.ledger, state.run_id),
-            lambda fh: np.savez(fh, meta=payload),
+            lambda fh: write_planes(fh, header, {}),
         )
 
     def _write_segment(self, state: ScanCheckpoint) -> None:
-        """The next journal segment: the pending units and their rows.
+        """The next journal segment: the pending units and just their rows.
 
-        One JSON header line, then one ``.npy`` record per plane in
-        sorted name order.  No compression and no zip container: a
-        segment holds only the rows it completes, and at that size the
-        fsyncs dominate.  Integer blocks travel in the narrowest dtype
-        that holds their values (unicode as code points), which halves
-        a scan slab's bytes; replay widens them back exactly.
+        A segment holds only the rows it completes, so the fsyncs, not
+        the bytes, dominate its cost.
         """
         rows = sorted(self._pending_rows)
         index = _row_index(rows)
-        names = sorted(state.arrays)
-        header = json.dumps({
-            "format": _FORMAT,
-            "units": self._pending_units,
-            "rows": rows,
-            "planes": names,
-        })
-
-        def write(fh) -> None:
-            fh.write(header.encode("utf-8") + b"\n")
-            for name in names:
-                np.lib.format.write_array(
-                    fh, _narrow(_ints(state.arrays[name][index])),
-                    allow_pickle=False,
-                )
-
+        header = {"kind": "segment", "units": self._pending_units, "rows": rows}
+        blocks = {name: plane[index] for name, plane in state.arrays.items()}
         self._segment += 1
-        durable_write(self.journal / f"{self._segment:06d}.seg", write)
-
-
-def _manifest_header(state: ScanCheckpoint) -> dict[str, Any]:
-    return {
-        "format": _FORMAT,
-        "kind": state.kind,
-        "run_id": state.run_id,
-        "fingerprint": state.fingerprint,
-        "total": state.total,
-        "meta": state.meta,
-        "created": state.created,
-        "planes": {
-            name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
-            for name, plane in state.arrays.items()
-        },
-    }
+        durable_write(
+            self.journal / f"{self._segment:06d}.seg",
+            lambda fh: write_planes(fh, header, blocks),
+        )
 
 
 def _rows(rows: int | slice | Iterable[int]) -> Iterable[int]:
@@ -535,25 +500,6 @@ def _rows(rows: int | slice | Iterable[int]) -> Iterable[int]:
     if isinstance(rows, (int, np.integer)):
         return (int(rows),)
     return (int(r) for r in rows)
-
-
-def _ints(plane: np.ndarray) -> np.ndarray:
-    """``plane`` itself, or a view of a unicode plane's UCS-4 code points."""
-    return plane.view(np.uint32) if plane.dtype.kind == "U" else plane
-
-
-def _narrow(block: np.ndarray) -> np.ndarray:
-    """An integer block in the narrowest dtype that holds its values
-    (others unchanged); a safe cast widens it back bit-exactly."""
-    if block.dtype.kind not in "iu" or not block.size:
-        return block
-    narrow = np.promote_types(
-        np.min_scalar_type(block.min()), np.min_scalar_type(block.max())
-    )
-    # A negative low with a uint64 high promotes to float: keep as is.
-    if narrow.kind not in "iu" or narrow.itemsize >= block.dtype.itemsize:
-        return block
-    return block.astype(narrow)
 
 
 def _now() -> str:

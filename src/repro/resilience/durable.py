@@ -2,7 +2,9 @@
 
 Every artifact the stack writes whole — checkpoints, shard results,
 specs, leases, ``fleet.json``, the lot, traces, metrics, saved scans and
-abaci — goes through :func:`durable_write`:
+abaci — goes through :func:`durable_write`; the files that hold planes
+pass it :func:`~repro.resilience.planes.write_planes` as their writer,
+one write per file:
 
 1. ``writer(fh)`` fills a binary handle on the sibling ``<name>.tmp``;
 2. the handle is flushed and ``fsync``\\ ed, so the bytes are on disk;

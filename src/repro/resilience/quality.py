@@ -19,8 +19,8 @@ FAILED      2      every rung failed; the value is a placeholder
 ==========  =====  ====================================================
 
 Quality planes ride along the scan planes as a ``(rows, cols)`` uint8
-array — zero for clean scans, so the plane compresses to nothing in
-``.npz`` artifacts and checkpoint files.
+array — zero for clean scans — and persist, like every plane, in the
+plane container (:mod:`repro.resilience.planes`) at one byte a cell.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class CellQuality(enum.IntEnum):
         return self.name.lower()
 
 
-#: dtype of quality planes (one byte per cell; zeros compress away).
+#: dtype of quality planes (one byte per cell).
 QUALITY_DTYPE = np.uint8
 
 

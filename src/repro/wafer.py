@@ -343,7 +343,7 @@ class WaferModel:
                 f"{total} printed dies"
             )
         checkpointer = config.checkpoint
-        arrays = self._die_planes(hi - lo)
+        arrays = self.die_planes(hi - lo)
         done: set[int] = set()
         if checkpointer is not None:
             fingerprint = config_fingerprint(config)
@@ -360,7 +360,7 @@ class WaferModel:
         run_id = checkpointer.run_id if checkpointer is not None else None
         if checkpointer is not None and finish_checkpoint:
             checkpointer.finish()
-        planes = self._die_planes(total)
+        planes = self.die_planes(total)
         for name, shard_plane in arrays.items():
             planes[name][lo:hi] = shard_plane
         return DieRangeScan(
@@ -386,8 +386,9 @@ class WaferModel:
             )
         return config
 
-    def _die_planes(self, count: int) -> dict[str, np.ndarray]:
-        """Neutral :class:`DieRangeScan` planes for ``count`` dies."""
+    def die_planes(self, count: int) -> dict[str, np.ndarray]:
+        """Neutral :class:`DieRangeScan` planes for ``count`` dies (NaN
+        means and sigmas, zero codes, GOOD quality)."""
         shape = (count, self.die_rows, self.die_cols)
         return {
             "die_means": np.full(count, np.nan),

@@ -13,6 +13,7 @@ from repro.errors import FleetError
 from repro.fleet import FleetOrchestrator, merge_lot
 from repro.fleet.orchestrator import EXIT_DEGRADED, EXIT_HEALTHY
 from repro.obs.ledger import RunLedger
+from repro.resilience.planes import read_planes, write_planes
 from repro.wafer import DieQuality, WaferModel
 
 DIAMETER = 3  # 9 dies
@@ -221,12 +222,12 @@ class TestMergeRefusals:
         # full-length plane (the old layout) is refused, not misplaced.
         clone = _copy(fleet_root, tmp_path)
         path = clone / "results" / "s01.npz"
-        with np.load(path, allow_pickle=False) as data:
-            planes = {name: np.array(data[name]) for name in data.files}
+        meta, planes = read_planes(path, "shard-result")
         planes["die_means"] = np.concatenate(
             [np.full(5, np.nan), planes["die_means"]]
         )
-        np.savez(path, **planes)
+        with open(path, "wb") as fh:
+            write_planes(fh, meta, planes)
         with pytest.raises(FleetError, match=r"'die_means' has shape \(9,\).*\[5, 9\) holds 4"):
             merge_lot(clone)
 

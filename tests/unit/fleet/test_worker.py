@@ -9,6 +9,7 @@ from repro.errors import FleetError, ResilienceError
 from repro.fleet import read_lease
 from repro.fleet.worker import fault_plan_from_spec, load_spec, main, run_shard
 from repro.resilience import faults as faults_module
+from repro.resilience.planes import read_planes
 
 
 @pytest.fixture(autouse=True)
@@ -103,10 +104,12 @@ class TestRunShard:
         assert lease.dies_done == 4
         assert lease.run_id == "r0001"
 
-        with np.load(tmp_path / "result.npz", allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            means = np.array(data["die_means"])
-            quality = np.array(data["die_quality"])
+        meta, planes = read_planes(tmp_path / "result.npz", "shard-result")
+        means, quality = planes["die_means"], planes["die_quality"]
+        assert sorted(planes) == sorted([
+            "die_means", "die_sigmas", "die_vgs", "die_codes",
+            "die_cell_quality", "die_quality",
+        ])
         assert meta["die_range"] == [2, 6]
         assert meta["run_id"] == "r0001"
         # Range-sized: only the shard's own dies [2, 6).

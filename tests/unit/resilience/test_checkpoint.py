@@ -122,10 +122,16 @@ def test_resume_refuses_total_and_shape_mismatch(tmp_path):
         )
 
 
-def test_meta_array_name_is_reserved(tmp_path):
+def test_a_plane_may_be_named_meta(tmp_path):
+    # Planes and header fields live apart in the plane container, so no
+    # plane name is reserved.
     ck = Checkpointer(tmp_path)
-    with pytest.raises(CheckpointError, match="reserved"):
-        ck.start("scan", {}, {"meta": np.zeros(1)}, total=1)
+    state = ck.start("scan", {}, {"meta": np.zeros(2)}, total=2)
+    state.arrays["meta"][1] = 0.5
+    ck.mark_done(1)
+    loaded = load_checkpoint(ck.path)
+    assert loaded.meta == {}
+    np.testing.assert_array_equal(loaded.arrays["meta"], [0.0, 0.5])
 
 
 def test_unstarted_checkpointer_refuses(tmp_path):
@@ -331,17 +337,47 @@ def test_torn_manifest_tmp_alone_is_no_run_and_finish_removes_it(tmp_path):
     assert list(ledger.checkpoint_dir.iterdir()) == []
 
 
-def test_format_1_checkpoint_is_refused_naming_its_format(tmp_path):
-    ledger = RunLedger(tmp_path)
-    ledger.checkpoint_dir.mkdir(parents=True)
-    old = ledger.checkpoint_dir / "r0001.npz"
+def _pre_change_manifest(ledger, run_id, fmt):
+    """A manifest as formats 1 and 2 wrote it: a zip holding one JSON
+    ``meta`` entry."""
+    ledger.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    path = ledger.checkpoint_dir / f"{run_id}.npz"
     meta = {
-        "format": 1, "kind": "scan", "run_id": "r0001",
+        "format": fmt, "kind": "scan", "run_id": run_id,
         "fingerprint": {"rows": 4}, "total": 4, "completed": [0],
         "meta": {}, "created": "",
     }
-    np.savez_compressed(old, meta=np.array(json.dumps(meta)), **_blanks())
-    with pytest.raises(CheckpointError, match="has format 1, expected 2"):
-        load_checkpoint(old)
-    with pytest.raises(CheckpointError, match="has format 1, expected 2"):
-        _start(Checkpointer(tmp_path, resume="r0001"))
+    np.savez(path, meta=np.array(json.dumps(meta)))
+    return path
+
+
+def test_format_1_checkpoint_is_refused_naming_its_format(tmp_path):
+    ledger = RunLedger(tmp_path)
+    for fmt in (1, 2):
+        old = _pre_change_manifest(ledger, "r0001", fmt)
+        with pytest.raises(CheckpointError, match=r"a pre-change \.npz"):
+            load_checkpoint(old)
+        with pytest.raises(CheckpointError, match=r"a pre-change \.npz"):
+            _start(Checkpointer(tmp_path, resume="r0001"))
+
+
+def test_pre_change_checkpoint_keeps_its_run_id_and_journal(tmp_path):
+    # An unfinished run from before the plane container still holds its
+    # id: a new run takes the next one and leaves the old journal be.
+    ledger = RunLedger(tmp_path)
+    old = _pre_change_manifest(ledger, "r0001", 2)
+    journal = ledger.checkpoint_dir / "r0001.journal"
+    journal.mkdir()
+    segment = journal / "000001.seg"
+    segment.write_bytes(b'{"format": 2, "units": [0], "rows": [0]}\n')
+    assert ledger.checkpoint_files() == [old]
+    ck = Checkpointer(tmp_path)
+    assert _start(ck).run_id == "r0002"
+    ck.mark_done(0)
+    assert old.exists()
+    assert [p.name for p in journal.iterdir()] == ["000001.seg"]
+    assert segment.read_bytes().startswith(b'{"format": 2')
+    ck.finish()
+    assert sorted(p.name for p in ledger.checkpoint_dir.iterdir()) == [
+        "r0001.journal", "r0001.npz",
+    ]

@@ -13,7 +13,7 @@ from repro.resilience.quality import (
 
 def test_quality_ordering_worst_last():
     assert CellQuality.GOOD < CellQuality.DEGRADED < CellQuality.FAILED
-    assert int(CellQuality.GOOD) == 0  # zeros compress away in .npz
+    assert int(CellQuality.GOOD) == 0  # a clean scan's plane is all zeros
 
 
 def test_quality_plane_starts_all_good():

@@ -307,6 +307,24 @@ def test_runs_diff_corrupted_artifact_reports_reason(tmp_path, capsys):
     assert "Traceback" not in out
 
 
+def test_runs_diff_pre_change_artifact_names_its_format(tmp_path, capsys):
+    import json
+
+    import numpy as np
+
+    assert _record_scan(tmp_path, seed=1) == 0
+    assert _record_scan(tmp_path, seed=2) == 0
+    capsys.readouterr()
+    # A scan artifact as formats 1 and 2 wrote it: a compressed npz.
+    artifacts = sorted((tmp_path / "runs" / "artifacts").glob("*.npz"))
+    np.savez_compressed(artifacts[-1], format=np.array(2))
+    assert main(["runs", "diff", "--dir", str(tmp_path / "runs"),
+                 "--format", "json", "r0001", "r0002"]) == 0
+    reason = json.loads(capsys.readouterr().out)["bitmap"]["reason"]
+    assert "a pre-change .npz" in reason
+    assert "plane container format 3" in reason
+
+
 def test_runs_diff_truncated_manifest_exits_2(tmp_path, capsys):
     assert _record_scan(tmp_path, seed=1) == 0
     capsys.readouterr()

@@ -22,10 +22,26 @@ class TestScanIO:
         path = save_scan(scan, tmp_path / "scan")
         assert path.suffix == ".npz"
         loaded = load_scan(path)
-        assert np.array_equal(loaded.codes, scan.codes)
-        assert np.allclose(loaded.vgs, scan.vgs)
-        assert np.array_equal(loaded.tiers, scan.tiers)
+        for plane in ("vgs", "codes", "tiers", "quality"):
+            got, want = getattr(loaded, plane), getattr(scan, plane)
+            assert got.dtype == want.dtype, plane
+            assert np.array_equal(got, want), plane
         assert loaded.num_steps == scan.num_steps
+
+    def test_vgs_roundtrip_is_bit_exact(self, scan, tmp_path):
+        loaded = load_scan(save_scan(scan, tmp_path / "scan"))
+        assert loaded.vgs.tobytes() == scan.vgs.tobytes()
+
+    def test_pre_change_npz_is_refused_naming_its_format(self, scan, tmp_path):
+        path = tmp_path / "old.npz"
+        np.savez_compressed(path, format=np.array(2), codes=scan.codes)
+        with pytest.raises(MeasurementError, match="pre-change .npz"):
+            load_scan(path)
+
+    def test_other_container_kind_is_refused(self, abacus_2x2, tmp_path):
+        path = save_abacus(abacus_2x2, tmp_path / "abacus")
+        with pytest.raises(MeasurementError, match="not a 'scan'"):
+            load_scan(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MeasurementError):
@@ -39,19 +55,26 @@ class TestScanIO:
 class TestAbacusIO:
     def test_roundtrip(self, structure_2x2, abacus_2x2, tmp_path):
         path = save_abacus(abacus_2x2, tmp_path / "abacus")
-        assert path.suffix == ".json"
+        assert path.suffix == ".npz"
         loaded = load_abacus(path, structure_2x2)
-        assert np.allclose(loaded.edges, abacus_2x2.edges, atol=1e-21)
+        assert loaded.edges.dtype == abacus_2x2.edges.dtype
+        assert np.array_equal(loaded.edges, abacus_2x2.edges)
 
     def test_missing_file(self, structure_2x2, tmp_path):
         with pytest.raises(CalibrationError):
-            load_abacus(tmp_path / "nope.json", structure_2x2)
+            load_abacus(tmp_path / "nope.npz", structure_2x2)
 
     def test_fingerprint_mismatch_rejected(self, tech, abacus_2x2, tmp_path):
         path = save_abacus(abacus_2x2, tmp_path / "abacus")
         other = design_structure(tech, 8, 2)  # different design
         with pytest.raises(CalibrationError):
             load_abacus(path, other)
+
+    def test_torn_file_is_refused(self, structure_2x2, abacus_2x2, tmp_path):
+        path = save_abacus(abacus_2x2, tmp_path / "abacus")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CalibrationError, match="unreadable abacus"):
+            load_abacus(path, structure_2x2)
 
     def test_codes_survive_roundtrip(self, structure_2x2, abacus_2x2, tmp_path):
         from repro.units import fF
