@@ -643,8 +643,8 @@ def bench_perf_scan_checkpoint_cost(tech, tmp_path, monkeypatch):
     """Write-cost gate: a checkpointed scan writes each row about once.
 
     A 512×512 checkpointed scan (32 macro-row slabs) must land planes
-    bit-identical to a plain scan, make exactly 1 + slabs durable
-    writes (the manifest, then one journal segment per slab) and
+    bit-identical to a plain scan, make exactly 1 + slabs persists (the
+    header's durable write, then one segment append per slab) and
     persist at most 1.25× one set of result planes in total.  These are
     counts and bytes, so the gate is deterministic; wall times are
     reported, not gated, because fsync latency varies from host to host.
@@ -660,16 +660,24 @@ def bench_perf_scan_checkpoint_cost(tech, tmp_path, monkeypatch):
 
     written = []
     durable_write = checkpoint_module.durable_write
+    durable_append = checkpoint_module.durable_append
 
     def counting_write(path, writer):
         durable_write(path, writer)
         written.append(path.stat().st_size)
+        return path
+
+    def counting_append(path, data, **kwargs):
+        durable_append(path, data, **kwargs)
+        written.append(len(data))
+        return path
 
     def checkpointed():
         written.clear()
         return scanner.scan(ScanConfig(checkpoint=Checkpointer(tmp_path)))
 
     monkeypatch.setattr(checkpoint_module, "durable_write", counting_write)
+    monkeypatch.setattr(checkpoint_module, "durable_append", counting_append)
     checkpoint_seconds, scan = _best_of(checkpointed)
 
     planes = ("codes", "vgs", "tiers", "quality")
@@ -683,7 +691,7 @@ def bench_perf_scan_checkpoint_cost(tech, tmp_path, monkeypatch):
         "\n".join([
             f"array {rows}x{cols}, {MACRO_ROWS}x{MACRO_COLS} macros, "
             f"{slabs} slabs",
-            f"durable writes   : {len(written)}  (manifest + 1 per slab)",
+            f"persists         : {len(written)}  (header + 1 append per slab)",
             f"persisted bytes  : {persisted / 1e6:.2f} MB  "
             f"({persisted / plane_bytes:.2f}x one set of planes "
             f"{plane_bytes / 1e6:.2f} MB)",

@@ -7,9 +7,10 @@ coverage is explicit (FAILED die quality, never silent gaps), and whose
 provenance is consistent (every shard measured under the same config
 fingerprint, or the merge refuses).  Concretely:
 
-- the shard partition recorded in ``fleet.json`` is re-validated
-  through the FLT lint rules — a hand-edited or corrupt plan with an
-  overlap or gap is refused before any plane is touched,
+- the shard partition recorded in ``fleet.json`` is re-validated by
+  :func:`~repro.fleet.partition.validate_partition` (the checker the
+  FLT lint rules share) — a hand-edited or corrupt plan with an overlap
+  or gap is refused before any plane is touched,
 - every shard result's config fingerprint (and wafer parameters) must
   equal the fleet's — mixing results from different configurations is
   a :class:`~repro.errors.FleetError`, not a quiet wrong answer,
@@ -38,6 +39,7 @@ import numpy as np
 
 from repro.errors import FleetError
 from repro.fleet.lease import read_lease
+from repro.fleet.partition import validate_partition
 from repro.resilience.durable import durable_write
 from repro.resilience.planes import read_planes, write_planes
 from repro.wafer import DieQuality, WaferModel
@@ -70,22 +72,6 @@ class LotMerge:
         from repro.fleet.orchestrator import fleet_exit_code
 
         return fleet_exit_code(self.state)
-
-
-def _lint_partition(partition: list[list[int]], total_dies: int) -> None:
-    """Refuse a recorded partition the FLT lint family rejects."""
-    from repro.lint.analyzer import lint_project
-
-    report = lint_project(
-        only=("FLT001", "FLT002"),
-        context={"ranges": partition, "total_dies": total_dies},
-    )
-    errors = [d for d in report.diagnostics if d.severity.name == "ERROR"]
-    if errors:
-        detail = "; ".join(d.message for d in errors)
-        raise FleetError(
-            f"recorded shard partition fails FLT validation: {detail}"
-        )
 
 
 #: Concentric radius-fraction rings behind the zone scalars.
@@ -218,7 +204,7 @@ def merge_lot(
             )
     total_dies = int(state["total_dies"])
     partition = [list(entry) for entry in state["partition"]]
-    _lint_partition(partition, total_dies)
+    validate_partition(partition, total_dies)
     fleet_print = state["fingerprint"]
 
     wafer_kwargs = dict(fleet_print["wafer"])

@@ -168,9 +168,9 @@ class FleetOrchestrator:
     checkpoint_every_seconds:
         Worker checkpoint persistence throttle (``Checkpointer
         .min_save_seconds``): the dies a worker finishes within one
-        window go to its checkpoint journal as one segment, so a crash
-        re-runs at most that window.  ``0.0`` writes a segment per die
-        (a file create and two fsyncs each).
+        window are appended to its checkpoint file as one segment, so a
+        crash re-runs at most that window.  ``0.0`` appends a segment
+        per die (one fsync each).
     max_concurrent:
         Worker subprocesses allowed to run at once; ``None`` (the
         default) caps at the cores this process may schedule on.

@@ -715,7 +715,7 @@ class _Assembler:
         fault_point("scan.macro_done", macro=macro.index)
 
     def persist(self, slab: range | list[int], rows: slice) -> None:
-        """Mark a finished slab done: one journal segment of its rows."""
+        """Mark a finished slab done: one checkpoint segment of its rows."""
         if self.checkpointer is not None:
             self.checkpointer.mark_done(*slab, rows=rows)
 

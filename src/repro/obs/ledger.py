@@ -368,11 +368,10 @@ class RunLedger:
         return self.root / _CHECKPOINT_DIR
 
     def checkpoint_files(self) -> list[Path]:
-        """Checkpoint manifests of unfinished runs, sorted by name.
+        """Checkpoint files of unfinished runs, sorted by name.
 
-        The glob skips a manifest write in flight (or torn by a kill),
-        ``rNNNN.npz.tmp``, and each run's ``rNNNN.journal`` segment
-        directory.
+        The glob skips a header write in flight (or torn by a kill),
+        ``rNNNN.npz.tmp``.
         """
         if not self.checkpoint_dir.exists():
             return []
@@ -438,17 +437,17 @@ class RunLedger:
         """The highest ``rNNNN`` number recorded in the manifest.
 
         The manifest is append-only, so the ledger remembers how far it
-        has read and reads only the lines appended since; those it reads
-        off their heads, without decoding JSON.  The shortcut holds only
-        while every new line is one whole manifest as :meth:`record`
-        writes it: one head, at the start, and ending ``}``.  Anything
-        else — a torn last line, a torn line the next append ran into, a
-        hand-edited line — falls back to :meth:`runs`, which raises the
-        same :class:`LedgerError` it always does.
+        has read and reads only the whole lines appended since (a torn
+        last line is no record); those it reads off their heads, without
+        decoding JSON.  The shortcut holds only while every new line is
+        one whole manifest as :meth:`record` writes it: one head, at the
+        start, and ending ``}``.  A hand-edited line falls back to
+        :meth:`runs`, which raises :class:`LedgerError` on foreign data.
         """
         try:
             fh = open(self.manifest_path, "rb")
         except FileNotFoundError:
+            self._ids_read = (-1, 0, 0)
             return 0
         with fh:
             stat = os.fstat(fh.fileno())
@@ -457,36 +456,35 @@ class RunLedger:
                 offset, highest = 0, 0  # a different file: read it all
             fh.seek(offset)
             new = fh.read()
+        new = new[: new.rfind(b"\n") + 1]
         ids = _LINE_HEADS.findall(new)
         lines = new.count(b"\n")
         if len(ids) == lines == new.count(b"}\n") == len(_ANY_HEAD.findall(new)):
             highest = max([highest, *(_run_number(i.decode()) for i in ids)])
         else:
-            highest = max(
-                [0, *(_run_number(m.run_id) for m in self.runs())]
-            )
-            if not new.endswith(b"\n"):
-                # An unterminated last line: read it again next time.
-                self._ids_read = (-1, 0, 0)
-                return highest
+            highest = max([0, *(_run_number(m.run_id) for m in self.runs())])
         self._ids_read = (stat.st_ino, offset + len(new), highest)
         return highest
 
     def runs(self) -> list[RunManifest]:
-        """All manifests in record order (empty for a fresh ledger)."""
+        """All manifests in record order (empty for a fresh ledger).
+
+        An unterminated last line is a torn append, not a record (the
+        next :meth:`record` cuts it); a malformed whole line raises.
+        """
         if not self.manifest_path.exists():
             return []
         manifests = []
         with open(self.manifest_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                if not line.endswith("\n") or not line.strip():
                     continue
                 try:
                     data = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise LedgerError(
                         f"{self.manifest_path}:{lineno} is not valid JSON "
-                        f"(truncated write?): {exc}"
+                        f"(foreign or hand-edited line?): {exc}"
                     ) from exc
                 manifests.append(RunManifest.from_dict(data))
         return manifests
@@ -548,14 +546,15 @@ class RunLedger:
 
         Id allocation and the append happen under the ledger's advisory
         lock (:meth:`locked`), so concurrent recorders serialise
-        cleanly; the line is fsynced before the lock is released.  A checkpointed run that reserved its id up front
-        passes it via ``run_id`` instead of allocating a new one.
+        cleanly; the append cuts a torn last line and is fsynced before
+        the lock is released.  A checkpointed run that reserved its id
+        up front passes it via ``run_id`` instead of allocating one.
 
         When ``scan`` is given its planes are saved under
         ``artifacts/<run_id>.npz`` and the relative path recorded, so
         ``runs diff`` can later compute per-cell bitmap deltas.
         """
-        from repro.resilience.faults import fault_point
+        from repro.resilience.durable import durable_append
 
         self.root.mkdir(parents=True, exist_ok=True)
         manifest.timestamp = datetime.now(timezone.utc).isoformat(
@@ -573,11 +572,11 @@ class RunLedger:
                     scan, self.artifact_dir / f"{manifest.run_id}.npz"
                 )
                 manifest.artifact = str(path.relative_to(self.root))
-            fault_point("ledger.append", run_id=manifest.run_id, kind=manifest.kind)
-            with open(self.manifest_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(manifest.to_dict()) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            self._highest_recorded()  # reads up to the last whole line
+            line = json.dumps(manifest.to_dict()) + "\n"
+            durable_append(
+                self.manifest_path, line.encode("utf-8"), keep=self._ids_read[1]
+            )
         return manifest
 
     def _base_manifest(

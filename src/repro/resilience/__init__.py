@@ -13,9 +13,11 @@ each of them from "lose the run" into data:
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy` with bounded
   attempts and seeded exponential backoff + jitter;
 - :mod:`~repro.resilience.checkpoint` — :class:`Checkpointer` /
-  checkpoint files under the run ledger powering ``--resume``;
+  one append-only checkpoint file per run under the run ledger,
+  powering ``--resume``;
 - :mod:`~repro.resilience.durable` — ``durable_write``, the one way a
-  whole file reaches disk (tmp, fsync, rename, directory fsync);
+  whole file reaches disk (tmp, fsync, rename, directory fsync), and
+  ``durable_append``, the one way a record is added to one;
 - :mod:`~repro.resilience.planes` — ``write_planes``/``read_planes``,
   the one container every file holding planes uses.
 """

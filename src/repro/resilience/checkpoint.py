@@ -1,51 +1,48 @@
 """Checkpoint/resume: an interrupted run is a partial result, not a loss.
 
 A million-cell wafer run that dies at 97% — power cut, pre-empted batch
-job, plain Ctrl-C — must not restart from zero.  The checkpoint story:
+job, plain Ctrl-C — must not restart from zero.  A checkpoint is one
+append-only file, ``<ledger>/checkpoints/<run_id>.npz``:
 
-* A run that checkpoints **reserves its run id up front** (under the
-  ledger's advisory lock) by writing a small manifest,
-  ``<ledger>/checkpoints/<run_id>.npz``: a plane container
-  (:mod:`repro.resilience.planes`) whose header holds kind, config
-  fingerprint, unit count, caller meta and each plane's name, shape and
-  dtype — and no planes.
-* Every persist then writes one **journal segment**,
-  ``<run_id>.journal/NNNNNN.seg``: a container of the unit indices it
-  completes, the leading-axis rows those units cover, and just those
-  rows of each plane — O(units since the last persist), not O(plane).
-  Each file is one :func:`~repro.resilience.durable.durable_write`, so a
-  kill mid-write leaves the previous good state; a torn ``*.tmp`` is
-  never listed as a run or replayed, and the next write replaces it.
-* ``repro scan --resume r0042`` validates the manifest against the
-  resuming configuration via its
-  :func:`~repro.obs.ledger.config_fingerprint` — the data-affecting
-  config fields — and the caller's blank planes, replays the segments
-  in order into those blanks and re-executes only the units not yet
-  complete.  Bit-exactness with an uninterrupted run follows from
-  per-unit determinism: journaled rows are byte-identical, and the
-  remaining units recompute exactly what they always would.
+* A run **reserves its run id up front** (under the ledger's advisory
+  lock) by writing the file's header with
+  :func:`~repro.resilience.durable.durable_write`: a plane container
+  (:mod:`repro.resilience.planes`) holding kind, config fingerprint,
+  unit count, caller meta and each plane's name, shape and dtype — and
+  no planes.
+* Every persist **appends one segment** with
+  :func:`~repro.resilience.durable.durable_append`: a container of the
+  units it completes, the leading-axis rows they cover, and just those
+  rows of each plane — O(units since the last persist) and one fsync.
+  A kill inside an append can tear only that last segment: replay stops
+  at the first container that does not parse, and the resumed run's
+  first append cuts it off.  Its units are simply re-run.
+* ``repro scan --resume r0042`` validates the header against the
+  resuming configuration (its
+  :func:`~repro.obs.ledger.config_fingerprint`) and the caller's blank
+  planes, replays the segments in order into those blanks and
+  re-executes only the units not yet complete — bit-exact, because
+  replayed rows are byte-identical and every unit is deterministic.
 * On completion the run is recorded under the reserved id and
-  :meth:`Checkpointer.finish` removes the manifest, then the journal —
-  a manifest existing *is* the statement "this run has not finished".
-  A journal whose manifest is gone (a crash between the two removals)
-  is not a run; the next fresh :meth:`Checkpointer.start` sweeps it.
+  :meth:`Checkpointer.finish` unlinks the file — a checkpoint file
+  existing *is* the statement "this run has not finished".
 """
 
 from __future__ import annotations
 
-import shutil
+import io
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, BinaryIO, Iterable
 
 import numpy as np
 
 from repro.errors import CheckpointError
 from repro.obs.ledger import RunLedger
-from repro.resilience.durable import durable_write, tmp_path
-from repro.resilience.planes import read_planes, write_planes
+from repro.resilience.durable import durable_append, durable_write, tmp_path
+from repro.resilience.planes import read_container, write_planes
 
 __all__ = [
     "ScanCheckpoint",
@@ -56,7 +53,7 @@ __all__ = [
 
 @dataclass
 class ScanCheckpoint:
-    """In-memory image of one checkpoint (manifest + replayed journal).
+    """In-memory image of one checkpoint (header + replayed segments).
 
     ``arrays`` holds the partial result planes (written into in place
     by the run as units complete); ``completed`` lists the finished
@@ -88,28 +85,33 @@ def _checkpoint_path(ledger: RunLedger, run_id: str) -> Path:
     return ledger.checkpoint_dir / f"{run_id}.npz"
 
 
-def _journal_dir(manifest: Path) -> Path:
-    """``<run_id>.journal`` beside ``<run_id>.npz`` — out of the
-    ledger's ``r*.npz`` checkpoint glob."""
-    return manifest.with_suffix(".journal")
+#: A header's ``segments``: they follow it in its file.  A pre-change
+#: header has none — its segments sat in a ``<run_id>.journal/`` directory.
+_APPENDED = "appended"
 
 
-def _segments(journal: Path) -> list[Path]:
-    """The journal's segments in write order (torn ``*.tmp`` skipped)."""
-    if not journal.is_dir():
-        return []
-    return sorted(journal.glob("[0-9]*.seg"), key=lambda p: int(p.stem))
-
-
-def _read_manifest(
-    path: Path,
-) -> tuple[ScanCheckpoint, dict[str, tuple[tuple[int, ...], np.dtype]]]:
-    """The run described by manifest ``path`` (no planes yet) and its
-    plane layout ``{name: (shape, dtype)}``."""
+def _open(path: Path) -> BinaryIO:
     try:
-        header, _ = read_planes(path, "checkpoint")
-    except (OSError, ValueError) as exc:
+        return open(path, "rb")
+    except OSError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+
+
+def _read_header(
+    fh: BinaryIO, path: Path
+) -> tuple[ScanCheckpoint, dict[str, tuple[tuple[int, ...], np.dtype]]]:
+    """The run described by the header at the start of ``fh`` (no
+    planes yet) and its plane layout ``{name: (shape, dtype)}``."""
+    try:
+        header, _ = read_container(fh, "checkpoint", path)
+    except ValueError as exc:
+        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    if header.get("segments") != _APPENDED:
+        raise CheckpointError(
+            f"{path} is a pre-change checkpoint (a manifest plus a "
+            f"{path.stem}.journal/ segment directory), not a single-file "
+            "checkpoint; resume it with the release that wrote it"
+        )
     try:
         layout = {
             str(name): (tuple(int(n) for n in spec["shape"]),
@@ -136,38 +138,33 @@ def _row_index(rows: list[int]) -> slice | np.ndarray:
     return np.asarray(rows, dtype=np.intp)
 
 
-def _replay(journal: Path, arrays: dict[str, np.ndarray]) -> tuple[list[int], int]:
-    """Apply every segment of ``journal`` to ``arrays`` in write order.
-
-    Returns the completed unit indices (in completion order) and the
-    number of the last segment, so the run appends after it.
-    """
+def _replay(
+    fh: BinaryIO, path: Path, arrays: dict[str, np.ndarray]
+) -> tuple[list[int], int]:
+    """Apply the segments after the header to ``arrays`` in write order,
+    up to the first container that does not parse (end of file or a torn
+    append).  Returns the completed units, in order, and the end of the
+    last whole segment."""
     completed: list[int] = []
     seen: set[int] = set()
-    last = 0
-    for path in _segments(journal):
+    end = fh.tell()
+    while True:
         try:
-            header, blocks = read_planes(path, "segment")
+            header, blocks = read_container(fh, "segment", path)
+        except ValueError:
+            return completed, end
+        try:
             rows = [int(r) for r in header["rows"]]
             units = [int(u) for u in header["units"]]
-            if sorted(blocks) != sorted(arrays):
-                raise ValueError(
-                    f"planes {sorted(blocks)}, expected {sorted(arrays)}"
-                )
-            for name, block in blocks.items():
-                plane = arrays[name]
-                if block.dtype != plane.dtype or (
-                    block.shape != (len(rows), *plane.shape[1:])
-                ):
-                    raise ValueError(
-                        f"plane {name!r} block is {block.dtype}"
-                        f"{block.shape} for {len(rows)} rows of "
-                        f"{plane.dtype}{plane.shape}"
-                    )
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed segment at byte {end} of {path}: {exc}") from exc
+        found = {name: (block.dtype, block.shape) for name, block in blocks.items()}
+        layout = {name: (plane.dtype, (len(rows), *plane.shape[1:]))
+                  for name, plane in arrays.items()}
+        if found != layout:
             raise CheckpointError(
-                f"malformed checkpoint segment {path}: {exc}"
-            ) from exc
+                f"segment at byte {end} of {path} holds {found}, expected {layout}"
+            )
         index = _row_index(rows)
         for name, block in blocks.items():
             arrays[name][index] = block
@@ -175,23 +172,20 @@ def _replay(journal: Path, arrays: dict[str, np.ndarray]) -> tuple[list[int], in
             if unit not in seen:
                 seen.add(unit)
                 completed.append(unit)
-        last = int(path.stem)
-    return completed, last
+        end = fh.tell()
 
 
 def load_checkpoint(path: str | Path) -> ScanCheckpoint:
-    """Read one checkpoint — manifest plus journal — raising
-    :class:`CheckpointError` when unreadable or malformed.
-
-    The planes are the journal replayed into zeros of the manifest's
-    layout: rows no segment covers read as zero.
-    """
+    """Read one checkpoint file, raising :class:`CheckpointError` when
+    unreadable or malformed.  The planes are the segments replayed into
+    zeros of the header's layout: rows no segment covers read as zero."""
     path = Path(path)
-    state, layout = _read_manifest(path)
-    state.arrays = {
-        name: np.zeros(shape, dtype) for name, (shape, dtype) in layout.items()
-    }
-    state.completed, _ = _replay(_journal_dir(path), state.arrays)
+    with _open(path) as fh:
+        state, layout = _read_header(fh, path)
+        state.arrays = {
+            name: np.zeros(shape, dtype) for name, (shape, dtype) in layout.items()
+        }
+        state.completed, _ = _replay(fh, path, state.arrays)
     return state
 
 
@@ -217,18 +211,17 @@ class Checkpointer:
         arguments here so ``--resume`` can reconstruct the array).
         Ignored when resuming — the stored meta wins.
     min_save_seconds:
-        Minimum seconds between the journal segments that
-        :meth:`mark_done` writes.  ``0.0`` (the default) persists after
-        every call — the strongest crash guarantee.  A segment costs
-        O(units since the last one) plus a fixed file create and two
-        fsyncs, so a run of many tiny units (a fleet shard's dies)
-        raises this to bound that fixed cost: completed units still
-        accumulate in memory on every ``mark_done`` and go out together
-        in the next segment, a crash merely re-runs the units finished
-        since the last persist, and resume stays bit-exact because
-        re-run dies reproduce their planes from the same RNG
-        fast-forward.  An explicit :meth:`save` always writes what is
-        pending.
+        Minimum seconds between the segments that :meth:`mark_done`
+        appends.  ``0.0`` (the default) persists after every call — the
+        strongest crash guarantee.  A segment costs O(units since the
+        last one) plus a fixed fsync, so a run of many tiny units (a
+        fleet shard's dies) raises this to bound that fixed cost:
+        completed units still accumulate in memory on every
+        ``mark_done`` and go out together in the next segment, a crash
+        merely re-runs the units finished since the last persist, and
+        resume stays bit-exact because re-run dies reproduce their
+        planes from the same RNG fast-forward.  An explicit
+        :meth:`save` always appends what is pending.
     """
 
     def __init__(
@@ -246,7 +239,7 @@ class Checkpointer:
         self.state: ScanCheckpoint | None = None
         self._last_save = 0.0
         self._done_seen: set[int] | None = None
-        self._segment = 0
+        self._end = 0
         self._pending_units: list[int] = []
         self._pending_rows: set[int] = set()
 
@@ -262,13 +255,8 @@ class Checkpointer:
 
     @property
     def path(self) -> Path:
-        """The run's manifest, ``checkpoints/<run_id>.npz``."""
+        """The run's checkpoint file, ``checkpoints/<run_id>.npz``."""
         return _checkpoint_path(self.ledger, self.run_id)
-
-    @property
-    def journal(self) -> Path:
-        """The run's segment directory, ``checkpoints/<run_id>.journal``."""
-        return _journal_dir(self.path)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -285,7 +273,7 @@ class Checkpointer:
 
         ``arrays`` are the caller's blank planes; the run keeps writing
         into ``state.arrays``, which are those same arrays (on resume
-        with the journal replayed into them).  On resume kind,
+        with the segments replayed into them).  On resume kind,
         fingerprint, unit count and plane layout must all match or the
         mismatch is refused with a :class:`CheckpointError` naming the
         difference.
@@ -304,14 +292,10 @@ class Checkpointer:
                     meta={**self.base_meta, **(meta or {})},
                     created=_now(),
                 )
-                manifest = _checkpoint_path(self.ledger, run_id)
-                self._sweep_journals(manifest)
-                _journal_dir(manifest).mkdir(parents=True)
-                # Writing the manifest inside the lock *is* the id
-                # reservation — next_run_id scans this directory.  Its
-                # directory fsync also makes the journal's entry durable.
+                self.ledger.checkpoint_dir.mkdir(exist_ok=True)
+                # Writing the header inside the lock *is* the id
+                # reservation — next_run_id scans this directory.
                 self._write_manifest(state)
-            self._segment = 0
         # A reused Checkpointer must not carry the previous run's
         # completed-index cache or pending rows into a new run.
         self._done_seen = None
@@ -319,20 +303,6 @@ class Checkpointer:
         self._last_save = time.monotonic()
         self.state = state
         return state
-
-    def _sweep_journals(self, manifest: Path) -> None:
-        """Remove journals no manifest owns (call under the ledger lock).
-
-        A crash between :meth:`finish`'s two removals leaves one; so
-        does a run whose id is being reused after it finished
-        unrecorded — its stale segments must never replay into the new
-        run.
-        """
-        for journal in self.ledger.checkpoint_dir.glob("r*.journal"):
-            if journal == _journal_dir(manifest) or not journal.with_suffix(
-                ".npz"
-            ).exists():
-                shutil.rmtree(journal, ignore_errors=True)
 
     def _load_resume(
         self,
@@ -350,45 +320,44 @@ class Checkpointer:
                 f"no checkpoint {self.resume!r} in {self.ledger.checkpoint_dir} "
                 f"(unfinished runs: {known or '(none)'})"
             )
-        state, layout = _read_manifest(path)
-        if state.kind != kind:
-            raise CheckpointError(
-                f"checkpoint {state.run_id} is a {state.kind!r} run, "
-                f"cannot resume as {kind!r}"
-            )
-        if state.fingerprint != dict(fingerprint):
-            raise CheckpointError(
-                f"checkpoint {state.run_id} was written under config "
-                f"{state.fingerprint}, resuming config is {dict(fingerprint)}; "
-                "refusing to mix results"
-            )
-        if state.total != total:
-            raise CheckpointError(
-                f"checkpoint {state.run_id} covers {state.total} units, "
-                f"resuming run has {total}"
-            )
-        if set(layout) != set(arrays):
-            raise CheckpointError(
-                f"checkpoint {state.run_id} holds planes {sorted(layout)}, "
-                f"resuming run has {sorted(arrays)}"
-            )
-        for name, blank in arrays.items():
-            shape, dtype = layout[name]
-            if shape != blank.shape:
+        with _open(path) as fh:
+            state, layout = _read_header(fh, path)
+            if state.kind != kind:
                 raise CheckpointError(
-                    f"checkpoint {state.run_id} plane {name!r} has shape "
-                    f"{shape}, expected {blank.shape} — different array "
-                    "geometry?"
+                    f"checkpoint {state.run_id} is a {state.kind!r} run, "
+                    f"cannot resume as {kind!r}"
                 )
-            if dtype != blank.dtype:
+            if state.fingerprint != dict(fingerprint):
                 raise CheckpointError(
-                    f"checkpoint {state.run_id} plane {name!r} has dtype "
-                    f"{dtype}, expected {blank.dtype}"
+                    f"checkpoint {state.run_id} was written under config "
+                    f"{state.fingerprint}, resuming config is {dict(fingerprint)}; "
+                    "refusing to mix results"
                 )
-        state.arrays = dict(arrays)
-        journal = _journal_dir(path)
-        state.completed, self._segment = _replay(journal, state.arrays)
-        journal.mkdir(exist_ok=True)
+            if state.total != total:
+                raise CheckpointError(
+                    f"checkpoint {state.run_id} covers {state.total} units, "
+                    f"resuming run has {total}"
+                )
+            if set(layout) != set(arrays):
+                raise CheckpointError(
+                    f"checkpoint {state.run_id} holds planes {sorted(layout)}, "
+                    f"resuming run has {sorted(arrays)}"
+                )
+            for name, blank in arrays.items():
+                shape, dtype = layout[name]
+                if shape != blank.shape:
+                    raise CheckpointError(
+                        f"checkpoint {state.run_id} plane {name!r} has shape "
+                        f"{shape}, expected {blank.shape} — different array "
+                        "geometry?"
+                    )
+                if dtype != blank.dtype:
+                    raise CheckpointError(
+                        f"checkpoint {state.run_id} plane {name!r} has dtype "
+                        f"{dtype}, expected {blank.dtype}"
+                    )
+            state.arrays = dict(arrays)
+            state.completed, self._end = _replay(fh, path, state.arrays)
         return state
 
     # -- progress ------------------------------------------------------
@@ -396,7 +365,7 @@ class Checkpointer:
     def mark_done(
         self, *indices: int, rows: int | slice | Iterable[int] | None = None
     ) -> None:
-        """Record units ``indices`` complete; persist them in one segment.
+        """Record units ``indices`` complete; persist them as one segment.
 
         ``rows`` are the leading-axis rows of the planes those units
         filled — a scan passes its slab's row slice, a die range passes
@@ -423,10 +392,10 @@ class Checkpointer:
         self.save()
 
     def save(self) -> None:
-        """Persist the pending rows as one journal segment (never throttled).
+        """Append the pending rows as one segment (never throttled).
 
-        A no-op when nothing is pending: the journal already holds
-        every row marked done.
+        A no-op when nothing is pending: the file already holds every
+        row marked done.
         """
         state = self._require_state()
         if not self._pending_rows:
@@ -436,8 +405,7 @@ class Checkpointer:
         self._last_save = time.monotonic()
 
     def finish(self) -> str:
-        """Close the run: remove the manifest, then the journal; return
-        the run id.
+        """Close the run: unlink the checkpoint file; return the run id.
 
         The caller records the final manifest under this id — after
         ``finish`` the ledger shows a completed run and no checkpoint.
@@ -445,9 +413,8 @@ class Checkpointer:
         state = self._require_state()
         path = _checkpoint_path(self.ledger, state.run_id)
         path.unlink(missing_ok=True)
-        # A manifest write torn by a kill of an earlier generation.
+        # A header write torn by a kill of an earlier generation.
         tmp_path(path).unlink(missing_ok=True)
-        shutil.rmtree(_journal_dir(path), ignore_errors=True)
         self._done_seen = None
         self._pending_units, self._pending_rows = [], set()
         return state.run_id
@@ -458,9 +425,10 @@ class Checkpointer:
         return self.state
 
     def _write_manifest(self, state: ScanCheckpoint) -> None:
-        """The run's manifest: a plane-container header with no planes."""
+        """The checkpoint file's first record: a container with no planes."""
         header = {
             "kind": "checkpoint",
+            "segments": _APPENDED,
             "run_kind": state.kind,
             "run_id": state.run_id,
             "fingerprint": state.fingerprint,
@@ -472,26 +440,29 @@ class Checkpointer:
                 for name, plane in state.arrays.items()
             },
         }
-        durable_write(
+        path = durable_write(
             _checkpoint_path(self.ledger, state.run_id),
             lambda fh: write_planes(fh, header, {}),
         )
+        self._end = path.stat().st_size
 
     def _write_segment(self, state: ScanCheckpoint) -> None:
-        """The next journal segment: the pending units and just their rows.
+        """Append the next segment: the pending units and just their rows.
 
-        A segment holds only the rows it completes, so the fsyncs, not
-        the bytes, dominate its cost.
+        A segment holds only the rows it completes, so the fsync, not
+        the bytes, dominates its cost.  The append cuts a torn tail past
+        the last whole record first.
         """
         rows = sorted(self._pending_rows)
         index = _row_index(rows)
         header = {"kind": "segment", "units": self._pending_units, "rows": rows}
-        blocks = {name: plane[index] for name, plane in state.arrays.items()}
-        self._segment += 1
-        durable_write(
-            self.journal / f"{self._segment:06d}.seg",
-            lambda fh: write_planes(fh, header, blocks),
+        record = io.BytesIO()
+        write_planes(
+            record, header, {name: plane[index] for name, plane in state.arrays.items()}
         )
+        data = record.getvalue()
+        durable_append(self.path, data, keep=self._end)
+        self._end += len(data)
 
 
 def _rows(rows: int | slice | Iterable[int]) -> Iterable[int]:

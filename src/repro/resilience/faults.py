@@ -28,11 +28,14 @@ Fault sites currently instrumented (grep ``fault_point(`` for truth):
                         scan per macro after the slab pass, before the
                         slab's checkpoint persist (attrs: macro)
 ``wafer.die_done``      parent-side, after a die lands (attrs: die)
-``ledger.append``       before a manifest line is appended
 ``durable.write``       in :func:`~repro.resilience.durable.durable_write`,
                         after the tmp is fsynced, before the rename
                         (attrs: target — file name, parent — its
                         directory's name)
+``durable.append``      in :func:`~repro.resilience.durable.durable_append`,
+                        before any byte is appended — a checkpoint
+                        segment or a ledger manifest line (attrs:
+                        target, parent)
 ======================  ===============================================
 
 Zero-cost when disarmed: :func:`fault_point` is one context-variable

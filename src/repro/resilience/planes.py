@@ -1,17 +1,17 @@
 """The plane container: the one file format for measured planes.
 
-Saved scans and ledger artifacts, abaci, checkpoint manifests and
-journal segments, shard results and the lot are each one container: a
-JSON header line (sorted keys: ``format``, the file's ``kind``, the
-caller's fields, and each plane's dtype and shape by name), then one
-``.npy`` record per plane in sorted name order.  Integers are stored in
-the narrowest dtype that holds them and unicode as code points, so a
-plane of 20-step codes or tier markers costs one byte a cell;
-:func:`read_planes` widens every record back bit-exactly.  No zip, no
-zlib.  Writers hand :func:`write_planes` to
-:func:`~repro.resilience.durable.durable_write`.  Files keep their
-names, so a pre-change ``.npz`` (a zip) sits where it did and is
-refused by name — the only trace of the old formats.
+Saved scans and ledger artifacts, abaci, shard results and the lot are
+each one container; a checkpoint file is a header container followed
+by appended segment containers.  A container is a JSON header line
+(sorted keys: ``format``, the file's ``kind``, the caller's fields, and
+each plane's dtype and shape by name), then one ``.npy`` record per
+plane in sorted name order.  Integers are stored in the narrowest dtype
+that holds them and unicode as code points, so a plane of 20-step codes
+or tier markers costs one byte a cell; reading widens every record back
+bit-exactly.  No zip, no zlib.  :func:`read_container` reads the
+container at a handle's position, :func:`read_planes` a one-container
+file.  Files keep their names, so a pre-change ``.npz`` (a zip) sits
+where it did and is refused by name — the only trace of the old formats.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any, BinaryIO, Mapping
 
 import numpy as np
 
-__all__ = ["FORMAT", "read_planes", "write_planes"]
+__all__ = ["FORMAT", "read_container", "read_planes", "write_planes"]
 
 #: Container format (1 and 2 were the journal segments' JSON headers).
 FORMAT = 3
@@ -49,45 +49,52 @@ def write_planes(
 def read_planes(
     path: str | Path, kind: str
 ) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """The caller's header fields and the planes of container ``path``.
-
-    Raises :class:`ValueError` naming the file when it is not a
-    format-:data:`FORMAT` container of ``kind``: a zip (a pre-change
-    ``.npz``), another kind, or a torn or foreign file.
-    """
+    """:func:`read_container` on file ``path``, which must hold no more."""
     with open(path, "rb") as fh:
-        line = fh.readline()
-        if line.startswith(b"PK\x03\x04"):
-            raise ValueError(
-                f"{path} is a zip archive (a pre-change .npz), not plane "
-                f"container format {FORMAT}"
-            )
-        try:
-            header = json.loads(line)
-            found, specs = header.pop("format"), header.pop("planes")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(
-                f"{path} has no plane container header (torn or foreign "
-                f"file): {exc}"
-            ) from None
-        if found != FORMAT:
-            raise ValueError(
-                f"{path} is format {found!r}, not plane container format {FORMAT}"
-            )
-        if header.get("kind") != kind:
-            raise ValueError(f"{path} holds a {header.get('kind')!r}, not a {kind!r}")
-        planes = {}
-        for name in sorted(specs):
-            what = f"{path} plane {name!r}"
-            try:
-                dtype = np.dtype(specs[name]["dtype"])
-                shape = tuple(specs[name]["shape"])
-                block = np.lib.format.read_array(fh, allow_pickle=False)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{what} is torn or malformed: {exc}") from None
-            planes[name] = _widen(block, dtype, shape, what)
+        header, planes = read_container(fh, kind, path)
         if fh.read(1):
             raise ValueError(f"{path} has bytes after its last plane")
+    return header, planes
+
+
+def read_container(
+    fh: BinaryIO, kind: str, name: str | Path
+) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """The caller's header fields and the planes of the container at
+    ``fh``'s position, leaving ``fh`` just past it.
+
+    Raises :class:`ValueError` naming ``name`` when the bytes there are
+    not a format-:data:`FORMAT` container of ``kind``: a zip (a
+    pre-change ``.npz``), another kind, end of file, or a torn or
+    foreign record.
+    """
+    line = fh.readline()
+    if line.startswith(b"PK\x03\x04"):
+        raise ValueError(
+            f"{name} is a zip archive (a pre-change .npz), not plane "
+            f"container format {FORMAT}"
+        )
+    try:
+        header = json.loads(line)
+        found, specs = header.pop("format"), header.pop("planes")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"{name} has no plane container header (torn or foreign file): {exc}"
+        ) from None
+    if found != FORMAT:
+        raise ValueError(f"{name} is format {found!r}, not plane container format {FORMAT}")
+    if header.get("kind") != kind:
+        raise ValueError(f"{name} holds a {header.get('kind')!r}, not a {kind!r}")
+    planes = {}
+    for plane in sorted(specs):
+        what = f"{name} plane {plane!r}"
+        try:
+            dtype = np.dtype(specs[plane]["dtype"])
+            shape = tuple(specs[plane]["shape"])
+            block = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{what} is torn or malformed: {exc}") from None
+        planes[plane] = _widen(block, dtype, shape, what)
     return header, planes
 
 

@@ -502,7 +502,7 @@ class WaferModel:
                 not config.force_engine
                 and not config.preflight
                 and (plan is None or all(
-                    f.site.startswith(("wafer.", "durable.", "ledger."))
+                    f.site.startswith(("wafer.", "durable."))
                     for f in plan.faults
                 ))
             )

@@ -2,9 +2,11 @@
 
 Every whole-file write goes through ``durable_write``, whose
 ``durable.write`` fault point sits between the tmp's fsync and its
-rename, and the run ledger's manifest append fires ``ledger.append``.
-The persistence boundaries of a run are therefore exactly the
-invocations of those two sites, and the code lists them itself: after a
+rename, and every append — a checkpoint segment, a run-ledger manifest
+line — goes through ``durable_append``, whose ``durable.append`` fault
+point fires before any byte is written.  The persistence boundaries of
+a run are therefore exactly the invocations of those two sites, and the
+code lists them itself: after a
 clean run, each setting is replayed with one fault at the k-th
 invocation of a site (``after=k, times=1``) for k = 0, 1, 2, ... until
 a replay in which the fault never fires (the method of ALICE, Pillai et
@@ -30,7 +32,7 @@ from repro.resilience import Checkpointer, Fault, FaultPlan, RetryPolicy, inject
 from repro.resilience.checkpoint import list_checkpoints
 from repro.wafer import WaferModel
 
-SITES = ("durable.write", "ledger.append")
+SITES = ("durable.write", "durable.append")
 
 WAFER = {"diameter_dies": 5, "seed": 3}  # 21 dies
 
@@ -112,8 +114,9 @@ def test_scan_recovers_from_every_crash_point(tmp_path):
             )
         return fired
 
-    # Reservation + one save per macro-row slab (4) + the artifact.
-    assert _drill(replay) == {"durable.write": 6, "ledger.append": 1}
+    # Writes: the reservation and the artifact.  Appends: one segment
+    # per macro-row slab (4) and the manifest line.
+    assert _drill(replay) == {"durable.write": 2, "durable.append": 5}
 
 
 # ----------------------------------------------------------------------
@@ -138,8 +141,9 @@ def test_wafer_recovers_from_every_crash_point(tmp_path):
         np.testing.assert_array_equal(result, clean)
         return fired
 
-    # Reservation + one save per die.
-    assert _drill(replay) == {"durable.write": 22, "ledger.append": 1}
+    # Writes: the reservation.  Appends: one segment per die (21) and
+    # the manifest line.
+    assert _drill(replay) == {"durable.write": 1, "durable.append": 22}
 
 
 # ----------------------------------------------------------------------
@@ -190,11 +194,12 @@ def _assert_no_orphans(procs):
 def test_shard_workers_recover_from_every_crash_point(
     tmp_path, clean_lot, spawned
 ):
-    def replay(site, k):
-        root = tmp_path / f"{site}-{k}"
-        faults = {"seed": 0, "faults": [
-            {"site": site, "kind": "kill", "after": k, "times": 1},
-        ]}
+    def replay(site, k, match=None):
+        root = tmp_path / f"{site}-{k}-{'ledger' if match else 'any'}"
+        faults = {"seed": 0, "faults": [{
+            "site": site, "kind": "kill", "after": k, "times": 1,
+            "match": match or {},
+        }]}
         report = _fleet(root, faults=faults, fault_attempts="first").run()
         _assert_no_orphans(spawned)
         assert report.state == "healthy"
@@ -203,11 +208,16 @@ def test_shard_workers_recover_from_every_crash_point(
         return report.respawns > 0
 
     found = _drill(replay)
+    ledger_lines = 0
+    while replay("durable.append", ledger_lines, {"target": "manifest.jsonl"}):
+        ledger_lines += 1
     # Per worker: the first lease, the checkpoint reservation, the
-    # result and the done lease at least; heartbeats and throttled
-    # saves add more.  One shard manifest each.
+    # result and the done lease at least; heartbeats add more.  Appends:
+    # one shard manifest line each, plus a checkpoint segment whenever a
+    # worker outlives its save throttle.
     assert found["durable.write"] >= 4
-    assert found["ledger.append"] == 1
+    assert found["durable.append"] >= 1
+    assert ledger_lines == 1
 
 
 def test_orchestrator_and_merge_recover_from_every_crash_point(
@@ -235,5 +245,7 @@ def test_orchestrator_and_merge_recover_from_every_crash_point(
         _no_tmp(root.parent)
         return bool(plan.firings)
 
-    # fleet.json twice, two specs, lot.npz, lot.json; one lot manifest.
-    assert _drill(replay) == {"durable.write": 6, "ledger.append": 1}
+    # Writes: fleet.json twice, two specs, lot.npz, lot.json.  Appends:
+    # the lot's manifest line (the workers' appends run in their own
+    # processes, outside this plan).
+    assert _drill(replay) == {"durable.write": 6, "durable.append": 1}

@@ -238,7 +238,7 @@ class TestMergeRefusals:
             payload["partition"][0] = [0, 0, 3]  # leaves [3, 5) uncovered
 
         _edit_state(clone, punch_gap)
-        with pytest.raises(FleetError, match="FLT"):
+        with pytest.raises(FleetError, match=r"dies \[3, 5\) are claimed by no shard"):
             merge_lot(clone)
 
     def test_refuses_missing_fleet_json(self, tmp_path):

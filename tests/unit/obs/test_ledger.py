@@ -148,11 +148,16 @@ class TestReading:
             ledger.get("r0042")
 
     def test_corrupt_manifest_line_raises(self, ledger):
-        ledger.record_scan(ArrayScanner(small_array()).scan())
+        # A malformed line that ends in a newline is foreign data, not
+        # a torn append: it raises, and no record appends after it.
+        result = ArrayScanner(small_array()).scan()
+        ledger.record_scan(result)
         with open(ledger.manifest_path, "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "scan", "run_id"')  # truncated write
-        with pytest.raises(LedgerError, match="not valid JSON"):
+            fh.write('{"kind": "scan", "run_id"\n')
+        with pytest.raises(LedgerError, match=r":2 is not valid JSON"):
             ledger.runs()
+        with pytest.raises(LedgerError, match=r":2 is not valid JSON"):
+            ledger.record_scan(result)
 
     def test_latest_and_series(self, ledger):
         result = ArrayScanner(small_array()).scan()
@@ -199,27 +204,30 @@ class TestRunIds:
         with ledger.locked():
             assert ledger.next_run_id() == "r0006"
 
-    def test_torn_last_line_raises_like_runs(self, ledger):
+    def test_torn_last_line_is_no_record_for_runs_or_ids(self, ledger):
         ledger.record_scan(ArrayScanner(small_array()).scan())
         line = ledger.manifest_path.read_text(encoding="utf-8")
         with open(ledger.manifest_path, "a", encoding="utf-8") as fh:
             fh.write(line.replace('"r0001"', '"r0002"')[: len(line) // 2])
-        with pytest.raises(LedgerError, match=r":2 is not valid JSON"):
-            ledger.runs()
-        with ledger.locked(), pytest.raises(
-            LedgerError, match=r":2 is not valid JSON"
-        ):
-            ledger.next_run_id()
+        assert [m.run_id for m in ledger.runs()] == ["r0001"]
+        with ledger.locked():
+            assert ledger.next_run_id() == "r0002"
 
-    def test_torn_line_run_into_by_the_next_append_raises(self, ledger):
+    def test_next_record_cuts_a_torn_last_line(self, ledger):
         result = ArrayScanner(small_array()).scan()
         ledger.record_scan(result)
+        with ledger.locked():
+            assert ledger.next_run_id() == "r0002"  # caches the prefix
         line = ledger.manifest_path.read_text(encoding="utf-8")
+        torn = line.replace('"r0001"', '"r0009"')[:-1]  # all but "\n"
         with open(ledger.manifest_path, "a", encoding="utf-8") as fh:
-            fh.write(line.replace('"r0001"', '"r0002"')[: len(line) // 2])
-        ledger.record_scan(result, run_id="r0003")
-        with ledger.locked(), pytest.raises(LedgerError, match="not valid JSON"):
-            ledger.next_run_id()
+            fh.write(torn)
+        assert ledger.record_scan(result).run_id == "r0002"
+        lines = ledger.manifest_path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(text)["run_id"] for text in lines] == ["r0001", "r0002"]
+        assert [m.run_id for m in ledger.runs()] == ["r0001", "r0002"]
+        with ledger.locked():
+            assert ledger.next_run_id() == "r0003"
 
     def test_scan_manifest_drops_macro_timings_but_stats_keep_them(
         self, ledger

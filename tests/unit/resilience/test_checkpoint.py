@@ -1,5 +1,6 @@
 """Checkpointer lifecycle, resume validation, and file robustness."""
 
+import io
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ from repro.resilience.checkpoint import (
     list_checkpoints,
     load_checkpoint,
 )
+from repro.resilience.durable import durable_write
+from repro.resilience.planes import read_container, write_planes
 
 
 def _blanks():
@@ -21,6 +24,16 @@ def _blanks():
 
 def _start(ck, **kwargs):
     return ck.start("scan", {"rows": 4}, _blanks(), total=4, **kwargs)
+
+
+def _segments(path):
+    """The segments appended after a checkpoint file's header."""
+    with open(path, "rb") as fh:
+        read_container(fh, "checkpoint", path)
+        segments = []
+        while fh.peek(1):
+            segments.append(read_container(fh, "segment", path))
+    return segments
 
 
 def test_fresh_start_reserves_run_id_and_writes_file(tmp_path):
@@ -210,8 +223,10 @@ def test_segments_hold_only_the_marked_rows_and_replay_in_order(tmp_path):
     state.arrays["codes"][1] = 6  # a later segment rewrites row 1
     state.arrays["codes"][3] = 8
     ck.mark_done(1, rows=[3, 1])
-    segments = sorted(p.name for p in ck.journal.iterdir())
-    assert segments == ["000001.seg", "000002.seg"]
+    assert [p.name for p in ck.path.parent.iterdir()] == ["r0001.npz"]
+    segments = _segments(ck.path)
+    assert [header["rows"] for header, _ in segments] == [[0, 1], [1, 3]]
+    assert [blocks["codes"].shape for _, blocks in segments] == [(2, 4)] * 2
     loaded = load_checkpoint(ck.path)
     assert loaded.completed == [0, 1]
     np.testing.assert_array_equal(
@@ -260,64 +275,53 @@ def test_throttled_units_share_one_segment(tmp_path):
     ck.mark_done(2)
     state.arrays["vgs"][0] = 0.75
     ck.mark_done(0)
-    assert list(ck.journal.iterdir()) == []
+    assert _segments(ck.path) == []
     ck.save()
-    (segment,) = ck.journal.iterdir()
+    ((header, _),) = _segments(ck.path)
+    assert header["units"] == [2, 0]
     loaded = load_checkpoint(ck.path)
     assert loaded.completed == [2, 0]
     np.testing.assert_array_equal(loaded.arrays["vgs"][:, 0], [0.75, 0, 0.25, 0])
+    size = ck.path.stat().st_size
     ck.save()  # nothing pending: no empty segment
-    assert list(ck.journal.iterdir()) == [segment]
+    assert ck.path.stat().st_size == size
 
 
-def test_journal_without_manifest_is_no_run_and_next_start_removes_it(tmp_path):
-    # A crash between finish()'s two removals leaves the journal alone.
+def test_torn_last_segment_is_not_replayed_and_the_next_append_cuts_it(tmp_path):
     ck = Checkpointer(tmp_path)
     _start(ck)
     ck.mark_done(0)
-    orphan = ck.journal
-    ck.path.unlink()
-
-    ledger = RunLedger(tmp_path)
-    assert ledger.checkpoint_files() == []
-    assert list_checkpoints(ledger) == []
-    with ledger.locked():
-        assert ledger.next_run_id() == "r0001"
-
-    # The id is free again; the new run must not replay the stale rows.
-    nxt = Checkpointer(tmp_path)
-    state = _start(nxt)
-    assert state.run_id == "r0001"
-    assert list(orphan.iterdir()) == []
-    assert load_checkpoint(nxt.path).completed == []
-    nxt.finish()
-    assert list(ledger.checkpoint_dir.iterdir()) == []
-
-
-def test_start_sweeps_only_journals_without_a_manifest(tmp_path):
-    live = Checkpointer(tmp_path)
-    _start(live)
-    live.mark_done(0)
-    stale = RunLedger(tmp_path).checkpoint_dir / "r0007.journal"
-    stale.mkdir()
-    (stale / "000001.seg").write_bytes(b"stale")
-    _start(Checkpointer(tmp_path))
-    assert not stale.exists()
-    assert load_checkpoint(live.path).completed == [0]
-
-
-def test_torn_segment_tmp_is_not_replayed_and_finish_removes_it(tmp_path):
-    ck = Checkpointer(tmp_path)
-    _start(ck)
-    ck.mark_done(0)
-    torn = ck.journal / "000002.seg.tmp"
-    torn.write_bytes(b"{\"format\": 2, \"units\": [1]")
+    with open(ck.path, "ab") as fh:  # a kill inside the next append
+        fh.write(b'{"format": 3, "kind": "segment", "units": [1]')
     assert load_checkpoint(ck.path).completed == [0]
 
     resumed = Checkpointer(tmp_path, resume="r0001")
     assert _start(resumed).completed == [0]
+    resumed.mark_done(1)
+    assert [h["units"] for h, _ in _segments(ck.path)] == [[0], [1]]
     resumed.finish()
     assert list(RunLedger(tmp_path).checkpoint_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocks", [
+    {"codes": np.zeros((1, 4), dtype=np.int32), "vgs": np.zeros((1, 4))},
+    {"codes": np.zeros((1, 4), dtype=int)},
+    {"codes": np.zeros((2, 4), dtype=int), "vgs": np.zeros((2, 4))},
+], ids=["dtype", "planes", "shape"])
+def test_whole_segment_that_does_not_fit_the_layout_is_refused(blocks, tmp_path):
+    # Only a record that does not parse is a torn tail; one that parses
+    # but does not fit the planes is a malformed checkpoint.
+    ck = Checkpointer(tmp_path)
+    _start(ck)
+    ck.mark_done(0)
+    record = io.BytesIO()
+    write_planes(record, {"kind": "segment", "units": [1], "rows": [1]}, blocks)
+    with open(ck.path, "ab") as fh:
+        fh.write(record.getvalue())
+    with pytest.raises(CheckpointError, match=r"segment at byte \d+ of .* holds"):
+        load_checkpoint(ck.path)
+    with pytest.raises(CheckpointError, match="expected"):
+        _start(Checkpointer(tmp_path, resume="r0001"))
 
 
 def test_torn_manifest_tmp_alone_is_no_run_and_finish_removes_it(tmp_path):
@@ -361,23 +365,65 @@ def test_format_1_checkpoint_is_refused_naming_its_format(tmp_path):
             _start(Checkpointer(tmp_path, resume="r0001"))
 
 
-def test_pre_change_checkpoint_keeps_its_run_id_and_journal(tmp_path):
-    # An unfinished run from before the plane container still holds its
-    # id: a new run takes the next one and leaves the old journal be.
-    ledger = RunLedger(tmp_path)
-    old = _pre_change_manifest(ledger, "r0001", 2)
-    journal = ledger.checkpoint_dir / "r0001.journal"
+def _journal_checkpoint(ledger, run_id):
+    """A checkpoint as a manifest plus a ``<run_id>.journal/`` directory
+    of segment files wrote it: the header has no ``segments`` field."""
+    ledger.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    manifest = ledger.checkpoint_dir / f"{run_id}.npz"
+    header = {
+        "kind": "checkpoint", "run_kind": "scan", "run_id": run_id,
+        "fingerprint": {"rows": 4}, "total": 4, "meta": {}, "created": "",
+        "layout": {"codes": {"shape": [4, 4], "dtype": "<i8"}},
+    }
+    durable_write(manifest, lambda fh: write_planes(fh, header, {}))
+    journal = manifest.with_suffix(".journal")
     journal.mkdir()
-    segment = journal / "000001.seg"
-    segment.write_bytes(b'{"format": 2, "units": [0], "rows": [0]}\n')
+    segment = {"kind": "segment", "units": [0], "rows": [0]}
+    durable_write(journal / "000001.seg", lambda fh: write_planes(
+        fh, segment, {"codes": np.full((1, 4), 7)}
+    ))
+    return manifest, journal
+
+
+def test_pre_change_checkpoint_keeps_its_run_id_and_journal(tmp_path):
+    # An unfinished run from before the one-file checkpoint is refused
+    # by name, still holds its id, and its journal is left be.
+    ledger = RunLedger(tmp_path)
+    old, journal = _journal_checkpoint(ledger, "r0001")
+    segment = (journal / "000001.seg").read_bytes()
     assert ledger.checkpoint_files() == [old]
+    refusal = r"pre-change checkpoint \(a manifest plus a r0001\.journal/"
+    with pytest.raises(CheckpointError, match=refusal):
+        load_checkpoint(old)
+    with pytest.raises(CheckpointError, match=refusal):
+        _start(Checkpointer(tmp_path, resume="r0001"))
     ck = Checkpointer(tmp_path)
     assert _start(ck).run_id == "r0002"
     ck.mark_done(0)
-    assert old.exists()
-    assert [p.name for p in journal.iterdir()] == ["000001.seg"]
-    assert segment.read_bytes().startswith(b'{"format": 2')
     ck.finish()
     assert sorted(p.name for p in ledger.checkpoint_dir.iterdir()) == [
         "r0001.journal", "r0001.npz",
+    ]
+    assert [p.name for p in journal.iterdir()] == ["000001.seg"]
+    assert (journal / "000001.seg").read_bytes() == segment
+
+
+def test_pre_change_orphan_journal_is_no_run_and_is_ignored(tmp_path):
+    # A crash between the old finish()'s two removals left a journal
+    # without its manifest.  Its id is free, and the run that takes it
+    # neither replays the stale segment nor is mistaken for the old run.
+    ledger = RunLedger(tmp_path)
+    manifest, orphan = _journal_checkpoint(ledger, "r0001")
+    manifest.unlink()
+    assert ledger.checkpoint_files() == []
+    assert list_checkpoints(ledger) == []
+
+    ck = Checkpointer(tmp_path)
+    assert _start(ck).run_id == "r0001"
+    assert load_checkpoint(ck.path).completed == []
+    ck.mark_done(1)
+    assert _start(Checkpointer(tmp_path, resume="r0001")).completed == [1]
+    ck.finish()
+    assert sorted(p.name for p in ledger.checkpoint_dir.iterdir()) == [
+        "r0001.journal",
     ]

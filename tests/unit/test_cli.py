@@ -329,11 +329,13 @@ def test_runs_diff_truncated_manifest_exits_2(tmp_path, capsys):
     assert _record_scan(tmp_path, seed=1) == 0
     capsys.readouterr()
     manifest = tmp_path / "runs" / "manifest.jsonl"
-    manifest.write_text(manifest.read_text()[:40])
+    # Cut, then terminated: a whole malformed line, not a torn append
+    # (which the ledger skips).
+    manifest.write_text(manifest.read_text()[:40] + "\n")
     assert main(["runs", "diff", "--dir", str(tmp_path / "runs"),
                  "r0001", "r0001"]) == 2
     err = capsys.readouterr().err
-    assert "truncated write?" in err
+    assert ":1 is not valid JSON" in err
     assert "Traceback" not in err
 
 
@@ -341,10 +343,10 @@ def test_runs_check_truncated_manifest_exits_2(tmp_path, capsys):
     assert _record_scan(tmp_path, seed=1) == 0
     capsys.readouterr()
     manifest = tmp_path / "runs" / "manifest.jsonl"
-    manifest.write_text(manifest.read_text()[:40])
+    manifest.write_text(manifest.read_text()[:40] + "\n")
     assert main(["runs", "check", "--dir", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "truncated write?" in err
+    assert "error:" in err and ":1 is not valid JSON" in err
 
 
 # ---------------------------------------------------------------------------
