@@ -799,9 +799,11 @@ def cmd_runs_checkpoints(args) -> int:
         print(f"(no unfinished runs in {args.dir})")
         return 0
     for s in states:
+        # A wafer is one die range: its checkpoint kind is "shard".
+        command = "wafer" if s.kind == "shard" else s.kind
         print(f"{s.run_id}  {s.kind:<6} {len(s.completed)}/{s.total} units"
               f"  created {s.created or '(unknown)'}"
-              f"  (resume with `repro {s.kind} --resume {s.run_id}"
+              f"  (resume with `repro {command} --resume {s.run_id}"
               f" --checkpoint {args.dir}`)")
     return 0
 

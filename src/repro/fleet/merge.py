@@ -42,7 +42,7 @@ from repro.fleet.lease import read_lease
 from repro.fleet.partition import validate_partition
 from repro.resilience.durable import durable_write
 from repro.resilience.planes import read_planes, write_planes
-from repro.wafer import DieQuality, WaferModel
+from repro.wafer import DieQuality, WaferModel, WaferReport
 
 __all__ = ["LotMerge", "merge_lot", "lot_scalars"]
 
@@ -74,10 +74,6 @@ class LotMerge:
         return fleet_exit_code(self.state)
 
 
-#: Concentric radius-fraction rings behind the zone scalars.
-_ZONES = (("centre", 0.0, 1 / 3), ("mid", 1 / 3, 2 / 3), ("edge", 2 / 3, 1.0))
-
-
 def lot_scalars(
     sites: list[tuple[int, int, float]],
     die_means: np.ndarray,
@@ -86,54 +82,28 @@ def lot_scalars(
     diameter: int,
     respawns: int = 0,
 ) -> dict[str, float]:
-    """Lot-level drift scalars, including radial/zone spatial signatures.
+    """Lot-level drift scalars: coverage plus the measured dies'
+    :meth:`~repro.wafer.WaferReport.scalars`.
 
     Failed (unmeasured) dies are excluded from the physics statistics —
     their NaN placeholders must not poison the charts — and surface
     instead through ``failed_dies`` / ``measured_fraction``, which the
-    drift engine alarms on directly.  Zone rings with no measured die
-    contribute no scalar (an absent key, which the drift engine skips,
-    rather than a NaN it would chart).
+    drift engine alarms on directly.
     """
-    from repro.units import to_fF
-    from repro.wafer import DieSite, WaferReport
-
     good = die_quality == int(DieQuality.GOOD)
-    measured = [
-        DieSite(x, y, r, float(die_means[i]), float(die_sigmas[i]))
-        for i, (x, y, r) in enumerate(sites)
-        if good[i]
-    ]
-    total = len(sites)
+    total, measured = len(sites), int(good.sum())
     scalars: dict[str, float] = {
         "dies": float(total),
-        "failed_dies": float(total - len(measured)),
-        "measured_fraction": len(measured) / total if total else 0.0,
+        "failed_dies": float(total - measured),
+        "measured_fraction": measured / total if total else 0.0,
         "shard_respawns": float(respawns),
     }
-    if not measured:
-        return scalars
-    report = WaferReport(dies=measured, diameter=diameter)
-    means = [d.mean_capacitance for d in measured]
-    a, b = report.radial_profile()
-    scalars.update({
-        "cap_mean_fF": float(to_fF(report.wafer_mean)),
-        "cap_sigma_fF": float(to_fF(np.std(means))),
-        "die_sigma_mean_fF": float(to_fF(
-            np.mean([d.sigma_capacitance for d in measured])
-        )),
-        "radial_centre_fF": float(to_fF(a)),
-        "radial_drop_fF": float(to_fF(-b)),
-    })
-    for name, lo, hi in _ZONES:
-        ring = [
-            d.mean_capacitance for d in measured
-            if lo <= d.radius_fraction < hi
-            or (hi == 1.0 and d.radius_fraction == 1.0)
-        ]
-        if ring:
-            scalars[f"zone_{name}_fF"] = float(to_fF(np.mean(ring)))
-            scalars[f"zone_{name}_dies"] = float(len(ring))
+    if measured:
+        report = WaferReport.from_planes(
+            [site for site, ok in zip(sites, good) if ok],
+            die_means[good], die_sigmas[good], diameter,
+        )
+        scalars.update(report.scalars())
     return scalars
 
 
@@ -278,7 +248,7 @@ def merge_lot(
         planes["die_means"],
         planes["die_sigmas"],
         planes["die_quality"],
-        diameter=int(wafer_kwargs.get("diameter_dies", 9)),
+        diameter=model.diameter,
         respawns=respawns,
     )
 

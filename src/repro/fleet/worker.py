@@ -31,8 +31,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.errors import FleetError, ResilienceError
 from repro.resilience.durable import durable_write
 from repro.resilience.planes import write_planes
@@ -97,32 +95,33 @@ def load_spec(path: str | Path) -> dict[str, Any]:
 
 
 def _write_result(path: Path, model, scan, meta: dict[str, Any]) -> None:
-    """Persist the shard's ``[lo, hi)`` slice of each die plane durably.
+    """Persist the shard's range-sized die planes durably.
 
-    Range-sized, so a shard's result scales with its own dies, not the
-    wafer; the merge scatters each slice into the lot.  One plane
-    container (:mod:`repro.resilience.planes`) of kind
-    ``shard-result``, with ``meta`` as its header fields.
+    A shard's result scales with its own dies, not the wafer; the merge
+    scatters each range into the lot.  One plane container
+    (:mod:`repro.resilience.planes`) of kind ``shard-result``, with
+    ``meta`` as its header fields.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    lo, hi = scan.die_range
     header = {"kind": "shard-result", **meta}
-    planes = {name: getattr(scan, name)[lo:hi] for name in model.die_planes(0)}
+    planes = {name: getattr(scan, name) for name in model.die_planes(0)}
     durable_write(path, lambda fh: write_planes(fh, header, planes))
 
 
-def _shard_scalars(scan) -> dict[str, float]:
-    """Per-shard summary scalars (the shard manifest's drift diet)."""
+def _shard_scalars(model, scan) -> dict[str, float]:
+    """Per-shard summary scalars (the shard manifest's drift diet):
+    the range's :meth:`~repro.wafer.WaferReport.scalars` plus counts."""
     from repro.resilience.quality import CellQuality
-    from repro.units import to_fF
+    from repro.wafer import WaferReport
 
     lo, hi = scan.die_range
-    means = scan.die_means[lo:hi]
-    cells = scan.die_cell_quality[lo:hi]
+    report = WaferReport.from_planes(
+        model.sites()[lo:hi], scan.die_means, scan.die_sigmas, model.diameter
+    )
+    cells = scan.die_cell_quality
     return {
         "dies": float(hi - lo),
-        "cap_mean_fF": float(to_fF(np.mean(means))),
-        "cap_sigma_fF": float(to_fF(np.std(means))),
+        **report.scalars(),
         "degraded_cells": float((cells == int(CellQuality.DEGRADED)).sum()),
         "failed_cells": float((cells == int(CellQuality.FAILED)).sum()),
     }
@@ -201,9 +200,7 @@ def run_shard(spec: dict[str, Any]) -> int:
 
     start = perf_counter()
     try:
-        scan = model.measure_dies(
-            (lo, hi), config, on_die=on_die, finish_checkpoint=False
-        )
+        scan = model.measure_dies((lo, hi), config, on_die=on_die)
     except BaseException:
         lease.state = "failed"
         write_lease(lease_path, lease.touch())
@@ -228,7 +225,7 @@ def run_shard(spec: dict[str, Any]) -> int:
         seed=wafer_kwargs.get("seed"),
         tech=model.tech.name,
         wall_seconds=wall,
-        scalars=_shard_scalars(scan),
+        scalars=_shard_scalars(model, scan),
         extra={"shard_id": shard_id, "die_range": [lo, hi],
                "generation": lease.generation},
     )

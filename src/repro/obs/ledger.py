@@ -663,29 +663,17 @@ class RunLedger:
         extra: dict[str, Any] | None = None,
         run_id: str | None = None,
     ) -> RunManifest:
-        """Record one wafer measurement (die-level scalars, no artifact)."""
-        from repro.units import to_fF
-
+        """Record one wafer measurement (:meth:`WaferReport.scalars`
+        plus die counts, no artifact)."""
         manifest = self._base_manifest(
             "wafer", config, seed=seed, tech=tech, label=label,
             wall_seconds=wall_seconds, cpu_seconds=cpu_seconds,
             trace_path=None, extra=extra,
         )
-        a, b = report.radial_profile()
-        sigmas = [d.sigma_capacitance for d in report.dies]
-        manifest.scalars = {
-            "cap_mean_fF": float(to_fF(report.wafer_mean)),
-            "cap_sigma_fF": float(
-                to_fF(np.std([d.mean_capacitance for d in report.dies]))
-            ),
-            "die_sigma_mean_fF": float(to_fF(np.mean(sigmas))),
-            "radial_centre_fF": float(to_fF(a)),
-            "radial_drop_fF": float(to_fF(-b)),
-            "dies": float(len(report.dies)),
-        }
+        dies = len(report.dies)
+        manifest.scalars = {**report.scalars(), "dies": float(dies)}
         if wall_seconds > 0:
-            cells = len(report.dies)
-            manifest.scalars["dies_per_second"] = cells / wall_seconds
+            manifest.scalars["dies_per_second"] = dies / wall_seconds
         return self.record(manifest, run_id=run_id)
 
     def record_diagnosis(

@@ -37,8 +37,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from contextvars import ContextVar
-from time import perf_counter
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -80,27 +79,18 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value (may go up or down).
-
-    Each :meth:`set` stamps ``updated`` from a monotonic clock so that
-    merging gauge shards from several processes can resolve
-    last-writer-wins by write time (``perf_counter`` is system-wide
-    ``CLOCK_MONOTONIC`` on Linux, so stamps are comparable across
-    processes on one host).
-    """
+    """Last-written value (may go up or down)."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "value", "updated")
+    __slots__ = ("name", "help", "value")
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self.value = 0.0
-        self.updated = 0.0
 
     def set(self, value: float) -> None:
         self.value = float(value)
-        self.updated = perf_counter()
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "name": self.name, "value": self.value}
@@ -230,68 +220,6 @@ class MetricsRegistry:
     def to_dict(self) -> dict[str, dict[str, Any]]:
         """``{name: instrument dict}`` in name order."""
         return {m.name: m.to_dict() for m in self}
-
-    def to_shipped(self) -> list[tuple[Any, ...]]:
-        """Compact wire form of this registry, for merging into another.
-
-        One tuple per instrument — ``("c", name, value)``,
-        ``("g", name, value, updated)`` or ``("h", name, values)`` —
-        plain strings/floats only, in name order.
-        """
-        shipped: list[tuple[Any, ...]] = []
-        for metric in self:
-            if isinstance(metric, Counter):
-                shipped.append(("c", metric.name, metric.value))
-            elif isinstance(metric, Gauge):
-                shipped.append(("g", metric.name, metric.value, metric.updated))
-            else:
-                shipped.append(("h", metric.name, tuple(metric.values)))
-        return shipped
-
-    def merge_shipped(self, shipped: Iterable[Sequence[Any]]) -> None:
-        """Fold :meth:`to_shipped` output from another registry into this one.
-
-        Merge semantics per kind:
-
-        - counters **sum** (shards count disjoint work),
-        - gauges are **last-writer-wins** on the ``updated`` stamp, with
-          the larger value breaking exact-timestamp ties so the result
-          is independent of shard arrival order,
-        - histograms **concatenate** observations (raw values, so
-          percentiles over the union stay exact).
-
-        Kind conflicts with an existing instrument raise
-        :class:`ObservabilityError`, same as local get-or-create.
-        """
-        for record in shipped:
-            try:
-                tag, name = record[0], record[1]
-            except (IndexError, TypeError) as exc:
-                raise ObservabilityError(
-                    f"malformed shipped metric: {record!r}"
-                ) from exc
-            if tag == "c":
-                self.counter(name).inc(float(record[2]))
-            elif tag == "g":
-                gauge = self.gauge(name)
-                stamp = (float(record[3]), float(record[2]))
-                if stamp > (gauge.updated, gauge.value):
-                    gauge.value = stamp[1]
-                    gauge.updated = stamp[0]
-            elif tag == "h":
-                self.histogram(name).observe_many(record[2])
-            else:
-                raise ObservabilityError(
-                    f"malformed shipped metric: {record!r}"
-                )
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one.
-
-        Equivalent to ``merge_shipped(other.to_shipped())``; see there
-        for the per-kind semantics.
-        """
-        self.merge_shipped(other.to_shipped())
 
     def write_jsonl(self, target: str | TextIO) -> None:
         """Write one JSON object per instrument to a path (durably) or open file."""

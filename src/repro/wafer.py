@@ -83,23 +83,22 @@ class DieQuality(enum.IntEnum):
 
 @dataclass
 class DieRangeScan:
-    """Planes measured by one die-range shard of a wafer.
+    """Planes measured over one contiguous die range of a wafer.
 
-    Every plane is **full-length** (indexed by the wafer's global die
-    index, ``len(model.sites())`` entries) with this shard's range
-    filled in and neutral values elsewhere — so shard results combine
-    by straight element-wise selection on :attr:`die_quality`, and the
-    merged lot is bit-exact with an unsharded run by construction.
+    Every plane is **range-sized**: entry ``k`` is the wafer's die
+    ``lo + k`` of ``die_range = (lo, hi)``, so ``len(die_means) == hi -
+    lo``.  A lot is these slices scattered back to their ranges, which
+    is bit-exact with one walk of the whole wafer by construction.
     """
 
     die_range: tuple[int, int]
-    total_dies: int
-    die_means: np.ndarray  #: (S,) float, NaN outside the range
-    die_sigmas: np.ndarray  #: (S,) float, NaN outside the range
-    die_vgs: np.ndarray  #: (S, die_rows, die_cols) float
-    die_codes: np.ndarray  #: (S, die_rows, die_cols) int
-    die_cell_quality: np.ndarray  #: (S, die_rows, die_cols) uint8 CellQuality
-    die_quality: np.ndarray  #: (S,) uint8 DieQuality
+    total_dies: int  #: printed dies on the whole wafer
+    die_means: np.ndarray  #: (N,) float
+    die_sigmas: np.ndarray  #: (N,) float
+    die_vgs: np.ndarray  #: (N, die_rows, die_cols) float
+    die_codes: np.ndarray  #: (N, die_rows, die_cols) int
+    die_cell_quality: np.ndarray  #: (N, die_rows, die_cols) uint8 CellQuality
+    die_quality: np.ndarray  #: (N,) uint8 DieQuality
     run_id: str | None = None
 
 
@@ -242,66 +241,41 @@ class WaferModel:
     def measure_wafer(self, config: ScanConfig | None = None) -> "WaferReport":
         """Fabricate and scan every die; return the wafer report.
 
-        Dies run through the chunked die loop (see :meth:`_scan_dies`):
-        kernel-eligible dies are measured a chunk at a time, the rest
-        per die through :meth:`ArrayScanner.scan` with ``config``; a
-        tracer gets one ``kernel`` span per chunk plus the per-die
-        scans' own trees.  The designed
-        structure and its memoized code-boundary table are shared by
-        every die, so calibration is solved once per wafer.  Only the
-        per-die means and sigmas are kept.
+        The whole wafer as one die range: :meth:`measure_dies` over
+        ``[0, total)``, whose planes the report summarizes.  The
+        designed structure and its memoized code-boundary table are
+        shared by every die, so calibration is solved once per wafer.
 
         ``config.progress`` reports at **die** granularity (the die scans
         themselves run silent), and ``config.ledger`` receives one wafer
         manifest — not one per die — carrying the die-level scalars the
-        drift engine charts.
+        drift engine charts (:meth:`WaferReport.scalars`).
 
-        With ``config.checkpoint`` set, per-die statistics persist after
-        every die and an interrupted wafer run resumes bit-exact: the
-        wafer RNG is fast-forwarded past checkpointed dies by burning
-        exactly the draws their fabrication would have consumed, so the
-        remaining dies print identically to an uninterrupted run.
+        With ``config.checkpoint`` set, the die range's planes persist
+        as it runs (kind ``"shard"``) and an interrupted wafer run
+        resumes bit-exact.  The checkpoint is finished only after the
+        manifest is recorded.
         """
         config = self._checked_config(config)
-        ledger, checkpointer = config.ledger, config.checkpoint
         sites = self.sites()
         start = perf_counter()
         cpu_start = process_time()
-        planes = {
-            "die_means": np.full(len(sites), np.nan),
-            "die_sigmas": np.full(len(sites), np.nan),
-        }
-        done: set[int] = set()
-        if checkpointer is not None:
-            state = checkpointer.start(
-                "wafer", config_fingerprint(config), planes, total=len(sites)
-            )
-            planes = state.arrays
-            done = set(state.completed)
-        self._scan_dies(0, len(sites), config, planes, done, label="wafer")
-        means, sigmas = planes["die_means"], planes["die_sigmas"]
-        dies = [
-            DieSite(
-                x=x, y=y, radius_fraction=r,
-                mean_capacitance=float(means[index]),
-                sigma_capacitance=float(sigmas[index]),
-            )
-            for index, (x, y, r) in enumerate(sites)
-        ]
-        report = WaferReport(dies=dies, diameter=self.diameter)
-        run_id = checkpointer.run_id if checkpointer is not None else None
-        if ledger is not None:
-            ledger.record_wafer(
+        scan = self.measure_dies((0, len(sites)), config)
+        report = WaferReport.from_planes(
+            sites, scan.die_means, scan.die_sigmas, self.diameter
+        )
+        if config.ledger is not None:
+            config.ledger.record_wafer(
                 report,
                 config,
                 seed=self.seed,
                 tech=self.tech.name,
                 wall_seconds=perf_counter() - start,
                 cpu_seconds=process_time() - cpu_start,
-                run_id=run_id,
+                run_id=scan.run_id,
             )
-        if checkpointer is not None:
-            checkpointer.finish()
+        if config.checkpoint is not None:
+            config.checkpoint.finish()
         return report
 
     def measure_dies(
@@ -310,29 +284,25 @@ class WaferModel:
         config: ScanConfig | None = None,
         *,
         on_die: Callable[[int, int], None] | None = None,
-        finish_checkpoint: bool = True,
     ) -> DieRangeScan:
         """Fabricate and scan one contiguous die range of this wafer.
 
-        The shard primitive behind :mod:`repro.fleet`: dies outside
+        The die-range primitive behind :meth:`measure_wafer` (the range
+        ``[0, total)``) and the :mod:`repro.fleet` shards: dies outside
         ``[lo, hi)`` — another shard's work — are fast-forwarded by
         burning exactly the RNG draws their fabrication would have
         consumed, so any partition of the wafer into ranges produces
-        dies (and therefore planes) bit-identical to the unsharded
-        :meth:`measure_wafer` walk.
+        dies (and therefore planes) bit-identical to one walk of the
+        whole wafer.
 
-        ``config.checkpoint`` persists the shard's partial planes under
-        kind ``"shard"`` (the resume fingerprint folds the die range
-        in, so a checkpoint can never be resumed under a different
-        partition).  Only the ``[lo, hi)`` slice of each plane is
-        checkpointed — a shard's write cost scales with its own range,
-        not the wafer — and the full-length return planes are
-        scattered together on the way out.  ``on_die(index, done)`` fires in-process
-        after each die completes — the fleet worker's heartbeat hook.
-        With ``finish_checkpoint=False`` the checkpoint file survives
-        the return; the caller deletes it via ``config.checkpoint
-        .finish()`` only after it has durably persisted the result, so
-        a crash in between costs a re-merge, never the shard's work.
+        ``config.checkpoint`` persists the range's planes under kind
+        ``"shard"`` (the resume fingerprint folds the die range in, so
+        a checkpoint can never be resumed under a different partition).
+        This method never finishes the checkpoint: the caller records
+        or persists the result first, then calls ``config.checkpoint
+        .finish()``, so a crash in between costs a re-record, never the
+        range's work.  ``on_die(index, done)`` fires in-process after
+        each die completes — the fleet worker's heartbeat hook.
         """
         config = self._checked_config(config)
         total = len(self.sites())
@@ -343,26 +313,18 @@ class WaferModel:
                 f"{total} printed dies"
             )
         checkpointer = config.checkpoint
-        arrays = self.die_planes(hi - lo)
+        planes = self.die_planes(hi - lo)
         done: set[int] = set()
         if checkpointer is not None:
             fingerprint = config_fingerprint(config)
             fingerprint["die_range"] = [lo, hi]
             state = checkpointer.start(
-                "shard", fingerprint, arrays, total=hi - lo
+                "shard", fingerprint, planes, total=hi - lo
             )
-            arrays = state.arrays
+            planes = state.arrays
             done = set(state.completed)
-        self._scan_dies(
-            lo, hi, config, arrays, done,
-            label=f"shard[{lo},{hi})", on_die=on_die,
-        )
+        self._scan_dies(lo, hi, config, planes, done, on_die=on_die)
         run_id = checkpointer.run_id if checkpointer is not None else None
-        if checkpointer is not None and finish_checkpoint:
-            checkpointer.finish()
-        planes = self.die_planes(total)
-        for name, shard_plane in arrays.items():
-            planes[name][lo:hi] = shard_plane
         return DieRangeScan(
             die_range=(lo, hi), total_dies=total, run_id=run_id, **planes
         )
@@ -407,27 +369,21 @@ class WaferModel:
         planes: dict[str, np.ndarray],
         done: set[int],
         *,
-        label: str,
         on_die: Callable[[int, int], None] | None = None,
     ) -> None:
         """Measure dies ``[lo, hi)`` into ``planes`` (indexed from ``lo``).
 
-        The die loop behind :meth:`measure_wafer` and
-        :meth:`measure_dies`.  Fabrication walks every printed die in
-        order; a die outside the range or already in ``done`` only burns
-        its RNG draws, so any range, resumed or not, prints the same
-        dies as one uninterrupted walk.  ``planes`` always holds
-        ``die_means``/``die_sigmas``; the cell planes are filled only
-        when present.
+        The die loop behind :meth:`measure_dies`.  Fabrication walks
+        every printed die in order; a die outside the range or already
+        in ``done`` only burns its RNG draws, so any range, resumed or
+        not, prints the same dies as one uninterrupted walk.
 
         Dies are stacked ``_CHUNK_CELLS`` at a time into one plane and
         measured by one kernel pass, one code conversion and one bitmap.
         A die falls back to its own :meth:`ArrayScanner.scan` (with
-        ``config``) exactly when
-        that scan would not take the serial kernel: its backend opts out
-        of the kernel, ``force_engine`` or ``preflight`` is set, a fault
-        plan targets a site outside the wafer loop, or the die has
-        BRIDGE defects.  The ``wafer.die_done`` fault site, checkpoint
+        ``config``) exactly when that scan would not take the kernel:
+        ``force_engine`` or ``preflight`` is set, a fault plan targets a
+        site outside the wafer loop, or the die has BRIDGE defects.  The ``wafer.die_done`` fault site, checkpoint
         mark, progress and ``on_die`` fire per die, in die order, on
         both paths.  A chunk reports one ``kernel`` span to
         ``config.tracer``; only fallback scans fold :class:`ScanStats`
@@ -448,11 +404,10 @@ class WaferModel:
             rel = index - lo
             planes["die_means"][rel] = mean
             planes["die_sigmas"][rel] = sigma
-            if "die_vgs" in planes:
-                planes["die_vgs"][rel] = vgs
-                planes["die_codes"][rel] = codes
-                planes["die_cell_quality"][rel] = quality
-                planes["die_quality"][rel] = int(DieQuality.GOOD)
+            planes["die_vgs"][rel] = vgs
+            planes["die_codes"][rel] = codes
+            planes["die_cell_quality"][rel] = quality
+            planes["die_quality"][rel] = int(DieQuality.GOOD)
             fault_point("wafer.die_done", die=index, x=x, y=y)
             if checkpointer is not None:
                 checkpointer.mark_done(index, rows=rel)
@@ -506,8 +461,10 @@ class WaferModel:
                     for f in plan.faults
                 ))
             )
+            sites = self.sites()
+            label = "wafer" if hi - lo == len(sites) else f"shard[{lo},{hi})"
             progress.start(hi - lo, label=label, units="dies")
-            for index, (x, y, r) in enumerate(self.sites()):
+            for index, (x, y, r) in enumerate(sites):
                 if not lo <= index < hi or index in done:
                     self._burn_die_draws()
                     if lo <= index < hi:
@@ -541,6 +498,23 @@ class WaferReport:
     def __post_init__(self) -> None:
         if not self.dies:
             raise DiagnosisError("wafer report needs at least one die")
+
+    @classmethod
+    def from_planes(
+        cls,
+        sites: list[tuple[int, int, float]],
+        die_means: np.ndarray,
+        die_sigmas: np.ndarray,
+        diameter: int,
+    ) -> "WaferReport":
+        """The report over ``sites`` and their aligned die planes."""
+        return cls(
+            dies=[
+                DieSite(x, y, r, float(mean), float(sigma))
+                for (x, y, r), mean, sigma in zip(sites, die_means, die_sigmas)
+            ],
+            diameter=diameter,
+        )
 
     # ------------------------------------------------------------------
     # Statistics
@@ -577,6 +551,36 @@ class WaferReport:
         design = np.column_stack([np.ones_like(r2), r2])
         (a, b), *_ = np.linalg.lstsq(design, means, rcond=None)
         return float(a), float(b)
+
+    def scalars(self) -> dict[str, float]:
+        """The wafer's drift scalars, in fF.
+
+        The one definition behind the wafer, shard and lot manifests:
+        capacitance statistics over the die means, the
+        :meth:`radial_profile` fit and the :meth:`zonal_means` of three
+        rings (``zone_centre``/``mid``/``edge``).  A ring with no die
+        contributes no key — which the drift engine skips — rather than
+        a NaN it would chart.
+        """
+        a, b = self.radial_profile()
+        scalars = {
+            "cap_mean_fF": float(to_fF(self.wafer_mean)),
+            "cap_sigma_fF": float(
+                to_fF(np.std([d.mean_capacitance for d in self.dies]))
+            ),
+            "die_sigma_mean_fF": float(
+                to_fF(np.mean([d.sigma_capacitance for d in self.dies]))
+            ),
+            "radial_centre_fF": float(to_fF(a)),
+            "radial_drop_fF": float(to_fF(-b)),
+        }
+        for zone, (_label, mean, count) in zip(
+            ("centre", "mid", "edge"), self.zonal_means(3)
+        ):
+            if count:
+                scalars[f"zone_{zone}_fF"] = float(to_fF(mean))
+                scalars[f"zone_{zone}_dies"] = float(count)
+        return scalars
 
     def out_of_spec_dies(self, spec_lo: float, spec_hi: float) -> list[DieSite]:
         """Dies whose mean falls outside the spec."""

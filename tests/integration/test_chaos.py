@@ -179,7 +179,7 @@ def test_wafer_interrupt_resume_bit_exact(tmp_path):
                 config=ScanConfig(checkpoint=Checkpointer(ledger), faults=interrupt)
             )
         states = list_checkpoints(ledger)
-        assert [s.kind for s in states] == ["wafer"]
+        assert [s.kind for s in states] == ["shard"]
         assert sorted(states[0].completed) == list(range(interrupted_at))
 
         # Resume on a *fresh* model: the wafer RNG is fast-forwarded past
@@ -192,3 +192,31 @@ def test_wafer_interrupt_resume_bit_exact(tmp_path):
             assert (die.x, die.y) == (ref.x, ref.y)
             assert die.mean_capacitance == ref.mean_capacitance
             assert die.sigma_capacitance == ref.sigma_capacitance
+
+
+def test_wafer_refuses_a_pre_change_wafer_checkpoint(tmp_path):
+    """A wafer checkpoint of kind ``"wafer"`` (means and sigmas only)
+    predates the one die-range path: resuming it is refused by name,
+    and the checkpoint stays on disk under its own run id."""
+    from repro.errors import CheckpointError
+    from repro.obs.ledger import config_fingerprint
+    from repro.wafer import WaferModel
+
+    model = WaferModel(diameter_dies=3, seed=5)
+    total = len(model.sites())
+    ledger = RunLedger(tmp_path)
+    old = Checkpointer(ledger)
+    old.start(
+        "wafer", config_fingerprint(ScanConfig()),
+        {"die_means": np.full(total, np.nan),
+         "die_sigmas": np.full(total, np.nan)},
+        total=total,
+    )
+    old.mark_done(0, rows=0)
+
+    with pytest.raises(CheckpointError, match="'wafer' run.*'shard'"):
+        model.measure_wafer(
+            ScanConfig(checkpoint=Checkpointer(ledger, resume=old.run_id))
+        )
+    states = list_checkpoints(ledger)
+    assert [(s.run_id, s.kind) for s in states] == [(old.run_id, "wafer")]

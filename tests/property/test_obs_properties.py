@@ -6,7 +6,6 @@ children, ids are start-ordered, and the JSONL round trip is lossless.
 """
 
 import io
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -95,75 +94,3 @@ def test_summary_accounts_for_every_span(program):
     assert sum(a.count for a in summary.aggregates) == len(tracer.spans)
     walked_depth = max((d for _, d in tracer.walk()), default=0)
     assert summary.max_depth == walked_depth
-
-
-# ---------------------------------------------------------------------------
-# Metrics merge: shard order must not matter.
-# ---------------------------------------------------------------------------
-
-# Shards as shipped-wire records with a fixed kind per name (a kind
-# conflict raises by design and is tested separately).  Integer values
-# keep float sums exact so order-of-addition cannot produce spurious
-# counterexamples.
-_counter_records = st.tuples(
-    st.just("c"), st.sampled_from(["c0", "c1"]),
-    st.integers(0, 100).map(float),
-)
-_gauge_records = st.tuples(
-    st.just("g"), st.sampled_from(["g0", "g1"]),
-    st.integers(-50, 50).map(float), st.integers(0, 5).map(float),
-)
-_histogram_records = st.tuples(
-    st.just("h"), st.sampled_from(["h0", "h1"]),
-    st.lists(st.integers(0, 20).map(float), max_size=8).map(tuple),
-)
-_shards = st.lists(
-    st.lists(
-        st.one_of(_counter_records, _gauge_records, _histogram_records),
-        max_size=6,
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-def _normalized(registry):
-    # Empty histograms summarize to NaN, and NaN != NaN would fail the
-    # comparison even though the registries agree — normalize to None.
-    view = registry.to_dict()
-    for record in view.values():
-        for key, value in record.items():
-            if isinstance(value, float) and math.isnan(value):
-                record[key] = None
-    return view
-
-
-def _merged_view(shards):
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    for shard in shards:
-        registry.merge_shipped(shard)
-    return _normalized(registry)
-
-
-@given(_shards, st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_metrics_merge_is_associative_over_shard_orders(shards, rng):
-    reference = _merged_view(shards)
-    shuffled = list(shards)
-    rng.shuffle(shuffled)
-    assert _merged_view(shuffled) == reference
-    # Associativity: pre-merging an arbitrary prefix into one registry
-    # and merging the rest afterwards gives the same result.
-    from repro.obs import MetricsRegistry
-
-    split = rng.randrange(len(shards) + 1)
-    prefix = MetricsRegistry()
-    for shard in shards[:split]:
-        prefix.merge_shipped(shard)
-    combined = MetricsRegistry()
-    combined.merge_shipped(prefix.to_shipped())
-    for shard in shards[split:]:
-        combined.merge_shipped(shard)
-    assert _normalized(combined) == reference

@@ -12,6 +12,7 @@ import pytest
 from repro.errors import FleetError
 from repro.fleet import FleetOrchestrator, merge_lot
 from repro.fleet.orchestrator import EXIT_DEGRADED, EXIT_HEALTHY
+from repro.measure.config import ScanConfig
 from repro.obs.ledger import RunLedger
 from repro.resilience.planes import read_planes, write_planes
 from repro.wafer import DieQuality, WaferModel
@@ -107,6 +108,22 @@ class TestHealthyMerge:
         assert manifest["run_id"] == lot.run_id
         assert manifest["scalars"]["dies"] == 9.0
         assert manifest["extra"]["state"] == "healthy"
+
+    def test_lot_physics_scalars_equal_the_wafer_manifest(
+        self, fleet_root, tmp_path
+    ):
+        lot_ledger = RunLedger(tmp_path / "lot")
+        merge_lot(fleet_root, ledger=lot_ledger)
+        wafer_ledger = RunLedger(tmp_path / "wafer")
+        WaferModel(diameter_dies=DIAMETER, seed=SEED).measure_wafer(
+            ScanConfig(ledger=wafer_ledger)
+        )
+        (lot,), (wafer,) = lot_ledger.runs(), wafer_ledger.runs()
+        coverage = {"dies", "failed_dies", "measured_fraction", "shard_respawns"}
+        physics = set(lot.scalars) - coverage
+        assert {"radial_drop_fF", "zone_centre_fF"} <= physics
+        for key in physics:
+            assert wafer.scalars.get(key) == lot.scalars[key], key
 
 
 class TestDegradedMerge:

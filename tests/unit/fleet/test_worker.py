@@ -125,6 +125,14 @@ class TestRunShard:
         assert [m["kind"] for m in manifest] == ["shard"]
         assert manifest[0]["run_id"] == "r0001"
         assert manifest[0]["scalars"]["dies"] == 4.0
+        # The range's wafer scalars, one definition for every manifest.
+        from repro.wafer import WaferModel, WaferReport
+
+        model = WaferModel(diameter_dies=3, seed=5)
+        physics = WaferReport.from_planes(
+            model.sites()[2:6], means, planes["die_sigmas"], model.diameter
+        ).scalars()
+        assert {k: manifest[0]["scalars"][k] for k in physics} == physics
 
         # Completion deletes the checkpoint (the run is finished).
         checkpoints = tmp_path / "ledger" / "checkpoints"

@@ -47,6 +47,17 @@ class TestInstruments:
         assert h.percentile(0) == 1
         assert h.percentile(100) == 10
 
+    def test_histogram_percentiles_over_batches(self):
+        batched = Histogram("scan.macro_seconds")
+        batched.observe_many([8, 2, 5])
+        batched.observe_many([1, 7, 3, 6, 4])
+        whole = Histogram("scan.macro_seconds")
+        whole.observe_many([1, 2, 3, 4, 5, 6, 7, 8])
+        assert batched.count == 8
+        for q in (0, 50, 95, 99, 100):
+            assert batched.percentile(q) == whole.percentile(q)
+        assert batched.percentile(95) == 8
+
     def test_histogram_empty_statistics_are_nan(self):
         import math
 
@@ -168,78 +179,3 @@ class TestAmbientRegistry:
             with use_metrics(reg):
                 raise RuntimeError("boom")
         assert active_metrics() is NULL_METRICS
-
-
-class TestMergeSemantics:
-    """Merging metric shards shipped back from pool workers."""
-
-    def test_counters_sum(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("scan.cells").inc(10)
-        b.counter("scan.cells").inc(32)
-        b.counter("scan.runs").inc()
-        a.merge(b)
-        assert a.counter("scan.cells").value == 42.0
-        assert a.counter("scan.runs").value == 1.0
-
-    def test_gauge_last_writer_wins_by_timestamp(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("scan.jobs").set(4)       # earlier perf_counter stamp
-        b.gauge("scan.jobs").set(2)       # later stamp wins
-        a.merge(b)
-        assert a.gauge("scan.jobs").value == 2.0
-
-    def test_gauge_older_shard_does_not_overwrite(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.gauge("scan.jobs").set(2)
-        a.gauge("scan.jobs").set(4)       # a now has the later stamp
-        a.merge(b)
-        assert a.gauge("scan.jobs").value == 4.0
-
-    def test_gauge_timestamp_tie_breaks_on_value(self):
-        # Exact-equal stamps (possible across forked processes sharing
-        # one CLOCK_MONOTONIC origin) must resolve the same regardless
-        # of merge order: the larger value wins.
-        shipped_lo = [("g", "pool.rss", 100.0, 7.5)]
-        shipped_hi = [("g", "pool.rss", 200.0, 7.5)]
-        one, two = MetricsRegistry(), MetricsRegistry()
-        one.merge_shipped(shipped_lo)
-        one.merge_shipped(shipped_hi)
-        two.merge_shipped(shipped_hi)
-        two.merge_shipped(shipped_lo)
-        assert one.gauge("pool.rss").value == 200.0
-        assert two.gauge("pool.rss").value == 200.0
-
-    def test_histogram_percentiles_round_trip(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("scan.macro_seconds").observe_many([1, 2, 3])
-        b.histogram("scan.macro_seconds").observe_many([4, 5, 6, 7, 8])
-        a.merge(b)
-        merged = a.histogram("scan.macro_seconds")
-        reference = Histogram("scan.macro_seconds")
-        reference.observe_many([1, 2, 3, 4, 5, 6, 7, 8])
-        assert merged.count == 8
-        for q in (0, 50, 95, 99, 100):
-            assert merged.percentile(q) == reference.percentile(q)
-
-    def test_shipped_round_trip(self):
-        src = MetricsRegistry()
-        src.counter("c").inc(3)
-        src.gauge("g").set(1.5)
-        src.histogram("h").observe_many([1.0, 2.0])
-        dst = MetricsRegistry()
-        dst.merge_shipped(src.to_shipped())
-        assert dst.to_dict() == src.to_dict()
-
-    def test_merge_kind_conflict_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc()
-        b.gauge("x").set(1)
-        with pytest.raises(ObservabilityError):
-            a.merge(b)
-
-    def test_malformed_shipped_record_raises(self):
-        with pytest.raises(ObservabilityError):
-            MetricsRegistry().merge_shipped([("z", "name", 1.0)])
-        with pytest.raises(ObservabilityError):
-            MetricsRegistry().merge_shipped([42])

@@ -414,6 +414,29 @@ def test_preflight_scan_resumes_with_the_printed_hint(tmp_path, capsys):
     assert "no unfinished runs" in capsys.readouterr().out
 
 
+def test_interrupted_wafer_resumes_with_the_listed_hint(tmp_path, capsys):
+    from repro.resilience import Fault, FaultPlan, inject
+
+    ck_dir = tmp_path / "runs"
+    wafer = ["wafer", "--diameter", "5", "--seed", "3"]
+    assert main(wafer) == 0
+    plain = capsys.readouterr().out
+    interrupt = Fault("wafer.die_done", error=KeyboardInterrupt(),
+                      after=4, times=1)
+    with inject(FaultPlan([interrupt])):
+        assert main([*wafer, "--checkpoint", str(ck_dir)]) == 130
+    capsys.readouterr()
+    assert main(["runs", "checkpoints", "--dir", str(ck_dir)]) == 0
+    listed = capsys.readouterr().out
+    assert "r0001  shard  4/" in listed
+    hint = listed.split("resume with `", 1)[1].split("`", 1)[0]
+    assert hint == f"repro wafer --resume r0001 --checkpoint {ck_dir}"
+    assert main(hint.split()[1:]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["runs", "checkpoints", "--dir", str(ck_dir)]) == 0
+    assert "no unfinished runs" in capsys.readouterr().out
+
+
 def test_tech_list_command(capsys):
     assert main(["tech", "list"]) == 0
     out = capsys.readouterr().out

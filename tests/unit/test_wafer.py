@@ -230,3 +230,115 @@ def test_wafer_die_fabrication_delegates_to_backend():
     die = model.fabricate_die(0.0)
     assert die.technology == "1t"
     assert die.retention_time_map().shape == (8, 4)
+
+
+def _ring_dies():
+    from repro.wafer import DieSite
+
+    return [
+        DieSite(0, 0, 0.0, 30.0 * fF, 1.0 * fF),
+        DieSite(1, 0, 0.5, 29.0 * fF, 1.0 * fF),
+        DieSite(2, 0, 0.9, 28.0 * fF, 3.0 * fF),
+    ]
+
+
+def test_wafer_scalars_summarize_the_report():
+    report = WaferReport(dies=_ring_dies(), diameter=3)
+    scalars = report.scalars()
+    a, b = report.radial_profile()
+    assert scalars["cap_mean_fF"] == to_fF(report.wafer_mean)
+    assert scalars["die_sigma_mean_fF"] == pytest.approx(5.0 / 3.0)
+    assert scalars["radial_centre_fF"] == to_fF(a)
+    assert scalars["radial_drop_fF"] == to_fF(-b)
+    for zone, (_label, mean, count) in zip(
+        ("centre", "mid", "edge"), report.zonal_means(3)
+    ):
+        assert scalars[f"zone_{zone}_fF"] == to_fF(mean)
+        assert scalars[f"zone_{zone}_dies"] == count == 1
+
+
+def test_wafer_scalars_omit_empty_rings():
+    scalars = WaferReport(dies=_ring_dies()[2:], diameter=3).scalars()
+    assert {"zone_edge_fF", "zone_edge_dies"} <= set(scalars)
+    assert not any(k.startswith(("zone_centre", "zone_mid")) for k in scalars)
+
+
+def test_die_range_planes_are_range_sized():
+    model = WaferModel(diameter_dies=3, seed=4)
+    scan = model.measure_dies((2, 6))
+    assert (scan.die_range, scan.total_dies) == ((2, 6), 9)
+    for name in model.die_planes(0):
+        assert len(getattr(scan, name)) == 4, name
+    whole = WaferModel(diameter_dies=3, seed=4).measure_dies((0, 9))
+    np.testing.assert_array_equal(scan.die_vgs, whole.die_vgs[2:6])
+    np.testing.assert_array_equal(scan.die_means, whole.die_means[2:6])
+
+
+def test_measure_dies_leaves_the_checkpoint_to_its_caller(tmp_path):
+    from repro.measure.config import ScanConfig
+    from repro.obs.ledger import RunLedger
+    from repro.resilience import Checkpointer, list_checkpoints
+
+    ledger = RunLedger(tmp_path)
+    checkpointer = Checkpointer(ledger)
+    scan = WaferModel(diameter_dies=3, seed=4).measure_dies(
+        (0, 9), ScanConfig(checkpoint=checkpointer)
+    )
+    (state,) = list_checkpoints(ledger)
+    assert (state.kind, state.run_id) == ("shard", scan.run_id)
+    assert sorted(state.completed) == list(range(9))
+    checkpointer.finish()
+    assert list_checkpoints(ledger) == []
+
+
+def test_measure_wafer_records_before_it_finishes_the_checkpoint(
+    tmp_path, monkeypatch
+):
+    from repro.measure.config import ScanConfig
+    from repro.obs.ledger import RunLedger
+    from repro.resilience import Checkpointer, list_checkpoints
+
+    ledger = RunLedger(tmp_path)
+
+    def ledger_down(*args, **kwargs):
+        raise RuntimeError("ledger down")
+
+    monkeypatch.setattr(ledger, "record_wafer", ledger_down)
+    with pytest.raises(RuntimeError, match="ledger down"):
+        WaferModel(diameter_dies=3, seed=4).measure_wafer(
+            ScanConfig(ledger=ledger, checkpoint=Checkpointer(ledger))
+        )
+    # The measured dies outlive the failed record ...
+    (state,) = list_checkpoints(ledger)
+    assert sorted(state.completed) == list(range(9))
+    monkeypatch.undo()
+    # ... and a resume records them under the reserved id, then finishes.
+    report = WaferModel(diameter_dies=3, seed=4).measure_wafer(
+        ScanConfig(ledger=ledger, checkpoint=Checkpointer(ledger, resume=state.run_id))
+    )
+    assert list_checkpoints(ledger) == []
+    (manifest,) = ledger.runs()
+    assert (manifest.kind, manifest.run_id) == ("wafer", state.run_id)
+    assert report.dies == WaferModel(diameter_dies=3, seed=4).measure_wafer().dies
+
+
+def test_interrupted_wafer_resumes_as_its_die_range(tmp_path):
+    from repro.measure.config import ScanConfig
+    from repro.obs.ledger import RunLedger
+    from repro.resilience import Checkpointer, Fault, FaultPlan
+
+    ledger = RunLedger(tmp_path)
+    interrupt = Fault("wafer.die_done", error=KeyboardInterrupt(),
+                      after=5, times=1)
+    with pytest.raises(KeyboardInterrupt):
+        WaferModel(diameter_dies=3, seed=4).measure_wafer(ScanConfig(
+            checkpoint=Checkpointer(ledger), faults=FaultPlan([interrupt])
+        ))
+    resumed = WaferModel(diameter_dies=3, seed=4).measure_dies(
+        (0, 9), ScanConfig(checkpoint=Checkpointer(ledger, resume="r0001"))
+    )
+    whole = WaferModel(diameter_dies=3, seed=4).measure_dies((0, 9))
+    for name in WaferModel(diameter_dies=3).die_planes(0):
+        np.testing.assert_array_equal(
+            getattr(resumed, name), getattr(whole, name), err_msg=name
+        )
