@@ -78,6 +78,7 @@ def test_chunked_die_loop_matches_per_die_scans(technology, geometry, seed, data
         ("vgs", scan.die_vgs), ("codes", scan.die_codes),
         ("quality", scan.die_cell_quality),
     ):
+        assert len(plane) == hi - lo, name  # range-sized planes
         np.testing.assert_array_equal(
-            plane[lo:hi], reference[name][lo:hi], err_msg=name
+            plane, reference[name][lo:hi], err_msg=name
         )
