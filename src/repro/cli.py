@@ -309,6 +309,7 @@ def cmd_scan(args) -> int:
             scan, config, bitmap=bitmap, seed=args.seed,
             tech=array.tech.name, label=args.label,
             trace_path=args.trace, cpu_seconds=cpu_seconds,
+            extra_scalars=_backend_for(args).extra_scalars(array),
             run_id=reserved,
         )
         run_id = manifest.run_id
@@ -799,12 +800,15 @@ def cmd_runs_checkpoints(args) -> int:
         print(f"(no unfinished runs in {args.dir})")
         return 0
     for s in states:
-        # A wafer is one die range: its checkpoint kind is "shard".
+        # A wafer is one die range (kind "shard"); a fleet shard's
+        # range resumes only in its fleet, whose root holds shards/sNN.
         command = "wafer" if s.kind == "shard" else s.kind
+        hint = f"`repro {command} --resume {s.run_id} --checkpoint {args.dir}`"
+        if "shard_id" in s.meta:
+            root = os.path.normpath(os.path.join(args.dir, "..", ".."))
+            hint = f"`repro fleet run --root {root}` with the fleet's options"
         print(f"{s.run_id}  {s.kind:<6} {len(s.completed)}/{s.total} units"
-              f"  created {s.created or '(unknown)'}"
-              f"  (resume with `repro {command} --resume {s.run_id}"
-              f" --checkpoint {args.dir}`)")
+              f"  created {s.created or '(unknown)'}  (resume with {hint})")
     return 0
 
 

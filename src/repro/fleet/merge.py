@@ -14,9 +14,9 @@ fingerprint, or the merge refuses).  Concretely:
 - every shard result's config fingerprint (and wafer parameters) must
   equal the fleet's — mixing results from different configurations is
   a :class:`~repro.errors.FleetError`, not a quiet wrong answer,
-- a shard result holds only its ``[start, stop)`` slice of each plane;
-  the merge scatters the slices and refuses one whose length is not
-  its range's,
+- a shard result is the shard's finished run file (its kept
+  checkpoint); its units must be the dies ``[start, stop)``, each once,
+  and it holds only that slice of each plane, which the merge scatters,
 - writes are durable (tmp, fsync, rename) and the merge is **idempotent**:
   re-running it over the same shard results produces byte-identical
   ``lot.npz`` / ``lot.json`` (no timestamps inside — provenance time
@@ -37,11 +37,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import FleetError
+from repro.errors import CheckpointError, FleetError
 from repro.fleet.lease import read_lease
 from repro.fleet.partition import validate_partition
+from repro.resilience.checkpoint import read_run
 from repro.resilience.durable import durable_write
-from repro.resilience.planes import read_planes, write_planes
+from repro.resilience.planes import write_planes
 from repro.wafer import DieQuality, WaferModel, WaferReport
 
 __all__ = ["LotMerge", "merge_lot", "lot_scalars"]
@@ -203,40 +204,43 @@ def merge_lot(
             shard_runs[key] = None
             continue
         try:
-            meta, arrays = read_planes(result_path, "shard-result")
-        except (OSError, ValueError) as exc:
+            run = read_run(result_path, "shard")
+        except CheckpointError as exc:
             raise FleetError(f"unreadable shard result {result_path}: {exc}") from exc
-        if meta.get("fingerprint") != fleet_print["config"]:
+        config = {k: v for k, v in run.fingerprint.items() if k != "die_range"}
+        if config != fleet_print["config"]:
             raise FleetError(
-                f"shard {shard_id} measured under config "
-                f"{meta.get('fingerprint')} but the fleet ran "
-                f"{fleet_print['config']}; refusing to merge mixed lots"
+                f"shard {shard_id} measured under config {config} but the "
+                f"fleet ran {fleet_print['config']}; refusing to merge "
+                "mixed lots"
             )
-        if meta.get("wafer") != fleet_print["wafer"]:
+        if run.meta.get("wafer") != fleet_print["wafer"]:
             raise FleetError(
-                f"shard {shard_id} fabricated wafer {meta.get('wafer')} "
+                f"shard {shard_id} fabricated wafer {run.meta.get('wafer')} "
                 f"but the fleet planned {fleet_print['wafer']}; refusing "
                 "to merge mixed lots"
             )
-        if list(meta.get("die_range", [])) != [start, stop]:
+        units = sorted(run.completed)
+        if units != list(range(start, stop)):
             raise FleetError(
-                f"shard {shard_id} result covers die range "
-                f"{meta.get('die_range')} but the partition assigns "
-                f"[{start}, {stop})"
+                f"shard {shard_id} result completes {len(units)} dies "
+                f"(first {units[:3]}), not the dies [{start}, {stop}) "
+                "the partition assigns, each once"
             )
+        arrays = run.arrays
         if sorted(arrays) != sorted(planes):
             raise FleetError(
                 f"shard {shard_id} result holds planes {sorted(arrays)}, "
                 f"the lot needs {sorted(planes)}"
             )
-        for name, array in arrays.items():
-            if array.shape != planes[name][start:stop].shape:
+        for name, lot_plane in planes.items():
+            if arrays[name].shape != lot_plane[start:stop].shape:
                 raise FleetError(
                     f"shard {shard_id} result plane {name!r} has shape "
-                    f"{array.shape}, but its range [{start}, {stop}) holds "
-                    f"{stop - start} dies"
+                    f"{arrays[name].shape}, but its range [{start}, {stop}) "
+                    f"holds {stop - start} dies"
                 )
-        shard_runs[key] = meta.get("run_id")
+        shard_runs[key] = run.run_id
         for name, array in arrays.items():
             planes[name][start:stop] = array
 

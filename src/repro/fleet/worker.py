@@ -10,16 +10,17 @@ but the spec path, and a human can re-run a dead shard by hand.
 
 Crash-safety ordering is the point of this module:
 
-1. measure the range (checkpoint persists after every die, durably),
-2. write ``result.npz`` (durably),
+1. measure the range (checkpoint persists as dies complete, durably),
+2. keep the checkpoint as ``result.npz`` (``Checkpointer.keep``: flush,
+   then hard-link — the result *is* the checkpoint),
 3. record the shard manifest into the shard's run ledger,
-4. **only then** delete the checkpoint (``Checkpointer.finish``),
+4. **only then** unlink the checkpoint name (``Checkpointer.finish``),
 5. flip the lease to ``done``.
 
-A kill between any two steps loses at most one die of work: the
-checkpoint outlives the result write, so the respawned worker resumes
-instead of restarting, and a duplicate manifest/result write is
-idempotent (same planes, same reserved run id).
+A kill between any two steps loses at most one save window of dies:
+the checkpoint outlives the link, so the respawned worker resumes
+instead of restarting, and a repeated link or manifest is idempotent
+(same file, same reserved run id).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import FleetError, ResilienceError
-from repro.resilience.durable import durable_write
-from repro.resilience.planes import write_planes
 
 __all__ = ["fault_plan_from_spec", "load_spec", "run_shard", "main"]
 
@@ -94,20 +93,6 @@ def load_spec(path: str | Path) -> dict[str, Any]:
     return spec
 
 
-def _write_result(path: Path, model, scan, meta: dict[str, Any]) -> None:
-    """Persist the shard's range-sized die planes durably.
-
-    A shard's result scales with its own dies, not the wafer; the merge
-    scatters each range into the lot.  One plane container
-    (:mod:`repro.resilience.planes`) of kind ``shard-result``, with
-    ``meta`` as its header fields.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = {"kind": "shard-result", **meta}
-    planes = {name: getattr(scan, name) for name in model.die_planes(0)}
-    durable_write(path, lambda fh: write_planes(fh, header, planes))
-
-
 def _shard_scalars(model, scan) -> dict[str, float]:
     """Per-shard summary scalars (the shard manifest's drift diet):
     the range's :meth:`~repro.wafer.WaferReport.scalars` plus counts."""
@@ -160,7 +145,7 @@ def run_shard(spec: dict[str, Any]) -> int:
     checkpointer = Checkpointer(
         ledger,
         resume=spec.get("resume"),
-        meta={"shard_id": shard_id, "die_range": [lo, hi]},
+        meta={"shard_id": shard_id, "die_range": [lo, hi], "wafer": wafer_kwargs},
         min_save_seconds=float(spec.get("checkpoint_every_seconds", 0.25)),
     )
     progress_path = spec.get("progress_path")
@@ -207,15 +192,9 @@ def run_shard(spec: dict[str, Any]) -> int:
         raise
     wall = perf_counter() - start
 
-    meta = {
-        "shard_id": shard_id,
-        "die_range": [lo, hi],
-        "total_dies": scan.total_dies,
-        "run_id": scan.run_id,
-        "fingerprint": config_fingerprint(config),
-        "wafer": wafer_kwargs,
-    }
-    _write_result(Path(spec["result_path"]), model, scan, meta)
+    result_path = Path(spec["result_path"])
+    result_path.parent.mkdir(parents=True, exist_ok=True)
+    checkpointer.keep(result_path)
 
     manifest = RunManifest(
         kind="shard",
@@ -230,7 +209,7 @@ def run_shard(spec: dict[str, Any]) -> int:
                "generation": lease.generation},
     )
     ledger.record(manifest, run_id=scan.run_id)
-    # The checkpoint dies only after the result and manifest are
+    # The checkpoint name goes only after the result and manifest are
     # durable — a crash before this line re-runs zero dies on respawn.
     checkpointer.finish()
 

@@ -2,11 +2,12 @@
 
 Scan results and abaci are the two artefacts worth keeping across
 sessions (a scan is the raw silicon data; the abacus is the calibration
-that decodes it).  Each is one plane container
-(:mod:`repro.resilience.planes`) and round-trips bit for bit: a scan
-holds its codes, vgs, tiers and quality planes plus ``num_steps``; an
-abacus its bin edges (farads) plus the design constants needed to
-verify compatibility on load.
+that decodes it).  Both round-trip bit for bit.  A scan is a ``"scan"``
+run file (:mod:`repro.resilience.checkpoint`), the format of a scan's
+checkpoint: codes, vgs, tiers and quality planes, ``num_steps`` in its
+meta.  An abacus is one plane container (:mod:`repro.resilience.planes`):
+its bin edges (farads) plus the design constants needed to verify
+compatibility on load.
 
 Loading an abacus requires the matching
 :class:`~repro.measure.structure.MeasurementStructure`; the file carries
@@ -19,9 +20,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.calibration.abacus import Abacus
-from repro.errors import CalibrationError, MeasurementError
+from repro.errors import CalibrationError, CheckpointError, MeasurementError
 from repro.measure.scan import ScanResult
 from repro.measure.structure import MeasurementStructure
+from repro.resilience.checkpoint import read_run, write_run
 from repro.resilience.durable import durable_write
 from repro.resilience.planes import read_planes, write_planes
 
@@ -41,25 +43,24 @@ def _npz(path: str | Path) -> Path:
 
 def save_scan(result: ScanResult, path: str | Path) -> Path:
     """Write a scan result to ``path`` (``.npz`` appended if missing)."""
-    header = {"kind": "scan", "num_steps": int(result.num_steps)}
     planes = {name: getattr(result, name) for name in _SCAN_PLANES}
-    return durable_write(_npz(path), lambda fh: write_planes(fh, header, planes))
+    return write_run(_npz(path), "scan", planes, {"num_steps": int(result.num_steps)})
 
 
 def load_scan(path: str | Path) -> ScanResult:
-    """Read a scan result written by :func:`save_scan`.
+    """Read a scan run file (:func:`save_scan`'s, or a kept checkpoint).
 
-    A missing, torn, foreign or pre-change file surfaces as
+    A missing, torn, unfinished, foreign or pre-change file surfaces as
     :class:`~repro.errors.MeasurementError` naming the file, never a raw
     ``numpy`` traceback — scan files travel between machines and
     loaders must fail like tools, not like stack dumps.
     """
     try:
-        header, planes = read_planes(path, "scan")
-        if sorted(planes) != sorted(_SCAN_PLANES):
-            raise ValueError(f"planes {sorted(planes)}, expected {sorted(_SCAN_PLANES)}")
-        return ScanResult(num_steps=int(header["num_steps"]), **planes)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        run = read_run(path, "scan")
+        if sorted(run.arrays) != sorted(_SCAN_PLANES):
+            raise ValueError(f"planes {sorted(run.arrays)}, expected {sorted(_SCAN_PLANES)}")
+        return ScanResult(num_steps=int(run.meta["num_steps"]), **run.arrays)
+    except (CheckpointError, ValueError, KeyError, TypeError) as exc:
         raise MeasurementError(f"unreadable scan file {path}: {exc}") from exc
 
 

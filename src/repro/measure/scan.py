@@ -446,7 +446,7 @@ class ArrayScanner:
             kernel_ok = self._use_kernel and not config.force_engine
             per_tile = active_fault_plan() is not None
             out = _Assembler(self.array, config)
-            done = out.resume(config)
+            done = out.resume(config, self.structure.design.num_steps)
             timings: list[MacroTiming] = []
             kernel_cells = 0
             kernel_seconds = 0.0
@@ -555,9 +555,10 @@ class ArrayScanner:
                 cpu_seconds=process_time() - cpu_start,
                 run_id=run_id,
                 extra_scalars=backend.extra_scalars(self.array),
+                checkpoint=checkpointer,
             )
         if checkpointer is not None:
-            # The manifest row is in; the in-flight state is obsolete.
+            # The manifest row is in; the checkpoint name is obsolete.
             checkpointer.finish()
         return result
 
@@ -645,12 +646,13 @@ class _Assembler:
         self.quality = quality_plane((rows, cols))
         self._landed = np.zeros(array.num_macros, dtype=np.int64)
 
-    def resume(self, config: ScanConfig) -> set[int]:
+    def resume(self, config: ScanConfig, num_steps: int) -> set[int]:
         """Start (or resume) the checkpoint; returns the macros already done.
 
         A resumed scan continues into the checkpointed planes; a fresh
         one adopts the (identical) arrays it just handed over, so each
-        persist saves live state.
+        persist saves live state.  ``num_steps`` in the meta makes the
+        finished file a scan run file.
         """
         if self.checkpointer is None:
             return set()
@@ -660,6 +662,7 @@ class _Assembler:
             {"codes": self.codes, "vgs": self.vgs, "tiers": self.tiers,
              "quality": self.quality},
             total=self.array.num_macros,
+            meta={"num_steps": int(num_steps)},
         )
         self.codes = state.arrays["codes"]
         self.vgs = state.arrays["vgs"]

@@ -95,15 +95,6 @@ class ScanStats:
             return None
         return max(self.macro_timings, key=lambda t: t.seconds)
 
-    def timing_summary(self) -> dict[str, float]:
-        """p50/p95/max of the timed macros' seconds (all 0.0 if none)."""
-        seconds = sorted(t.seconds for t in self.macro_timings)
-        return {
-            "p50": _percentile(seconds, 0.50),
-            "p95": _percentile(seconds, 0.95),
-            "max": seconds[-1] if seconds else 0.0,
-        }
-
     def to_metrics(self, registry) -> None:
         """Fold this scan's telemetry into a metrics registry.
 
@@ -188,13 +179,3 @@ class ScanStats:
                 f"{slowest.seconds * 1e3:.2f} ms"
             )
         return "\n".join(lines)
-
-
-def _percentile(sorted_values: list[float], p: float) -> float:
-    """Linear-interpolation percentile of an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    k = (len(sorted_values) - 1) * p
-    lo = int(k)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (k - lo)

@@ -8,9 +8,8 @@ produced which numbers.  A :class:`RunLedger` owns a directory
 
 - ``manifest.jsonl`` — one :class:`RunManifest` per line, append-only,
 - ``artifacts/<run_id>.npz`` — the raw scan planes of runs recorded
-  with an artifact, one plane container
-  (:mod:`repro.resilience.planes`) each — what ``runs diff`` reloads
-  for bitmap deltas.
+  with an artifact, one scan run file (:mod:`repro.resilience.checkpoint`)
+  each — what ``runs diff`` reloads for bitmap deltas.
 
 A manifest freezes everything needed to trust or reproduce a run: the
 value fields of the frozen :class:`~repro.measure.config.ScanConfig`
@@ -53,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (io -> scan -> config
     from repro.measure.config import ScanConfig
     from repro.measure.scan import ScanResult
     from repro.measure.stats import ScanStats
+    from repro.resilience.checkpoint import Checkpointer
     from repro.wafer import WaferReport
 
 __all__ = [
@@ -541,6 +541,7 @@ class RunLedger:
         scan: "ScanResult | None" = None,
         *,
         run_id: str | None = None,
+        checkpoint: "Checkpointer | None" = None,
     ) -> RunManifest:
         """Append ``manifest`` (assigning run id and timestamp).
 
@@ -552,7 +553,9 @@ class RunLedger:
 
         When ``scan`` is given its planes are saved under
         ``artifacts/<run_id>.npz`` and the relative path recorded, so
-        ``runs diff`` can later compute per-cell bitmap deltas.
+        ``runs diff`` can later compute per-cell bitmap deltas.  The
+        scan's ``checkpoint``, when this ledger reserved it under
+        ``run_id``, is kept as that file instead of writing it again.
         """
         from repro.resilience.durable import durable_append
 
@@ -568,9 +571,11 @@ class RunLedger:
                 from repro.io import save_scan
 
                 self.artifact_dir.mkdir(parents=True, exist_ok=True)
-                path = save_scan(
-                    scan, self.artifact_dir / f"{manifest.run_id}.npz"
-                )
+                path = self.artifact_dir / f"{manifest.run_id}.npz"
+                if self._holds(checkpoint, manifest.run_id, scan):
+                    checkpoint.keep(path)
+                else:
+                    save_scan(scan, path)
                 manifest.artifact = str(path.relative_to(self.root))
             self._highest_recorded()  # reads up to the last whole line
             line = json.dumps(manifest.to_dict()) + "\n"
@@ -578,6 +583,19 @@ class RunLedger:
                 self.manifest_path, line.encode("utf-8"), keep=self._ids_read[1]
             )
         return manifest
+
+    def _holds(
+        self, checkpoint: "Checkpointer | None", run_id: str, scan: "ScanResult"
+    ) -> bool:
+        """Whether ``checkpoint`` is ``scan``'s run file, reserved here
+        (one begun before scan headers carried ``num_steps`` is not)."""
+        if checkpoint is None or checkpoint.state is None:
+            return False
+        return (
+            checkpoint.state.run_id == run_id
+            and checkpoint.state.meta.get("num_steps") == scan.num_steps
+            and checkpoint.ledger.root.resolve() == self.root.resolve()
+        )
 
     def _base_manifest(
         self,
@@ -622,8 +640,8 @@ class RunLedger:
         cpu_seconds: float | None = None,
         extra: dict[str, Any] | None = None,
         extra_scalars: dict[str, float] | None = None,
-        save_artifact: bool = True,
         run_id: str | None = None,
+        checkpoint: "Checkpointer | None" = None,
     ) -> RunManifest:
         """Record one array scan (optionally with its calibrated bitmap).
 
@@ -647,7 +665,7 @@ class RunLedger:
                 {key: float(value) for key, value in extra_scalars.items()}
             )
         return self.record(
-            manifest, scan=result if save_artifact else None, run_id=run_id
+            manifest, scan=result, run_id=run_id, checkpoint=checkpoint
         )
 
     def record_wafer(
@@ -687,7 +705,6 @@ class RunLedger:
         wall_seconds: float = 0.0,
         cpu_seconds: float | None = None,
         extra: dict[str, Any] | None = None,
-        save_artifact: bool = True,
     ) -> RunManifest:
         """Record one diagnosis pipeline run (scan + process scalars)."""
         manifest = self._base_manifest(
@@ -704,7 +721,7 @@ class RunLedger:
             "cpk": float(process.cpk) if process.cpk != float("inf") else 1e6,
             "digital_fails": float(report.digital.fail_count),
         })
-        return self.record(manifest, scan=scan if save_artifact else None)
+        return self.record(manifest, scan=scan)
 
     # -- comparing ------------------------------------------------------
 

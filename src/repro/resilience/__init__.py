@@ -13,13 +13,14 @@ each of them from "lose the run" into data:
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy` with bounded
   attempts and seeded exponential backoff + jitter;
 - :mod:`~repro.resilience.checkpoint` — :class:`Checkpointer` /
-  one append-only checkpoint file per run under the run ledger,
-  powering ``--resume``;
+  one append-only run file per run, powering ``--resume`` and kept as
+  the finished run's artifact or shard result;
 - :mod:`~repro.resilience.durable` — ``durable_write``, the one way a
-  whole file reaches disk (tmp, fsync, rename, directory fsync), and
-  ``durable_append``, the one way a record is added to one;
-- :mod:`~repro.resilience.planes` — ``write_planes``/``read_planes``,
-  the one container every file holding planes uses.
+  whole file reaches disk (tmp, fsync, rename, directory fsync),
+  ``durable_append``, the one way a record is added to one, and
+  ``durable_link``;
+- :mod:`~repro.resilience.planes` — ``write_planes``/``read_container``,
+  the one container every file holding planes is built from.
 """
 
 from repro.resilience.checkpoint import (
@@ -27,6 +28,7 @@ from repro.resilience.checkpoint import (
     ScanCheckpoint,
     list_checkpoints,
     load_checkpoint,
+    read_run,
 )
 from repro.resilience.faults import (
     Fault,
@@ -64,4 +66,5 @@ __all__ = [
     "ScanCheckpoint",
     "load_checkpoint",
     "list_checkpoints",
+    "read_run",
 ]

@@ -1,8 +1,9 @@
-"""Checkpoint/resume: an interrupted run is a partial result, not a loss.
+"""Run files: checkpoint/resume, and the one on-disk form of a run's planes.
 
 A million-cell wafer run that dies at 97% — power cut, pre-empted batch
-job, plain Ctrl-C — must not restart from zero.  A checkpoint is one
-append-only file, ``<ledger>/checkpoints/<run_id>.npz``:
+job, plain Ctrl-C — must not restart from zero.  A run file is one
+append-only file, while unfinished its checkpoint
+``<ledger>/checkpoints/<run_id>.npz``:
 
 * A run **reserves its run id up front** (under the ledger's advisory
   lock) by writing the file's header with
@@ -23,9 +24,12 @@ append-only file, ``<ledger>/checkpoints/<run_id>.npz``:
   planes, replays the segments in order into those blanks and
   re-executes only the units not yet complete — bit-exact, because
   replayed rows are byte-identical and every unit is deterministic.
-* On completion the run is recorded under the reserved id and
-  :meth:`Checkpointer.finish` unlinks the file — a checkpoint file
-  existing *is* the statement "this run has not finished".
+* A finished run **keeps its file** as its artifact or shard result
+  (:meth:`Checkpointer.keep`: flush, then hard-link), is recorded, and
+  :meth:`Checkpointer.finish` unlinks the checkpoint name — a
+  checkpoint existing *is* the statement "this run has not finished".
+  :func:`write_run` writes the same format whole; :func:`read_run`
+  replays any finished run file.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.obs.ledger import RunLedger
-from repro.resilience.durable import durable_append, durable_write, tmp_path
+from repro.resilience.durable import durable_append, durable_link, durable_write, tmp_path
 from repro.resilience.planes import read_container, write_planes
 
 __all__ = [
@@ -49,6 +53,8 @@ __all__ = [
     "Checkpointer",
     "load_checkpoint",
     "list_checkpoints",
+    "read_run",
+    "write_run",
 ]
 
 @dataclass
@@ -73,12 +79,6 @@ class ScanCheckpoint:
     @property
     def remaining(self) -> int:
         return self.total - len(self.completed)
-
-    def is_done(self, index: int) -> bool:
-        return index in self._done_set()
-
-    def _done_set(self) -> set[int]:
-        return set(self.completed)
 
 
 def _checkpoint_path(ledger: RunLedger, run_id: str) -> Path:
@@ -187,6 +187,39 @@ def load_checkpoint(path: str | Path) -> ScanCheckpoint:
         }
         state.completed, _ = _replay(fh, path, state.arrays)
     return state
+
+
+def read_run(path: str | Path, kind: str) -> ScanCheckpoint:
+    """:func:`load_checkpoint`, refused unless ``path`` holds a ``kind``
+    run with every unit complete (an unfinished run is no result)."""
+    try:
+        state = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise CheckpointError(f"not a {kind!r} run file: {exc}") from None
+    if state.kind != kind or state.remaining:
+        raise CheckpointError(
+            f"{path} is not a finished {kind!r} run: it holds a "
+            f"{state.kind!r} run with {len(state.completed)} of "
+            f"{state.total} units complete"
+        )
+    return state
+
+
+def write_run(path: str | Path, kind: str, planes: dict[str, np.ndarray],
+              meta: dict[str, Any]) -> Path:
+    """Write a finished ``kind`` run file whole: its header, then one
+    segment holding every row of ``planes`` as the run's one unit."""
+    state = ScanCheckpoint(
+        kind=kind, run_id="", fingerprint={}, total=1, completed=[0],
+        arrays=dict(planes), meta=dict(meta),
+    )
+    rows = list(range(len(next(iter(planes.values())))))
+
+    def writer(fh: BinaryIO) -> None:
+        write_planes(fh, _header(state), {})
+        _segment_into(fh, state, [0], rows)
+
+    return durable_write(path, writer)
 
 
 def list_checkpoints(ledger: RunLedger) -> list[ScanCheckpoint]:
@@ -380,7 +413,7 @@ class Checkpointer:
         # Membership via a cached set — rebuilding one from the
         # completed list per unit would make a long run quadratic.
         if self._done_seen is None:
-            self._done_seen = state._done_set()
+            self._done_seen = set(state.completed)
         seen = self._done_seen
         fresh = [index for index in dict.fromkeys(indices) if index not in seen]
         seen.update(fresh)
@@ -404,8 +437,18 @@ class Checkpointer:
         self._pending_units, self._pending_rows = [], set()
         self._last_save = time.monotonic()
 
+    def keep(self, path: str | Path) -> Path:
+        """Append the pending rows, then hard-link the finished run's file
+        to ``path`` durably: its artifact or result *is* the checkpoint.
+        The caller records the run, then calls :meth:`finish`."""
+        if self._require_state().remaining:
+            raise CheckpointError(f"checkpoint {self.run_id} is unfinished")
+        if self._pending_rows:
+            self.save()
+        return durable_link(self.path, path)
+
     def finish(self) -> str:
-        """Close the run: unlink the checkpoint file; return the run id.
+        """Close the run: unlink the checkpoint name; return the run id.
 
         The caller records the final manifest under this id — after
         ``finish`` the ledger shows a completed run and no checkpoint.
@@ -425,24 +468,10 @@ class Checkpointer:
         return self.state
 
     def _write_manifest(self, state: ScanCheckpoint) -> None:
-        """The checkpoint file's first record: a container with no planes."""
-        header = {
-            "kind": "checkpoint",
-            "segments": _APPENDED,
-            "run_kind": state.kind,
-            "run_id": state.run_id,
-            "fingerprint": state.fingerprint,
-            "total": state.total,
-            "meta": state.meta,
-            "created": state.created,
-            "layout": {
-                name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
-                for name, plane in state.arrays.items()
-            },
-        }
+        """The checkpoint file's first record: its header."""
         path = durable_write(
             _checkpoint_path(self.ledger, state.run_id),
-            lambda fh: write_planes(fh, header, {}),
+            lambda fh: write_planes(fh, _header(state), {}),
         )
         self._end = path.stat().st_size
 
@@ -453,16 +482,43 @@ class Checkpointer:
         the bytes, dominates its cost.  The append cuts a torn tail past
         the last whole record first.
         """
-        rows = sorted(self._pending_rows)
-        index = _row_index(rows)
-        header = {"kind": "segment", "units": self._pending_units, "rows": rows}
         record = io.BytesIO()
-        write_planes(
-            record, header, {name: plane[index] for name, plane in state.arrays.items()}
+        _segment_into(
+            record, state, self._pending_units, sorted(self._pending_rows)
         )
         data = record.getvalue()
         durable_append(self.path, data, keep=self._end)
         self._end += len(data)
+
+
+def _header(state: ScanCheckpoint) -> dict[str, Any]:
+    """A run file's first record: a container with no planes."""
+    return {
+        "kind": "checkpoint",
+        "segments": _APPENDED,
+        "run_kind": state.kind,
+        "run_id": state.run_id,
+        "fingerprint": state.fingerprint,
+        "total": state.total,
+        "meta": state.meta,
+        "created": state.created,
+        "layout": {
+            name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
+            for name, plane in state.arrays.items()
+        },
+    }
+
+
+def _segment_into(
+    fh: BinaryIO, state: ScanCheckpoint, units: list[int], rows: list[int]
+) -> None:
+    """One segment container: ``units`` and just ``rows`` of each plane."""
+    index = _row_index(rows)
+    write_planes(
+        fh,
+        {"kind": "segment", "units": units, "rows": rows},
+        {name: plane[index] for name, plane in state.arrays.items()},
+    )
 
 
 def _rows(rows: int | slice | Iterable[int]) -> Iterable[int]:

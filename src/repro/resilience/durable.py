@@ -23,8 +23,14 @@ manifest line — goes through :func:`durable_append`: the
 ``fsync`` (and the directory's, when the append creates the file).  A
 kill inside an append can tear only the last record: readers ignore it,
 and the caller passes the end of its last whole record as ``keep``, so
-the next append cuts the torn bytes first.  The persistence boundaries
-of a run are exactly the invocations of these two fault points.
+the next append cuts the torn bytes first.
+
+A finished run file gets its second name (an artifact, a shard result)
+through :func:`durable_link`: a hard link at the tmp, the
+``durable.link`` fault point, ``os.replace`` and a directory ``fsync``;
+both names sit under one ledger or fleet root, so on one filesystem.
+The persistence boundaries of a run are exactly the invocations of
+these three fault points.
 
 **One writer per target.**  The tmp name is a pure function of the
 target, so two concurrent writers to one path would share (and tear) a
@@ -43,7 +49,7 @@ from typing import BinaryIO, Callable
 
 from repro.resilience.faults import fault_point
 
-__all__ = ["durable_append", "durable_write", "tmp_path"]
+__all__ = ["durable_append", "durable_link", "durable_write", "tmp_path"]
 
 
 def tmp_path(path: Path) -> Path:
@@ -84,6 +90,23 @@ def durable_append(path: str | Path, data: bytes, *, keep: int | None = None) ->
     if created:
         _fsync_directory(path.parent)
     return path
+
+
+def durable_link(source: str | Path, target: str | Path) -> Path:
+    """Give the file ``source`` the second name ``target`` durably,
+    copying no byte; returns ``target``."""
+    source, target = Path(source), Path(target)
+    tmp = tmp_path(target)
+    tmp.unlink(missing_ok=True)  # left by a kill inside an earlier link
+    try:
+        os.link(source, tmp)
+        fault_point("durable.link", target=target.name, parent=target.parent.name)
+        os.replace(tmp, target)
+    finally:
+        # A replace onto a name of the same file leaves the tmp behind.
+        tmp.unlink(missing_ok=True)
+    _fsync_directory(target.parent)
+    return target
 
 
 def _fsync_directory(directory: Path) -> None:

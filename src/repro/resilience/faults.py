@@ -36,6 +36,9 @@ Fault sites currently instrumented (grep ``fault_point(`` for truth):
                         before any byte is appended — a checkpoint
                         segment or a ledger manifest line (attrs:
                         target, parent)
+``durable.link``        in :func:`~repro.resilience.durable.durable_link`,
+                        after the finished run file is linked at the
+                        tmp, before the rename (attrs: target, parent)
 ======================  ===============================================
 
 Zero-cost when disarmed: :func:`fault_point` is one context-variable

@@ -1,7 +1,8 @@
-"""The plane container: the one file format for measured planes.
+"""The plane container: the one record format for measured planes.
 
-Saved scans and ledger artifacts, abaci, shard results and the lot are
-each one container; a checkpoint file is a header container followed
+An abacus and the lot are each one container; a run file — a
+checkpoint, a saved scan or ledger artifact, a shard result
+(:mod:`repro.resilience.checkpoint`) — is a header container followed
 by appended segment containers.  A container is a JSON header line
 (sorted keys: ``format``, the file's ``kind``, the caller's fields, and
 each plane's dtype and shape by name), then one ``.npy`` record per

@@ -2,11 +2,14 @@
 
 Every whole-file write goes through ``durable_write``, whose
 ``durable.write`` fault point sits between the tmp's fsync and its
-rename, and every append — a checkpoint segment, a run-ledger manifest
+rename; every append — a checkpoint segment, a run-ledger manifest
 line — goes through ``durable_append``, whose ``durable.append`` fault
-point fires before any byte is written.  The persistence boundaries of
-a run are therefore exactly the invocations of those two sites, and the
-code lists them itself: after a
+point fires before any byte is written; and a finished run file gets
+its second name — a recorded scan's artifact, a shard's result —
+through ``durable_link``, whose ``durable.link`` fault point sits
+between the link at the tmp and its rename.  The persistence boundaries
+of a run are therefore exactly the invocations of those three sites,
+and the code lists them itself: after a
 clean run, each setting is replayed with one fault at the k-th
 invocation of a site (``after=k, times=1``) for k = 0, 1, 2, ... until
 a replay in which the fault never fires (the method of ALICE, Pillai et
@@ -32,7 +35,7 @@ from repro.resilience import Checkpointer, Fault, FaultPlan, RetryPolicy, inject
 from repro.resilience.checkpoint import list_checkpoints
 from repro.wafer import WaferModel
 
-SITES = ("durable.write", "durable.append")
+SITES = ("durable.write", "durable.append", "durable.link")
 
 WAFER = {"diameter_dies": 5, "seed": 3}  # 21 dies
 
@@ -88,7 +91,7 @@ def _interrupted_in_process(tmp_path, run, site, k):
     assert list_checkpoints(ledger) == []
     assert len(ledger.runs()) == 1
     _no_tmp(root)
-    return bool(plan.firings), result
+    return bool(plan.firings), result, ledger
 
 
 # ----------------------------------------------------------------------
@@ -107,16 +110,92 @@ def test_scan_recovers_from_every_crash_point(tmp_path):
     clean = _scan(Checkpointer(tmp_path / "clean"))
 
     def replay(site, k):
-        fired, result = _interrupted_in_process(tmp_path, _scan, site, k)
-        for plane in ("vgs", "codes", "tiers", "quality"):
-            np.testing.assert_array_equal(
-                getattr(result, plane), getattr(clean, plane)
-            )
+        fired, result, ledger = _interrupted_in_process(tmp_path, _scan, site, k)
+        _assert_scan_equal(result, clean)
+        _assert_scan_equal(ledger.load_artifact(ledger.runs()[0]), clean)
         return fired
 
-    # Writes: the reservation and the artifact.  Appends: one segment
-    # per macro-row slab (4) and the manifest line.
-    assert _drill(replay) == {"durable.write": 2, "durable.append": 5}
+    # Writes: the reservation.  Appends: one segment per macro-row slab
+    # (4) and the manifest line.  Links: the checkpoint kept as the
+    # artifact — the planes are not written a second time.
+    assert _drill(replay) == {
+        "durable.write": 1, "durable.append": 5, "durable.link": 1,
+    }
+
+
+def _assert_scan_equal(result, clean):
+    for plane in ("vgs", "codes", "tiers", "quality"):
+        np.testing.assert_array_equal(getattr(result, plane), getattr(clean, plane))
+
+
+def test_scan_keep_boundary_leaves_a_checkpoint_or_a_recorded_run(
+    tmp_path, monkeypatch
+):
+    """Flush, link, manifest line, unlink: a crash before the line
+    leaves the checkpoint resumable; a crash after it, a recorded run
+    whose artifact reads back bit-identical."""
+    clean = _scan(Checkpointer(tmp_path / "clean"))
+    real_finish = Checkpointer.finish
+
+    def crash(checkpointer):
+        raise KeyboardInterrupt
+
+    for boundary in ("link", "line", "unlink"):
+        ledger = RunLedger(tmp_path / boundary)
+        artifact = ledger.artifact_dir / "r0001.npz"
+        plan = FaultPlan({
+            "link": [Fault("durable.link", error=KeyboardInterrupt())],
+            "line": [Fault("durable.append", error=KeyboardInterrupt(),
+                           match={"target": "manifest.jsonl"})],
+            "unlink": [],
+        }[boundary])
+        monkeypatch.setattr(
+            Checkpointer, "finish", crash if boundary == "unlink" else real_finish
+        )
+        with inject(plan), pytest.raises(KeyboardInterrupt):
+            _scan(Checkpointer(ledger))
+        monkeypatch.setattr(Checkpointer, "finish", real_finish)
+        _no_tmp(ledger.root)
+        (state,) = list_checkpoints(ledger)
+        assert state.remaining == 0, boundary
+        assert artifact.exists() == (boundary != "link"), boundary
+        if boundary == "unlink":
+            # Recorded: the artifact is the checkpoint, not a copy.
+            assert artifact.stat().st_ino == (
+                ledger.checkpoint_dir / "r0001.npz"
+            ).stat().st_ino
+            _assert_scan_equal(ledger.load_artifact(ledger.get("r0001")), clean)
+            continue
+        assert ledger.runs() == [], boundary
+        resumed = _scan(Checkpointer(ledger, resume="r0001"))
+        _assert_scan_equal(resumed, clean)
+        _assert_scan_equal(ledger.load_artifact(ledger.get("r0001")), clean)
+        assert list_checkpoints(ledger) == [] and len(ledger.runs()) == 1
+        _no_tmp(ledger.root)
+
+
+def test_recorded_checkpointed_scan_writes_its_planes_once(tmp_path, monkeypatch):
+    """Plane bytes reach disk only as checkpoint segments; the artifact
+    is the same file under a second name."""
+    from repro.resilience import checkpoint as checkpoint_module
+
+    written = []
+    real_write_planes = checkpoint_module.write_planes
+
+    def spy(fh, header, planes):
+        written.append((header["kind"], len(planes)))
+        return real_write_planes(fh, header, planes)
+
+    def no_second_copy(*args, **kwargs):
+        raise AssertionError("save_scan wrote the planes a second time")
+
+    monkeypatch.setattr(checkpoint_module, "write_planes", spy)
+    monkeypatch.setattr("repro.io.save_scan", no_second_copy)
+    result = _scan(Checkpointer(tmp_path))
+    # The header holds no planes; the 4 macro-row slabs one segment each.
+    assert written == [("checkpoint", 0)] + [("segment", 4)] * 4
+    ledger = RunLedger(tmp_path)
+    _assert_scan_equal(ledger.load_artifact(ledger.get("r0001")), result)
 
 
 # ----------------------------------------------------------------------
@@ -137,13 +216,15 @@ def test_wafer_recovers_from_every_crash_point(tmp_path):
     clean = _wafer(Checkpointer(tmp_path / "clean"))
 
     def replay(site, k):
-        fired, result = _interrupted_in_process(tmp_path, _wafer, site, k)
+        fired, result, _ = _interrupted_in_process(tmp_path, _wafer, site, k)
         np.testing.assert_array_equal(result, clean)
         return fired
 
     # Writes: the reservation.  Appends: one segment per die (21) and
-    # the manifest line.
-    assert _drill(replay) == {"durable.write": 1, "durable.append": 22}
+    # the manifest line.  Links: none — a wafer manifest has no artifact.
+    assert _drill(replay) == {
+        "durable.write": 1, "durable.append": 22, "durable.link": 0,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -211,13 +292,47 @@ def test_shard_workers_recover_from_every_crash_point(
     ledger_lines = 0
     while replay("durable.append", ledger_lines, {"target": "manifest.jsonl"}):
         ledger_lines += 1
-    # Per worker: the first lease, the checkpoint reservation, the
-    # result and the done lease at least; heartbeats add more.  Appends:
-    # one shard manifest line each, plus a checkpoint segment whenever a
-    # worker outlives its save throttle.
-    assert found["durable.write"] >= 4
+    # Per worker: the first lease, the checkpoint reservation and the
+    # done lease at least; heartbeats add more.  Appends: one shard
+    # manifest line each, plus a checkpoint segment whenever a worker
+    # outlives its save throttle.  Links: the checkpoint kept as the
+    # result, once per worker.
+    assert found["durable.write"] >= 3
     assert found["durable.append"] >= 1
+    assert found["durable.link"] == 1
     assert ledger_lines == 1
+
+
+def test_shard_workers_keep_boundary_leaves_a_resumable_checkpoint(
+    tmp_path, clean_lot, spawned
+):
+    """A worker killed at its result link, or at the manifest line right
+    after it, leaves its finished checkpoint; a fleet re-run in the root
+    resumes it and the lot matches."""
+    for site, match in (("durable.link", {}),
+                        ("durable.append", {"target": "manifest.jsonl"})):
+        root = tmp_path / site / "fleet"
+        faults = {"seed": 0, "faults": [
+            {"site": site, "kind": "kill", "times": 1, "match": match},
+        ]}
+        report = FleetOrchestrator(
+            root, wafer=dict(WAFER), shards=2, poll_seconds=0.02,
+            retry=RetryPolicy(max_attempts=1), max_concurrent=2,
+            faults=faults, fault_attempts="first",
+        ).run()
+        _assert_no_orphans(spawned)
+        assert report.state == "failed", site
+        for shard in ("s00", "s01"):
+            ledger = RunLedger(root / "shards" / shard)
+            (state,) = list_checkpoints(ledger)
+            assert state.remaining == 0, (site, shard)
+            assert ledger.runs() == [], (site, shard)
+            result = root / "results" / f"{shard}.npz"
+            assert result.exists() == (site == "durable.append"), (site, shard)
+        assert _fleet(root).run().state == "healthy"
+        _assert_no_orphans(spawned)
+        _assert_lot_matches(merge_lot(root), clean_lot)
+        _no_tmp(root)
 
 
 def test_orchestrator_and_merge_recover_from_every_crash_point(
@@ -246,6 +361,8 @@ def test_orchestrator_and_merge_recover_from_every_crash_point(
         return bool(plan.firings)
 
     # Writes: fleet.json twice, two specs, lot.npz, lot.json.  Appends:
-    # the lot's manifest line (the workers' appends run in their own
-    # processes, outside this plan).
-    assert _drill(replay) == {"durable.write": 6, "durable.append": 1}
+    # the lot's manifest line (the workers' appends and links run in
+    # their own processes, outside this plan).
+    assert _drill(replay) == {
+        "durable.write": 6, "durable.append": 1, "durable.link": 0,
+    }

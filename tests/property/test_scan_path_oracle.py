@@ -10,6 +10,9 @@ closed-form kinds, BRIDGE chains and bridges that cross into the next
 macro — runs it through every path, and asserts identical ``vgs``,
 ``codes``, ``tiers`` and ``quality`` planes, equal tier counts, and
 that kernel cells and timed macros partition what each scan measured.
+Every path records into a run ledger, and its artifact — a checkpointed
+path's kept checkpoint, any other path's saved scan — loads back
+bit-identical to the planes the scan returned.
 
 ``force_engine`` is not a path here: the exact engine agrees with the
 closed form to solver precision, not bit for bit, and keeps its own
@@ -120,10 +123,22 @@ def _scan(recipe, config=None, use_kernel=True):
     return ArrayScanner(_build(recipe), None, use_kernel=use_kernel).scan(config)
 
 
+def _recorded(recipe, checkpointed=False, use_kernel=True, **options):
+    """One path's scan, recorded into a fresh ledger: the result and its
+    artifact as the ledger loads it back."""
+    with tempfile.TemporaryDirectory() as root:
+        ledger = RunLedger(root)
+        if checkpointed:
+            options["checkpoint"] = Checkpointer(ledger)
+        result = _scan(recipe, ScanConfig(ledger=ledger, **options), use_kernel)
+        return result, ledger.load_artifact(ledger.runs()[-1])
+
+
 def _interrupted_then_resumed(recipe, after, per_row):
     """Ctrl-C at the ``after``-th ``scan.macro_done``, then ``--resume``.
 
-    Returns the resumed result and the number of macros it restored.
+    Returns the resumed result, its recorded artifact and the number of
+    macros it restored.
     """
     with tempfile.TemporaryDirectory() as root:
         ledger = RunLedger(root)
@@ -136,11 +151,12 @@ def _interrupted_then_resumed(recipe, after, per_row):
         # Only slabs finished before the interrupted macro's slab are
         # durable: the persisted list is always whole macro rows.
         assert state.completed == list(range(after // per_row * per_row))
-        resumed = _scan(
-            recipe, ScanConfig(checkpoint=Checkpointer(ledger, resume=state.run_id))
-        )
+        resumed = _scan(recipe, ScanConfig(
+            checkpoint=Checkpointer(ledger, resume=state.run_id), ledger=ledger
+        ))
         assert list_checkpoints(ledger) == []
-        return resumed, len(state.completed)
+        artifact = ledger.load_artifact(ledger.get(state.run_id))
+        return resumed, artifact, len(state.completed)
 
 
 @given(recipe=_recipes(), data=st.data())
@@ -150,28 +166,29 @@ def test_every_scan_path_lands_the_same_planes(recipe, data):
     engine = _engine_macros(recipe, array)
     reference = _scan(recipe)
 
-    with tempfile.TemporaryDirectory() as root:
-        checkpointed = _scan(
-            recipe, ScanConfig(checkpoint=Checkpointer(RunLedger(root)))
-        )
     after = data.draw(st.integers(0, array.num_macros - 1), label="interrupt_at")
-    resumed, restored = _interrupted_then_resumed(
+    *resumed, restored = _interrupted_then_resumed(
         recipe, after, array.macros_per_row
     )
-    paths = {
-        "checkpointed row slabs": checkpointed,
-        "fault-armed row slabs": _scan(recipe, ScanConfig(faults=FaultPlan([]))),
-        "kernel off": _scan(recipe, use_kernel=False),
-        "traced with metrics": _scan(
-            recipe, ScanConfig(tracer=Tracer(), metrics=MetricsRegistry())
+    recorded = {
+        "checkpointed row slabs": _recorded(recipe, checkpointed=True),
+        "fault-armed row slabs": _recorded(recipe, faults=FaultPlan([])),
+        "kernel off": _recorded(recipe, use_kernel=False),
+        "traced with metrics": _recorded(
+            recipe, tracer=Tracer(), metrics=MetricsRegistry()
         ),
-        "interrupted then resumed": resumed,
+        "interrupted then resumed": tuple(resumed),
     }
-    for name, result in paths.items():
+    paths = {name: result for name, (result, _) in recorded.items()}
+    for name, (result, artifact) in recorded.items():
         for plane in _PLANES:
             np.testing.assert_array_equal(
                 getattr(result, plane), getattr(reference, plane),
                 err_msg=f"{plane} differs on the {name} path",
+            )
+            got, want = getattr(artifact, plane), getattr(result, plane)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                f"the {name} path's artifact {plane} differs from its result"
             )
         assert result.stats.engine_cells == reference.stats.engine_cells, name
         assert (

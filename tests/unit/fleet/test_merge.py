@@ -14,7 +14,8 @@ from repro.fleet import FleetOrchestrator, merge_lot
 from repro.fleet.orchestrator import EXIT_DEGRADED, EXIT_HEALTHY
 from repro.measure.config import ScanConfig
 from repro.obs.ledger import RunLedger
-from repro.resilience.planes import read_planes, write_planes
+from repro.resilience.checkpoint import read_run
+from repro.resilience.planes import write_planes
 from repro.wafer import DieQuality, WaferModel
 
 DIAMETER = 3  # 9 dies
@@ -239,12 +240,25 @@ class TestMergeRefusals:
         # full-length plane (the old layout) is refused, not misplaced.
         clone = _copy(fleet_root, tmp_path)
         path = clone / "results" / "s01.npz"
-        meta, planes = read_planes(path, "shard-result")
-        planes["die_means"] = np.concatenate(
-            [np.full(5, np.nan), planes["die_means"]]
-        )
+        run = read_run(path, "shard")
+        planes = {
+            name: np.concatenate([np.zeros((5, *plane.shape[1:]), plane.dtype), plane])
+            for name, plane in run.arrays.items()
+        }
+        # The same run file, rewritten with wafer-length planes whose
+        # one segment fills rows [5, 9).
+        header = {
+            "kind": "checkpoint", "segments": "appended", "run_kind": "shard",
+            "run_id": run.run_id, "fingerprint": run.fingerprint,
+            "total": run.total, "meta": run.meta, "created": run.created,
+            "layout": {name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
+                       for name, plane in planes.items()},
+        }
+        segment = {"kind": "segment", "units": run.completed, "rows": [5, 6, 7, 8]}
         with open(path, "wb") as fh:
-            write_planes(fh, meta, planes)
+            write_planes(fh, header, {})
+            write_planes(fh, segment, {name: p[5:] for name, p in planes.items()})
+        assert read_run(path, "shard").arrays["die_means"].shape == (9,)
         with pytest.raises(FleetError, match=r"'die_means' has shape \(9,\).*\[5, 9\) holds 4"):
             merge_lot(clone)
 

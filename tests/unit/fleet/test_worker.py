@@ -9,7 +9,7 @@ from repro.errors import FleetError, ResilienceError
 from repro.fleet import read_lease
 from repro.fleet.worker import fault_plan_from_spec, load_spec, main, run_shard
 from repro.resilience import faults as faults_module
-from repro.resilience.planes import read_planes
+from repro.resilience.checkpoint import read_run
 
 
 @pytest.fixture(autouse=True)
@@ -104,14 +104,19 @@ class TestRunShard:
         assert lease.dies_done == 4
         assert lease.run_id == "r0001"
 
-        meta, planes = read_planes(tmp_path / "result.npz", "shard-result")
+        # The result is the shard's finished run file: its checkpoint,
+        # kept, under the reserved run id.
+        run = read_run(tmp_path / "result.npz", "shard")
+        planes = run.arrays
         means, quality = planes["die_means"], planes["die_quality"]
         assert sorted(planes) == sorted([
             "die_means", "die_sigmas", "die_vgs", "die_codes",
             "die_cell_quality", "die_quality",
         ])
-        assert meta["die_range"] == [2, 6]
-        assert meta["run_id"] == "r0001"
+        assert run.meta["die_range"] == [2, 6]
+        assert run.fingerprint["die_range"] == [2, 6]
+        assert sorted(run.completed) == [2, 3, 4, 5]
+        assert run.run_id == "r0001"
         # Range-sized: only the shard's own dies [2, 6).
         assert means.shape == (4,)
         assert np.isfinite(means).all()
@@ -146,6 +151,39 @@ class TestRunShard:
         ]
         assert events[0] == "start"
         assert events[-1] == "finish"
+
+    def test_result_is_the_kept_checkpoint(self, tmp_path, monkeypatch):
+        # Plane bytes reach disk only as checkpoint segments; the result
+        # is the checkpoint's file under a second name, linked before
+        # the manifest line and the checkpoint name's unlink.
+        from repro.resilience import checkpoint as checkpoint_module
+
+        written, links = [], []
+        real_write_planes = checkpoint_module.write_planes
+        real_finish = checkpoint_module.Checkpointer.finish
+
+        def spy(fh, header, planes):
+            written.append((header["kind"], len(planes)))
+            return real_write_planes(fh, header, planes)
+
+        def finish(checkpointer):
+            manifest = tmp_path / "ledger" / "manifest.jsonl"
+            links.append((
+                checkpointer.path.stat().st_ino,
+                (tmp_path / "result.npz").stat().st_ino,
+                manifest.read_text(encoding="utf-8").count("\n"),
+            ))
+            return real_finish(checkpointer)
+
+        monkeypatch.setattr(checkpoint_module, "write_planes", spy)
+        monkeypatch.setattr(checkpoint_module.Checkpointer, "finish", finish)
+        assert run_shard(_spec(tmp_path, 2, 6)) == 0
+        assert written[0] == ("checkpoint", 0)
+        assert set(written[1:]) == {("segment", 6)}
+        ((checkpoint_inode, result_inode, lines),) = links
+        assert checkpoint_inode == result_inode and lines == 1
+        run = read_run(tmp_path / "result.npz", "shard")
+        assert sorted(run.completed) == [2, 3, 4, 5]
 
     def test_failed_shard_flips_lease(self, tmp_path):
         spec = _spec(tmp_path, 0, 9, faults={

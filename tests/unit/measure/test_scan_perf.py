@@ -13,7 +13,6 @@ from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectInjector, DefectKind
 from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
-from repro.measure.stats import MacroTiming, ScanStats
 from repro.units import fF
 
 
@@ -173,29 +172,6 @@ class TestDenseHistogram:
 
 
 class TestTimingSummary:
-    def _stats(self, seconds):
-        timings = [
-            MacroTiming(i, "c", 4, value) for i, value in enumerate(seconds)
-        ]
-        return ScanStats(
-            total_cells=4 * len(timings),
-            wall_seconds=sum(seconds),
-            closed_form_cells=4 * len(timings),
-            engine_cells=0,
-            macro_timings=timings,
-        )
-
-    def test_percentiles_of_known_distribution(self):
-        stats = self._stats([0.001 * (i + 1) for i in range(100)])
-        summary = stats.timing_summary()
-        assert summary["p50"] == pytest.approx(0.0505, rel=1e-6)
-        assert summary["p95"] == pytest.approx(0.09505, rel=1e-6)
-        assert summary["max"] == pytest.approx(0.100, rel=1e-6)
-
-    def test_empty_timings_summarize_to_zero(self):
-        stats = self._stats([])
-        assert stats.timing_summary() == {"p50": 0.0, "p95": 0.0, "max": 0.0}
-
     def test_kernel_fields_surface_in_summary_and_dict(self, tech):
         array = EDRAMArray(8, 4, tech=tech, macro_rows=4, macro_cols=2)
         stats = ArrayScanner(array, None).scan().stats

@@ -97,8 +97,7 @@ class TestRecording:
         assert np.array_equal(loaded.codes, result.codes)
 
     def test_artifact_optional(self, ledger):
-        result = ArrayScanner(small_array()).scan()
-        manifest = ledger.record_scan(result, save_artifact=False)
+        manifest = ledger.record(RunManifest(kind="scan"))
         assert manifest.artifact is None
         with pytest.raises(LedgerError, match="no scan artifact"):
             ledger.load_artifact(manifest)
@@ -276,7 +275,7 @@ class TestDiff:
 
     def test_missing_artifact_reason(self, ledger):
         result = ArrayScanner(small_array()).scan()
-        ledger.record_scan(result, save_artifact=False)
+        ledger.record(RunManifest(kind="scan"))
         ledger.record_scan(result)
         diff = ledger.diff("r0001", "r0002")
         assert "reason" in diff.bitmap

@@ -13,6 +13,7 @@ from repro.resilience.checkpoint import (
     Checkpointer,
     list_checkpoints,
     load_checkpoint,
+    read_run,
 )
 from repro.resilience.durable import durable_write
 from repro.resilience.planes import read_container, write_planes
@@ -58,9 +59,30 @@ def test_mark_done_persists_planes_and_completion_order(tmp_path):
     loaded = load_checkpoint(ck.path)
     assert loaded.completed == [0, 2]
     assert loaded.remaining == 2
-    assert loaded.is_done(2) and not loaded.is_done(1)
     np.testing.assert_array_equal(loaded.arrays["codes"][0], 7)
     np.testing.assert_array_equal(loaded.arrays["codes"][2], 9)
+
+
+def test_only_a_finished_run_is_kept_and_read_as_a_run_file(tmp_path):
+    ck = Checkpointer(tmp_path, min_save_seconds=3600.0)
+    state = _start(ck)
+    ck.mark_done(0)
+    with pytest.raises(CheckpointError, match="r0001 is unfinished"):
+        ck.keep(tmp_path / "kept.npz")
+    ck.save()
+    with pytest.raises(CheckpointError, match="with 1 of 4 units complete"):
+        read_run(ck.path, "scan")
+    state.arrays["codes"][1:] = 5
+    ck.mark_done(1, 2, 3)  # still pending: keep flushes them
+    kept = ck.keep(tmp_path / "kept.npz")
+    assert kept.stat().st_ino == ck.path.stat().st_ino
+    run = read_run(kept, "scan")
+    assert sorted(run.completed) == [0, 1, 2, 3]
+    np.testing.assert_array_equal(run.arrays["codes"], state.arrays["codes"])
+    with pytest.raises(CheckpointError, match="not a finished 'shard' run"):
+        read_run(kept, "shard")
+    ck.finish()
+    assert not ck.path.exists() and read_run(kept, "scan").remaining == 0
 
 
 def test_finish_deletes_file_but_keeps_run_id_readable(tmp_path):

@@ -6,10 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import CheckpointError, MeasurementError
+from repro.io import load_scan
+from repro.resilience.checkpoint import read_run
 from repro.resilience.planes import FORMAT, read_planes, write_planes
 
-#: Every kind of file the stack writes as a plane container.
-KINDS = ("scan", "abacus", "checkpoint", "segment", "shard-result", "lot")
+#: Every kind of container the stack writes: whole files (abacus, lot)
+#: and a run file's records (checkpoint header, segment).
+KINDS = ("abacus", "checkpoint", "segment", "lot")
 
 
 def _planes():
@@ -65,7 +69,7 @@ def test_a_header_without_planes_round_trips(kind, tmp_path):
 def test_codes_and_tiers_are_stored_one_byte_a_cell(tmp_path):
     planes = {"codes": np.full((4, 4), 20, dtype=np.int64),
               "tiers": np.full((4, 4), "c", dtype="<U1")}
-    path = _write(tmp_path / "f", {"kind": "scan"}, planes)
+    path = _write(tmp_path / "f", {"kind": "segment"}, planes)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
         stored = [np.lib.format.read_array(fh) for _ in header["planes"]]
@@ -84,8 +88,8 @@ def test_equal_content_is_equal_bytes(tmp_path):
 
 
 def test_wrong_kind_is_refused_naming_both(tmp_path):
-    path = _write(tmp_path / "f", {"kind": "scan"}, _planes())
-    with pytest.raises(ValueError, match="holds a 'scan', not a 'lot'"):
+    path = _write(tmp_path / "f", {"kind": "abacus"}, _planes())
+    with pytest.raises(ValueError, match="holds a 'abacus', not a 'lot'"):
         read_planes(path, "lot")
 
 
@@ -93,7 +97,26 @@ def test_pre_change_npz_is_refused_as_a_zip(tmp_path):
     path = tmp_path / "old.npz"
     np.savez_compressed(path, codes=np.zeros(3, dtype=int))
     with pytest.raises(ValueError, match=r"zip archive \(a pre-change \.npz\)"):
-        read_planes(path, "scan")
+        read_planes(path, "lot")
+
+
+def test_pre_change_scan_container_is_refused_naming_its_format(tmp_path):
+    # A saved scan as the one-container format wrote it: now a scan is a
+    # run file, and the old container is named, not misread.
+    path = _write(tmp_path / "scan.npz", {"kind": "scan", "num_steps": 20},
+                  {"codes": np.zeros((2, 2), dtype=int)})
+    with pytest.raises(MeasurementError,
+                       match="holds a 'scan', not a 'checkpoint'"):
+        load_scan(path)
+
+
+def test_pre_change_shard_result_is_refused_naming_its_format(tmp_path):
+    path = _write(tmp_path / "s00.npz",
+                  {"kind": "shard-result", "die_range": [0, 2]},
+                  {"die_means": np.zeros(2)})
+    with pytest.raises(CheckpointError,
+                       match="holds a 'shard-result', not a 'checkpoint'"):
+        read_run(path, "shard")
 
 
 def test_pre_change_segment_is_refused_naming_its_format(tmp_path):

@@ -484,6 +484,57 @@ def test_scan_record_fecap_carries_disturb_scalars(tmp_path, capsys):
     assert manifest.config["technology"] == "fecap"
 
 
+@pytest.mark.parametrize("tech", ["fecap", "1t"])
+def test_scan_record_carries_the_api_scalar_keys(tech, tmp_path, capsys):
+    # The CLI and a ScanConfig(ledger=...) scan chart the same backend
+    # scalars; the CLI adds only the calibrated bitmap's.
+    from repro.measure.config import ScanConfig
+    from repro.measure.scan import ArrayScanner
+    from repro.obs import RunLedger
+    from repro.technologies import get
+
+    assert main([
+        "scan", "--rows", "8", "--cols", "4", "--macro-rows", "8",
+        "--tech", tech, "--record", str(tmp_path / "cli"),
+    ]) == 0
+    capsys.readouterr()
+    (cli,) = RunLedger(tmp_path / "cli").runs()
+    backend = get(tech)
+    array = backend.build_array(8, 4, macro_rows=8, seed=0)
+    api_ledger = RunLedger(tmp_path / "api")
+    ArrayScanner(array, backend.design_structure(array, bitline_rows=8)).scan(
+        ScanConfig(technology=tech, ledger=api_ledger)
+    )
+    (api,) = api_ledger.runs()
+    extra = set(backend.extra_scalars(array))
+    assert extra and extra <= set(api.scalars)
+    assert set(cli.scalars) - set(api.scalars) == {
+        "cap_mean_fF", "cap_sigma_fF", "in_range_fraction",
+    }
+    assert set(api.scalars) <= set(cli.scalars)
+
+
+def test_runs_checkpoints_names_the_fleet_for_a_shard_checkpoint(tmp_path, capsys):
+    from repro.measure.config import ScanConfig
+    from repro.resilience import Checkpointer, Fault, FaultPlan, inject
+    from repro.wafer import WaferModel
+
+    # The orchestrator's layout: <root>/shards/sNN is the shard ledger.
+    shard_dir = tmp_path / "fleet" / "shards" / "s01"
+    checkpointer = Checkpointer(shard_dir, meta={"shard_id": 1, "die_range": [2, 6]})
+    interrupt = Fault("wafer.die_done", error=KeyboardInterrupt(), after=1)
+    with inject(FaultPlan([interrupt])), pytest.raises(KeyboardInterrupt):
+        WaferModel(diameter_dies=3, seed=5).measure_dies(
+            (2, 6), ScanConfig(checkpoint=checkpointer)
+        )
+    assert main(["runs", "checkpoints", "--dir", str(shard_dir)]) == 0
+    listed = capsys.readouterr().out
+    assert "r0001  shard  1/4" in listed
+    assert "repro wafer" not in listed
+    hint = listed.split("resume with `", 1)[1].split("`", 1)[0]
+    assert hint == f"repro fleet run --root {tmp_path / 'fleet'}"
+
+
 def test_diagnose_command_per_technology(capsys):
     assert main([
         "diagnose", "--rows", "8", "--cols", "4", "--macro-rows", "8",
