@@ -44,7 +44,6 @@ import argparse
 import json
 import os
 import sys
-from time import perf_counter, process_time
 
 from repro.units import fF, to_fF, to_ns, to_uA
 
@@ -229,6 +228,16 @@ def _checkpointer_from(args, rebuild_keys):
     return Checkpointer(ledger, meta=meta), ck_dir, None
 
 
+def _ledger_from(args, trace_path: str | None = None):
+    """The ledger ``--record`` names, carrying the run's ``--label`` and
+    trace path; ``None`` without ``--record``.  The driver records."""
+    if args.record is None:
+        return None
+    from repro.obs import RunLedger
+
+    return RunLedger(args.record, label=args.label, trace_path=trace_path)
+
+
 def _resume_hint(command: str, run_id: str, ck_dir: str | None, args) -> str:
     hint = f"repro {command} --resume {run_id}"
     if getattr(args, "checkpoint", None):
@@ -267,9 +276,9 @@ def cmd_scan(args) -> int:
         tracer=tracer,
         metrics=metrics,
         progress=_progress_from(args),
+        ledger=_ledger_from(args, args.trace),
         checkpoint=checkpointer,
     )
-    cpu_start = process_time()
     try:
         scan = ArrayScanner(array, structure).scan(config)
     except CheckpointError as exc:
@@ -280,7 +289,6 @@ def cmd_scan(args) -> int:
             hint = _resume_hint("scan", checkpointer.run_id, ck_dir, args)
             print(f"interrupted; resume with: {hint}", file=sys.stderr)
         raise
-    cpu_seconds = process_time() - cpu_start
     bitmap = AnalogBitmap(scan, abacus)
 
     if args.trace:
@@ -292,27 +300,6 @@ def cmd_scan(args) -> int:
         from repro.io import save_scan
 
         saved_to = str(save_scan(scan, args.save))
-    run_id = None
-    if args.record is not None:
-        from repro.obs import RunLedger
-
-        # Recording from the CLI (rather than via config.ledger) folds
-        # the calibrated bitmap statistics into the manifest's scalars —
-        # cap_mean_fF is the drift gate's primary chart.  A checkpointed
-        # run recording into the same ledger keeps its reserved id.
-        reserved = (
-            checkpointer.run_id
-            if checkpointer is not None and ck_dir == args.record
-            else None
-        )
-        manifest = RunLedger(args.record).record_scan(
-            scan, config, bitmap=bitmap, seed=args.seed,
-            tech=array.tech.name, label=args.label,
-            trace_path=args.trace, cpu_seconds=cpu_seconds,
-            extra_scalars=_backend_for(args).extra_scalars(array),
-            run_id=reserved,
-        )
-        run_id = manifest.run_id
 
     if args.format == "json":
         payload = {
@@ -330,7 +317,7 @@ def cmd_scan(args) -> int:
             "metrics": metrics.to_dict() if metrics.enabled else None,
             "trace": args.trace,
             "saved": saved_to,
-            "run_id": run_id,
+            "run_id": scan.run_id,
             "ledger": args.record,
         }
         print(json.dumps(payload, indent=2))
@@ -353,8 +340,8 @@ def cmd_scan(args) -> int:
         print(f"metrics written to {args.metrics_out}")
     if saved_to:
         print(f"scan saved to {saved_to}")
-    if run_id:
-        print(f"recorded as {run_id} in {args.record}")
+    if scan.run_id:
+        print(f"recorded as {scan.run_id} in {args.record}")
     return 0
 
 
@@ -365,23 +352,15 @@ def cmd_diagnose(args) -> int:
     array = _build_array(args, with_defects=True)
     spec_lo, spec_hi = _backend_for(args).spec_window()
     pipeline = DiagnosisPipeline(spec_lo=spec_lo, spec_hi=spec_hi)
-    config = ScanConfig(technology=args.tech, progress=_progress_from(args))
-    start = perf_counter()
-    cpu_start = process_time()
+    config = ScanConfig(
+        technology=args.tech,
+        progress=_progress_from(args),
+        ledger=_ledger_from(args),
+    )
     report = pipeline.run(array, config)
-    run_id = None
-    if args.record is not None:
-        from repro.obs import RunLedger
-
-        manifest = RunLedger(args.record).record_diagnosis(
-            report, config, seed=args.seed, tech=array.tech.name,
-            label=args.label, wall_seconds=perf_counter() - start,
-            cpu_seconds=process_time() - cpu_start,
-        )
-        run_id = manifest.run_id
     if args.format == "json":
         payload = report.to_dict()
-        payload["run_id"] = run_id
+        payload["run_id"] = report.scan.run_id
         payload["ledger"] = args.record
         print(json.dumps(payload, indent=2))
         return 0
@@ -390,8 +369,8 @@ def cmd_diagnose(args) -> int:
     print("findings:")
     for finding in report.findings:
         print(f"  {finding.describe()}")
-    if run_id:
-        print(f"recorded as {run_id} in {args.record}")
+    if report.scan.run_id:
+        print(f"recorded as {report.scan.run_id} in {args.record}")
     return 0
 
 
@@ -506,10 +485,9 @@ def cmd_wafer(args) -> int:
     config = ScanConfig(
         technology=args.tech,
         progress=_progress_from(args),
+        ledger=_ledger_from(args),
         checkpoint=checkpointer,
     )
-    start = perf_counter()
-    cpu_start = process_time()
     try:
         report = model.measure_wafer(config=config)
     except CheckpointError as exc:
@@ -520,30 +498,14 @@ def cmd_wafer(args) -> int:
             hint = _resume_hint("wafer", checkpointer.run_id, ck_dir, args)
             print(f"interrupted; resume with: {hint}", file=sys.stderr)
         raise
-    run_id = None
-    if args.record is not None:
-        from repro.obs import RunLedger
-
-        reserved = (
-            checkpointer.run_id
-            if checkpointer is not None and ck_dir == args.record
-            else None
-        )
-        manifest = RunLedger(args.record).record_wafer(
-            report, config, seed=args.seed, tech=model.tech.name,
-            label=args.label, wall_seconds=perf_counter() - start,
-            cpu_seconds=process_time() - cpu_start,
-            run_id=reserved,
-        )
-        run_id = manifest.run_id
     print(report.ascii_map())
     a, b = report.radial_profile()
     print(f"radial profile: centre {to_fF(a):.2f} fF, "
           f"centre-to-edge drop {to_fF(-b):.2f} fF")
     for label, mean, count in report.zonal_means():
         print(f"  zone {label}: {to_fF(mean):6.2f} fF ({count} dies)")
-    if run_id:
-        print(f"recorded as {run_id} in {args.record}")
+    if report.run_id:
+        print(f"recorded as {report.run_id} in {args.record}")
     return 0
 
 

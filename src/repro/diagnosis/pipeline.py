@@ -166,7 +166,8 @@ class DiagnosisPipeline:
         pipeline stage, and its metrics registry is installed ambiently
         for the whole run.  When ``config.ledger`` is set the pipeline
         records one ``diagnosis`` manifest (the scan stage itself stays
-        unrecorded — one run, one ledger line).
+        unrecorded — one run, one ledger line) and ``report.scan.run_id``
+        names it: the scan planes are its artifact.
         """
         # A default config inherits the array's technology (the scan
         # stage validates the pairing); an explicit config must already
@@ -237,11 +238,11 @@ class DiagnosisPipeline:
             must_repair=must_repair,
         )
         if ledger is not None:
-            ledger.record_diagnosis(
+            scan.run_id = ledger.record_diagnosis(
                 report,
                 config,
-                tech=array.tech.name,
+                array=array,
                 wall_seconds=perf_counter() - start,
                 cpu_seconds=process_time() - cpu_start,
-            )
+            ).run_id
         return report

@@ -79,6 +79,10 @@ class EDRAMArray:
     #: the scanner checks it against ``ScanConfig.technology``.
     technology = "edram"
 
+    #: The seed a technology backend's ``build_array`` drew this array
+    #: from (recorded in its run manifests); ``None`` when hand-built.
+    seed: int | None = None
+
     def __init__(
         self,
         rows: int,

@@ -13,14 +13,14 @@ Crash-safety ordering is the point of this module:
 1. measure the range (checkpoint persists as dies complete, durably),
 2. keep the checkpoint as ``result.npz`` (``Checkpointer.keep``: flush,
    then hard-link — the result *is* the checkpoint),
-3. record the shard manifest into the shard's run ledger,
-4. **only then** unlink the checkpoint name (``Checkpointer.finish``),
-5. flip the lease to ``done``.
+3. record the shard manifest into the shard's run ledger, which
+   **only then** unlinks the checkpoint name (``RunLedger.record``),
+4. flip the lease to ``done``.
 
 A kill between any two steps loses at most one save window of dies:
 the checkpoint outlives the link, so the respawned worker resumes
-instead of restarting, and a repeated link or manifest is idempotent
-(same file, same reserved run id).
+instead of restarting; a repeated link is idempotent (same file), and a
+repeated record under the reserved run id only finishes the checkpoint.
 """
 
 from __future__ import annotations
@@ -208,10 +208,9 @@ def run_shard(spec: dict[str, Any]) -> int:
         extra={"shard_id": shard_id, "die_range": [lo, hi],
                "generation": lease.generation},
     )
-    ledger.record(manifest, run_id=scan.run_id)
     # The checkpoint name goes only after the result and manifest are
-    # durable — a crash before this line re-runs zero dies on respawn.
-    checkpointer.finish()
+    # durable — a crash before then re-runs zero dies on respawn.
+    ledger.record(manifest, checkpoint=checkpointer)
 
     lease.state = "done"
     lease.run_id = scan.run_id

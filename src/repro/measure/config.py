@@ -72,9 +72,12 @@ class ScanConfig:
         machine-readable event stream).  Defaults to the zero-cost
         :data:`repro.obs.NULL_PROGRESS`.
     ledger:
-        When set, the scan entry points record a run manifest into this
+        When set, the driver that runs — the scan, ``measure_wafer``
+        or the diagnosis pipeline — records one run manifest into this
         :class:`repro.obs.RunLedger` on completion (provenance: config
-        hash, seed, stats, per-run scalars).  ``None`` records nothing.
+        hash, seed, stats, per-run and calibrated-bitmap scalars, and
+        the handle's label and trace path) and hands back its run id.
+        Its record finishes ``checkpoint``.  ``None`` records nothing.
     faults:
         A :class:`repro.resilience.FaultPlan` armed for the duration of
         the scan (chaos testing; ``None`` = disarmed).
@@ -126,9 +129,4 @@ class ScanConfig:
     def observed(self) -> bool:
         """True when a real tracer or metrics registry is attached."""
         return self.tracer.enabled or self.metrics.enabled
-
-    @property
-    def recorded(self) -> bool:
-        """True when scans through this config land in a run ledger."""
-        return self.ledger is not None
 

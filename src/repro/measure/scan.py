@@ -110,6 +110,9 @@ class ScanResult:
         :class:`~repro.resilience.quality.CellQuality` flags (0 GOOD,
         1 DEGRADED, 2 FAILED).  All-zero for clean scans; ``None``
         coerces to all-GOOD so hand-assembled results stay terse.
+    run_id:
+        The run id this scan's planes were recorded under (``None``
+        when no ledger recorded them).
     """
 
     codes: np.ndarray
@@ -118,6 +121,7 @@ class ScanResult:
     tiers: np.ndarray
     stats: ScanStats | None = field(default=None, compare=False)
     quality: np.ndarray | None = field(default=None, compare=False)
+    run_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         # Hand-assembled results (tests, loaders) may pass plain lists;
@@ -403,8 +407,8 @@ class ArrayScanner:
         ``config.tracer`` receives the scan → kernel/macro → cell →
         phase span tree.  ``config.progress`` is advanced as tiles land
         (live completion/throughput/ETA), and when ``config.ledger`` is
-        set a run manifest (provenance + per-run scalars) is appended
-        to it on completion.
+        set a run manifest (provenance, per-run scalars and the
+        calibrated bitmap's) is appended to it on completion.
 
         One driver, three steps (see docs/architecture.md "Scan
         driver"): :meth:`_plan` cuts the remaining macros into
@@ -546,19 +550,22 @@ class ArrayScanner:
         # behind.  Backend mutations go through the watched cell
         # attributes, bumping array.version and evicting warm caches.
         backend.after_scan(self.array, result)
-        run_id = checkpointer.run_id if checkpointer is not None else None
         if config.ledger is not None:
-            config.ledger.record_scan(
+            # The record ends the run: it keeps the checkpoint as the
+            # artifact and finishes it.
+            from repro.bitmap.analog import AnalogBitmap
+            from repro.calibration.abacus import Abacus
+
+            bitmap = AnalogBitmap(result, Abacus.for_array(self.structure, self.array))
+            result.run_id = config.ledger.record_scan(
                 result,
                 config,
-                tech=self.structure.tech.name,
+                array=self.array,
+                bitmap=bitmap,
                 cpu_seconds=process_time() - cpu_start,
-                run_id=run_id,
-                extra_scalars=backend.extra_scalars(self.array),
                 checkpoint=checkpointer,
-            )
-        if checkpointer is not None:
-            # The manifest row is in; the checkpoint name is obsolete.
+            ).run_id
+        elif checkpointer is not None:
             checkpointer.finish()
         return result
 

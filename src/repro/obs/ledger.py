@@ -20,11 +20,13 @@ statistics (capacitance mean/σ, code-histogram centroid, converter
 flip-step size, throughput) that :mod:`repro.obs.drift` runs control
 charts over.
 
-Recording is opt-in and composable: attach a ledger to a
-:class:`~repro.measure.config.ScanConfig` and every
-``ArrayScanner.scan`` / ``measure_wafer`` / ``DiagnosisPipeline.run``
-appends a manifest, or call the ``record_*`` builders directly (the CLI
-does, so it can fold calibrated-bitmap statistics into scan manifests).
+Recording is opt-in and has one owner per run: attach a ledger to a
+:class:`~repro.measure.config.ScanConfig` and the driver that runs —
+``ArrayScanner.scan``, ``measure_wafer``, ``DiagnosisPipeline.run`` —
+appends its manifest once (the fleet worker and ``merge_lot`` build
+theirs and call :meth:`RunLedger.record`).  What only the caller knows,
+a run label and a trace path, is set once on the :class:`RunLedger`
+handle it attaches.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ from repro.errors import LedgerError, MeasurementError, ScanMismatchError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (io -> scan -> config)
     from repro.bitmap.analog import AnalogBitmap
     from repro.diagnosis.pipeline import PipelineReport
+    from repro.edram.array import EDRAMArray
     from repro.measure.config import ScanConfig
     from repro.measure.scan import ScanResult
     from repro.measure.stats import ScanStats
     from repro.resilience.checkpoint import Checkpointer
-    from repro.wafer import WaferReport
+    from repro.wafer import WaferModel, WaferReport
 
 __all__ = [
     "DEFAULT_LEDGER_DIR",
@@ -164,13 +167,14 @@ def bitmap_scalars(bitmap: "AnalogBitmap") -> dict[str, float]:
     """Calibrated capacitance-map scalars (femtofarads, in-range cells)."""
     from repro.units import to_fF
 
-    values = bitmap.estimates[bitmap.in_range]
+    in_range = bitmap.in_range
+    values = bitmap.estimates[in_range]
     if values.size == 0:
         return {"in_range_fraction": 0.0}
     return {
         "cap_mean_fF": float(to_fF(values.mean())),
         "cap_sigma_fF": float(to_fF(values.std())),
-        "in_range_fraction": float(bitmap.in_range.mean()),
+        "in_range_fraction": float(in_range.mean()),
     }
 
 
@@ -346,13 +350,26 @@ class RunLedger:
     root:
         Ledger directory (created on first record).  Defaults to
         :data:`DEFAULT_LEDGER_DIR` in the working directory.
+    label, trace_path:
+        Stamped on every manifest the ``record_*`` builders make
+        through this handle: the run's free-form label and where its
+        trace was written, which only the caller knows.
     """
 
-    def __init__(self, root: str | Path = DEFAULT_LEDGER_DIR) -> None:
+    def __init__(
+        self,
+        root: str | Path = DEFAULT_LEDGER_DIR,
+        *,
+        label: str = "",
+        trace_path: str | None = None,
+    ) -> None:
         self.root = Path(root)
+        self.label = label
+        self.trace_path = trace_path
         #: (inode, bytes, highest id number) of the manifest prefix
-        #: :meth:`next_run_id` has already read.
+        #: :meth:`next_run_id` has already read, and the ids it holds.
         self._ids_read: tuple[int, int, int] = (-1, 0, 0)
+        self._ids: set[str] = set()
 
     @property
     def manifest_path(self) -> Path:
@@ -434,7 +451,8 @@ class RunLedger:
     # -- reading --------------------------------------------------------
 
     def _highest_recorded(self) -> int:
-        """The highest ``rNNNN`` number recorded in the manifest.
+        """The highest ``rNNNN`` number recorded in the manifest (the
+        ids themselves are kept in ``_ids``).
 
         The manifest is append-only, so the ledger remembers how far it
         has read and reads only the whole lines appended since (a torn
@@ -447,22 +465,24 @@ class RunLedger:
         try:
             fh = open(self.manifest_path, "rb")
         except FileNotFoundError:
-            self._ids_read = (-1, 0, 0)
+            self._ids_read, self._ids = (-1, 0, 0), set()
             return 0
         with fh:
             stat = os.fstat(fh.fileno())
             inode, offset, highest = self._ids_read
             if stat.st_ino != inode or stat.st_size < offset:
-                offset, highest = 0, 0  # a different file: read it all
+                offset, highest, self._ids = 0, 0, set()  # a different file: read it all
             fh.seek(offset)
             new = fh.read()
         new = new[: new.rfind(b"\n") + 1]
-        ids = _LINE_HEADS.findall(new)
+        ids = [i.decode() for i in _LINE_HEADS.findall(new)]
         lines = new.count(b"\n")
         if len(ids) == lines == new.count(b"}\n") == len(_ANY_HEAD.findall(new)):
-            highest = max([highest, *(_run_number(i.decode()) for i in ids)])
+            self._ids.update(ids)
+            highest = max([highest, *map(_run_number, ids)])
         else:
-            highest = max([0, *(_run_number(m.run_id) for m in self.runs())])
+            self._ids = {m.run_id for m in self.runs()}
+            highest = max([0, *map(_run_number, self._ids)])
         self._ids_read = (stat.st_ino, offset + len(new), highest)
         return highest
 
@@ -540,22 +560,27 @@ class RunLedger:
         manifest: RunManifest,
         scan: "ScanResult | None" = None,
         *,
-        run_id: str | None = None,
         checkpoint: "Checkpointer | None" = None,
     ) -> RunManifest:
-        """Append ``manifest`` (assigning run id and timestamp).
+        """Append ``manifest`` (assigning run id and timestamp); the one
+        place a run ends.
 
         Id allocation and the append happen under the ledger's advisory
         lock (:meth:`locked`), so concurrent recorders serialise
         cleanly; the append cuts a torn last line and is fsynced before
-        the lock is released.  A checkpointed run that reserved its id
-        up front passes it via ``run_id`` instead of allocating one.
+        the lock is released.
 
         When ``scan`` is given its planes are saved under
         ``artifacts/<run_id>.npz`` and the relative path recorded, so
-        ``runs diff`` can later compute per-cell bitmap deltas.  The
-        scan's ``checkpoint``, when this ledger reserved it under
-        ``run_id``, is kept as that file instead of writing it again.
+        ``runs diff`` can later compute per-cell bitmap deltas.
+
+        A ``checkpoint`` ends here, in one order: it is kept as the
+        artifact (flush, link), the line is appended, then
+        :meth:`~repro.resilience.Checkpointer.finish` unlinks it.  The
+        run keeps the id the checkpoint reserved in this ledger (else a
+        fresh id, its planes written whole).  A run the manifest already
+        holds — recorded, then interrupted before the unlink — is only
+        finished, and its manifest returned.
         """
         from repro.resilience.durable import durable_append
 
@@ -565,60 +590,66 @@ class RunLedger:
         )
         if not manifest.version:
             manifest.version = _package_version()
+        held = self._reserved(checkpoint)
         with self.locked():
-            manifest.run_id = run_id if run_id is not None else self.next_run_id()
-            if scan is not None:
-                from repro.io import save_scan
+            if held is None:
+                manifest.run_id = self.next_run_id()
+            else:
+                manifest.run_id = held.run_id
+                self._highest_recorded()  # reads up to the last whole line
+            if manifest.run_id in self._ids:
+                manifest = self.get(manifest.run_id)
+            else:
+                if scan is not None:
+                    from repro.io import save_scan
 
-                self.artifact_dir.mkdir(parents=True, exist_ok=True)
-                path = self.artifact_dir / f"{manifest.run_id}.npz"
-                if self._holds(checkpoint, manifest.run_id, scan):
-                    checkpoint.keep(path)
-                else:
-                    save_scan(scan, path)
-                manifest.artifact = str(path.relative_to(self.root))
-            self._highest_recorded()  # reads up to the last whole line
-            line = json.dumps(manifest.to_dict()) + "\n"
-            durable_append(
-                self.manifest_path, line.encode("utf-8"), keep=self._ids_read[1]
-            )
+                    self.artifact_dir.mkdir(parents=True, exist_ok=True)
+                    path = self.artifact_dir / f"{manifest.run_id}.npz"
+                    # A checkpoint begun before scan headers carried
+                    # num_steps is no scan run file.
+                    if held is not None and held.state is not None and (
+                        held.state.meta.get("num_steps") == scan.num_steps
+                    ):
+                        held.keep(path)
+                    else:
+                        save_scan(scan, path)
+                    manifest.artifact = str(path.relative_to(self.root))
+                line = json.dumps(manifest.to_dict()) + "\n"
+                durable_append(
+                    self.manifest_path, line.encode("utf-8"),
+                    keep=self._ids_read[1],
+                )
+        if checkpoint is not None:
+            checkpoint.finish()
         return manifest
 
-    def _holds(
-        self, checkpoint: "Checkpointer | None", run_id: str, scan: "ScanResult"
-    ) -> bool:
-        """Whether ``checkpoint`` is ``scan``'s run file, reserved here
-        (one begun before scan headers carried ``num_steps`` is not)."""
+    def _reserved(self, checkpoint: "Checkpointer | None") -> "Checkpointer | None":
+        """``checkpoint`` when it reserved its run id in this ledger."""
         if checkpoint is None or checkpoint.state is None:
-            return False
-        return (
-            checkpoint.state.run_id == run_id
-            and checkpoint.state.meta.get("num_steps") == scan.num_steps
-            and checkpoint.ledger.root.resolve() == self.root.resolve()
-        )
+            return None
+        if checkpoint.ledger.root.resolve() != self.root.resolve():
+            return None
+        return checkpoint
 
     def _base_manifest(
         self,
         kind: str,
         config: "ScanConfig | None",
+        source: "EDRAMArray | WaferModel | None",
         *,
-        seed: int | None,
-        tech: str,
-        label: str,
         wall_seconds: float,
         cpu_seconds: float | None,
-        trace_path: str | None,
-        extra: dict[str, Any] | None,
     ) -> RunManifest:
+        """A manifest stamped with this handle's label and trace path;
+        the measured ``source`` supplies the seed and the card name."""
         manifest = RunManifest(
             kind=kind,
-            label=label,
-            seed=seed,
-            tech=tech,
+            label=self.label,
+            seed=None if source is None else source.seed,
+            tech="" if source is None else source.tech.name,
             wall_seconds=wall_seconds,
             cpu_seconds=cpu_seconds,
-            trace_path=trace_path,
-            extra=dict(extra or {}),
+            trace_path=self.trace_path,
         )
         if config is not None:
             manifest.config = config_fingerprint(config)
@@ -632,85 +663,70 @@ class RunLedger:
         result: "ScanResult",
         config: "ScanConfig | None" = None,
         *,
+        array: "EDRAMArray | None" = None,
         bitmap: "AnalogBitmap | None" = None,
-        seed: int | None = None,
-        tech: str = "",
-        label: str = "",
-        trace_path: str | None = None,
         cpu_seconds: float | None = None,
-        extra: dict[str, Any] | None = None,
-        extra_scalars: dict[str, float] | None = None,
-        run_id: str | None = None,
         checkpoint: "Checkpointer | None" = None,
     ) -> RunManifest:
         """Record one array scan (optionally with its calibrated bitmap).
 
-        ``extra_scalars`` merge into ``manifest.scalars`` — unlike
-        ``extra`` (opaque payload), scalars are what the drift engine
-        charts, so technology backends report per-run physics there
-        (e.g. FeCap polarization mean, 1T retention).
+        The scanned ``array`` supplies the seed it was built with, its
+        technology card and its backend's per-run scalars
+        (:meth:`~repro.technologies.base.CellTechnology.extra_scalars`,
+        e.g. FeCap polarization mean, 1T retention), which the drift
+        engine charts with the scan's own.
         """
         wall = result.stats.wall_seconds if result.stats is not None else 0.0
         manifest = self._base_manifest(
-            "scan", config, seed=seed, tech=tech, label=label,
-            wall_seconds=wall, cpu_seconds=cpu_seconds,
-            trace_path=trace_path, extra=extra,
+            "scan", config, array, wall_seconds=wall, cpu_seconds=cpu_seconds
         )
         manifest.stats = _manifest_stats(result.stats)
         manifest.scalars = scan_scalars(result)
         if bitmap is not None:
             manifest.scalars.update(bitmap_scalars(bitmap))
-        if extra_scalars:
-            manifest.scalars.update(
-                {key: float(value) for key, value in extra_scalars.items()}
-            )
-        return self.record(
-            manifest, scan=result, run_id=run_id, checkpoint=checkpoint
-        )
+        if array is not None:
+            from repro.technologies import get as get_technology
+
+            extra = get_technology(array.technology).extra_scalars(array)
+            manifest.scalars.update({k: float(v) for k, v in extra.items()})
+        return self.record(manifest, scan=result, checkpoint=checkpoint)
 
     def record_wafer(
         self,
         report: "WaferReport",
         config: "ScanConfig | None" = None,
         *,
-        seed: int | None = None,
-        tech: str = "",
-        label: str = "",
+        model: "WaferModel | None" = None,
         wall_seconds: float = 0.0,
         cpu_seconds: float | None = None,
-        extra: dict[str, Any] | None = None,
-        run_id: str | None = None,
+        checkpoint: "Checkpointer | None" = None,
     ) -> RunManifest:
         """Record one wafer measurement (:meth:`WaferReport.scalars`
-        plus die counts, no artifact)."""
+        plus die counts, no artifact); ``model`` supplies seed and card."""
         manifest = self._base_manifest(
-            "wafer", config, seed=seed, tech=tech, label=label,
+            "wafer", config, model,
             wall_seconds=wall_seconds, cpu_seconds=cpu_seconds,
-            trace_path=None, extra=extra,
         )
         dies = len(report.dies)
         manifest.scalars = {**report.scalars(), "dies": float(dies)}
         if wall_seconds > 0:
             manifest.scalars["dies_per_second"] = dies / wall_seconds
-        return self.record(manifest, run_id=run_id)
+        return self.record(manifest, checkpoint=checkpoint)
 
     def record_diagnosis(
         self,
         report: "PipelineReport",
         config: "ScanConfig | None" = None,
         *,
-        seed: int | None = None,
-        tech: str = "",
-        label: str = "",
+        array: "EDRAMArray | None" = None,
         wall_seconds: float = 0.0,
         cpu_seconds: float | None = None,
-        extra: dict[str, Any] | None = None,
     ) -> RunManifest:
-        """Record one diagnosis pipeline run (scan + process scalars)."""
+        """Record one diagnosis pipeline run (scan + process scalars);
+        ``array`` supplies seed and card."""
         manifest = self._base_manifest(
-            "diagnosis", config, seed=seed, tech=tech, label=label,
+            "diagnosis", config, array,
             wall_seconds=wall_seconds, cpu_seconds=cpu_seconds,
-            trace_path=None, extra=extra,
         )
         scan = report.scan
         manifest.stats = _manifest_stats(scan.stats)

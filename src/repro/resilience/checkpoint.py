@@ -26,8 +26,9 @@ append-only file, while unfinished its checkpoint
   replayed rows are byte-identical and every unit is deterministic.
 * A finished run **keeps its file** as its artifact or shard result
   (:meth:`Checkpointer.keep`: flush, then hard-link), is recorded, and
-  :meth:`Checkpointer.finish` unlinks the checkpoint name — a
-  checkpoint existing *is* the statement "this run has not finished".
+  :meth:`Checkpointer.finish` unlinks the checkpoint name (all three in
+  :meth:`~repro.obs.ledger.RunLedger.record`) — a checkpoint existing
+  *is* the statement "this run has not finished".
   :func:`write_run` writes the same format whole; :func:`read_run`
   replays any finished run file.
 """
@@ -440,7 +441,7 @@ class Checkpointer:
     def keep(self, path: str | Path) -> Path:
         """Append the pending rows, then hard-link the finished run's file
         to ``path`` durably: its artifact or result *is* the checkpoint.
-        The caller records the run, then calls :meth:`finish`."""
+        The run's record then appends its line and calls :meth:`finish`."""
         if self._require_state().remaining:
             raise CheckpointError(f"checkpoint {self.run_id} is unfinished")
         if self._pending_rows:
@@ -450,8 +451,9 @@ class Checkpointer:
     def finish(self) -> str:
         """Close the run: unlink the checkpoint name; return the run id.
 
-        The caller records the final manifest under this id — after
-        ``finish`` the ledger shows a completed run and no checkpoint.
+        A recorded run is finished by its record, after its manifest
+        line; after ``finish`` the ledger shows a completed run and no
+        checkpoint.
         """
         state = self._require_state()
         path = _checkpoint_path(self.ledger, state.run_id)

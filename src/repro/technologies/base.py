@@ -103,7 +103,8 @@ class CellTechnology(abc.ABC):
         ``nominal`` overrides the card's nominal storage capacitance
         (farads); ``None`` uses the card value.  ``with_defects``
         scatters the backend's standard defect population (deterministic
-        under ``seed``).  ``tech`` substitutes a corner card.
+        under ``seed``).  ``tech`` substitutes a corner card.  The array
+        keeps ``seed`` as ``array.seed`` for its run manifests.
         """
 
     def inject_defects(self, array: "EDRAMArray", seed: int = 0) -> None:

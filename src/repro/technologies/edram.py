@@ -65,6 +65,7 @@ class EDRAMTechnology(CellTechnology):
             rows, cols, tech=card, macro_cols=macro_cols,
             macro_rows=macro_rows, capacitance_map=capacitance,
         )
+        array.seed = seed
         if with_defects:
             self.inject_defects(array, seed)
         return array

@@ -241,6 +241,7 @@ class FeCapTechnology(CellTechnology):
             rows, cols, tech=card, macro_cols=macro_cols,
             macro_rows=macro_rows, c_lin_map=c_lin, c_switch_map=c_switch,
         )
+        array.seed = seed
         if with_defects:
             self.inject_defects(array, seed)
         return array

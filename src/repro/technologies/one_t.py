@@ -169,6 +169,7 @@ class Capacitorless1TTechnology(CellTechnology):
             macro_rows=macro_rows, capacitance_map=capacitance,
             leak_map=leak,
         )
+        array.seed = seed
         if with_defects:
             self.inject_defects(array, seed)
         return array

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter, process_time
 from typing import Callable
 
@@ -253,8 +253,9 @@ class WaferModel:
 
         With ``config.checkpoint`` set, the die range's planes persist
         as it runs (kind ``"shard"``) and an interrupted wafer run
-        resumes bit-exact.  The checkpoint is finished only after the
-        manifest is recorded.
+        resumes bit-exact.  A recorded wafer's checkpoint is finished
+        by its record (:meth:`~repro.obs.RunLedger.record`), after the
+        manifest line.
         """
         config = self._checked_config(config)
         sites = self.sites()
@@ -265,16 +266,15 @@ class WaferModel:
             sites, scan.die_means, scan.die_sigmas, self.diameter
         )
         if config.ledger is not None:
-            config.ledger.record_wafer(
+            report.run_id = config.ledger.record_wafer(
                 report,
                 config,
-                seed=self.seed,
-                tech=self.tech.name,
+                model=self,
                 wall_seconds=perf_counter() - start,
                 cpu_seconds=process_time() - cpu_start,
-                run_id=scan.run_id,
-            )
-        if config.checkpoint is not None:
+                checkpoint=config.checkpoint,
+            ).run_id
+        elif config.checkpoint is not None:
             config.checkpoint.finish()
         return report
 
@@ -299,9 +299,9 @@ class WaferModel:
         ``"shard"`` (the resume fingerprint folds the die range in, so
         a checkpoint can never be resumed under a different partition).
         This method never finishes the checkpoint: the caller records
-        or persists the result first, then calls ``config.checkpoint
-        .finish()``, so a crash in between costs a re-record, never the
-        range's work.  ``on_die(index, done)`` fires in-process after
+        the result, whose :meth:`~repro.obs.RunLedger.record` finishes
+        it, so a crash in between costs a re-record, never the range's
+        work.  ``on_die(index, done)`` fires in-process after
         each die completes — the fleet worker's heartbeat hook.
         """
         config = self._checked_config(config)
@@ -494,6 +494,8 @@ class WaferReport:
 
     dies: list[DieSite]
     diameter: int
+    #: The run id the wafer was recorded under (``None`` unrecorded).
+    run_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.dies:

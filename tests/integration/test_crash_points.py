@@ -199,6 +199,53 @@ def test_recorded_checkpointed_scan_writes_its_planes_once(tmp_path, monkeypatch
 
 
 # ----------------------------------------------------------------------
+# CLI scan: repro scan --record D --checkpoint D
+# ----------------------------------------------------------------------
+
+CLI_SCAN = ["scan", "--rows", "16", "--cols", "8", "--macro-rows", "8",
+            "--healthy"]
+
+
+def test_cli_scan_recovers_from_every_crash_point(tmp_path, capsys):
+    from repro.cli import main
+    from repro.io import load_scan
+
+    assert main([*CLI_SCAN, "--save", str(tmp_path / "plain.npz")]) == 0
+    clean = load_scan(tmp_path / "plain.npz")
+
+    def cli_scan(root, *extra):
+        return main([*CLI_SCAN, "--record", str(root),
+                     "--checkpoint", str(root), *extra])
+
+    def replay(site, k):
+        root = tmp_path / f"cli-{site}-{k}"
+        ledger = RunLedger(root)
+        plan = FaultPlan([Fault(site, error=KeyboardInterrupt(), after=k, times=1)])
+        with inject(plan):
+            status = cli_scan(root)
+        if plan.firings:
+            assert status == 130
+            _no_tmp(root)
+            unfinished = [c.run_id for c in list_checkpoints(ledger)]
+            resume = ("--resume", unfinished[0]) if unfinished else ()
+            status = cli_scan(root, *resume)
+        assert status == 0
+        capsys.readouterr()
+        assert list_checkpoints(ledger) == []
+        (manifest,) = ledger.runs()
+        _assert_scan_equal(ledger.load_artifact(manifest), clean)
+        _no_tmp(root)
+        return bool(plan.firings)
+
+    # Writes: the reservation only — no whole artifact.  Appends: one
+    # segment per macro-row slab (2) and the manifest line.  Links: the
+    # checkpoint kept as the artifact.
+    assert _drill(replay) == {
+        "durable.write": 1, "durable.append": 3, "durable.link": 1,
+    }
+
+
+# ----------------------------------------------------------------------
 # Wafer: measure_wafer with a checkpoint
 # ----------------------------------------------------------------------
 

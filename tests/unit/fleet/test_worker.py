@@ -185,6 +185,37 @@ class TestRunShard:
         run = read_run(tmp_path / "result.npz", "shard")
         assert sorted(run.completed) == [2, 3, 4, 5]
 
+    def test_shard_recorded_before_its_finish_is_recorded_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs.ledger import RunLedger
+        from repro.resilience import Checkpointer
+
+        clean_dir = tmp_path / "clean"
+        assert run_shard(_spec(clean_dir, 2, 6)) == 0
+        clean = read_run(clean_dir / "result.npz", "shard").arrays
+        real_finish = Checkpointer.finish
+
+        def interrupted(checkpointer):
+            monkeypatch.setattr(Checkpointer, "finish", real_finish)
+            raise RuntimeError("killed before the unlink")
+
+        monkeypatch.setattr(Checkpointer, "finish", interrupted)
+        with pytest.raises(RuntimeError, match="before the unlink"):
+            run_shard(_spec(tmp_path, 2, 6))
+        ledger = RunLedger(tmp_path / "ledger")
+        assert [m.run_id for m in ledger.runs()] == ["r0001"]
+        assert len(ledger.checkpoint_files()) == 1
+        # The respawn resumes the finished checkpoint: no second line.
+        assert run_shard(_spec(tmp_path, 2, 6, resume="r0001")) == 0
+        assert [m.run_id for m in ledger.runs()] == ["r0001"]
+        assert ledger.checkpoint_files() == []
+        assert read_lease(tmp_path / "lease.json").state == "done"
+        result = read_run(tmp_path / "result.npz", "shard").arrays
+        assert sorted(result) == sorted(clean)
+        for name, plane in clean.items():
+            np.testing.assert_array_equal(result[name], plane)
+
     def test_failed_shard_flips_lease(self, tmp_path):
         spec = _spec(tmp_path, 0, 9, faults={
             "faults": [{

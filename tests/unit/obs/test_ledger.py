@@ -81,14 +81,24 @@ class TestManifestRoundTrip:
 
 
 class TestRecording:
-    def test_record_scan_assigns_identity(self, ledger):
+    def test_record_scan_assigns_identity(self, tmp_path):
+        from repro.technologies import get
+
+        # The seed comes from the array built with it, the label from
+        # the ledger handle.
         result = ArrayScanner(small_array()).scan()
-        m1 = ledger.record_scan(result, ScanConfig(), seed=1, label="a")
-        m2 = ledger.record_scan(result, ScanConfig(), seed=2)
+        built = [get("edram").build_array(16, 8, macro_rows=8, seed=seed)
+                 for seed in (1, 2)]
+        m1 = RunLedger(tmp_path, label="a").record_scan(
+            result, ScanConfig(), array=built[0]
+        )
+        m2 = RunLedger(tmp_path).record_scan(result, ScanConfig(), array=built[1])
         assert [m1.run_id, m2.run_id] == ["r0001", "r0002"]
         assert m1.timestamp and m1.version
         assert m1.config_hash == config_hash(ScanConfig())
         assert m1.seed == 1 and m1.label == "a"
+        assert m2.seed == 2 and m2.label == ""
+        assert small_array().seed is None  # hand-built
 
     def test_artifact_round_trip(self, ledger):
         result = ArrayScanner(small_array()).scan()
@@ -135,6 +145,104 @@ class TestRecording:
             "cap_mean_fF", "cap_sigma_fF", "radial_centre_fF",
             "radial_drop_fF", "dies",
         } <= set(runs[0].scalars)
+
+
+class TestOneRecorder:
+    """A run's record ends it: id, artifact, manifest line, checkpoint."""
+
+    PLANES = ("codes", "vgs", "tiers", "quality")
+
+    def _assert_planes(self, a, b):
+        for plane in self.PLANES:
+            np.testing.assert_array_equal(getattr(a, plane), getattr(b, plane))
+
+    def test_scan_checkpointed_in_another_ledger_gets_its_own_id(self, tmp_path):
+        from repro.resilience import Checkpointer
+
+        a, b = RunLedger(tmp_path / "a"), RunLedger(tmp_path / "b")
+        first = ArrayScanner(small_array(seed=1)).scan(ScanConfig(ledger=a))
+        second = ArrayScanner(small_array(seed=2)).scan(
+            ScanConfig(ledger=a, checkpoint=Checkpointer(b))
+        )
+        # B reserved r0001 for the second scan; A's r0001 was taken.
+        assert [m.run_id for m in a.runs()] == ["r0001", "r0002"]
+        assert (first.run_id, second.run_id) == ("r0001", "r0002")
+        self._assert_planes(a.load_artifact(a.get("r0001")), first)
+        self._assert_planes(a.load_artifact(a.get("r0002")), second)
+        assert b.runs() == [] and b.checkpoint_files() == []
+
+    def test_wafer_checkpointed_in_another_ledger_gets_its_own_id(self, tmp_path):
+        from repro.resilience import Checkpointer
+        from repro.wafer import WaferModel
+
+        a, b = RunLedger(tmp_path / "a"), RunLedger(tmp_path / "b")
+        WaferModel(diameter_dies=3, seed=1).measure_wafer(ScanConfig(ledger=a))
+        report = WaferModel(diameter_dies=3, seed=2).measure_wafer(
+            ScanConfig(ledger=a, checkpoint=Checkpointer(b))
+        )
+        assert [(m.run_id, m.seed) for m in a.runs()] == [
+            ("r0001", 1), ("r0002", 2),
+        ]
+        assert report.run_id == "r0002"
+        assert b.runs() == [] and b.checkpoint_files() == []
+
+    @pytest.fixture
+    def finish_fails_once(self, monkeypatch):
+        """``Checkpointer.finish`` is interrupted once: the run is
+        recorded, its checkpoint name not yet unlinked."""
+        from repro.resilience import Checkpointer
+
+        real_finish = Checkpointer.finish
+
+        def interrupted(checkpointer):
+            monkeypatch.setattr(Checkpointer, "finish", real_finish)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Checkpointer, "finish", interrupted)
+
+    def test_scan_recorded_before_its_finish_is_recorded_once(
+        self, ledger, finish_fails_once
+    ):
+        from repro.resilience import Checkpointer
+
+        def scan(checkpointer):
+            return ArrayScanner(small_array()).scan(
+                ScanConfig(ledger=ledger, checkpoint=checkpointer)
+            )
+
+        with pytest.raises(KeyboardInterrupt):
+            scan(Checkpointer(ledger))
+        assert [m.run_id for m in ledger.runs()] == ["r0001"]
+        assert len(ledger.checkpoint_files()) == 1
+        resumed = scan(Checkpointer(ledger, resume="r0001"))
+        assert resumed.run_id == "r0001"
+        assert [m.run_id for m in ledger.runs()] == ["r0001"]
+        assert ledger.checkpoint_files() == []
+        clean = ArrayScanner(small_array()).scan()
+        self._assert_planes(ledger.load_artifact(ledger.get("r0001")), clean)
+        self._assert_planes(resumed, clean)
+
+    def test_wafer_recorded_before_its_finish_is_recorded_once(
+        self, ledger, finish_fails_once
+    ):
+        from repro.resilience import Checkpointer
+        from repro.wafer import WaferModel
+
+        def wafer(checkpointer):
+            return WaferModel(diameter_dies=3, seed=4).measure_wafer(
+                ScanConfig(ledger=ledger, checkpoint=checkpointer)
+            )
+
+        with pytest.raises(KeyboardInterrupt):
+            wafer(Checkpointer(ledger))
+        (first,) = ledger.runs()
+        assert len(ledger.checkpoint_files()) == 1
+        resumed = wafer(Checkpointer(ledger, resume="r0001"))
+        assert resumed.run_id == "r0001"
+        assert ledger.runs() == [first]
+        assert ledger.checkpoint_files() == []
+        clean = WaferModel(diameter_dies=3, seed=4).measure_wafer()
+        assert resumed.dies == clean.dies
 
 
 class TestReading:
@@ -195,11 +303,25 @@ class TestRunIds:
     def test_reserved_lower_id_recorded_late_still_yields_max_plus_one(
         self, ledger
     ):
+        from repro.resilience import Checkpointer
+
+        def reserve():
+            checkpointer = Checkpointer(ledger)
+            checkpointer.start("scan", {}, {"codes": np.zeros(1)}, total=1)
+            checkpointer.mark_done(0)
+            return checkpointer
+
         result = ArrayScanner(small_array()).scan()
         ledger.record_scan(result)  # r0001
-        ledger.record_scan(result, run_id="r0005")
-        ledger.record_scan(result, run_id="r0003")  # reserved earlier
-        assert [m.run_id for m in ledger.runs()] == ["r0001", "r0005", "r0003"]
+        early = reserve()  # r0002
+        ledger.record_scan(result)  # r0003
+        ledger.record_scan(result)  # r0004
+        late = reserve()  # r0005
+        ledger.record(RunManifest(kind="scan"), checkpoint=late)
+        ledger.record(RunManifest(kind="scan"), checkpoint=early)
+        assert [m.run_id for m in ledger.runs()] == [
+            "r0001", "r0003", "r0004", "r0005", "r0002",
+        ]
         with ledger.locked():
             assert ledger.next_run_id() == "r0006"
 

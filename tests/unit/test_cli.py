@@ -437,6 +437,54 @@ def test_interrupted_wafer_resumes_with_the_listed_hint(tmp_path, capsys):
     assert "no unfinished runs" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["scan", "--rows", "16", "--cols", "8", "--macro-rows", "8"],
+    ["wafer", "--diameter", "5"],
+], ids=["scan", "wafer"])
+def test_failed_manifest_append_keeps_the_recorded_runs_checkpoint(
+    command, tmp_path, capsys
+):
+    # The driver records, then finishes the checkpoint: a manifest line
+    # that fails leaves the measured run resumable, never lost.
+    import numpy as np
+
+    from repro.obs import RunLedger
+    from repro.resilience import Fault, FaultPlan, inject
+
+    ledger_dir = str(tmp_path / "runs")
+    record = ["--record", ledger_dir, "--checkpoint", ledger_dir]
+    disk_full = Fault("durable.append", error=OSError("disk full"),
+                      match={"target": "manifest.jsonl"})
+    with inject(FaultPlan([disk_full])), pytest.raises(OSError, match="disk full"):
+        main([*command, *record])
+    ledger = RunLedger(ledger_dir)
+    assert ledger.runs() == []
+    capsys.readouterr()
+    assert main(["runs", "checkpoints", "--dir", ledger_dir]) == 0
+    listed = capsys.readouterr().out
+    assert listed.startswith("r0001  ")
+    assert f"--resume r0001 --checkpoint {ledger_dir}" in listed
+
+    assert main([command[0], "--resume", "r0001", *record]) == 0
+    assert "recorded as r0001" in capsys.readouterr().out
+    (manifest,) = ledger.runs()
+    assert ledger.checkpoint_files() == []
+    plain_ledger = RunLedger(tmp_path / "plain")
+    assert main([*command, "--record", str(plain_ledger.root)]) == 0
+    (plain,) = plain_ledger.runs()
+    timing = {"wall_seconds", "cells_per_second", "dies_per_second"}
+    assert {k: v for k, v in manifest.scalars.items() if k not in timing} == {
+        k: v for k, v in plain.scalars.items() if k not in timing
+    }
+    if command[0] == "scan":
+        resumed = ledger.load_artifact(manifest)
+        clean = plain_ledger.load_artifact(plain)
+        for plane in ("codes", "vgs", "tiers", "quality"):
+            np.testing.assert_array_equal(
+                getattr(resumed, plane), getattr(clean, plane)
+            )
+
+
 def test_tech_list_command(capsys):
     assert main(["tech", "list"]) == 0
     out = capsys.readouterr().out
@@ -486,8 +534,9 @@ def test_scan_record_fecap_carries_disturb_scalars(tmp_path, capsys):
 
 @pytest.mark.parametrize("tech", ["fecap", "1t"])
 def test_scan_record_carries_the_api_scalar_keys(tech, tmp_path, capsys):
-    # The CLI and a ScanConfig(ledger=...) scan chart the same backend
-    # scalars; the CLI adds only the calibrated bitmap's.
+    # The scan driver is the one recorder: a CLI scan and a
+    # ScanConfig(ledger=...) scan chart the same scalars, the backend's
+    # and the calibrated bitmap's included.
     from repro.measure.config import ScanConfig
     from repro.measure.scan import ArrayScanner
     from repro.obs import RunLedger
@@ -500,7 +549,7 @@ def test_scan_record_carries_the_api_scalar_keys(tech, tmp_path, capsys):
     capsys.readouterr()
     (cli,) = RunLedger(tmp_path / "cli").runs()
     backend = get(tech)
-    array = backend.build_array(8, 4, macro_rows=8, seed=0)
+    array = backend.build_array(8, 4, macro_rows=8, seed=0, with_defects=True)
     api_ledger = RunLedger(tmp_path / "api")
     ArrayScanner(array, backend.design_structure(array, bitline_rows=8)).scan(
         ScanConfig(technology=tech, ledger=api_ledger)
@@ -508,10 +557,9 @@ def test_scan_record_carries_the_api_scalar_keys(tech, tmp_path, capsys):
     (api,) = api_ledger.runs()
     extra = set(backend.extra_scalars(array))
     assert extra and extra <= set(api.scalars)
-    assert set(cli.scalars) - set(api.scalars) == {
-        "cap_mean_fF", "cap_sigma_fF", "in_range_fraction",
-    }
-    assert set(api.scalars) <= set(cli.scalars)
+    assert set(cli.scalars) == set(api.scalars)
+    bitmap = ("cap_mean_fF", "cap_sigma_fF", "in_range_fraction")
+    assert [cli.scalars[k] for k in bitmap] == [api.scalars[k] for k in bitmap]
 
 
 def test_runs_checkpoints_names_the_fleet_for_a_shard_checkpoint(tmp_path, capsys):
