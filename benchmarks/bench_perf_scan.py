@@ -266,8 +266,8 @@ def bench_perf_scan_trace_overhead(tech):
     """Observability guard: full tracing + metrics must cost < 5%.
 
     Engine-tier workload (``force_engine``) — the worst case for the
-    tracer, since every cell opens six spans and the per-cell numeric
-    work is smallest relative to the span machinery.
+    tracer: every macro opens six spans (its own and five phases) and
+    the engine's stacked solve leaves little numeric work per span.
 
     Measurement notes, hard-won on shared hardware:
 
@@ -339,12 +339,16 @@ def bench_perf_scan_trace_overhead(tech):
     # Observability must be invisible in the data...
     assert np.array_equal(traced_scan.codes, baseline.codes)
     assert np.array_equal(traced_scan.vgs, baseline.vgs)
-    # ...and actually observing: one scan root, a span per cell, the
-    # paper's five phases under each.
+    # ...and actually observing: one scan root, a span per macro, the
+    # paper's five phases under each, phases 1–4 solving every cell.
     assert len(tracer.roots()) == 1
-    cell_spans = [s for s in tracer.spans if s.name == "cell"]
-    assert len(cell_spans) == array.num_cells
-    assert all(len(tracer.children(s)) == 5 for s in cell_spans)
+    macro_spans = [s for s in tracer.spans if s.name == "macro"]
+    assert len(macro_spans) == array.num_macros
+    assert all(len(tracer.children(s)) == 5 for s in macro_spans)
+    assert sum(
+        c.attributes["cells"] for s in macro_spans for c in tracer.children(s)
+        if c.name == "phase:share"
+    ) == array.num_cells
 
     report(
         "PERF: tracer + metrics overhead on an engine-tier scan",

@@ -89,6 +89,16 @@ class CellClassifier:
         self, row: int, col: int, digital_fail: bool | None = None
     ) -> CellVerdict:
         """Verdict for one cell; ``digital_fail`` refines code-0 cases."""
+        return self._classify(row, col, digital_fail, None)
+
+    def _classify(
+        self, row: int, col: int, digital_fail: bool | None, median: float | None
+    ) -> CellVerdict:
+        """:meth:`classify_cell` with the plane's median code precomputed.
+
+        ``median`` is ``None`` to take it here, only if the cell reads
+        code 0; :meth:`classify_all` takes it once for the whole plane.
+        """
         code = int(self.bitmap.codes[row, col])
         verdict = self.window.classify(code)
         if verdict is SpecVerdict.PASS:
@@ -101,7 +111,8 @@ class CellClassifier:
             return CellVerdict.OVER_RANGE
         # Code 0: disambiguate with the macro-neighbour fingerprint.
         neighbours = self._row_neighbour_codes(row, col)
-        median = float(np.median(self.bitmap.codes))
+        if median is None:
+            median = float(np.median(self.bitmap.codes))
         if neighbours and min(neighbours) >= median + self.short_code_lift:
             return CellVerdict.SHORT
         if digital_fail is False:
@@ -118,10 +129,11 @@ class CellClassifier:
                     f"digital_fails shape {digital_fails.shape} != bitmap {self.bitmap.shape}"
                 )
         out = np.empty((rows, cols), dtype=object)
+        median = float(np.median(self.bitmap.codes))
         for r in range(rows):
             for c in range(cols):
                 fail = None if digital_fails is None else bool(digital_fails[r, c])
-                out[r, c] = self.classify_cell(r, c, fail)
+                out[r, c] = self._classify(r, c, fail, median)
         return out
 
     def verdict_counts(self, verdicts: np.ndarray) -> dict[CellVerdict, int]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import MeasurementError
 
 
@@ -80,6 +82,32 @@ class MeasurementResult:
     def in_range(self) -> bool:
         """True when the abacus can invert this code to a capacitance."""
         return self.meaning is CodeMeaning.IN_RANGE
+
+
+@dataclass(frozen=True)
+class ChargeBatch:
+    """Outcome of one stacked charge-tier measurement of several cells.
+
+    Returned by
+    :meth:`repro.measure.sequencer.MeasurementSequencer.measure_charge`
+    when it is given index arrays.
+
+    Parameters
+    ----------
+    vgs:
+        V_GS of every target in volts, in target order (NaN where the
+        target failed).
+    failed:
+        Boolean mask of targets whose solve failed.
+    errors:
+        Per target, ``None`` or the solver error that failed it
+        (:class:`~repro.errors.SingularCircuitError` or
+        :class:`~repro.errors.ConvergenceError`).
+    """
+
+    vgs: np.ndarray
+    failed: np.ndarray
+    errors: tuple[Exception | None, ...]
 
 
 @dataclass

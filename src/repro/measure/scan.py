@@ -40,7 +40,7 @@ not inside a scan.
 
 Observability (see docs/architecture.md "Observability"): every entry
 point takes a :class:`~repro.measure.config.ScanConfig` whose tracer
-records the scan → macro → cell → phase span tree and whose metrics
+records the scan → macro → phase span tree and whose metrics
 registry, installed ambiently for the scan, collects tier counts, code
 histograms, cache hits and solver statistics.  Both default to no-op
 implementations pinned bit-exact against the un-instrumented path.
@@ -56,13 +56,7 @@ import numpy as np
 
 from repro.edram.array import EDRAMArray, MacroCell
 from repro.edram.defects import DefectKind
-from repro.errors import (
-    ConvergenceError,
-    MeasurementError,
-    ReproError,
-    ScanMismatchError,
-    SingularCircuitError,
-)
+from repro.errors import MeasurementError, ReproError, ScanMismatchError
 from repro.measure.config import ScanConfig
 from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
 from repro.measure.sequencer import MeasurementSequencer
@@ -334,7 +328,8 @@ class ArrayScanner:
             quality = quality_plane((macro.rows, self.array.macro_cols))
             if config.force_engine or self._macro_needs_engine(macro):
                 vgs = self._engine_macro_vgs(macro, tracer, quality)
-                codes = self.codes_for_vgs(vgs)
+                with tracer.span("phase:convert"):
+                    codes = self.codes_for_vgs(vgs)
                 tier = "e"
                 span.attributes["tier"] = "engine"
             else:
@@ -358,40 +353,37 @@ class ArrayScanner:
     def _engine_macro_vgs(
         self, macro: MacroCell, tracer, quality: np.ndarray
     ) -> np.ndarray:
-        """Engine tier with the per-cell fallback ladder.
+        """Engine tier: one stacked solve of every cell, then the fallback ladder.
 
-        A cell whose exact solve fails (singular network, no
+        All of the macro's cells go to the sequencer in one
+        :meth:`~repro.measure.sequencer.MeasurementSequencer.measure_charge`
+        call.  A cell whose exact solve failed (singular network, no
         convergence) is re-estimated once from the macro's closed form
         and flagged DEGRADED; if even the closed form refuses, the cell
         becomes a flagged FAILED placeholder.  Either way the scan
         continues — one pathological cell must never abort the bitmap.
         """
-        sequencer = self._sequencer(macro)
         mc = self.array.macro_cols
-        vgs = np.zeros((macro.rows, mc))
+        rows, cols = np.divmod(np.arange(macro.rows * mc), mc)
+        batch = self._sequencer(macro).measure_charge(rows, cols, tracer=tracer)
+        vgs = batch.vgs.reshape(macro.rows, mc)
         fallback: np.ndarray | None | bool = None
-        for r in range(macro.rows):
-            for c in range(mc):
+        for r, c in zip(*np.nonzero(batch.failed.reshape(macro.rows, mc))):
+            if fallback is None:
                 try:
-                    vgs[r, c] = sequencer.measure_charge(
-                        r, c, tracer=tracer
-                    ).vgs
-                except (SingularCircuitError, ConvergenceError):
-                    if fallback is None:
-                        try:
-                            fallback = self.closed_form_vgs(macro)
-                        except ReproError:
-                            fallback = False
-                    if fallback is not False:
-                        vgs[r, c] = fallback[r, c]
-                        quality[r, c] = CellQuality.DEGRADED
-                        active_metrics().counter(
-                            "scan.cell_fallbacks",
-                            "engine cells rescued by the closed form",
-                        ).inc()
-                    else:  # pragma: no cover - closed form is pure algebra
-                        vgs[r, c] = 0.0
-                        quality[r, c] = CellQuality.FAILED
+                    fallback = self.closed_form_vgs(macro)
+                except ReproError:
+                    fallback = False
+            if fallback is not False:
+                vgs[r, c] = fallback[r, c]
+                quality[r, c] = CellQuality.DEGRADED
+                active_metrics().counter(
+                    "scan.cell_fallbacks",
+                    "engine cells rescued by the closed form",
+                ).inc()
+            else:  # pragma: no cover - closed form is pure algebra
+                vgs[r, c] = 0.0
+                quality[r, c] = CellQuality.FAILED
         return vgs
 
     def scan(self, config: ScanConfig | None = None) -> ScanResult:
@@ -404,8 +396,8 @@ class ArrayScanner:
         The returned result carries a :class:`ScanStats` telemetry
         record in ``result.stats``; when ``config.metrics`` is a real
         registry the stats are folded into it as well, and
-        ``config.tracer`` receives the scan → kernel/macro → cell →
-        phase span tree.  ``config.progress`` is advanced as tiles land
+        ``config.tracer`` receives the scan → kernel/macro → phase span
+        tree.  ``config.progress`` is advanced as tiles land
         (live completion/throughput/ETA), and when ``config.ledger`` is
         set a run manifest (provenance, per-run scalars and the
         calibrated bitmap's) is appended to it on completion.

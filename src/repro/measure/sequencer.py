@@ -6,7 +6,11 @@ either tier:
 - :meth:`measure_charge` — walks the exact ideal-switch network through
   phases 1–4, then converts the resulting V_GS statically (the paper's
   phase 5 ramp reduced to its endpoint condition).  Exact, fast, and the
-  reference for the closed-form scan tier.
+  reference for the closed-form scan tier.  Given index arrays it
+  measures many cells of the macro at once: phase 1 is settled once
+  (every target starts from the same pristine network) and each of
+  phases 2–4 is one stacked solve over all targets
+  (:meth:`~repro.circuit.charge.CapacitorNetwork.settle_stack`).
 - :meth:`measure_transient` — integrates the full transistor netlist
   through all five phases, drives the real current staircase through the
   shift register model, and decodes the OUT flip exactly as a tester
@@ -19,11 +23,15 @@ same code for the same cell (cross-validated in the integration tests,
 
 from __future__ import annotations
 
-from repro.circuit.charge import CapacitorNetwork
+from typing import Sequence, overload
+
+import numpy as np
+
+from repro.circuit.charge import CapacitorNetwork, Islands
 from repro.circuit.transient import TransientOptions, transient_analysis
 from repro.circuit.waveform import Waveform
 from repro.edram.array import MacroCell
-from repro.errors import MeasurementError
+from repro.errors import ConvergenceError, MeasurementError, SingularCircuitError
 from repro.measure.netlist_builder import (
     ChargeNetlist,
     build_charge_network,
@@ -31,7 +39,7 @@ from repro.measure.netlist_builder import (
     _bitline_node,
 )
 from repro.measure.phases import Phase, PhasePlan
-from repro.measure.result import FlowTrace, MeasurementResult
+from repro.measure.result import ChargeBatch, FlowTrace, MeasurementResult
 from repro.measure.shift_register import ShiftRegister
 from repro.measure.structure import MeasurementStructure
 from repro.obs.metrics import active_metrics
@@ -120,6 +128,7 @@ class MeasurementSequencer:
     # Charge tier
     # ------------------------------------------------------------------
 
+    @overload
     def measure_charge(
         self,
         row: int,
@@ -127,17 +136,47 @@ class MeasurementSequencer:
         trace: FlowTrace | None = None,
         preflight: bool = False,
         tracer: Tracer | NullTracer = NULL_TRACER,
-    ) -> MeasurementResult:
-        """Measure cell (row, lcol) through the exact charge tier.
+    ) -> MeasurementResult: ...
+
+    @overload
+    def measure_charge(
+        self,
+        row: np.ndarray,
+        lcol: np.ndarray,
+        trace: Sequence[FlowTrace] | None = None,
+        preflight: bool = False,
+        tracer: Tracer | NullTracer = NULL_TRACER,
+    ) -> ChargeBatch: ...
+
+    def measure_charge(self, row, lcol, trace=None, preflight=False, tracer=NULL_TRACER):
+        """Measure cell (row, lcol) — or many cells — through the exact charge tier.
+
+        With two ints, returns the cell's
+        :class:`~repro.measure.result.MeasurementResult`; a solver
+        failure raises.  ``tracer`` receives a ``cell`` span with one
+        child per measurement phase (1–4, then the phase-5 conversion).
+
+        With two equal-length index arrays, measures every target in one
+        stacked solve per phase and returns a
+        :class:`~repro.measure.result.ChargeBatch` of V_GS values and a
+        failed mask; no code is converted.  A target whose solve fails
+        (:class:`~repro.errors.SingularCircuitError` or
+        :class:`~repro.errors.ConvergenceError`, including one injected at
+        the ``sequencer.measure`` fault site, which fires once per target
+        in target order) is marked failed; any other error propagates.
+        ``trace`` is then one :class:`FlowTrace` per target, and
+        ``tracer`` receives the four stacked phase spans, each carrying
+        ``cells=`` (the targets it solved).
 
         With ``preflight=True`` the static ERC pass runs first and a
         structurally bad network raises
         :class:`~repro.errors.RuleViolation` naming the violated rule
-        codes instead of failing inside the charge solver.  ``tracer``
-        receives a ``cell`` span with one child per measurement phase
-        (1–4 inside :meth:`run_charge_phases`, the phase-5 conversion
-        here).
+        codes instead of failing inside the charge solver.
         """
+        if np.ndim(row) or np.ndim(lcol):
+            return self._measure_batch(
+                np.asarray(row), np.asarray(lcol), trace, preflight, tracer
+            )
         self._check_target(row, lcol)
         fault_point(
             "sequencer.measure",
@@ -146,17 +185,18 @@ class MeasurementSequencer:
             col=self.macro.col_start + lcol,
         )
         if preflight:
-            from repro.lint import raise_on_errors
-
-            raise_on_errors(self.preflight())
+            self._preflight_or_raise()
         with tracer.span(
             "cell",
             row=self.macro.row_start + row,
             col=self.macro.col_start + lcol,
             tier="charge",
         ) as span:
-            built = self._charge_network()
-            vgs = self.run_charge_phases(built, row, lcol, trace, tracer)
+            traces = None if trace is None else [trace]
+            vgs_all, errors = self._charge_phases([row], [lcol], traces, tracer)
+            if errors[0] is not None:
+                raise errors[0]
+            vgs = float(vgs_all[0])
             # Phase 5 — CONVERT: the current-ramp endpoint condition,
             # evaluated statically.
             with tracer.span("phase:convert"):
@@ -170,30 +210,118 @@ class MeasurementSequencer:
             address=(self.macro.row_start + row, self.macro.col_start + lcol),
         )
 
-    def run_charge_phases(
+    def _preflight_or_raise(self) -> None:
+        from repro.lint import raise_on_errors
+
+        raise_on_errors(self.preflight())
+
+    def _measure_batch(
         self,
-        built: ChargeNetlist,
-        row: int,
-        lcol: int,
-        trace: FlowTrace | None = None,
-        tracer: Tracer | NullTracer = NULL_TRACER,
-    ) -> float:
-        """Drive the network through phases 1–4; return the final V_GS."""
+        rows: np.ndarray,
+        lcols: np.ndarray,
+        traces: Sequence[FlowTrace] | None,
+        preflight: bool,
+        tracer: Tracer | NullTracer,
+    ) -> ChargeBatch:
+        """The index-array form of :meth:`measure_charge`."""
+        if rows.ndim != 1 or rows.shape != lcols.shape:
+            raise MeasurementError(
+                f"target rows {rows.shape} and cols {lcols.shape} must be "
+                "equal-length index arrays"
+            )
+        targets = list(zip(rows.tolist(), lcols.tolist()))
+        if traces is not None and len(traces) != len(targets):
+            raise MeasurementError(
+                f"{len(traces)} flow traces for {len(targets)} targets"
+            )
+        for row, lcol in targets:
+            self._check_target(row, lcol)
+        errors: list[Exception | None] = [None] * len(targets)
+        for k, (row, lcol) in enumerate(targets):
+            try:
+                fault_point(
+                    "sequencer.measure",
+                    macro=self.macro.index,
+                    row=self.macro.row_start + row,
+                    col=self.macro.col_start + lcol,
+                )
+            except (SingularCircuitError, ConvergenceError) as exc:
+                errors[k] = exc
+        if preflight:
+            self._preflight_or_raise()
+        live = [k for k, error in enumerate(errors) if error is None]
+        vgs = np.full(len(targets), np.nan)
+        if live:
+            solved, solve_errors = self._charge_phases(
+                [targets[k][0] for k in live],
+                [targets[k][1] for k in live],
+                None if traces is None else [traces[k] for k in live],
+                tracer,
+            )
+            vgs[live] = solved
+            for k, error in zip(live, solve_errors):
+                errors[k] = error
+        failed = np.array([error is not None for error in errors], dtype=bool)
+        return ChargeBatch(vgs=vgs, failed=failed, errors=tuple(errors))
+
+    def _charge_phases(
+        self,
+        rows: list[int],
+        lcols: list[int],
+        traces: Sequence[FlowTrace] | None,
+        tracer: Tracer | NullTracer,
+    ) -> tuple[np.ndarray, list[Exception | None]]:
+        """Drive the network through phases 1–4 for every target at once.
+
+        Returns each target's final V_GS (NaN where it failed) and its
+        solver error (``None`` when it settled every phase).
+        """
+        built = self._charge_network()
         net = built.network
+        count = len(rows)
         mc = self.macro.array.macro_cols
-        vdd = self.structure.tech.vdd
+        vdd = float(self.structure.tech.vdd)
+        plate, gate = net.node_index("plate"), net.node_index("gate")
+        bitlines = [net.node_index(_bitline_node(col)) for col in range(mc)]
+        errors: list[Exception | None] = [None] * count
+        vgs = np.full(count, np.nan)
+
+        def settle(phase, alive, islands, drives, volts):
+            """One stacked settle; drops the targets it failed."""
+            settled, failures = net.settle_stack(islands, drives, volts)
+            kept = [j for j, error in enumerate(failures) if error is None]
+            for j, error in enumerate(failures):
+                if error is not None:
+                    errors[alive[j]] = error
+            alive = [alive[j] for j in kept]
+            settled = settled[kept]
+            if traces is not None:
+                for j, k in enumerate(alive):
+                    traces[k].record(
+                        phase, float(settled[j, plate]), float(settled[j, gate])
+                    )
+            return alive, [drives[j] for j in kept], settled
 
         # Phase 1 — DISCHARGE: all wordlines on, everything driven low.
-        with tracer.span("phase:discharge"):
+        # Every target starts from the same pristine network, so this
+        # phase is settled once for all of them.
+        with tracer.span("phase:discharge", cells=count):
             for name in built.access_switches.values():
                 net.close_switch(name)
             for col in range(mc):
                 net.drive(_bitline_node(col), 0.0)
             net.drive("plate", 0.0)
             net.close_switch(built.lec_switch)
-            state = net.settle()
-        if trace is not None:
-            trace.record("discharge", state["plate"], state["gate"])
+            try:
+                net.settle()
+            except SingularCircuitError as exc:
+                return vgs, [exc] * count
+            discharged = net.voltage_vector()
+        if traces is not None:
+            for trace in traces:
+                trace.record(
+                    "discharge", float(discharged[plate]), float(discharged[gate])
+                )
 
         # Phase 2 — CHARGE C_m: only the target row stays selected; other
         # bitlines rise to V_DD; LEC opens; the plate is driven to V_DD.
@@ -207,51 +335,69 @@ class MeasurementSequencer:
         # the target bitline claims its island first, then the plate,
         # then the neighbour bitlines; later claims on an already-claimed
         # island with a different level are skipped (left to follow).
-        with tracer.span("phase:charge"):
-            for (r, _c), name in built.access_switches.items():
-                if r != row:
-                    net.open_switch(name)
-            net.open_switch(built.lec_switch)
-            for col in range(mc):
-                if col != lcol:
-                    net.float_node(_bitline_node(col))
-            net.float_node("plate")
-            desired: list[tuple[str, float]] = [
-                (_bitline_node(lcol), 0.0), ("plate", vdd)
-            ]
-            desired += [
-                (_bitline_node(col), vdd) for col in range(mc) if col != lcol
-            ]
-            claimed: dict[frozenset, float] = {}
-            for node, level in desired:
-                island = frozenset(net.island_of(node))
-                holder = claimed.get(island)
-                if holder is not None and holder != level:
-                    continue  # a higher-priority drive owns this island
-                claimed[island] = level
-                net.drive(node, level)
-            state = net.settle()
-        if trace is not None:
-            trace.record("charge", state["plate"], state["gate"])
+        with tracer.span("phase:charge", cells=count):
+            charge_islands: dict[int, Islands] = {}
+            share_islands: dict[int, Islands] = {}
+            deselect_all = dict.fromkeys(built.access_switches.values(), False)
+            for target_row in sorted(set(rows)):
+                # Only the target row's access switches stay closed.
+                selected = dict(deselect_all)
+                selected.update(
+                    (name, True) for (r, _c), name in built.access_switches.items()
+                    if r == target_row
+                )
+                selected[built.lec_switch] = False
+                charge_islands[target_row] = net.islands(selected)
+                selected[built.lec_switch] = True
+                share_islands[target_row] = net.islands(selected)
+            phase1_drives = net.drives()
+            drives = []
+            for row, lcol in zip(rows, lcols):
+                labels = charge_islands[row].label_list
+                driven = dict(phase1_drives)
+                for col in range(mc):
+                    if col != lcol:
+                        driven.pop(bitlines[col], None)
+                driven.pop(plate, None)
+                desired = [(bitlines[lcol], 0.0), (plate, vdd)]
+                desired += [(bitlines[col], vdd) for col in range(mc) if col != lcol]
+                claimed: dict[int, float] = {}
+                for node, level in desired:
+                    island = labels[node]
+                    holder = claimed.get(island)
+                    if holder is not None and holder != level:
+                        continue  # a higher-priority drive owns this island
+                    claimed[island] = level
+                    driven[node] = level
+                drives.append(driven)
+            alive, drives, volts = settle(
+                "charge",
+                list(range(count)),
+                [charge_islands[row] for row in rows],
+                drives,
+                np.broadcast_to(discharged, (count, len(discharged))),
+            )
 
         # Phase 3 — ISOLATE: PRG opens, every non-target bitline floats.
-        with tracer.span("phase:isolate"):
-            if net.is_driven("plate"):
-                net.float_node("plate")
-            for col in range(mc):
-                if col != lcol:
-                    net.float_node(_bitline_node(col))
-            state = net.settle()
-        if trace is not None:
-            trace.record("isolate", state["plate"], state["gate"])
+        with tracer.span("phase:isolate", cells=len(alive)):
+            for k, driven in zip(alive, drives):
+                driven.pop(plate, None)
+                for col in range(mc):
+                    if col != lcols[k]:
+                        driven.pop(bitlines[col], None)
+            alive, drives, volts = settle(
+                "isolate", alive, [charge_islands[rows[k]] for k in alive],
+                drives, volts,
+            )
 
         # Phase 4 — SHARE: LEC closes; C_m shares with C_REF.
-        with tracer.span("phase:share"):
-            net.close_switch(built.lec_switch)
-            state = net.settle()
-        if trace is not None:
-            trace.record("share", state["plate"], state["gate"])
-        return state["gate"]
+        with tracer.span("phase:share", cells=len(alive)):
+            alive, drives, volts = settle(
+                "share", alive, [share_islands[rows[k]] for k in alive],
+                drives, volts,
+            )
+        vgs[alive] = volts[:, gate]
+        return vgs, errors
 
     # ------------------------------------------------------------------
     # Transient tier

@@ -115,6 +115,9 @@ class MeasurementStructure:
         self.design = design if design is not None else MeasurementDesign()
         self.dac = ProgrammableCurrentReference(self.design.delta_i, self.design.num_steps)
         self.sense = SenseChain(tech, self.design.inverter)
+        # The tech card and design are frozen, so the threshold is a
+        # constant of the structure; every boundary bisection reads it.
+        self._threshold = self.sense.threshold
         self._ref = Mosfet(
             "REF", "drain", "gate", "0", tech.nmos,
             w=self.design.w_ref, l=self.design.l_ref,
@@ -138,7 +141,7 @@ class MeasurementStructure:
         OUT flip condition is evaluated.
         """
         if vds is None:
-            vds = self.sense.threshold
+            vds = self._threshold
         return self._ref.ids(vds, vgs, 0.0)
 
     def code_for_vgs(self, vgs: float) -> int:

@@ -1,6 +1,6 @@
 """Observability: tracing and metrics for the measurement hot paths.
 
-The paper's flow is a pipeline — scan → macro → cell → phase 1–5 — and
+The paper's flow is a pipeline — scan → macro → phase 1–5 — and
 this package makes the pipeline visible without changing it:
 
 - :mod:`repro.obs.trace` — :class:`Tracer` records nested, timed,

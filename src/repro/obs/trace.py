@@ -1,9 +1,9 @@
 """Tracing: nested spans over the measurement hot paths.
 
-The measurement flow is pipeline-shaped — scan → macro → cell →
-phase 1–5 — and the production questions about it are pipeline
-questions: where does the wall time go, which tier produced which code,
-which macro was the straggler.  A :class:`Tracer` answers them by
+The measurement flow is pipeline-shaped — scan → macro → phase 1–5,
+or cell → phase 1–5 for a single measurement — and the production
+questions about it are pipeline questions: where does the wall time go,
+which tier produced which code, which macro was the straggler.  A :class:`Tracer` answers them by
 recording **spans**: named intervals with wall-clock start/end times,
 free-form attributes, and a parent link that makes the recording a
 forest mirroring the call nesting.
@@ -13,10 +13,12 @@ The span taxonomy used by the instrumented hot paths (see
 
 - ``scan`` — one whole-array scan,
 - ``macro`` — one macro-cell tile inside a scan,
-- ``cell`` — one engine-tier cell measurement,
+- ``cell`` — one single-cell measurement (``measure_charge`` with one
+  target, ``measure_transient``),
 - ``phase:discharge`` / ``phase:charge`` / ``phase:isolate`` /
   ``phase:share`` / ``phase:convert`` — the paper's five measurement
-  phases inside one cell flow,
+  phases, under a cell or, for an engine macro of a scan, under its
+  ``macro`` span (phases 1–4 solve every cell at once, with ``cells=``),
 - ``diagnosis`` / ``stage:*`` — the diagnosis pipeline and its stages.
 
 Tracing is strictly opt-in.  Every instrumented call site defaults to

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import TechnologyError
-from repro.units import EPS0, EPS_SIO2, fF, nm, um, fA
+from repro.units import EPS0, EPS_SIO2, T_NOMINAL, fF, nm, um, fA
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,6 @@ class MosfetParams:
 
     @property
     def _dtemp(self) -> float:
-        from repro.units import T_NOMINAL
-
         return self.temperature_k - T_NOMINAL
 
     @property
@@ -115,8 +113,6 @@ class MosfetParams:
     @property
     def kp_eff(self) -> float:
         """Transconductance at the evaluation temperature."""
-        from repro.units import T_NOMINAL
-
         return self.kp * (self.temperature_k / T_NOMINAL) ** self.mobility_exponent
 
     def beta_eff(self, width: float, length: float) -> float:
@@ -236,8 +232,6 @@ class TechnologyCard:
         DRAM junction leakage roughly doubles every 10 K; the card's base
         value is specified at the nominal 300.15 K.
         """
-        from repro.units import T_NOMINAL
-
         t = self.temperature_k if temperature_k is None else temperature_k
         if t <= 0:
             raise TechnologyError(f"temperature must be positive, got {t}")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bitmap.analog import AnalogBitmap
 from repro.calibration.abacus import Abacus
@@ -110,3 +112,45 @@ def test_digital_shape_mismatch_rejected(tech, tall_setup):
     classifier = CellClassifier(bitmap, window, macro_cols=2)
     with pytest.raises(DiagnosisError):
         classifier.classify_all(np.zeros((2, 2), dtype=bool))
+
+
+class _Plane:
+    """The two attributes of an analog bitmap the classifier reads."""
+
+    def __init__(self, codes: np.ndarray) -> None:
+        self.codes = codes
+        self.shape = codes.shape
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    macros=st.integers(1, 4),
+    macro_cols=st.integers(1, 4),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    digital=st.sampled_from(["none", "all_fail", "all_pass", "random"]),
+    lift=st.integers(0, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_classify_all_matches_the_per_cell_loop(
+    seed, rows, macros, macro_cols, zero_frac, digital, lift
+):
+    # classify_all takes the plane's median once; the verdicts must be
+    # those of classify_cell called cell by cell.
+    rng = np.random.default_rng(seed)
+    shape = (rows, macros * macro_cols)
+    codes = rng.integers(0, 21, shape)
+    codes[rng.random(shape) < zero_frac] = 0
+    window = SpecificationWindow(code_lo=8, code_hi=12, num_steps=20, delta_i=4e-6)
+    classifier = CellClassifier(_Plane(codes), window, macro_cols, short_code_lift=lift)
+    fails = {
+        "none": None,
+        "all_fail": np.ones(shape, dtype=bool),
+        "all_pass": np.zeros(shape, dtype=bool),
+        "random": rng.random(shape) < 0.5,
+    }[digital]
+    verdicts = classifier.classify_all(fails)
+    for r in range(shape[0]):
+        for c in range(shape[1]):
+            fail = None if fails is None else bool(fails[r, c])
+            assert verdicts[r, c] is classifier.classify_cell(r, c, fail)

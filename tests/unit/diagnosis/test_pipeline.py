@@ -78,3 +78,29 @@ def test_geometry_change_triggers_redesign(tech):
     small = EDRAMArray(8, 4, tech=tech, macro_cols=2, macro_rows=8)
     pipeline.run(small)
     assert pipeline._structure is not first
+
+
+def test_one_boundary_table_per_run(tech, monkeypatch):
+    """A run solves each of the ``num_steps`` code boundaries exactly once.
+
+    The e2e benchmark's ``calibration.calls == 3`` counts three wrapped
+    calls per diagnose op — ``design_structure``, ``Abacus.for_array``
+    and the ``Abacus.analytic`` nested in it — not three boundary
+    solves: the designed structure memoizes its table, and the abacus
+    and the scanner both read it.
+    """
+    from repro.measure.structure import MeasurementStructure
+
+    solved = []
+    original = MeasurementStructure.vgs_for_code_boundary
+
+    def counting(self, code):
+        solved.append(code)
+        return original(self, code)
+
+    monkeypatch.setattr(MeasurementStructure, "vgs_for_code_boundary", counting)
+    array = _array(tech)
+    array.cell(9, 2).apply_defect(CellDefect(DefectKind.BRIDGE))  # an engine macro
+    report = DiagnosisPipeline(spec_lo=24 * fF, spec_hi=36 * fF).run(array)
+    num_steps = report.scan.num_steps
+    assert sorted(solved) == list(range(1, num_steps + 1))

@@ -5,7 +5,9 @@ Two invariants matter most:
 - **bit-exactness** — attaching a tracer/metrics registry must not
   change a single code (the no-op default path is the production path);
 - **coverage** — an engine-tier scan must produce the full
-  scan → macro → cell → phase 1–5 span tree the docs promise.
+  scan → macro → phase 1–5 span tree the docs promise (the engine
+  solves a macro's cells as one stack, so phases 1–4 carry ``cells=``),
+  and a single-cell measurement its cell → phase 1–5 tree.
 """
 
 import numpy as np
@@ -50,26 +52,29 @@ class TestSpanCoverage:
         tracer = Tracer()
         ArrayScanner(bridged_array, structure_8x2).scan(ScanConfig(tracer=tracer))
         summary = summarize_trace(tracer.spans)
-        assert summary.covers("scan", "macro", "cell", *PHASES)
-        assert summary.max_depth == 3  # scan > macro > cell > phase
+        assert summary.covers("scan", "macro", *PHASES)
+        assert "cell" not in summary.names  # one stacked solve per macro
+        assert summary.max_depth == 2  # scan > macro > phase
 
     def test_every_engine_cell_has_exactly_five_phase_children(
         self, bridged_array, structure_8x2
     ):
+        # Each engine cell is solved once in each of the four stacked
+        # phases of its macro, then converted in the macro's phase 5.
         tracer = Tracer()
         ArrayScanner(bridged_array, structure_8x2).scan(ScanConfig(tracer=tracer))
-        cells = [s for s in tracer.spans if s.name == "cell"]
-        assert len(cells) == 16  # one engine macro of 8x2
-        for cell in cells:
-            names = [c.name for c in tracer.children(cell)]
-            assert names == list(PHASES)
+        macros = [s for s in tracer.spans if s.name == "macro"]
+        assert len(macros) == 1  # one engine macro of 8x2
+        children = tracer.children(macros[0])
+        assert [c.name for c in children] == list(PHASES)
+        assert [c.attributes.get("cells") for c in children] == [16] * 4 + [None]
 
     def test_macro_spans_for_engine_macros_kernel_span_for_the_rest(
         self, bridged_array, structure_8x2
     ):
         # Tracing no longer forces the per-macro fallback: closed-form
         # macros ride the batched kernel (one "kernel" span), and only
-        # engine macros get their own macro → cell → phase subtree.
+        # engine macros get their own macro → phase subtree.
         tracer = Tracer()
         ArrayScanner(bridged_array, structure_8x2).scan(ScanConfig(tracer=tracer))
         macros = [s for s in tracer.spans if s.name == "macro"]
@@ -79,13 +84,20 @@ class TestSpanCoverage:
         assert kernels[0].attributes["seconds"] >= 0
 
     def test_cell_spans_carry_code_and_address(self, bridged_array, structure_8x2):
-        tracer = Tracer()
-        result = ArrayScanner(bridged_array, structure_8x2).scan(
-            ScanConfig(tracer=tracer)
-        )
-        for cell in (s for s in tracer.spans if s.name == "cell"):
-            row, col = cell.attributes["row"], cell.attributes["col"]
+        # A single-cell measurement keeps its own cell span; on every
+        # engine cell it carries the address and the code the stacked
+        # scan produced.
+        scanner = ArrayScanner(bridged_array, structure_8x2)
+        result = scanner.scan()
+        engine = list(zip(*np.nonzero(result.tiers == "e")))
+        assert len(engine) == 16
+        for row, col in engine:
+            tracer = Tracer()
+            scanner.measure_cell(int(row), int(col), ScanConfig(tracer=tracer))
+            (cell,) = tracer.roots()
+            assert (cell.attributes["row"], cell.attributes["col"]) == (row, col)
             assert cell.attributes["code"] == int(result.codes[row, col])
+            assert [c.name for c in tracer.children(cell)] == list(PHASES)
 
     def test_child_intervals_inside_parent(self, bridged_array, structure_8x2):
         tracer = Tracer()
@@ -124,11 +136,13 @@ class TestScanMetrics:
     def test_engine_layers_report_ambiently(self, bridged_array, structure_8x2):
         metrics = MetricsRegistry()
         ArrayScanner(bridged_array, structure_8x2).scan(ScanConfig(metrics=metrics))
-        # One netlist build per engine macro, one restore per further cell.
+        # One netlist build per engine macro, and one stacked call
+        # measures all of its cells: nothing to restore.
         assert metrics.counter("sequencer.netlist_cache_misses").value == 1
-        assert metrics.counter("sequencer.netlist_cache_hits").value == 15
-        # The charge engine settles at least once per engine phase.
-        assert metrics.counter("charge.settles").value >= 16
+        assert metrics.counter("sequencer.netlist_cache_hits").value == 0
+        # Phase 1 settles once for the macro; phases 2–4 settle each of
+        # its 16 cells once.
+        assert metrics.counter("charge.settles").value == 1 + 3 * 16
 
     def test_scan_stats_folded_into_registry(self, tech, structure_8x2):
         arr = EDRAMArray(16, 4, tech=tech, macro_cols=2, macro_rows=8)

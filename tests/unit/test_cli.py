@@ -60,13 +60,18 @@ def test_scan_command_trace_and_metrics(tmp_path, capsys):
 
     from repro.obs import load_trace, summarize_trace
 
-    summary = summarize_trace(load_trace(str(trace_path)))
+    spans = load_trace(str(trace_path))
+    summary = summarize_trace(spans)
     # The injected bridge routes at least one macro through the engine,
-    # so the trace shows the full five-phase tree.
+    # so the trace shows the full five-phase tree under that macro.
     assert summary.covers(
-        "scan", "macro", "cell", "phase:discharge", "phase:charge",
+        "scan", "macro", "phase:discharge", "phase:charge",
         "phase:isolate", "phase:share", "phase:convert",
     )
+    by_id = {s.span_id: s for s in spans}
+    phases = [s for s in spans if s.name.startswith("phase:")]
+    assert len(phases) % 5 == 0
+    assert all(by_id[s.parent_id].name == "macro" for s in phases)
 
 
 def test_scan_command_json(capsys):
