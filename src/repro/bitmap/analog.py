@@ -64,16 +64,13 @@ class AnalogBitmap:
 
     def out_of_spec(self, window: SpecificationWindow) -> np.ndarray:
         """Boolean mask of cells failing the given specification window."""
-        verdicts = self.classify(window)
-        return verdicts != SpecVerdict.PASS.value
+        fails = np.array([verdict is not SpecVerdict.PASS for verdict in window.table])
+        return fails[window.code_index(self.codes)]
 
     def classify(self, window: SpecificationWindow) -> np.ndarray:
-        """Per-cell :class:`SpecVerdict` values (as strings, vectorized)."""
-        out = np.empty(self.shape, dtype="<U16")
-        for r in range(self.shape[0]):
-            for c in range(self.shape[1]):
-                out[r, c] = window.classify(int(self.codes[r, c])).value
-        return out
+        """Per-cell :class:`SpecVerdict` values (as strings), one table lookup."""
+        values = np.array([verdict.value for verdict in window.table], dtype="<U16")
+        return values[window.code_index(self.codes)]
 
     # ------------------------------------------------------------------
     # Statistics

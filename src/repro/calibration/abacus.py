@@ -76,6 +76,8 @@ class Abacus:
             raise CalibrationError("abacus edges must be non-decreasing")
         self.structure = structure
         self.edges = edges
+        #: ``mids[code]`` is the code's bin midpoint (``row(code).c_mid``).
+        self.mids = np.array([self.row(k).c_mid for k in range(self.num_steps + 1)])
 
     # ------------------------------------------------------------------
     # Constructors
@@ -224,12 +226,7 @@ class Abacus:
     def estimate_matrix(self, codes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`estimate`; out-of-range codes become NaN."""
         codes = np.asarray(codes)
-        mids = np.array(
-            [self.row(k).c_mid for k in range(self.num_steps + 1)]
-        )
-        out = mids[codes]
-        out = np.where((codes == 0) | (codes == self.num_steps), np.nan, out)
-        return out
+        return np.where((codes == 0) | (codes == self.num_steps), np.nan, self.mids[codes])
 
     def quantization_error(self, capacitance: float) -> float:
         """Worst-case relative error of the estimate at ``capacitance``.

@@ -11,7 +11,9 @@ bookkeeping between the current, code and capacitance views.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.calibration.abacus import Abacus
 from repro.errors import CalibrationError
@@ -42,6 +44,8 @@ class SpecificationWindow:
     code_hi: int
     num_steps: int
     delta_i: float
+    #: ``table[code]`` is ``classify(code)``: a verdict depends on the code alone.
+    table: tuple[SpecVerdict, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.code_lo <= self.code_hi < self.num_steps:
@@ -49,6 +53,7 @@ class SpecificationWindow:
                 f"window codes must satisfy 0 < lo <= hi < {self.num_steps}, "
                 f"got [{self.code_lo}, {self.code_hi}]"
             )
+        object.__setattr__(self, "table", tuple(map(self.classify, range(self.num_steps + 1))))
 
     @classmethod
     def from_capacitance(
@@ -106,6 +111,14 @@ class SpecificationWindow:
         if code > self.code_hi:
             return SpecVerdict.FAIL_HIGH
         return SpecVerdict.PASS
+
+    def code_index(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` as table indices; the first out-of-range code (row-major) raises."""
+        index = np.asarray(codes, dtype=np.intp)
+        bad = np.flatnonzero((index < 0) | (index > self.num_steps))
+        if bad.size:
+            raise CalibrationError(f"code {int(index.flat[bad[0]])} outside 0..{self.num_steps}")
+        return index
 
     def passes(self, code: int) -> bool:
         """True when the code lands inside the window."""

@@ -230,12 +230,20 @@ def _checkpointer_from(args, rebuild_keys):
 
 def _ledger_from(args, trace_path: str | None = None):
     """The ledger ``--record`` names, carrying the run's ``--label`` and
-    trace path; ``None`` without ``--record``.  The driver records."""
+    trace path; ``None`` without ``--record``.  The driver records; the
+    ledger keeps the bitmap a scan was recorded with as ``bitmap``."""
     if args.record is None:
         return None
     from repro.obs import RunLedger
 
-    return RunLedger(args.record, label=args.label, trace_path=trace_path)
+    class Ledger(RunLedger):
+        bitmap = None
+
+        def record_scan(self, result, config=None, **kwargs):
+            self.bitmap = kwargs.get("bitmap")
+            return super().record_scan(result, config, **kwargs)
+
+    return Ledger(args.record, label=args.label, trace_path=trace_path)
 
 
 def _resume_hint(command: str, run_id: str, ck_dir: str | None, args) -> str:
@@ -268,7 +276,7 @@ def cmd_scan(args) -> int:
 
     array = _build_array(args, with_defects=not args.healthy)
     structure = _design_for(args, array)
-    abacus = Abacus.for_array(structure, array)
+    ledger = _ledger_from(args, args.trace)
     config = ScanConfig(
         force_engine=args.force_engine,
         preflight=args.preflight,
@@ -276,7 +284,7 @@ def cmd_scan(args) -> int:
         tracer=tracer,
         metrics=metrics,
         progress=_progress_from(args),
-        ledger=_ledger_from(args, args.trace),
+        ledger=ledger,
         checkpoint=checkpointer,
     )
     try:
@@ -289,7 +297,8 @@ def cmd_scan(args) -> int:
             hint = _resume_hint("scan", checkpointer.run_id, ck_dir, args)
             print(f"interrupted; resume with: {hint}", file=sys.stderr)
         raise
-    bitmap = AnalogBitmap(scan, abacus)
+    # A recorded scan prints from the bitmap its driver recorded it with.
+    bitmap = getattr(ledger, "bitmap", None) or AnalogBitmap(scan, Abacus.for_array(structure, array))
 
     if args.trace:
         tracer.write_jsonl(args.trace)

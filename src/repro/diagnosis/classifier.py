@@ -41,6 +41,16 @@ class CellVerdict(enum.Enum):
         return self.value
 
 
+#: The cell verdict of each window verdict; classify_all refines code 0.
+_FROM_WINDOW = {
+    SpecVerdict.PASS: CellVerdict.IN_SPEC,
+    SpecVerdict.FAIL_LOW: CellVerdict.LOW_CAP,
+    SpecVerdict.FAIL_HIGH: CellVerdict.HIGH_CAP,
+    SpecVerdict.OVER_RANGE: CellVerdict.OVER_RANGE,
+    SpecVerdict.AMBIGUOUS_ZERO: CellVerdict.OPEN_OR_UNDER,
+}
+
+
 class CellClassifier:
     """Classify every cell of an analog bitmap.
 
@@ -76,51 +86,20 @@ class CellClassifier:
         self.macro_cols = macro_cols
         self.short_code_lift = short_code_lift
 
-    def _row_neighbour_codes(self, row: int, col: int) -> list[int]:
-        """Codes of the same-row cells sharing the macro plate."""
-        start = (col // self.macro_cols) * self.macro_cols
-        return [
-            int(self.bitmap.codes[row, c])
-            for c in range(start, start + self.macro_cols)
-            if c != col
-        ]
-
-    def classify_cell(
-        self, row: int, col: int, digital_fail: bool | None = None
-    ) -> CellVerdict:
-        """Verdict for one cell; ``digital_fail`` refines code-0 cases."""
-        return self._classify(row, col, digital_fail, None)
-
-    def _classify(
-        self, row: int, col: int, digital_fail: bool | None, median: float | None
-    ) -> CellVerdict:
-        """:meth:`classify_cell` with the plane's median code precomputed.
-
-        ``median`` is ``None`` to take it here, only if the cell reads
-        code 0; :meth:`classify_all` takes it once for the whole plane.
-        """
-        code = int(self.bitmap.codes[row, col])
-        verdict = self.window.classify(code)
-        if verdict is SpecVerdict.PASS:
-            return CellVerdict.IN_SPEC
-        if verdict is SpecVerdict.FAIL_LOW:
-            return CellVerdict.LOW_CAP
-        if verdict is SpecVerdict.FAIL_HIGH:
-            return CellVerdict.HIGH_CAP
-        if verdict is SpecVerdict.OVER_RANGE:
-            return CellVerdict.OVER_RANGE
-        # Code 0: disambiguate with the macro-neighbour fingerprint.
-        neighbours = self._row_neighbour_codes(row, col)
-        if median is None:
-            median = float(np.median(self.bitmap.codes))
-        if neighbours and min(neighbours) >= median + self.short_code_lift:
-            return CellVerdict.SHORT
-        if digital_fail is False:
-            return CellVerdict.UNDER_FLOOR
-        return CellVerdict.OPEN_OR_UNDER
+    def classify_cell(self, row: int, col: int, digital_fail: bool | None = None) -> CellVerdict:
+        """One cell of :meth:`classify_all`; ``digital_fail is False`` refines code 0."""
+        fails = None if digital_fail is None else np.full(self.bitmap.shape, digital_fail is not False)
+        return self.classify_all(fails)[row, col]
 
     def classify_all(self, digital_fails: np.ndarray | None = None) -> np.ndarray:
-        """Verdict matrix for the whole bitmap (dtype = object of enums)."""
+        """Verdict matrix for the whole bitmap (dtype = object of enums).
+
+        A per-code table lookup, then the code-0 split: SHORT when every
+        other cell of the macro-row segment reads at least the median code
+        plus ``short_code_lift`` (a code-0 cell is its segment's minimum,
+        so that is the second-smallest code; a one-column macro is never
+        SHORT), else UNDER_FLOOR when the cell passes the digital test.
+        """
         rows, cols = self.bitmap.shape
         if digital_fails is not None:
             digital_fails = np.asarray(digital_fails)
@@ -128,17 +107,29 @@ class CellClassifier:
                 raise DiagnosisError(
                     f"digital_fails shape {digital_fails.shape} != bitmap {self.bitmap.shape}"
                 )
-        out = np.empty((rows, cols), dtype=object)
-        median = float(np.median(self.bitmap.codes))
-        for r in range(rows):
-            for c in range(cols):
-                fail = None if digital_fails is None else bool(digital_fails[r, c])
-                out[r, c] = self._classify(r, c, fail, median)
+        codes = self.window.code_index(self.bitmap.codes)
+        out = np.array([_FROM_WINDOW[v] for v in self.window.table], dtype=object)[codes]
+        zero = codes == 0
+        if zero.any() and self.macro_cols > 1:
+            segments = codes.reshape(rows, cols // self.macro_cols, self.macro_cols)
+            others = np.partition(segments, 1, axis=2)[..., 1]
+            lifted = others >= float(np.median(self.bitmap.codes)) + self.short_code_lift
+            short = zero & np.repeat(lifted, self.macro_cols, axis=1)
+            out[short] = CellVerdict.SHORT
+            zero &= ~short
+        if digital_fails is not None:
+            out[zero & ~digital_fails.astype(bool)] = CellVerdict.UNDER_FLOOR
         return out
 
-    def verdict_counts(self, verdicts: np.ndarray) -> dict[CellVerdict, int]:
-        """Histogram of a verdict matrix."""
-        counts: dict[CellVerdict, int] = {}
-        for verdict in verdicts.ravel():
-            counts[verdict] = counts.get(verdict, 0) + 1
-        return counts
+    @staticmethod
+    def verdict_counts(verdicts: np.ndarray) -> dict[CellVerdict, int]:
+        """Cells per verdict, keyed in row-major order of first appearance."""
+        flat = np.asarray(verdicts, dtype=object).ravel()
+        first, counts = {}, {}
+        for verdict in CellVerdict:
+            hit = flat == verdict
+            if hit.any():
+                first[verdict], counts[verdict] = int(hit.argmax()), int(hit.sum())
+        if sum(counts.values()) != flat.size:
+            raise DiagnosisError("the verdict matrix holds a value that is not a CellVerdict")
+        return {verdict: counts[verdict] for verdict in sorted(first, key=first.__getitem__)}

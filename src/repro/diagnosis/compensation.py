@@ -90,8 +90,7 @@ def compensate_estimates(
     open_mask = bitmap.codes == 0
     over_mask = bitmap.codes == bitmap.scan.num_steps
     if verdicts is not None:
-        flat = np.vectorize(lambda v: v is CellVerdict.SHORT)(verdicts)
-        short_mask = flat & open_mask
+        short_mask = open_mask & (np.asarray(verdicts, dtype=object) == CellVerdict.SHORT)
         open_mask = open_mask & ~short_mask
     estimates = np.where(open_mask, 0.0, estimates)
     estimates = np.where(over_mask, bitmap.abacus.range_ceiling, estimates)

@@ -109,7 +109,7 @@ class FailureAnalyzer:
         verdicts = np.asarray(verdicts, dtype=object)
         if verdicts.ndim != 2:
             raise DiagnosisError("verdicts must be a 2-D matrix")
-        mask = np.vectorize(lambda v: v is not CellVerdict.IN_SPEC)(verdicts)
+        mask = verdicts != CellVerdict.IN_SPEC
         if not mask.any():
             return []
         findings = []

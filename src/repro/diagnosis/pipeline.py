@@ -56,12 +56,8 @@ class PipelineReport:
 
     def summary(self) -> str:
         """Human-readable run summary."""
-        counts: dict[CellVerdict, int] = {}
-        for verdict in self.verdicts.ravel():
-            counts[verdict] = counts.get(verdict, 0) + 1
-        anomalies = sum(
-            n for v, n in counts.items() if v is not CellVerdict.IN_SPEC
-        )
+        counts = CellClassifier.verdict_counts(self.verdicts)
+        anomalies = sum(n for v, n in counts.items() if v is not CellVerdict.IN_SPEC)
         lines = [
             f"digital fails       : {self.digital.fail_count}",
             f"analog anomalies    : {anomalies}",
@@ -80,12 +76,9 @@ class PipelineReport:
 
     def to_dict(self) -> dict:
         """Machine-readable summary (the CLI's ``--json`` payload)."""
-        counts: dict[str, int] = {}
-        for verdict in self.verdicts.ravel():
-            counts[verdict.value] = counts.get(verdict.value, 0) + 1
         return {
             "digital_fails": int(self.digital.fail_count),
-            "verdicts": counts,
+            "verdicts": {v.value: n for v, n in CellClassifier.verdict_counts(self.verdicts).items()},
             "findings": [finding.describe() for finding in self.findings],
             "process": self.process.summary(),
             "repair": {

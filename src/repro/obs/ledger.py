@@ -197,7 +197,7 @@ def bitmap_scalars(bitmap: "AnalogBitmap") -> dict[str, float]:
     from repro.units import to_fF
 
     in_range = bitmap.in_range
-    values = bitmap.estimates[in_range]
+    values = bitmap.abacus.mids[bitmap.codes[in_range]]
     if values.size == 0:
         return {"in_range_fraction": 0.0}
     return {

@@ -229,6 +229,31 @@ def test_scan_record_and_runs_verbs(tmp_path, capsys):
     assert "bitmap:" in diff_out
 
 
+def test_recorded_scan_prints_from_the_bitmap_it_was_recorded_with(
+    tmp_path, capsys, monkeypatch
+):
+    import json
+
+    from repro.bitmap.analog import AnalogBitmap
+
+    built = []
+    init = AnalogBitmap.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AnalogBitmap, "__init__", counting_init)
+    assert _record_scan(tmp_path, seed=1, extra=("--json",)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(built) == 1  # the driver's, for the manifest scalars
+    manifest = json.loads(
+        (tmp_path / "runs" / "manifest.jsonl").read_text().splitlines()[0]
+    )
+    assert payload["mean_fF"] == manifest["scalars"]["cap_mean_fF"]
+    assert payload["sigma_fF"] == manifest["scalars"]["cap_sigma_fF"]
+
+
 def test_runs_check_gates_on_drift(tmp_path, capsys):
     # Clean pair (same process, different seeds): gate passes.
     assert _record_scan(tmp_path, seed=1) == 0
