@@ -130,8 +130,6 @@ class ProcessMonitor:
         Out-of-range cells count as failing (their value is provably
         outside any spec inside the measurable range).
         """
-        est = bitmap.estimates
-        with np.errstate(invalid="ignore"):
-            bad = (est < self.spec_lo) | (est > self.spec_hi)
-        bad = np.nan_to_num(bad, nan=True).astype(bool)
+        est = bitmap.estimates  # NaN out of range: both comparisons False
+        bad = ~bitmap.in_range | (est < self.spec_lo) | (est > self.spec_hi)
         return float(bad.mean())

@@ -26,6 +26,8 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.errors import TechnologyError
 from repro.units import fF, to_fF
 
@@ -58,6 +60,10 @@ class CellTechnology(abc.ABC):
     reference: str = ""
     #: Within-die mismatch sigma used by the default array synthesis.
     mismatch_sigma: float = 0.8 * fF
+    #: Floor on a wafer die's drawn mean capacitance.
+    die_mean_floor: float = 5.0 * fF
+    #: Floor on every cell of a fabricated wafer die.
+    die_cell_floor: float = 1.0 * fF
 
     # ------------------------------------------------------------------
     # Cards and corners
@@ -142,26 +148,62 @@ class CellTechnology(abc.ABC):
         The wafer model owns the RNG (die means and mismatch seeds must
         come from *its* stream so checkpoint fast-forward stays
         bit-exact); the backend turns one ``(mean, mismatch_seed)`` draw
-        into a die array.  The default composes a uniform map (floored
-        at 5 fF, matching the historical eDRAM wafer path) with white
-        mismatch — backends with structured variation override.
+        into a die array: the array class over :meth:`_die_maps`.
         """
-        from repro.edram.variation_map import (
-            compose_maps,
-            mismatch_map,
-            uniform_map,
-        )
-
-        shape = (rows, cols)
-        capacitance = compose_maps(
-            uniform_map(shape, max(mean, 5 * fF)),
-            mismatch_map(shape, cell_sigma, seed=mismatch_seed),
-        )
         return self.array_class()(
             rows, cols, tech=tech if tech is not None else self.base_card(),
             macro_cols=macro_cols, macro_rows=macro_rows,
-            capacitance_map=capacitance,
+            **self._die_maps((rows, cols), mean, cell_sigma, mismatch_seed),
         )
+
+    def fabricate_die_planes(
+        self,
+        cap_out: np.ndarray,
+        kinds_out: np.ndarray,
+        *,
+        mean: float,
+        cell_sigma: float,
+        mismatch_seed: int,
+    ) -> None:
+        """Write one die's capacitance and defect-kind planes in place.
+
+        ``cap_out``/``kinds_out`` are ``(die_rows, die_cols)`` views of a
+        wafer chunk's stacked planes; both are overwritten whole.  The
+        result is bit for bit what :meth:`fabricate_die` with the same
+        draw returns through ``capacitance_view()`` and
+        ``defect_kind_view()``: the capacitance map of :meth:`_die_maps`,
+        and no defects.
+        """
+        cap_out[...] = self._die_maps(
+            cap_out.shape, mean, cell_sigma, mismatch_seed
+        )["capacitance_map"]
+        kinds_out[...] = 0
+
+    def _die_maps(
+        self,
+        shape: tuple[int, int],
+        mean: float,
+        cell_sigma: float,
+        mismatch_seed: int,
+    ) -> dict[str, np.ndarray]:
+        """One draw's die maps, as keyword arguments of the array class.
+
+        The backend's one die recipe: :meth:`fabricate_die` and
+        :meth:`fabricate_die_planes` both derive from it.  The default
+        is a uniform mean (floored at :attr:`die_mean_floor`) plus white
+        mismatch, clamped at :attr:`die_cell_floor` — in
+        :func:`~repro.edram.variation_map.compose_maps`' order.
+        """
+        from repro.edram.variation_map import mismatch_map
+
+        capacitance = max(mean, self.die_mean_floor) + mismatch_map(
+            shape, cell_sigma, seed=mismatch_seed
+        )
+        return {
+            "capacitance_map": np.maximum(
+                capacitance, self.die_cell_floor, out=capacitance
+            )
+        }
 
     def array_class(self) -> type:
         """The array class this backend fabricates."""

@@ -82,6 +82,13 @@ def fecap_technology_card() -> TechnologyCard:
     )
 
 
+def derived_capacitance(
+    c_lin: np.ndarray, c_switch: np.ndarray, polarization: np.ndarray | float
+) -> np.ndarray:
+    """``C(P) = C_lin + (1 + P)/2 · C_switch``, elementwise."""
+    return c_lin + 0.5 * (1.0 + polarization) * c_switch
+
+
 class FeCapArray(EDRAMArray):
     """Array of 1T-1FeCap cells with per-cell polarization state.
 
@@ -154,7 +161,7 @@ class FeCapArray(EDRAMArray):
         )
 
     def _derived_capacitance(self) -> np.ndarray:
-        return self._c_lin + 0.5 * (1.0 + self._polarization) * self._c_switch
+        return derived_capacitance(self._c_lin, self._c_switch, self._polarization)
 
     def polarization_view(self) -> np.ndarray:
         """Read-only view of the normalized polarization plane."""
@@ -246,23 +253,33 @@ class FeCapTechnology(CellTechnology):
             self.inject_defects(array, seed)
         return array
 
-    def fabricate_die(
+    def fabricate_die_planes(
         self,
-        rows: int,
-        cols: int,
+        cap_out: np.ndarray,
+        kinds_out: np.ndarray,
         *,
-        macro_rows: int,
-        macro_cols: int,
         mean: float,
         cell_sigma: float,
         mismatch_seed: int,
-        tech: TechnologyCard | None = None,
-    ) -> FeCapArray:
+    ) -> None:
+        maps = self._die_maps(cap_out.shape, mean, cell_sigma, mismatch_seed)
+        # A fresh die is written (P = +1) everywhere.
+        cap_out[...] = derived_capacitance(
+            maps["c_lin_map"], maps["c_switch_map"], 1.0
+        )
+        kinds_out[...] = 0
+
+    def _die_maps(
+        self,
+        shape: tuple[int, int],
+        mean: float,
+        cell_sigma: float,
+        mismatch_seed: int,
+    ) -> dict[str, np.ndarray]:
+        # Independent mismatch on the dielectric and switching layers.
         from repro.edram.variation_map import mismatch_map
 
-        card = tech if tech is not None else self.base_card()
-        shape = (rows, cols)
-        mean = max(mean, 5 * fF)
+        mean = max(mean, self.die_mean_floor)
         lin_nominal = 15.0 / 35.0 * mean
         c_lin = np.maximum(
             lin_nominal + mismatch_map(shape, 0.4 * cell_sigma, seed=mismatch_seed),
@@ -273,10 +290,7 @@ class FeCapTechnology(CellTechnology):
             + mismatch_map(shape, 0.6 * cell_sigma, seed=mismatch_seed + 7919),
             1.0 * fF,
         )
-        return FeCapArray(
-            rows, cols, tech=card, macro_cols=macro_cols,
-            macro_rows=macro_rows, c_lin_map=c_lin, c_switch_map=c_switch,
-        )
+        return {"c_lin_map": c_lin, "c_switch_map": c_switch}
 
     def measurement_range(self) -> tuple[float, float, int]:
         # Must cover the depolarization trajectory: written cells start

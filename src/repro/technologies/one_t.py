@@ -116,6 +116,19 @@ class Body1TArray(EDRAMArray):
         )
 
 
+def _leak_map(
+    shape: tuple[int, int], seed: int, card: TechnologyCard
+) -> np.ndarray:
+    """Per-cell junction leakage, amperes.
+
+    Leakage mismatch dominates retention spread in floating-body cells;
+    a lognormal-ish positive skew from a second seed derived from
+    ``seed``.
+    """
+    rng = np.random.default_rng(seed + 104729)
+    return card.junction_leak_per_cell * np.exp(rng.normal(0.0, 0.35, size=shape))
+
+
 class Capacitorless1TTechnology(CellTechnology):
     """Capacitorless 1T floating-body backend (arXiv:1910.03907)."""
 
@@ -124,6 +137,8 @@ class Capacitorless1TTechnology(CellTechnology):
     headline = "retention"
     reference = "arXiv:1910.03907"
     mismatch_sigma = 0.3 * fF
+    die_mean_floor = 1.0 * fF
+    die_cell_floor = 0.5 * fF
 
     def base_card(self) -> TechnologyCard:
         return one_t_technology_card()
@@ -158,16 +173,10 @@ class Capacitorless1TTechnology(CellTechnology):
             mismatch_map(shape, self.mismatch_sigma, seed=seed),
             floor=0.5 * fF,
         )
-        # Leakage mismatch dominates retention spread in floating-body
-        # cells; a lognormal-ish positive skew from a second seed.
-        rng = np.random.default_rng(seed + 104729)
-        leak = card.junction_leak_per_cell * np.exp(
-            rng.normal(0.0, 0.35, size=shape)
-        )
         array = Body1TArray(
             rows, cols, tech=card, macro_cols=macro_cols,
             macro_rows=macro_rows, capacitance_map=capacitance,
-            leak_map=leak,
+            leak_map=_leak_map(shape, seed, card),
         )
         array.seed = seed
         if with_defects:
@@ -186,27 +195,15 @@ class Capacitorless1TTechnology(CellTechnology):
         mismatch_seed: int,
         tech: TechnologyCard | None = None,
     ) -> Body1TArray:
-        from repro.edram.variation_map import (
-            compose_maps,
-            mismatch_map,
-            uniform_map,
-        )
-
+        # The die recipe's capacitance, plus the leakage plane drawn
+        # from the mismatch seed (the die planes skip it: the kernel
+        # never reads leakage).
         card = tech if tech is not None else self.base_card()
         shape = (rows, cols)
-        capacitance = compose_maps(
-            uniform_map(shape, max(mean, 1.0 * fF)),
-            mismatch_map(shape, cell_sigma, seed=mismatch_seed),
-            floor=0.5 * fF,
-        )
-        rng = np.random.default_rng(mismatch_seed + 104729)
-        leak = card.junction_leak_per_cell * np.exp(
-            rng.normal(0.0, 0.35, size=shape)
-        )
         return Body1TArray(
             rows, cols, tech=card, macro_cols=macro_cols,
-            macro_rows=macro_rows, capacitance_map=capacitance,
-            leak_map=leak,
+            macro_rows=macro_rows, leak_map=_leak_map(shape, mismatch_seed, card),
+            **self._die_maps(shape, mean, cell_sigma, mismatch_seed),
         )
 
     def measurement_range(self) -> tuple[float, float, int]:

@@ -10,9 +10,13 @@ radial + random profile), measures each die through the real scan path,
 and :class:`WaferReport` aggregates: per-die means, zonal statistics
 (centre/mid/edge rings), radial regression, and an ASCII wafer map.
 
-Dies are tiny and many, so per-die fixed costs (scanner, scan result,
-bitmap) would dwarf their kernel work: the die loop measures chunks of
-stacked dies in one pass instead (see :meth:`WaferModel._scan_dies`).
+Dies are tiny and many, so per-die fixed costs (array, scanner, scan
+result, bitmap) would dwarf their kernel work.  A chunk of dies is one
+die stack instead: each die is fabricated straight into the chunk's
+capacitance and defect-kind planes, one kernel pass measures the stack,
+every die's mean and sigma come from one reduction over it, and a
+checkpoint persists it as one segment (see
+:meth:`WaferModel._scan_dies`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter, process_time
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,14 +34,15 @@ from repro.bitmap.analog import AnalogBitmap
 from repro.calibration.abacus import Abacus
 from repro.calibration.design import design_structure
 from repro.edram.array import EDRAMArray
-from repro.edram.defects import DefectKind
+from repro.edram.defects import KIND_CODES, DefectKind
 from repro.errors import DiagnosisError, MeasurementError
 from repro.measure.config import ScanConfig
-from repro.measure.scan import ArrayScanner, ScanResult
+from repro.measure.scan import ArrayScanner
 from repro.measure.structure import MeasurementStructure
 from repro.obs.progress import NULL_PROGRESS
 from repro.obs.ledger import config_fingerprint
 from repro.resilience.faults import active_fault_plan, fault_point, inject
+from repro.resilience.quality import CellQuality
 from repro.technologies import get as get_technology
 from repro.units import fF, to_fF
 
@@ -49,6 +54,8 @@ _REFERENCE_NOMINAL = 30.0 * fF
 #: Cells per stacked kernel pass of the die loop; a chunk holds this
 #: many cells' worth of dies (at least one die).
 _CHUNK_CELLS = 1 << 13
+
+_BRIDGE = KIND_CODES[DefectKind.BRIDGE]
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,18 @@ class DieRangeScan:
     die_cell_quality: np.ndarray  #: (N, die_rows, die_cols) uint8 CellQuality
     die_quality: np.ndarray  #: (N,) uint8 DieQuality
     run_id: str | None = None
+
+
+def _printed_sites(diameter: int) -> tuple[tuple[int, int, float], ...]:
+    """(x, y, radius_fraction) of every die inside the wafer's circle."""
+    centre = (diameter - 1) / 2.0
+    sites = []
+    for y in range(diameter):
+        for x in range(diameter):
+            r = math.hypot(x - centre, y - centre) / (diameter / 2.0)
+            if r <= 1.0:
+                sites.append((x, y, r))
+    return tuple(sites)
 
 
 class WaferModel:
@@ -167,6 +186,7 @@ class WaferModel:
         self.cell_sigma = cell_sigma if cell_sigma is not None else 0.8 * fF * scale
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._sites = _printed_sites(diameter_dies)
         self._structure: MeasurementStructure | None = None
         self._abacus: Abacus | None = None
 
@@ -174,16 +194,9 @@ class WaferModel:
     # Geometry
     # ------------------------------------------------------------------
 
-    def sites(self) -> list[tuple[int, int, float]]:
-        """(x, y, radius_fraction) of every printed die."""
-        centre = (self.diameter - 1) / 2.0
-        out = []
-        for y in range(self.diameter):
-            for x in range(self.diameter):
-                r = math.hypot(x - centre, y - centre) / (self.diameter / 2.0)
-                if r <= 1.0:
-                    out.append((x, y, r))
-        return out
+    def sites(self) -> tuple[tuple[int, int, float], ...]:
+        """(x, y, radius_fraction) of every printed die, row-major."""
+        return self._sites
 
     # ------------------------------------------------------------------
     # Fabrication + measurement
@@ -205,20 +218,25 @@ class WaferModel:
             raise DiagnosisError("wafer calibration failed to build an abacus")
         return self._structure, self._abacus
 
-    def fabricate_die(self, radius_fraction: float) -> EDRAMArray:
-        """Build one die's array with the wafer's process profile.
+    def _draw_die(self, radius_fraction: float) -> tuple[float, int]:
+        """One die's ``(mean, mismatch_seed)`` from the wafer's RNG.
 
         The wafer model owns the RNG: the die-mean draw and the mismatch
-        seed come from *its* stream (in this exact order) so checkpoint
-        fast-forward stays bit-exact.  The technology backend turns the
-        draw into a die array with its own variation model.
+        seed come from *its* stream, in this exact order.  Every printed
+        die is drawn, including one that someone else (an earlier run,
+        another shard) measures, so checkpoint fast-forward and every
+        die-range partition print the same dies as one uninterrupted
+        walk.
         """
         mean = (
             self.nominal
             - self.radial_drop * radius_fraction**2
             + self._rng.normal(0.0, self.die_sigma)
         )
-        mismatch_seed = int(self._rng.integers(1 << 31))
+        return mean, int(self._rng.integers(1 << 31))
+
+    def _build_die(self, mean: float, mismatch_seed: int) -> EDRAMArray:
+        """The backend's die array for one draw of :meth:`_draw_die`."""
         return self._backend.fabricate_die(
             self.die_rows, self.die_cols,
             macro_rows=self.macro_rows, macro_cols=self.macro_cols,
@@ -226,17 +244,17 @@ class WaferModel:
             mismatch_seed=mismatch_seed, tech=self.tech,
         )
 
-    def _burn_die_draws(self) -> None:
-        """Consume exactly the RNG draws one :meth:`fabricate_die` would.
+    def fabricate_die(self, radius_fraction: float) -> EDRAMArray:
+        """Build the next die's array with the wafer's process profile.
 
-        The fast-forward primitive behind both checkpoint resume and
-        die-range sharding: a die someone else (an earlier run, another
-        shard) is responsible for still advances *this* model's RNG
-        stream by the same two draws, so every later die prints
-        identically to an unsharded, uninterrupted run.
+        Draws the die (:meth:`_draw_die`); the technology backend turns
+        the draw into a die array with its own variation model.  Only
+        tests and benchmarks call it, as the per-die reference walk: the
+        die loop writes dies straight into its chunk planes
+        (:meth:`CellTechnology.fabricate_die_planes`) and builds an
+        array only for a die that takes its own scan.
         """
-        self._rng.normal(0.0, self.die_sigma)
-        self._rng.integers(1 << 31)
+        return self._build_die(*self._draw_die(radius_fraction))
 
     def measure_wafer(self, config: ScanConfig | None = None) -> "WaferReport":
         """Fabricate and scan every die; return the wafer report.
@@ -258,12 +276,11 @@ class WaferModel:
         manifest line.
         """
         config = self._checked_config(config)
-        sites = self.sites()
         start = perf_counter()
         cpu_start = process_time()
-        scan = self.measure_dies((0, len(sites)), config)
+        scan = self.measure_dies((0, len(self._sites)), config)
         report = WaferReport.from_planes(
-            sites, scan.die_means, scan.die_sigmas, self.diameter
+            self._sites, scan.die_means, scan.die_sigmas, self.diameter
         )
         if config.ledger is not None:
             report.run_id = config.ledger.record_wafer(
@@ -305,7 +322,7 @@ class WaferModel:
         each die completes — the fleet worker's heartbeat hook.
         """
         config = self._checked_config(config)
-        total = len(self.sites())
+        total = len(self._sites)
         lo, hi = int(die_range[0]), int(die_range[1])
         if not 0 <= lo < hi <= total:
             raise DiagnosisError(
@@ -373,19 +390,29 @@ class WaferModel:
     ) -> None:
         """Measure dies ``[lo, hi)`` into ``planes`` (indexed from ``lo``).
 
-        The die loop behind :meth:`measure_dies`.  Fabrication walks
-        every printed die in order; a die outside the range or already
-        in ``done`` only burns its RNG draws, so any range, resumed or
-        not, prints the same dies as one uninterrupted walk.
+        The die loop behind :meth:`measure_dies`.  Every printed die is
+        drawn in order (:meth:`_draw_die`); a die outside the range or
+        already in ``done`` only burns its draws, so any range, resumed
+        or not, prints the same dies as one uninterrupted walk.
 
-        Dies are stacked ``_CHUNK_CELLS`` at a time into one plane and
-        measured by one kernel pass, one code conversion and one bitmap.
-        A die falls back to its own :meth:`ArrayScanner.scan` (with
-        ``config``) exactly when that scan would not take the kernel:
-        ``force_engine`` or ``preflight`` is set, a fault plan targets a
-        site outside the wafer loop, or the die has BRIDGE defects.  The ``wafer.die_done`` fault site, checkpoint
-        mark, progress and ``on_die`` fire per die, in die order, on
-        both paths.  A chunk reports one ``kernel`` span to
+        A chunk is a run of consecutive dies (``_CHUNK_CELLS`` cells at
+        most) in preallocated ``(chunk, die_rows, die_cols)``
+        capacitance and defect-kind planes, which the backend's
+        ``fabricate_die_planes`` writes each die into; no die array is
+        built.  One kernel pass measures a reshape of the planes, its
+        vgs, codes and quality land as one slice each, and every die's
+        mean and sigma come from one reduction (:func:`_die_statistics`).
+
+        A die gets its own array (the backend's ``fabricate_die`` from
+        the same draw) and its own :meth:`ArrayScanner.scan` exactly
+        when that scan would not take the kernel: ``force_engine`` or
+        ``preflight`` is set, a fault plan targets a site outside the
+        wafer loop and persistence, or its kinds slice holds a BRIDGE.
+
+        The ``wafer.die_done`` fault site, progress and ``on_die`` fire
+        per die, in die order, on both paths; then a checkpoint marks a
+        landed chunk's dies as one segment, a fallback die as its own.
+        Each kernel pass reports one ``kernel`` span to
         ``config.tracer``; only fallback scans fold :class:`ScanStats`
         into ``config.metrics``.
         """
@@ -397,53 +424,80 @@ class WaferModel:
             progress=NULL_PROGRESS, ledger=None, checkpoint=None
         )
         structure, abacus = self._calibration()
-        chunk_dies = max(1, _CHUNK_CELLS // (self.die_rows * self.die_cols))
-        chunk: list[tuple[int, int, int, EDRAMArray]] = []
+        backend = self._backend
+        rows, cols = self.die_rows, self.die_cols
+        chunk_dies = max(1, _CHUNK_CELLS // (rows * cols))
+        cap = np.empty((chunk_dies, rows, cols))
+        kinds = np.empty((chunk_dies, rows, cols), dtype=np.int8)
+        # The kernel reads only the die geometry and card off its array.
+        template = ArrayScanner(
+            backend.array_class()(
+                rows, cols, tech=self.tech,
+                macro_cols=self.macro_cols, macro_rows=self.macro_rows,
+            ),
+            structure,
+        )
+        #: (index, x, y, mean, mismatch_seed) of consecutive dies.
+        chunk: list[tuple[int, int, int, float, int]] = []
 
-        def land(index, x, y, mean, sigma, vgs, codes, quality) -> None:
-            rel = index - lo
-            planes["die_means"][rel] = mean
-            planes["die_sigmas"][rel] = sigma
-            planes["die_vgs"][rel] = vgs
-            planes["die_codes"][rel] = codes
-            planes["die_cell_quality"][rel] = quality
-            planes["die_quality"][rel] = int(DieQuality.GOOD)
+        def landed(index: int, x: int, y: int) -> None:
             fault_point("wafer.die_done", die=index, x=x, y=y)
-            if checkpointer is not None:
-                checkpointer.mark_done(index, rows=rel)
             progress.advance()
-            if on_die is not None:
-                on_die(index, len(done) + 1)
             done.add(index)
+            if on_die is not None:
+                on_die(index, len(done))
 
-        def flush() -> None:
-            if not chunk:
-                return
-            vgs, codes, _seconds = ArrayScanner(chunk[0][3], structure).kernel_planes(
-                np.concatenate([die.capacitance_view() for *_, die in chunk]),
-                np.concatenate([die.defect_kind_view() for *_, die in chunk]),
+        def land_stack(start: int, stop: int) -> None:
+            """Measure chunk slots ``[start, stop)`` as one die stack."""
+            n, first = stop - start, chunk[start][0] - lo
+            dies = slice(first, first + n)
+            vgs, codes, _seconds = template.kernel_planes(
+                cap[start:stop].reshape(n * rows, cols),
+                kinds[start:stop].reshape(n * rows, cols),
                 config.tracer,
             )
-            bitmap = AnalogBitmap(
-                ScanResult(
-                    codes=codes, vgs=vgs,
-                    num_steps=structure.design.num_steps,
-                    tiers=np.full(codes.shape, "c", dtype="<U1"),
-                ),
-                abacus,
-            )
-            in_range, estimates = bitmap.in_range, bitmap.estimates
-            for k, (index, x, y, _die) in enumerate(chunk):
-                rows = slice(k * self.die_rows, (k + 1) * self.die_rows)
-                # The die's own 2-D slice, masked row-major: the same
-                # values in the same order as its own bitmap's mean/std.
-                values = estimates[rows][in_range[rows]]
-                if values.size == 0:
-                    raise DiagnosisError("no in-range cells to average")
-                land(
-                    index, x, y, float(values.mean()), float(values.std()),
-                    vgs[rows], codes[rows], bitmap.scan.quality[rows],
+            means, sigmas = _die_statistics(abacus, codes.reshape(n, rows * cols))
+            planes["die_means"][dies] = means
+            planes["die_sigmas"][dies] = sigmas
+            planes["die_vgs"][dies] = vgs.reshape(n, rows, cols)
+            planes["die_codes"][dies] = codes.reshape(n, rows, cols)
+            planes["die_cell_quality"][dies] = int(CellQuality.GOOD)
+            planes["die_quality"][dies] = int(DieQuality.GOOD)
+            for index, x, y, *_draw in chunk[start:stop]:
+                landed(index, x, y)
+            if checkpointer is not None:
+                checkpointer.mark_done(
+                    *(die[0] for die in chunk[start:stop]), rows=dies
                 )
+
+        def scan_alone(index: int, x: int, y: int, mean: float, seed: int) -> None:
+            """Build the die's array from its draw and scan it on its own."""
+            scan = ArrayScanner(self._build_die(mean, seed), structure).scan(
+                die_config
+            )
+            bitmap = AnalogBitmap(scan, abacus)
+            rel = index - lo
+            planes["die_means"][rel] = bitmap.mean_capacitance()
+            planes["die_sigmas"][rel] = bitmap.std_capacitance()
+            planes["die_vgs"][rel] = scan.vgs
+            planes["die_codes"][rel] = scan.codes
+            planes["die_cell_quality"][rel] = scan.quality
+            planes["die_quality"][rel] = int(DieQuality.GOOD)
+            landed(index, x, y)
+            if checkpointer is not None:
+                checkpointer.mark_done(index, rows=rel)
+
+        def flush() -> None:
+            """Land the chunk in die order; bridged dies scan alone."""
+            n = len(chunk)
+            bridged = (kinds[:n] == _BRIDGE).reshape(n, -1).any(axis=1)
+            start = 0
+            for stop in (*np.flatnonzero(bridged).tolist(), n):
+                if start < stop:
+                    land_stack(start, stop)
+                if stop < n:
+                    scan_alone(*chunk[stop])
+                start = stop + 1
             chunk.clear()
 
         ambient = (
@@ -461,31 +515,64 @@ class WaferModel:
                     for f in plan.faults
                 ))
             )
-            sites = self.sites()
+            sites = self._sites
             label = "wafer" if hi - lo == len(sites) else f"shard[{lo},{hi})"
             progress.start(hi - lo, label=label, units="dies")
             for index, (x, y, r) in enumerate(sites):
+                mean, mismatch_seed = self._draw_die(r)
                 if not lo <= index < hi or index in done:
-                    self._burn_die_draws()
                     if lo <= index < hi:
                         progress.advance()
                     continue
-                die = self.fabricate_die(r)
-                if chunked and die.defect_count(DefectKind.BRIDGE) == 0:
-                    chunk.append((index, x, y, die))
-                    if len(chunk) == chunk_dies:
-                        flush()
+                if not chunked:
+                    scan_alone(index, x, y, mean, mismatch_seed)
                     continue
-                flush()
-                scan = ArrayScanner(die, structure).scan(die_config)
-                bitmap = AnalogBitmap(scan, abacus)
-                land(
-                    index, x, y,
-                    bitmap.mean_capacitance(), bitmap.std_capacitance(),
-                    scan.vgs, scan.codes, scan.quality,
+                if chunk and chunk[-1][0] != index - 1:
+                    flush()  # a resumed range's gap: a chunk lands as one slice
+                k = len(chunk)
+                backend.fabricate_die_planes(
+                    cap[k], kinds[k], mean=mean, cell_sigma=self.cell_sigma,
+                    mismatch_seed=mismatch_seed,
                 )
-            flush()
+                chunk.append((index, x, y, mean, mismatch_seed))
+                if len(chunk) == chunk_dies:
+                    flush()
+            if chunk:
+                flush()
             progress.finish()
+
+
+def _die_statistics(
+    abacus: Abacus, codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each die's mean and sigma of its in-range estimates, farads.
+
+    ``codes`` holds one die per row, ``(dies, die_rows·die_cols)``,
+    row-major within the die.  A die whose cells are all in range is
+    reduced along its contiguous row in numpy's own ``mean``/``std``
+    order — ``sum/n``, then ``x = e - mean``, ``sqrt(sum(x²)/n)`` — so
+    its values are bit-identical to the 1-D ``mean()``/``std()`` of its
+    estimates.  Never reduce over axis 0, or over a die's row segments
+    first: the summation order, and with it the last bits, would change.
+    A die with any out-of-range cell takes the masked 1-D reduction of
+    its own estimates.
+    """
+    estimates = abacus.mids[codes]
+    in_range = (codes != 0) & (codes != abacus.num_steps)
+    full = in_range.all(axis=1)
+    means, sigmas = np.empty(len(codes)), np.empty(len(codes))
+    if full.any():
+        rows = estimates[full]
+        cells = rows.shape[1]
+        mean = rows.sum(axis=1) / cells
+        means[full] = mean
+        sigmas[full] = np.sqrt(np.square(rows - mean[:, None]).sum(axis=1) / cells)
+    for k in np.flatnonzero(~full):
+        values = estimates[k][in_range[k]]
+        if values.size == 0:
+            raise DiagnosisError("no in-range cells to average")
+        means[k], sigmas[k] = values.mean(), values.std()
+    return means, sigmas
 
 
 @dataclass
@@ -504,7 +591,7 @@ class WaferReport:
     @classmethod
     def from_planes(
         cls,
-        sites: list[tuple[int, int, float]],
+        sites: Sequence[tuple[int, int, float]],
         die_means: np.ndarray,
         die_sigmas: np.ndarray,
         diameter: int,

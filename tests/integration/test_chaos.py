@@ -161,12 +161,14 @@ def test_wafer_interrupt_resume_bit_exact(tmp_path):
     import repro.wafer
     from repro.wafer import WaferModel
 
-    # A d3 wafer is one die chunk; on the d13 one (133 dies of 16x8,
+    # A d3 wafer is one die chunk; on the d13 one (137 dies of 16x8,
     # 64 per chunk) die 70 sits mid-way through the second chunk, so
-    # the interrupt lands after that chunk's kernel pass but before
-    # most of its dies have been marked done.
+    # the interrupt lands after that chunk's kernel pass and its first
+    # six dies' events.  A landed chunk is marked done as one segment
+    # after all its dies' events, so the checkpoint holds the chunks
+    # before the interrupted one: none on d3, the first 64 dies on d13.
     assert repro.wafer._CHUNK_CELLS // (16 * 8) == 64
-    for diameter, interrupted_at in ((3, 2), (13, 70)):
+    for diameter, interrupted_at, persisted in ((3, 2, 0), (13, 70, 64)):
         reference = WaferModel(diameter_dies=diameter, seed=5).measure_wafer()
 
         ledger = RunLedger(tmp_path / f"d{diameter}")
@@ -180,7 +182,7 @@ def test_wafer_interrupt_resume_bit_exact(tmp_path):
             )
         states = list_checkpoints(ledger)
         assert [s.kind for s in states] == ["shard"]
-        assert sorted(states[0].completed) == list(range(interrupted_at))
+        assert sorted(states[0].completed) == list(range(persisted))
 
         # Resume on a *fresh* model: the wafer RNG is fast-forwarded past
         # the checkpointed dies, so the remaining dies print identically.

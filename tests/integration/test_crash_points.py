@@ -250,8 +250,14 @@ def test_cli_scan_recovers_from_every_crash_point(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
+#: The crash-point wafer: its 64x32 dies stack four to a chunk (8,192
+#: cells), so its 21 dies land as six chunks and a crash can fall
+#: between chunk segments, after some dies are persisted.
+CHUNKED_WAFER = {**WAFER, "die_rows": 64, "die_cols": 32}
+
+
 def _wafer(checkpointer):
-    report = WaferModel(**WAFER).measure_wafer(
+    report = WaferModel(**CHUNKED_WAFER).measure_wafer(
         ScanConfig(checkpoint=checkpointer, ledger=checkpointer.ledger)
     )
     return np.array(
@@ -267,10 +273,12 @@ def test_wafer_recovers_from_every_crash_point(tmp_path):
         np.testing.assert_array_equal(result, clean)
         return fired
 
-    # Writes: the reservation.  Appends: one segment per die (21) and
-    # the manifest line.  Links: none — a wafer manifest has no artifact.
+    # Writes: the reservation.  Appends: one segment per landed chunk
+    # (6: a chunk is marked done as one segment, after all its dies'
+    # events) and the manifest line.  Links: none — a wafer manifest
+    # has no artifact.
     assert _drill(replay) == {
-        "durable.write": 1, "durable.append": 22, "durable.link": 0,
+        "durable.write": 1, "durable.append": 7, "durable.link": 0,
     }
 
 

@@ -32,21 +32,26 @@ from repro.measure.scan import ArrayScanner
 from repro.obs import MetricsRegistry
 from repro.obs.ledger import RunLedger
 from repro.resilience import Checkpointer, Fault, FaultPlan, list_checkpoints
+from repro.technologies import get as get_technology
 from repro.wafer import DieQuality, WaferModel
 
 #: (die_rows, die_cols, macro_rows, macro_cols) drawn per example.
 GEOMETRIES = [(8, 4, 4, 2), (16, 8, 8, 2), (16, 4, 8, 2), (8, 8, 2, 4)]
 DIAMETER = 21
+#: Centre-to-edge drop, as a fraction of the technology nominal, that
+#: puts some cells of every edge die out of range and none of a die's
+#: all of them (a die needs one in-range cell for its statistics).
+WIDE_DROP = {"edram": 0.5, "fecap": 0.7, "1t": 0.4}
 
 _PLANES = ("die_means", "die_sigmas", "die_vgs", "die_codes", "die_cell_quality")
 
 
-def _model(technology, geometry, seed):
+def _model(technology, geometry, seed, **profile):
     die_rows, die_cols, macro_rows, macro_cols = geometry
     return WaferModel(
         diameter_dies=DIAMETER, die_rows=die_rows, die_cols=die_cols,
         macro_rows=macro_rows, macro_cols=macro_cols,
-        technology=technology, seed=seed,
+        technology=technology, seed=seed, **profile,
     )
 
 
@@ -78,8 +83,13 @@ def _partitioned(make, ranges):
     }
 
 
-def _interrupted_then_resumed(make, technology, total, after):
-    """Ctrl-C at the ``after``-th ``wafer.die_done``, then resume."""
+def _interrupted_then_resumed(make, technology, total, after, chunk_dies):
+    """Ctrl-C at the ``after``-th ``wafer.die_done``, then resume.
+
+    A chunk's dies are marked done as one segment after their
+    ``wafer.die_done`` events, so the checkpoint holds every chunk
+    before the interrupted one, and none of that chunk's dies.
+    """
     with tempfile.TemporaryDirectory() as root:
         ledger = RunLedger(root)
         interrupt = Fault("wafer.die_done", error=KeyboardInterrupt(),
@@ -91,7 +101,9 @@ def _interrupted_then_resumed(make, technology, total, after):
             ))
         (state,) = list_checkpoints(ledger)
         assert state.kind == "shard"
-        assert sorted(state.completed) == list(range(after))
+        assert sorted(state.completed) == list(
+            range(after // chunk_dies * chunk_dies)
+        )
         resume = Checkpointer(ledger, resume=state.run_id)
         scan = make().measure_dies(
             (0, total), ScanConfig(technology=technology, checkpoint=resume)
@@ -115,22 +127,14 @@ def _all_fallback(make, technology, total):
     return scan
 
 
-@given(
-    technology=st.sampled_from(["edram", "fecap", "1t"]),
-    geometry=st.sampled_from(GEOMETRIES),
-    seed=st.integers(min_value=0, max_value=2**16),
-    data=st.data(),
-)
-@settings(max_examples=10, deadline=None)
-def test_every_wafer_path_lands_the_same_die_planes(
-    technology, geometry, seed, data
-):
-    def make():
-        return _model(technology, geometry, seed)
-
-    reference = _reference(make())
+def _check_every_path(make, data):
+    """Every path's die planes against the reference walk; returns it."""
+    model = make()
+    technology = model.technology
+    reference = _reference(model)
     total = len(reference["die_means"])
-    assert total > repro.wafer._CHUNK_CELLS // (geometry[0] * geometry[1])
+    chunk_dies = repro.wafer._CHUNK_CELLS // (model.die_rows * model.die_cols)
+    assert total > chunk_dies
 
     report = make().measure_wafer()
     wafer = {
@@ -145,7 +149,7 @@ def test_every_wafer_path_lands_the_same_die_planes(
     paths = {
         "partitioned": _partitioned(make, list(zip(bounds[:-1], bounds[1:]))),
         "interrupted then resumed": vars(
-            _interrupted_then_resumed(make, technology, total, after)
+            _interrupted_then_resumed(make, technology, total, after, chunk_dies)
         ),
         "all per-die fallback": vars(_all_fallback(make, technology, total)),
     }
@@ -161,3 +165,53 @@ def test_every_wafer_path_lands_the_same_die_planes(
                 err_msg=f"{plane} differs on the {name} path",
             )
         assert (planes["die_quality"] == int(DieQuality.GOOD)).all(), name
+    return reference
+
+
+@given(
+    technology=st.sampled_from(["edram", "fecap", "1t"]),
+    geometry=st.sampled_from(GEOMETRIES),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+@settings(max_examples=10, deadline=None)
+def test_every_wafer_path_lands_the_same_die_planes(
+    technology, geometry, seed, data
+):
+    _check_every_path(lambda: _model(technology, geometry, seed), data)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16), data=st.data())
+@settings(max_examples=2, deadline=None)
+def test_dies_of_more_than_128_cells_land_the_same_die_planes(seed, data):
+    """A 32x16 die's 512-cell row is past numpy's 128-element pairwise
+    block, so its per-die sums take the recursive split."""
+    _check_every_path(lambda: _model("edram", (32, 16, 8, 2), seed), data)
+
+
+@given(
+    technology=st.sampled_from(["edram", "fecap", "1t"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+@settings(max_examples=4, deadline=None)
+def test_wide_spread_wafer_mixes_full_and_masked_dies(technology, seed, data):
+    """A deep radial drop and wide cell mismatch push edge dies' cells
+    out of range while inner dies keep every cell, so chunks hold dies
+    of both reductions: the full-row one and the masked 1-D one."""
+    nominal = get_technology(technology).base_card().cell_capacitance
+    geometry = (16, 8, 8, 2)
+
+    def make():
+        return _model(technology, geometry, seed,
+                      radial_drop=WIDE_DROP[technology] * nominal,
+                      cell_sigma=nominal / 10)
+
+    reference = _check_every_path(make, data)
+    codes = reference["die_codes"].reshape(len(reference["die_codes"]), -1)
+    full = ((codes != 0) & (codes != 20)).all(axis=1)
+    chunk_dies = repro.wafer._CHUNK_CELLS // (geometry[0] * geometry[1])
+    assert any(
+        0 < full[k : k + chunk_dies].sum() < len(full[k : k + chunk_dies])
+        for k in range(0, len(full), chunk_dies)
+    )

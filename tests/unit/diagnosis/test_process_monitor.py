@@ -1,5 +1,6 @@
 """Process monitoring statistics."""
 
+import numpy as np
 import pytest
 
 from repro.bitmap.analog import AnalogBitmap
@@ -12,7 +13,7 @@ from repro.edram.variation_map import (
     uniform_map,
 )
 from repro.errors import DiagnosisError
-from repro.measure.scan import ArrayScanner
+from repro.measure.scan import ArrayScanner, ScanResult
 from repro.units import fF
 
 
@@ -83,6 +84,17 @@ def test_failing_fraction(monitor, tech, structure_8x2, abacus_8x2):
         _bitmap(tech, structure_8x2, abacus_8x2, mean=22 * fF)
     )
     assert shifted > 0.8
+
+
+def test_failing_fraction_counts_out_of_range_cells(monitor, abacus_8x2):
+    """Codes 0 and full scale have no estimate (NaN), yet they fail."""
+    codes = np.zeros((8, 4), dtype=int)
+    codes[:, 2:] = abacus_8x2.num_steps
+    scan = ScanResult(
+        codes=codes, vgs=np.zeros((8, 4)), num_steps=abacus_8x2.num_steps,
+        tiers=np.full((8, 4), "c"),
+    )
+    assert monitor.failing_fraction(AnalogBitmap(scan, abacus_8x2)) == 1.0
 
 
 class TestSampleSizePlanning:

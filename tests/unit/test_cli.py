@@ -448,17 +448,20 @@ def test_interrupted_wafer_resumes_with_the_listed_hint(tmp_path, capsys):
     from repro.resilience import Fault, FaultPlan, inject
 
     ck_dir = tmp_path / "runs"
-    wafer = ["wafer", "--diameter", "5", "--seed", "3"]
+    wafer = ["wafer", "--diameter", "13", "--seed", "3"]
     assert main(wafer) == 0
     plain = capsys.readouterr().out
     interrupt = Fault("wafer.die_done", error=KeyboardInterrupt(),
-                      after=4, times=1)
+                      after=70, times=1)
     with inject(FaultPlan([interrupt])):
         assert main([*wafer, "--checkpoint", str(ck_dir)]) == 130
     capsys.readouterr()
     assert main(["runs", "checkpoints", "--dir", str(ck_dir)]) == 0
     listed = capsys.readouterr().out
-    assert "r0001  shard  4/" in listed
+    # The d13 wafer's 137 dies land in chunks of 64, each marked done
+    # as one segment after all its dies' events: interrupted at die 70,
+    # the checkpoint holds the first chunk.
+    assert "r0001  shard  64/137 units" in listed
     hint = listed.split("resume with `", 1)[1].split("`", 1)[0]
     assert hint == f"repro wafer --resume r0001 --checkpoint {ck_dir}"
     assert main(hint.split()[1:]) == 0
@@ -607,7 +610,9 @@ def test_runs_checkpoints_names_the_fleet_for_a_shard_checkpoint(tmp_path, capsy
         )
     assert main(["runs", "checkpoints", "--dir", str(shard_dir)]) == 0
     listed = capsys.readouterr().out
-    assert "r0001  shard  1/4" in listed
+    # The range's 4 dies are one chunk, marked done after all their
+    # events: interrupted at the second, the checkpoint holds none.
+    assert "r0001  shard  0/4" in listed
     assert "repro wafer" not in listed
     hint = listed.split("resume with `", 1)[1].split("`", 1)[0]
     assert hint == f"repro fleet run --root {tmp_path / 'fleet'}"

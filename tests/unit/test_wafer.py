@@ -189,22 +189,48 @@ def test_die_loop_routes_dies_by_kernel_eligibility():
 
 def test_bridge_dies_fall_back_in_order_mid_chunk():
     from repro.bitmap.analog import AnalogBitmap
-    from repro.edram.defects import CellDefect, DefectInjector, DefectKind
+    from repro.edram.defects import (
+        KIND_CODES,
+        CellDefect,
+        DefectInjector,
+        DefectKind,
+    )
     from repro.measure.scan import ArrayScanner
+    from repro.technologies.edram import EDRAMTechnology
+
+    def bridged(mismatch_seed):
+        return mismatch_seed % 3 == 1
+
+    class BridgedEDRAM(EDRAMTechnology):
+        """Bridges cell (1, 0) of every third die (by mismatch seed), in
+        its array and in its chunk planes alike."""
+
+        def fabricate_die(self, rows, cols, **draw):
+            die = super().fabricate_die(rows, cols, **draw)
+            if bridged(draw["mismatch_seed"]):
+                DefectInjector(die).inject(1, 0, CellDefect(DefectKind.BRIDGE))
+            return die
+
+        def fabricate_die_planes(self, cap_out, kinds_out, **draw):
+            super().fabricate_die_planes(cap_out, kinds_out, **draw)
+            if bridged(draw["mismatch_seed"]):
+                kinds_out[1, 0] = KIND_CODES[DefectKind.BRIDGE]
 
     def bridged_model():
         model = WaferModel(diameter_dies=5, die_rows=8, die_cols=4,
                            macro_rows=4, seed=8)
-        fabricate, count = model.fabricate_die, iter(range(1000))
-
-        def fabricate_die(radius_fraction):
-            die = fabricate(radius_fraction)
-            if next(count) % 3 == 1:
-                DefectInjector(die).inject(1, 0, CellDefect(DefectKind.BRIDGE))
-            return die
-
-        model.fabricate_die = fabricate_die
+        model._backend = BridgedEDRAM()
         return model
+
+    backend, draw = BridgedEDRAM(), dict(mean=30 * fF, cell_sigma=fF)
+    for seed in (1, 2):
+        die = backend.fabricate_die(
+            8, 4, macro_rows=4, macro_cols=2, mismatch_seed=seed, **draw
+        )
+        cap, kinds = np.empty((8, 4)), np.empty((8, 4), dtype=np.int8)
+        backend.fabricate_die_planes(cap, kinds, mismatch_seed=seed, **draw)
+        np.testing.assert_array_equal(cap, die.capacitance_view())
+        np.testing.assert_array_equal(kinds, die.defect_kind_view())
 
     reference = bridged_model()
     structure, abacus = reference._calibration()
@@ -218,6 +244,8 @@ def test_bridge_dies_fall_back_in_order_mid_chunk():
         (0, total), on_die=lambda index, done: landed.append((index, done))
     )
     assert landed == [(i, i + 1) for i in range(total)]
+    # Bridged dies sit between chunked ones, so both paths land.
+    assert 0 < sum(bool((scan.tiers == "e").any()) for scan in scans) < total
     for index, scan in enumerate(scans):
         assert result.die_means[index] == AnalogBitmap(scan, abacus).mean_capacitance()
         np.testing.assert_array_equal(result.die_vgs[index], scan.vgs)
