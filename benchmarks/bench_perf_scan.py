@@ -3,13 +3,14 @@
 Three generations of the same scan, pinned against each other on a
 defect-free 128×64 array, all bit-identical:
 
-1. **seed** — a scanner restored to per-cell Python walks (mask
-   building, bridge routing, per-boundary bisection, a fresh sequencer
-   per macro); the honest pre-optimisation baseline.
-2. **cached serial** — the per-macro driver with incrementally
-   maintained numpy matrices, the memoized boundary table and cached
-   netlists (``use_kernel=False``).  Must stay ≥ 3× over seed.
-3. **kernel** — the batched kernel (:mod:`repro.measure.kernel`): one
+1. **seed** — the per-macro driver restored to per-cell Python walks
+   (mask building, bridge routing, per-boundary bisection, a fresh
+   sequencer per macro); the honest pre-optimisation baseline.
+2. **cached serial** — the per-macro driver (``_CachedSerialScanner``,
+   kept here: the library scans only in macro-row slabs) with
+   incrementally maintained numpy matrices, the memoized boundary
+   table and cached netlists.  Must stay ≥ 3× over seed.
+3. **kernel** — ``ArrayScanner.scan`` (:mod:`repro.measure.kernel`): one
    vectorized pass per macro-row slab (8 here) instead of 256
    per-macro trips.  Must be ≥ 10× over the cached serial driver, and
    it owns the headline ``cells_per_second``.
@@ -44,11 +45,15 @@ from repro.calibration.design import design_structure
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import DefectKind
 from repro.edram.variation_map import compose_maps, mismatch_map, uniform_map
+from repro.errors import ReproError
 from repro.measure.config import ScanConfig
 from repro.measure.kernel import _series
-from repro.measure.scan import ArrayScanner
+from repro.measure.scan import ArrayScanner, ScanResult
 from repro.measure.sequencer import MeasurementSequencer
+from repro.measure.stats import ScanStats
 from repro.obs import JsonlProgress, MetricsRegistry, RunLedger, Tracer
+from repro.resilience.faults import fault_point
+from repro.resilience.quality import CellQuality, quality_plane
 from repro.units import fF
 
 ROWS, COLS = 128, 64
@@ -90,17 +95,77 @@ def _append_history(entry):
     return history
 
 
-class _SeedScanner(ArrayScanner):
-    """The scanner as it behaved before the performance layer.
+class _CachedSerialScanner(ArrayScanner):
+    """The per-macro serial driver: the kernel's baseline.
+
+    One macro at a time, in macro order: bridge routing, then the
+    closed form on the macro's own tile (:meth:`closed_form_vgs`, after
+    the ``scan.closed_form`` site) and its code conversion in a
+    ``macro`` span — or the engine macro — then the tile's placement
+    (vgs, codes, tier, quality), one progress advance and the
+    ``scan.macro_done`` site.  It keeps every cache the scanner has
+    (memoized boundaries, incrementally maintained matrices, cached
+    netlists) and lands planes bit-identical to the slab driver's.
+    """
+
+    def scan(self, config=None):
+        config = config if config is not None else ScanConfig()
+        array, tracer = self.array, config.tracer
+        start = time.perf_counter()
+        shape = (array.rows, array.cols)
+        vgs, codes = np.zeros(shape), np.zeros(shape, dtype=int)
+        tiers, quality = np.full(shape, "c", dtype="<U1"), quality_plane(shape)
+        config.progress.start(array.num_cells, label="scan", units="cells")
+        for macro in array.macros():
+            tile = (slice(macro.row_start, macro.row_stop),
+                    slice(macro.col_start, macro.col_stop))
+            if self._macro_needs_engine(macro):
+                m_vgs, m_codes, m_quality = self._scan_macro(macro, tracer)
+                tiers[tile] = "e"
+            else:
+                with tracer.span(
+                    "macro", index=macro.index, cells=macro.num_cells
+                ) as span:
+                    m_quality = quality_plane((macro.rows, array.macro_cols))
+                    try:
+                        fault_point("scan.closed_form", macro=macro.index)
+                        m_vgs = self.closed_form_vgs(macro)
+                    except ReproError:
+                        m_vgs = np.zeros(m_quality.shape)
+                        m_quality[:, :] = CellQuality.FAILED
+                    m_codes = self.codes_for_vgs(m_vgs)
+                    span.attributes["tier"] = "closed-form"
+                    failed = int((m_quality != CellQuality.GOOD).sum())
+                    if failed:
+                        span.attributes["fallback_cells"] = failed
+                tiers[tile] = "c"
+            vgs[tile], codes[tile], quality[tile] = m_vgs, m_codes, m_quality
+            config.progress.advance(macro.num_cells)
+            fault_point("scan.macro_done", macro=macro.index)
+        config.progress.finish()
+        engine = int(np.count_nonzero(tiers == "e"))
+        stats = ScanStats(
+            total_cells=array.num_cells,
+            wall_seconds=time.perf_counter() - start,
+            closed_form_cells=array.num_cells - engine,
+            engine_cells=engine,
+        )
+        return ScanResult(codes=codes, vgs=vgs, tiers=tiers, stats=stats,
+                          quality=quality,
+                          num_steps=self.structure.design.num_steps)
+
+
+class _SeedScanner(_CachedSerialScanner):
+    """The per-macro driver as it behaved before the performance layer.
 
     Restores the per-cell Python walks for mask building and bridge
     routing, the per-boundary bisection at construction, and a fresh
     sequencer per macro — the honest baseline, running on the same
-    arrays through the same scan driver.
+    arrays through the same per-macro driver.
     """
 
     def __init__(self, array, structure):
-        super().__init__(array, structure, use_kernel=False)
+        super().__init__(array, structure)
         s = self.structure
         self._seed_boundaries = np.array(
             [s.vgs_for_code_boundary(k) for k in range(1, s.design.num_steps + 1)]
@@ -198,7 +263,7 @@ def bench_perf_scan_speedup(benchmark, tech):
     structure = design_structure(tech, MACRO_ROWS, MACRO_COLS, bitline_rows=ROWS)
 
     kernel = ArrayScanner(array, structure)
-    cached = ArrayScanner(array, structure, use_kernel=False)
+    cached = _CachedSerialScanner(array, structure)
     seed = _SeedScanner(array, structure)
 
     seed_seconds, seed_scan = _best_of(seed.scan)
@@ -215,10 +280,9 @@ def bench_perf_scan_speedup(benchmark, tech):
         pass
 
     # The optimisations must be invisible in the data.
-    assert np.array_equal(fast_scan.codes, seed_scan.codes)
-    assert np.array_equal(fast_scan.vgs, seed_scan.vgs)
-    assert np.array_equal(fast_scan.codes, cached_scan.codes)
-    assert np.array_equal(fast_scan.vgs, cached_scan.vgs)
+    for baseline in (seed_scan, cached_scan):
+        for plane in ("codes", "vgs", "tiers", "quality"):
+            assert np.array_equal(getattr(fast_scan, plane), getattr(baseline, plane))
     assert fast_scan.stats.kernel_cells == array.num_cells
 
     speedup = seed_seconds / cached_seconds

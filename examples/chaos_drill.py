@@ -2,7 +2,7 @@
 """Chaos drill: fail a cell, interrupt the scan — finish anyway.
 
 A deterministic fault plan makes one cell's solver singular and interrupts
-the run after two macros.  The fallback ladder flags the sick cell DEGRADED
+the run after two macros, one macro row, which the checkpoint persisted.  The fallback ladder flags the sick cell DEGRADED
 instead of dropping it, and --resume finishes from the checkpoint
 bit-exactly.  (Worker kills and respawns are drilled on the wafer fleet:
 see ``tests/integration/test_fleet_chaos.py``.)
@@ -22,7 +22,7 @@ from repro.resilience import Checkpointer, Fault, FaultPlan
 
 CHAOS = [
     Fault("sequencer.measure", error=SingularCircuitError("injected short"), match={"row": 1, "col": 1}),
-    Fault("scan.macro_done", error=KeyboardInterrupt(), after=1, times=1),
+    Fault("scan.macro_done", error=KeyboardInterrupt(), after=2, times=1),
 ]
 
 

@@ -8,6 +8,8 @@ layer builds on.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.calibration.abacus import Abacus
@@ -36,7 +38,15 @@ class AnalogBitmap:
         self.scan = scan
         self.abacus = abacus
         self.codes = scan.codes
-        self.estimates = abacus.estimate_matrix(scan.codes)
+
+    @cached_property
+    def estimates(self) -> np.ndarray:
+        """Per-cell capacitance estimates, farads (NaN out of range).
+
+        Built on first read: a recorded scan's bitmap scalars never
+        need it.
+        """
+        return self.abacus.estimate_matrix(self.codes)
 
     # ------------------------------------------------------------------
     # Masks

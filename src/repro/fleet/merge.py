@@ -101,8 +101,7 @@ def lot_scalars(
     }
     if measured:
         report = WaferReport.from_planes(
-            [site for site, ok in zip(sites, good) if ok],
-            die_means[good], die_sigmas[good], diameter,
+            sites, die_means, die_sigmas, diameter, die_quality
         )
         scalars.update(report.scalars())
     return scalars

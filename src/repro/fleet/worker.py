@@ -95,18 +95,22 @@ def load_spec(path: str | Path) -> dict[str, Any]:
 
 def _shard_scalars(model, scan) -> dict[str, float]:
     """Per-shard summary scalars (the shard manifest's drift diet):
-    the range's :meth:`~repro.wafer.WaferReport.scalars` plus counts."""
+    the range's :meth:`~repro.wafer.WaferReport.scalars` over its GOOD
+    dies plus counts."""
     from repro.resilience.quality import CellQuality
-    from repro.wafer import WaferReport
+    from repro.wafer import DieQuality, WaferReport
 
     lo, hi = scan.die_range
-    report = WaferReport.from_planes(
-        model.sites()[lo:hi], scan.die_means, scan.die_sigmas, model.diameter
-    )
+    physics = {}
+    if (scan.die_quality == int(DieQuality.GOOD)).any():
+        physics = WaferReport.from_planes(
+            model.sites()[lo:hi], scan.die_means, scan.die_sigmas,
+            model.diameter, scan.die_quality,
+        ).scalars()
     cells = scan.die_cell_quality
     return {
         "dies": float(hi - lo),
-        **report.scalars(),
+        **physics,
         "degraded_cells": float((cells == int(CellQuality.DEGRADED)).sum()),
         "failed_cells": float((cells == int(CellQuality.FAILED)).sum()),
     }

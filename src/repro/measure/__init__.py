@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from repro.measure.sequencer import MeasurementSequencer
     from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
     from repro.measure.scan import ArrayScanner, ScanResult
-    from repro.measure.stats import MacroTiming, ScanStats
+    from repro.measure.stats import ScanStats
     from repro.measure.noise import NoiseAnalysis, NoiseBudget
     from repro.measure.faults import FaultSpec, FaultySequencer, StructureFault, fault_signature
 
@@ -67,7 +67,6 @@ _EXPORTS = {
     "ScanConfig": "repro.measure.config",
     "ScanResult": "repro.measure.scan",
     "ScanStats": "repro.measure.stats",
-    "MacroTiming": "repro.measure.stats",
     "NoiseAnalysis": "repro.measure.noise",
     "NoiseBudget": "repro.measure.noise",
     "FaultSpec": "repro.measure.faults",
@@ -94,7 +93,6 @@ __all__ = [
     "ScanConfig",
     "ScanResult",
     "ScanStats",
-    "MacroTiming",
     "NoiseAnalysis",
     "NoiseBudget",
     "FaultSpec",

@@ -29,10 +29,11 @@ variation maps and defect populations.  It also makes a macro-row slab,
 or a single tile, bit-identical to its slice of a whole-array pass.
 
 The kernel covers the **closed-form tier only**: bridge macros are
-overwritten by the engine tier and ``force_engine`` scans keep the
-per-macro drivers.  :meth:`ArrayScanner.scan` runs one pass per
-macro-row slab, and a scan's ``kernel_seconds`` is the sum over its
-slab passes; a wafer runs one pass per chunk of stacked dies.
+overwritten by the engine tier, and a slab whose every macro rides the
+engine (a ``force_engine`` scan) skips its pass.
+:meth:`ArrayScanner.scan` runs one pass per macro-row slab, and a
+scan's ``kernel_seconds`` is the sum over its slab passes; a wafer runs
+one pass per chunk of stacked dies.
 """
 
 from __future__ import annotations

@@ -25,16 +25,18 @@ with, per branch:
   opens vanish) as implemented in
   :func:`repro.measure.kernel.closed_form_vgs_plane`.
 
-Macros containing BRIDGE defects fall back to the exact charge engine
-cell by cell — bridge topologies are many and rare, and the engine *is*
-the reference.  Agreement between the closed form and the engine is
-pinned by integration tests.
+Macros containing BRIDGE defects fall back to the exact charge engine,
+one stacked solve per macro — bridge topologies are many and rare, and
+the engine *is* the reference.  Agreement between the closed form and
+the engine is pinned by integration tests.
 
 Performance layer (see docs/architecture.md "Scan driver: plan →
-execute → assemble"): the closed form is the batched kernel of
-:mod:`repro.measure.kernel`, one pass per macro-row slab whose kernel
-tiles land together (tile by tile only when a fault plan is armed),
-and the engine tier reuses one cached netlist per macro.
+execute → assemble"): every scan is a run of macro-row slabs, whatever
+the tier.  A slab gets one pass of the batched kernel of
+:mod:`repro.measure.kernel` (none when every macro in it rides the
+engine), its engine macros are overwritten, and it lands as one band
+(tile by tile only when a fault plan is armed) and persists once.  The
+engine tier reuses one cached netlist per macro.
 Process parallelism lives in the wafer fleet (:mod:`repro.fleet`),
 not inside a scan.
 
@@ -60,7 +62,7 @@ from repro.errors import MeasurementError, ReproError, ScanMismatchError
 from repro.measure.config import ScanConfig
 from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
 from repro.measure.sequencer import MeasurementSequencer
-from repro.measure.stats import MacroTiming, ScanStats
+from repro.measure.stats import ScanStats
 from repro.measure.structure import MeasurementDesign, MeasurementStructure
 from repro.obs.metrics import active_metrics, use_metrics
 from repro.obs.trace import NULL_TRACER
@@ -199,19 +201,10 @@ class ArrayScanner:
         for non-reference macro geometries pass a structure produced by
         :func:`repro.calibration.design.design_structure` so the code
         scale matches the capacitance range.
-    use_kernel:
-        Allow :meth:`scan` to plan batched-kernel slabs
-        (:mod:`repro.measure.kernel`).  ``False`` plans one macro per
-        slab through the per-macro driver — the benchmark's
-        cached-serial baseline.
     """
 
     def __init__(
-        self,
-        array: EDRAMArray,
-        structure: MeasurementStructure | None = None,
-        *,
-        use_kernel: bool = True,
+        self, array: EDRAMArray, structure: MeasurementStructure | None = None
     ) -> None:
         self.array = array
         self.structure = (
@@ -235,10 +228,6 @@ class ArrayScanner:
         self._cpp = m0.plate_parasitic
         self._creft = self.structure.c_ref_total
         self._vdd = tech.vdd
-        # Batched kernel (repro.measure.kernel); the scan planner skips
-        # it only under force_engine or when disabled here outright
-        # (benchmarks pin the per-macro baseline through this seam).
-        self._use_kernel = use_kernel
 
     def codes_for_vgs(self, vgs: np.ndarray) -> np.ndarray:
         """Vectorized static conversion (matches ``code_for_vgs``)."""
@@ -285,8 +274,8 @@ class ArrayScanner:
     def closed_form_vgs(self, macro: MacroCell) -> np.ndarray:
         """V_GS for every cell of ``macro``: the kernel on its one tile.
 
-        The engine tier's per-cell fallback and the per-macro drivers
-        call this; batched scans call :meth:`kernel_planes` instead.
+        The engine tier's per-cell fallback calls this; scans call
+        :meth:`kernel_planes` once per slab instead.
         """
         return closed_form_vgs_plane(
             macro.capacitance_matrix(),
@@ -314,46 +303,9 @@ class ArrayScanner:
         )
 
     def _scan_macro(
-        self, macro: MacroCell, config: ScanConfig
-    ) -> tuple[np.ndarray, np.ndarray, str, np.ndarray]:
-        """Scan one macro with ambient metrics already installed.
-
-        The scan driver calls this directly — the contextvar install
-        happens once per scan, not once per macro.
-        Returns ``(vgs, codes, tier, quality)``; the quality plane is
-        all-GOOD unless a solver failure forced a fallback.
-        """
-        tracer = config.tracer
-        with tracer.span("macro", index=macro.index, cells=macro.num_cells) as span:
-            quality = quality_plane((macro.rows, self.array.macro_cols))
-            if config.force_engine or self._macro_needs_engine(macro):
-                vgs = self._engine_macro_vgs(macro, tracer, quality)
-                with tracer.span("phase:convert"):
-                    codes = self.codes_for_vgs(vgs)
-                tier = "e"
-                span.attributes["tier"] = "engine"
-            else:
-                try:
-                    fault_point("scan.closed_form", macro=macro.index)
-                    vgs = self.closed_form_vgs(macro)
-                except ReproError:
-                    # Closed form refused the whole tile: placeholder
-                    # planes, every cell flagged FAILED — the scan keeps
-                    # its shape and the bitmap shows the hole.
-                    vgs = np.zeros((macro.rows, self.array.macro_cols))
-                    quality[:, :] = CellQuality.FAILED
-                codes = self.codes_for_vgs(vgs)
-                tier = "c"
-                span.attributes["tier"] = "closed-form"
-            degraded = int((quality != CellQuality.GOOD).sum())
-            if degraded:
-                span.attributes["fallback_cells"] = degraded
-            return vgs, codes, tier, quality
-
-    def _engine_macro_vgs(
-        self, macro: MacroCell, tracer, quality: np.ndarray
-    ) -> np.ndarray:
-        """Engine tier: one stacked solve of every cell, then the fallback ladder.
+        self, macro: MacroCell, tracer
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scan one engine macro in its ``macro`` span; ``(vgs, codes, quality)``.
 
         All of the macro's cells go to the sequencer in one
         :meth:`~repro.measure.sequencer.MeasurementSequencer.measure_charge`
@@ -364,27 +316,35 @@ class ArrayScanner:
         continues — one pathological cell must never abort the bitmap.
         """
         mc = self.array.macro_cols
-        rows, cols = np.divmod(np.arange(macro.rows * mc), mc)
-        batch = self._sequencer(macro).measure_charge(rows, cols, tracer=tracer)
-        vgs = batch.vgs.reshape(macro.rows, mc)
-        fallback: np.ndarray | None | bool = None
-        for r, c in zip(*np.nonzero(batch.failed.reshape(macro.rows, mc))):
-            if fallback is None:
-                try:
-                    fallback = self.closed_form_vgs(macro)
-                except ReproError:
-                    fallback = False
-            if fallback is not False:
-                vgs[r, c] = fallback[r, c]
-                quality[r, c] = CellQuality.DEGRADED
-                active_metrics().counter(
-                    "scan.cell_fallbacks",
-                    "engine cells rescued by the closed form",
-                ).inc()
-            else:  # pragma: no cover - closed form is pure algebra
-                vgs[r, c] = 0.0
-                quality[r, c] = CellQuality.FAILED
-        return vgs
+        with tracer.span("macro", index=macro.index, cells=macro.num_cells) as span:
+            quality = quality_plane((macro.rows, mc))
+            rows, cols = np.divmod(np.arange(macro.rows * mc), mc)
+            batch = self._sequencer(macro).measure_charge(rows, cols, tracer=tracer)
+            vgs = batch.vgs.reshape(macro.rows, mc)
+            fallback: np.ndarray | None | bool = None
+            for r, c in zip(*np.nonzero(batch.failed.reshape(macro.rows, mc))):
+                if fallback is None:
+                    try:
+                        fallback = self.closed_form_vgs(macro)
+                    except ReproError:
+                        fallback = False
+                if fallback is not False:
+                    vgs[r, c] = fallback[r, c]
+                    quality[r, c] = CellQuality.DEGRADED
+                    active_metrics().counter(
+                        "scan.cell_fallbacks",
+                        "engine cells rescued by the closed form",
+                    ).inc()
+                else:  # pragma: no cover - closed form is pure algebra
+                    vgs[r, c] = 0.0
+                    quality[r, c] = CellQuality.FAILED
+            with tracer.span("phase:convert"):
+                codes = self.codes_for_vgs(vgs)
+            span.attributes["tier"] = "engine"
+            degraded = int((quality != CellQuality.GOOD).sum())
+            if degraded:
+                span.attributes["fallback_cells"] = degraded
+            return vgs, codes, quality
 
     def scan(self, config: ScanConfig | None = None) -> ScanResult:
         """Scan the whole array; returns the assembled :class:`ScanResult`.
@@ -397,18 +357,18 @@ class ArrayScanner:
         record in ``result.stats``; when ``config.metrics`` is a real
         registry the stats are folded into it as well, and
         ``config.tracer`` receives the scan → kernel/macro → phase span
-        tree.  ``config.progress`` is advanced as tiles land
+        tree.  ``config.progress`` is advanced as slabs land
         (live completion/throughput/ETA), and when ``config.ledger`` is
         set a run manifest (provenance, per-run scalars and the
         calibrated bitmap's) is appended to it on completion.
 
         One driver, three steps (see docs/architecture.md "Scan
         driver"): :meth:`_plan` cuts the remaining macros into
-        macro-row slabs (single macros with the kernel off), each slab
-        runs one kernel pass with its engine macros overwritten, and
-        :class:`_Assembler` lands the tiles and persists once per slab.
-        With ``config.checkpoint`` set, an interrupted scan resumes
-        bit-exact from its last persisted slab.
+        macro-row slabs, each slab runs one kernel pass (none when
+        every macro in it rides the engine) with its engine macros
+        overwritten, and :class:`_Assembler` lands the slab and
+        persists it.  With ``config.checkpoint`` set, an interrupted
+        scan resumes bit-exact from its last persisted slab.
         """
         config = config if config is not None else ScanConfig()
         # Resolve the cell-technology backend and check it matches the
@@ -434,75 +394,35 @@ class ArrayScanner:
             start = perf_counter()
             cpu_start = process_time()
             rows, cols = self.array.rows, self.array.cols
-            # The kernel evaluates every closed-form macro unless
-            # force_engine pins the per-macro drivers.  It runs one pass
-            # per macro-row slab and lands each slab's kernel tiles in
-            # one call; only an armed fault plan needs each tile landed
-            # on its own.
-            kernel_ok = self._use_kernel and not config.force_engine
-            per_tile = active_fault_plan() is not None
-            out = _Assembler(self.array, config)
+            out = _Assembler(self.array, config, self.codes_for_vgs)
             done = out.resume(config, self.structure.design.num_steps)
-            timings: list[MacroTiming] = []
             kernel_cells = 0
             kernel_seconds = 0.0
             with tracer.span(
                 "scan", rows=rows, cols=cols, force_engine=config.force_engine
             ) as scan_span:
                 config.progress.start(rows * cols, label="scan", units="cells")
-                for index in sorted(done):
-                    # Checkpointed macros are already in the planes.
-                    config.progress.advance(self.array.macro(index).num_cells)
-                # Engine routing is decided up front (O(1) for
-                # bridge-free arrays) so the kernel passes and the
-                # engine overwrites share one verdict per macro.
-                engine: frozenset[int] = frozenset()
-                if kernel_ok and self.array.defect_count(DefectKind.BRIDGE):
-                    engine = frozenset(
-                        i for i in range(self.array.num_macros)
-                        if i not in done
-                        and self._macro_needs_engine(self.array.macro(i))
-                    )
+                if done:  # checkpointed macros are already in the planes
+                    config.progress.advance(len(done) * out.cells_per_macro)
                 cap = self.array.capacitance_view()
                 kinds = self.array.defect_kind_view()
-                for rsl, slab in self._plan(done, kernel_ok):
-                    if kernel_ok:
-                        s_vgs, s_codes, s_seconds = self.kernel_planes(
+                for rsl, slab, engine in self._plan(done, config.force_engine):
+                    if len(engine) < len(slab):
+                        vgs, codes, seconds = self.kernel_planes(
                             cap[rsl], kinds[rsl], tracer
                         )
-                        kernel_seconds += s_seconds
-                    if kernel_ok and not per_tile:
-                        # One landing for the slab's kernel tiles.
-                        per_macro = [i for i in slab if i in engine]
-                        tiles = (
-                            [i for i in slab if i not in engine]
-                            if per_macro else slab
-                        )
-                        out.land_slab(rsl, tiles, s_vgs, s_codes)
-                        kernel_cells += len(tiles) * out.cells_per_macro
-                    else:
-                        per_macro = slab
-                    for index in per_macro:
+                        kernel_seconds += seconds
+                    else:  # every macro of the slab rides the engine
+                        vgs = np.empty((rsl.stop - rsl.start, cols))
+                        codes = np.empty(vgs.shape, dtype=int)
+                    engine_quality: dict[int, np.ndarray] = {}
+                    for index in engine:
                         macro = self.array.macro(index)
-                        if kernel_ok and index not in engine:
-                            csl = slice(macro.col_start, macro.col_stop)
-                            m_vgs, m_codes, m_quality = self._kernel_tile(
-                                macro, s_vgs[:, csl], s_codes[:, csl]
-                            )
-                            if m_quality is None:
-                                kernel_cells += macro.num_cells
-                            out.place(macro, m_vgs, m_codes, "c", m_quality)
-                        else:
-                            macro_start = perf_counter()
-                            m_vgs, m_codes, tier, m_quality = self._scan_macro(
-                                macro, config
-                            )
-                            timings.append(MacroTiming(
-                                index, tier, macro.num_cells,
-                                perf_counter() - macro_start,
-                            ))
-                            out.place(macro, m_vgs, m_codes, tier, m_quality)
-                    out.persist(slab, rsl)
+                        csl = slice(macro.col_start, macro.col_stop)
+                        vgs[:, csl], codes[:, csl], engine_quality[index] = (
+                            self._scan_macro(macro, tracer)
+                        )
+                    kernel_cells += out.land(rsl, slab, vgs, codes, engine_quality)
                 config.progress.finish()
                 out.check()
 
@@ -520,8 +440,6 @@ class ArrayScanner:
                 wall_seconds=perf_counter() - start,
                 closed_form_cells=rows * cols - engine_cells,
                 engine_cells=engine_cells,
-                # Plan order is macro-index order.
-                macro_timings=timings,
                 kernel_cells=kernel_cells,
                 kernel_seconds=kernel_seconds,
                 degraded_cells=int((quality == CellQuality.DEGRADED).sum()),
@@ -562,45 +480,32 @@ class ArrayScanner:
         return result
 
     def _plan(
-        self, done: set[int], kernel_ok: bool
-    ) -> list[tuple[slice, range | list[int]]]:
-        """Slabs of macro indices still to scan, with their row slices.
+        self, done: set[int], force_engine: bool
+    ) -> list[tuple[slice, range | list[int], list[int]]]:
+        """Slabs still to scan: ``(rows, macros, engine macros)`` each.
 
-        One macro row per slab for the kernel; one macro per slab when
-        the kernel is off, so nothing runs that is not persisted right
-        after.
+        One macro row per slab, whatever the tier.  A slab's engine
+        macros are all of its macros under ``force_engine``, otherwise
+        those a bridge touches — decided here, once per scan, and
+        without a per-macro check on a bridge-free array.
         """
         array = self.array
-        per_row = array.macros_per_row
-        per_slab = per_row if kernel_ok else 1
-        mr = array.macro_rows
-        plan: list[tuple[slice, range | list[int]]] = []
-        for first in range(0, array.num_macros, per_slab):
-            slab: range | list[int] = range(first, first + per_slab)
+        per_row, mr = array.macros_per_row, array.macro_rows
+        bridged = force_engine or array.defect_count(DefectKind.BRIDGE) > 0
+        plan: list[tuple[slice, range | list[int], list[int]]] = []
+        for first in range(0, array.num_macros, per_row):
+            slab: range | list[int] = range(first, first + per_row)
             if done:
                 slab = [index for index in slab if index not in done]
                 if not slab:
                     continue
+            engine = [
+                index for index in slab
+                if force_engine or self._macro_needs_engine(array.macro(index))
+            ] if bridged else []
             row = first // per_row * mr
-            plan.append((slice(row, row + mr), slab))
+            plan.append((slice(row, row + mr), slab, engine))
         return plan
-
-    def _kernel_tile(
-        self, macro: MacroCell, vgs: np.ndarray, codes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """One macro's kernel tile, or the FAILED placeholder.
-
-        The ``scan.closed_form`` fault site fires here as it does in
-        :meth:`_scan_macro`; a refusal yields zeros flagged FAILED.
-        The quality is ``None`` for a good tile (all-GOOD).
-        """
-        try:
-            fault_point("scan.closed_form", macro=macro.index)
-        except ReproError:
-            vgs = np.zeros(vgs.shape)
-            failed = np.full(vgs.shape, CellQuality.FAILED, dtype=np.uint8)
-            return vgs, self.codes_for_vgs(vgs), failed
-        return vgs, codes, None
 
     def measure_cell(
         self, row: int, col: int, config: ScanConfig | None = None
@@ -622,22 +527,24 @@ class ArrayScanner:
 
 
 class _Assembler:
-    """The scan's result planes and the landing of tiles in them.
+    """The scan's result planes and the landing of slabs in them.
 
-    Every macro lands exactly once — restored from the checkpoint, as
-    part of a kernel slab, or as its own tile — and :meth:`check`
-    proves it before the result is built.  Tile landings advance
-    progress and fire the ``scan.macro_done`` fault site; a slab does
-    its progress in one call and fires no per-macro site, which keeps
-    a scan's bookkeeping off its hot path (slabs land whole only with
-    no fault plan armed).
+    Every macro lands exactly once — restored from the checkpoint or as
+    part of its slab — and :meth:`check` proves it before the result is
+    built.  A slab lands as one band with one progress advance; only an
+    armed fault plan walks it tile by tile, firing the
+    ``scan.closed_form`` and ``scan.macro_done`` sites per macro, which
+    keeps a scan's bookkeeping off its hot path.
     """
 
-    def __init__(self, array: EDRAMArray, config: ScanConfig) -> None:
+    def __init__(self, array: EDRAMArray, config: ScanConfig, convert) -> None:
         rows, cols = array.rows, array.cols
         self.array = array
         self.progress = config.progress
         self.checkpointer = config.checkpoint
+        self.per_tile = active_fault_plan() is not None
+        #: V_GS → codes, for the placeholder of a refused tile.
+        self.convert = convert
         self.cells_per_macro = array.macro_rows * array.macro_cols
         self.codes = np.zeros((rows, cols), dtype=int)
         self.vgs = np.zeros((rows, cols))
@@ -671,55 +578,63 @@ class _Assembler:
         self._landed[sorted(done)] += 1
         return done
 
-    def land_slab(
-        self, rsl: slice, tiles: range | list[int], vgs: np.ndarray,
-        codes: np.ndarray,
-    ) -> None:
-        """Land the kernel ``tiles`` of one row slab from its kernel planes.
-
-        A whole slab lands as one band; a slab that a per-macro
-        checkpoint left half done, or that holds engine macros, lands
-        only its kernel tiles' columns.  A kernel tile's tiers and
-        quality are still their blank ``"c"`` and GOOD.
-        """
-        array = self.array
-        if len(tiles) == array.macros_per_row:
-            columns = [slice(None)]
-        else:
-            columns = [
-                slice(m.col_start, m.col_stop) for m in map(array.macro, tiles)
-            ]
-        for csl in columns:
-            self.vgs[rsl, csl] = vgs[:, csl]
-            self.codes[rsl, csl] = codes[:, csl]
-        self._landed[tiles] += 1
-        self.progress.advance(self.cells_per_macro * len(tiles))
-
-    def place(
+    def land(
         self,
-        macro: MacroCell,
-        m_vgs: np.ndarray,
-        m_codes: np.ndarray,
-        tier: str,
-        m_quality: np.ndarray | None,
-    ) -> None:
-        """Land one macro's tile (``m_quality=None`` means all-GOOD)."""
-        rsl = slice(macro.row_start, macro.row_stop)
-        csl = slice(macro.col_start, macro.col_stop)
-        self.vgs[rsl, csl] = m_vgs
-        self.codes[rsl, csl] = m_codes
-        self.tiers[rsl, csl] = tier
-        self.quality[rsl, csl] = (
-            CellQuality.GOOD if m_quality is None else m_quality
-        )
-        self._landed[macro.index] += 1
-        self.progress.advance(macro.num_cells)
-        fault_point("scan.macro_done", macro=macro.index)
+        rsl: slice,
+        slab: range | list[int],
+        vgs: np.ndarray,
+        codes: np.ndarray,
+        engine: dict[int, np.ndarray],
+    ) -> int:
+        """Land one slab's rows, then persist it; returns its GOOD kernel cells.
 
-    def persist(self, slab: range | list[int], rows: slice) -> None:
-        """Mark a finished slab done: one checkpoint segment of its rows."""
+        ``vgs``/``codes`` are the slab's rows with its engine macros
+        already overwritten; ``engine`` maps each engine macro to its
+        quality tile.  Kernel tiles keep their blank ``"c"`` tier and
+        GOOD quality unless the ``scan.closed_form`` site refuses one:
+        it then lands zeros flagged FAILED, so the scan keeps its shape
+        and the bitmap shows the hole.  A slab that a checkpoint left
+        half done lands only its own tiles' columns.
+        """
+        array, cells = self.array, self.cells_per_macro
+        good = cells * (len(slab) - len(engine))
+        for index, quality in engine.items():
+            macro = array.macro(index)
+            csl = slice(macro.col_start, macro.col_stop)
+            self.tiers[rsl, csl] = "e"
+            self.quality[rsl, csl] = quality
+        if self.per_tile:
+            for index in slab:
+                macro = array.macro(index)
+                csl = slice(macro.col_start, macro.col_stop)
+                if index not in engine:
+                    try:
+                        fault_point("scan.closed_form", macro=index)
+                    except ReproError:
+                        vgs[:, csl] = 0.0
+                        codes[:, csl] = self.convert(vgs[:, csl])
+                        self.quality[rsl, csl] = CellQuality.FAILED
+                        good -= cells
+                self.vgs[rsl, csl] = vgs[:, csl]
+                self.codes[rsl, csl] = codes[:, csl]
+                self._landed[index] += 1
+                self.progress.advance(cells)
+                fault_point("scan.macro_done", macro=index)
+        else:
+            if len(slab) == array.macros_per_row:
+                columns = [slice(None)]
+            else:
+                columns = [
+                    slice(m.col_start, m.col_stop) for m in map(array.macro, slab)
+                ]
+            for csl in columns:
+                self.vgs[rsl, csl] = vgs[:, csl]
+                self.codes[rsl, csl] = codes[:, csl]
+            self._landed[slab] += 1
+            self.progress.advance(cells * len(slab))
         if self.checkpointer is not None:
-            self.checkpointer.mark_done(*slab, rows=rows)
+            self.checkpointer.mark_done(*slab, rows=rsl)
+        return good
 
     def check(self) -> None:
         """Every macro landed exactly once (no gap, no double write)."""

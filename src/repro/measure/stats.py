@@ -1,4 +1,4 @@
-"""Scan telemetry: wall time, tier mix, throughput, kernel and macro timings.
+"""Scan telemetry: wall time, tier mix, throughput and kernel time.
 
 Production test economics are throughput economics — the paper's
 structure wins because it measures every cell in microseconds, and the
@@ -6,42 +6,16 @@ ROADMAP's north star is a scan that runs as fast as the hardware allows.
 :class:`ScanStats` makes that measurable: every
 :meth:`~repro.measure.scan.ArrayScanner.scan` attaches one to its
 :class:`~repro.measure.scan.ScanResult`, recording how long the scan
-took, which execution tier handled how many cells, how long the
-batched kernel's slab passes took, and how long each macro that ran on
-its own (engine tier, kernel off) took.  The CLI prints the summary;
+took, which execution tier handled how many cells and how long the
+batched kernel's slab passes took.  An engine macro's own time is its
+``macro`` span on the scan's tracer.  The CLI prints the summary;
 ``benchmarks/bench_perf_scan.py`` serialises it into ``BENCH_scan.json``
 so the repository keeps a performance trajectory across changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
-
-class MacroTiming(NamedTuple):
-    """Measured wall time of one macro-cell scanned on its own.
-
-    Only macros the per-macro driver ran get one (engine tier, kernel
-    off, ``force_engine``); kernel tiles get none — their time is the
-    slab passes' ``kernel_seconds``.
-
-    Attributes
-    ----------
-    index:
-        Macro index (row-major tile order).
-    tier:
-        ``'c'`` closed form / ``'e'`` exact engine.
-    cells:
-        Cells in the macro tile.
-    seconds:
-        Wall time spent scanning the tile.
-    """
-
-    index: int
-    tier: str
-    cells: int
-    seconds: float
+from dataclasses import dataclass
 
 
 @dataclass
@@ -60,12 +34,9 @@ class ScanStats:
     kernel_cells, kernel_seconds:
         Cells landed from the batched kernel and the summed wall time
         of its macro-row slab passes (a subset of the closed-form
-        cells; both 0 when the scan ran the per-macro drivers).
-    macro_timings:
-        Measured timings of the macros scanned on their own, in
-        macro-index order; empty for a clean kernel scan.  With
-        nothing restored from a checkpoint and no tile FAILED,
-        ``kernel_cells`` plus their cells is ``total_cells``.
+        cells; both 0 when every macro rode the engine).  With nothing
+        restored from a checkpoint and no tile FAILED, ``kernel_cells``
+        plus ``engine_cells`` is ``total_cells``.
     degraded_cells, failed_cells:
         Cells whose value came from a fallback rung (DEGRADED) or is a
         flagged placeholder (FAILED) — see
@@ -76,7 +47,6 @@ class ScanStats:
     wall_seconds: float
     closed_form_cells: int
     engine_cells: int
-    macro_timings: list[MacroTiming] = field(default_factory=list)
     kernel_cells: int = 0
     kernel_seconds: float = 0.0
     degraded_cells: int = 0
@@ -88,12 +58,6 @@ class ScanStats:
         if self.wall_seconds <= 0.0:
             return float("inf") if self.total_cells else 0.0
         return self.total_cells / self.wall_seconds
-
-    def slowest_macro(self) -> MacroTiming | None:
-        """The timed macro that took longest, or None if none was timed."""
-        if not self.macro_timings:
-            return None
-        return max(self.macro_timings, key=lambda t: t.seconds)
 
     def to_metrics(self, registry) -> None:
         """Fold this scan's telemetry into a metrics registry.
@@ -124,9 +88,6 @@ class ScanStats:
             registry.gauge(
                 "scan.kernel_seconds", "last scan's summed kernel slab passes"
             ).set(self.kernel_seconds)
-        registry.histogram(
-            "scan.macro_seconds", "wall time of macros scanned on their own"
-        ).observe_many(t.seconds for t in self.macro_timings)
         if self.degraded_cells:
             registry.counter(
                 "scan.cells_degraded", "cells produced by a fallback rung"
@@ -137,7 +98,7 @@ class ScanStats:
             ).inc(self.failed_cells)
 
     def to_dict(self) -> dict:
-        """JSON-ready view (macro timings as plain lists)."""
+        """JSON-ready view."""
         return {
             "total_cells": self.total_cells,
             "wall_seconds": self.wall_seconds,
@@ -146,9 +107,6 @@ class ScanStats:
             "engine_cells": self.engine_cells,
             "kernel_cells": self.kernel_cells,
             "kernel_seconds": self.kernel_seconds,
-            "macro_timings": [
-                [t.index, t.tier, t.cells, t.seconds] for t in self.macro_timings
-            ],
             "degraded_cells": self.degraded_cells,
             "failed_cells": self.failed_cells,
         }
@@ -170,12 +128,5 @@ class ScanStats:
             lines.append(
                 f"quality: {self.degraded_cells} degraded, "
                 f"{self.failed_cells} failed"
-            )
-        slowest = self.slowest_macro()
-        if slowest is not None:
-            tier = "engine" if slowest.tier == "e" else "closed-form"
-            lines.append(
-                f"slowest macro: #{slowest.index} ({tier}, {slowest.cells} cells) "
-                f"{slowest.seconds * 1e3:.2f} ms"
             )
         return "\n".join(lines)

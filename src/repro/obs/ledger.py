@@ -55,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (io -> scan -> config
     from repro.edram.array import EDRAMArray
     from repro.measure.config import ScanConfig
     from repro.measure.scan import ScanResult
-    from repro.measure.stats import ScanStats
     from repro.resilience.checkpoint import Checkpointer
     from repro.wafer import WaferModel, WaferReport
 
@@ -709,7 +708,9 @@ class RunLedger:
         manifest = self._base_manifest(
             "scan", config, array, wall_seconds=wall, cpu_seconds=cpu_seconds
         )
-        manifest.stats = _manifest_stats(result.stats)
+        manifest.stats = (
+            result.stats.to_dict() if result.stats is not None else None
+        )
         manifest.scalars = scan_scalars(result)
         if bitmap is not None:
             manifest.scalars.update(bitmap_scalars(bitmap))
@@ -758,7 +759,7 @@ class RunLedger:
             wall_seconds=wall_seconds, cpu_seconds=cpu_seconds,
         )
         scan = report.scan
-        manifest.stats = _manifest_stats(scan.stats)
+        manifest.stats = scan.stats.to_dict() if scan.stats is not None else None
         manifest.scalars = scan_scalars(scan)
         manifest.scalars.update(bitmap_scalars(report.analog))
         process = report.process
@@ -831,20 +832,6 @@ def _lock_holder(fh) -> str:
     except (PermissionError, OSError):  # pragma: no cover - other-uid holder
         liveness = "alive"
     return f"pid {pid} ({liveness})"
-
-
-def _manifest_stats(stats: "ScanStats | None") -> dict[str, Any] | None:
-    """``stats.to_dict()`` without the per-macro timings.
-
-    A manifest line is read back whole by every ledger query; the
-    per-macro list was most of a scan's line (one entry per macro) and
-    nothing reads it from the ledger — ``--stats-out`` still has it.
-    """
-    if stats is None:
-        return None
-    record = stats.to_dict()
-    del record["macro_timings"]
-    return record
 
 
 def _run_number(run_id: str) -> int:

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.bitmap.analog import AnalogBitmap
 from repro.calibration.abacus import Abacus
 from repro.calibration.design import design_structure
 from repro.edram.array import EDRAMArray
@@ -77,7 +76,11 @@ class DieQuality(enum.IntEnum):
     ``UNMEASURED`` zero so a freshly allocated plane reads as "nobody
     has claimed this die yet" — the state a shard's die range is in
     before its worker reaches it, and the state the merge turns into
-    ``FAILED`` when the shard that owned it exhausted its retries.
+    ``FAILED`` when the shard that owned it exhausted its retries.  A
+    measured die whose every cell reads code 0 or full scale has no
+    capacitance estimate to average: it lands ``FAILED`` with a NaN
+    mean and sigma instead of aborting its range.  Wafer, shard and lot
+    statistics read ``GOOD`` dies only.
     """
 
     UNMEASURED = 0
@@ -280,7 +283,8 @@ class WaferModel:
         cpu_start = process_time()
         scan = self.measure_dies((0, len(self._sites)), config)
         report = WaferReport.from_planes(
-            self._sites, scan.die_means, scan.die_sigmas, self.diameter
+            self._sites, scan.die_means, scan.die_sigmas, self.diameter,
+            scan.die_quality,
         )
         if config.ledger is not None:
             report.run_id = config.ledger.record_wafer(
@@ -456,13 +460,13 @@ class WaferModel:
                 kinds[start:stop].reshape(n * rows, cols),
                 config.tracer,
             )
-            means, sigmas = _die_statistics(abacus, codes.reshape(n, rows * cols))
-            planes["die_means"][dies] = means
-            planes["die_sigmas"][dies] = sigmas
+            planes["die_means"][dies], planes["die_sigmas"][dies] = (
+                _die_statistics(abacus, codes.reshape(n, rows * cols))
+            )
             planes["die_vgs"][dies] = vgs.reshape(n, rows, cols)
             planes["die_codes"][dies] = codes.reshape(n, rows, cols)
             planes["die_cell_quality"][dies] = int(CellQuality.GOOD)
-            planes["die_quality"][dies] = int(DieQuality.GOOD)
+            planes["die_quality"][dies] = _die_quality(planes["die_means"][dies])
             for index, x, y, *_draw in chunk[start:stop]:
                 landed(index, x, y)
             if checkpointer is not None:
@@ -475,14 +479,13 @@ class WaferModel:
             scan = ArrayScanner(self._build_die(mean, seed), structure).scan(
                 die_config
             )
-            bitmap = AnalogBitmap(scan, abacus)
             rel = index - lo
-            planes["die_means"][rel] = bitmap.mean_capacitance()
-            planes["die_sigmas"][rel] = bitmap.std_capacitance()
+            means, sigmas = _die_statistics(abacus, scan.codes.reshape(1, -1))
+            planes["die_means"][rel], planes["die_sigmas"][rel] = means[0], sigmas[0]
             planes["die_vgs"][rel] = scan.vgs
             planes["die_codes"][rel] = scan.codes
             planes["die_cell_quality"][rel] = scan.quality
-            planes["die_quality"][rel] = int(DieQuality.GOOD)
+            planes["die_quality"][rel] = _die_quality(means)[0]
             landed(index, x, y)
             if checkpointer is not None:
                 checkpointer.mark_done(index, rows=rel)
@@ -555,7 +558,8 @@ def _die_statistics(
     estimates.  Never reduce over axis 0, or over a die's row segments
     first: the summation order, and with it the last bits, would change.
     A die with any out-of-range cell takes the masked 1-D reduction of
-    its own estimates.
+    its own estimates; a die with none in range gets NaN for both
+    (:func:`_die_quality` lands it FAILED).
     """
     estimates = abacus.mids[codes]
     in_range = (codes != 0) & (codes != abacus.num_steps)
@@ -569,10 +573,16 @@ def _die_statistics(
         sigmas[full] = np.sqrt(np.square(rows - mean[:, None]).sum(axis=1) / cells)
     for k in np.flatnonzero(~full):
         values = estimates[k][in_range[k]]
-        if values.size == 0:
-            raise DiagnosisError("no in-range cells to average")
-        means[k], sigmas[k] = values.mean(), values.std()
+        if values.size:
+            means[k], sigmas[k] = values.mean(), values.std()
+        else:
+            means[k] = sigmas[k] = np.nan
     return means, sigmas
+
+
+def _die_quality(means: np.ndarray) -> np.ndarray:
+    """GOOD for a die with a mean, FAILED for one without (NaN)."""
+    return np.where(np.isnan(means), int(DieQuality.FAILED), int(DieQuality.GOOD))
 
 
 @dataclass
@@ -595,12 +605,18 @@ class WaferReport:
         die_means: np.ndarray,
         die_sigmas: np.ndarray,
         diameter: int,
+        die_quality: np.ndarray,
     ) -> "WaferReport":
-        """The report over ``sites`` and their aligned die planes."""
+        """The report over the GOOD dies of ``sites`` and their aligned
+        die planes."""
+        good = np.asarray(die_quality) == int(DieQuality.GOOD)
         return cls(
             dies=[
                 DieSite(x, y, r, float(mean), float(sigma))
-                for (x, y, r), mean, sigma in zip(sites, die_means, die_sigmas)
+                for (x, y, r), mean, sigma, ok in zip(
+                    sites, die_means, die_sigmas, good
+                )
+                if ok
             ],
             diameter=diameter,
         )

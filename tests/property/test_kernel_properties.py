@@ -9,7 +9,8 @@ kernel's reshape reductions, so the kernel is never checked against
 itself.  These tests hammer that promise across random macro geometries
 (including 1-row/1-column edge shapes), random capacitance maps, and
 random defect populations, then confirm the scan-level dispatch keeps
-quality planes (DEGRADED / FAILED cells) identical to the legacy path.
+quality planes (DEGRADED / FAILED cells) identical to the per-macro walk
+of ``tests/reference_scan.py``.
 """
 
 import numpy as np
@@ -22,10 +23,11 @@ from repro.errors import SingularCircuitError
 from repro.measure.config import ScanConfig
 from repro.measure.kernel import _series, closed_form_vgs_plane
 from repro.measure.scan import ArrayScanner
-from repro.resilience.faults import Fault, FaultPlan
+from repro.resilience.faults import Fault, FaultPlan, inject
 from repro.resilience.quality import CellQuality
 from repro.tech.parameters import default_technology
 from repro.units import fF
+from tests.reference_scan import reference_scan
 
 _TECH = default_technology()
 
@@ -143,24 +145,23 @@ def test_kernel_matches_per_macro_closed_form(array):
 @given(array=_arrays())
 @settings(max_examples=40, deadline=None)
 def test_kernel_scan_matches_legacy_scan(array):
-    # Scan-level dispatch: the kernel path must reproduce the legacy
-    # per-macro serial scan exactly — codes, V_GS, tiers and quality.
+    # Scan-level dispatch: the kernel path must reproduce the per-macro
+    # walk exactly — codes, V_GS, tiers and quality.
     fast = ArrayScanner(array, None).scan()
-    slow = ArrayScanner(array, None, use_kernel=False).scan()
+    slow = reference_scan(array)
     np.testing.assert_array_equal(fast.vgs, slow.vgs)
     np.testing.assert_array_equal(fast.codes, slow.codes)
     np.testing.assert_array_equal(fast.tiers, slow.tiers)
     np.testing.assert_array_equal(fast.quality, slow.quality)
     assert fast.stats.kernel_cells == array.num_cells
-    assert slow.stats.kernel_cells == 0
 
 
 @given(array=_arrays(), data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_failed_tiles_survive_kernel_dispatch(array, data):
-    # An armed fault plan moves the kernel to per-slab passes with the
-    # scan.closed_form site fired per macro after each pass; the FAILED
-    # placeholder tile must be identical to the legacy scanner's.
+    # An armed fault plan walks each slab's tiles, firing the
+    # scan.closed_form site per macro after the slab's kernel pass; the
+    # FAILED placeholder tile must be identical to the per-macro walk's.
     target = data.draw(st.integers(0, array.num_macros - 1))
 
     def plan() -> FaultPlan:
@@ -177,15 +178,13 @@ def test_failed_tiles_survive_kernel_dispatch(array, data):
         )
 
     fast = ArrayScanner(array, None).scan(ScanConfig(faults=plan()))
-    slow = ArrayScanner(array, None, use_kernel=False).scan(
-        ScanConfig(faults=plan())
-    )
+    with inject(plan()):
+        slow = reference_scan(array)
     np.testing.assert_array_equal(fast.vgs, slow.vgs)
     np.testing.assert_array_equal(fast.codes, slow.codes)
     np.testing.assert_array_equal(fast.quality, slow.quality)
     macro = array.macro(target)
     assert fast.stats.kernel_cells == array.num_cells - macro.num_cells
-    assert slow.stats.kernel_cells == 0
     failed = np.zeros(fast.quality.shape, dtype=bool)
     failed[macro.row_start : macro.row_stop, macro.col_start : macro.col_stop] = True
     np.testing.assert_array_equal(fast.quality == CellQuality.FAILED, failed)
@@ -195,8 +194,8 @@ def test_degraded_engine_cells_survive_kernel_dispatch():
     # A BRIDGE forces its macro onto the engine tier on both paths; an
     # injected solver failure inside that macro exercises the per-cell
     # closed-form rescue, so the scan carries a DEGRADED cell.  The
-    # kernel-enabled scanner's slab pass must land on identical planes,
-    # DEGRADED flag included.
+    # slab driver must land on the per-macro walk's planes, DEGRADED
+    # flag included.
     def build() -> EDRAMArray:
         array = EDRAMArray(8, 4, tech=_TECH, macro_rows=4, macro_cols=2)
         array.cell(1, 0).apply_defect(CellDefect(DefectKind.BRIDGE))
@@ -215,9 +214,8 @@ def test_degraded_engine_cells_survive_kernel_dispatch():
         )
 
     fast = ArrayScanner(build(), None).scan(ScanConfig(faults=plan()))
-    slow = ArrayScanner(build(), None, use_kernel=False).scan(
-        ScanConfig(faults=plan())
-    )
+    with inject(plan()):
+        slow = reference_scan(build())
     np.testing.assert_array_equal(fast.vgs, slow.vgs)
     np.testing.assert_array_equal(fast.codes, slow.codes)
     np.testing.assert_array_equal(fast.tiers, slow.tiers)
@@ -235,7 +233,7 @@ def test_bridge_macros_ride_engine_tier_next_to_kernel_macros():
         return array
 
     fast = ArrayScanner(build(), None).scan()
-    slow = ArrayScanner(build(), None, use_kernel=False).scan()
+    slow = reference_scan(build())
     np.testing.assert_array_equal(fast.vgs, slow.vgs)
     np.testing.assert_array_equal(fast.codes, slow.codes)
     np.testing.assert_array_equal(fast.tiers, slow.tiers)

@@ -1,18 +1,18 @@
 """One oracle for every scan path: same array in, same planes out.
 
-``ArrayScanner.scan`` has one driver, but the plan it builds differs by
-configuration: one kernel pass per macro-row slab whose kernel tiles
-land together, tile by tile when a fault plan is armed, one macro at a
-time with the kernel off.  Observers (tracer, metrics), a checkpoint
-and an interrupt followed by ``--resume`` must not move a bit either.  This property
-fabricates a random array — SHORT/OPEN/LOW_CAP mixes plus the other
-closed-form kinds, BRIDGE chains and bridges that cross into the next
-macro — runs it through every path, and asserts identical ``vgs``,
-``codes``, ``tiers`` and ``quality`` planes, equal tier counts, and
-that kernel cells and timed macros partition what each scan measured.
-Every path records into a run ledger, and its artifact — a checkpointed
-path's kept checkpoint, any other path's saved scan — loads back
-bit-identical to the planes the scan returned.
+``ArrayScanner.scan`` has one driver and one plan: macro-row slabs, one
+kernel pass each, engine macros overwritten, the slab landed as one
+band — tile by tile when a fault plan is armed.  Observers (tracer,
+metrics), a checkpoint and an interrupt followed by ``--resume`` must
+not move a bit.  This property fabricates a random array —
+SHORT/OPEN/LOW_CAP mixes plus the other closed-form kinds, BRIDGE chains
+and bridges that cross into the next macro — runs it through every
+path, and asserts ``vgs``, ``codes``, ``tiers`` and ``quality`` planes
+identical to the per-macro walk of ``tests/reference_scan.py``, equal
+tier counts, and that kernel cells and engine macros partition what
+each scan measured.  Every path records into a run ledger, and its
+artifact — a checkpointed path's kept checkpoint, any other path's
+saved scan — loads back bit-identical to the planes the scan returned.
 
 ``force_engine`` is not a path here: the exact engine agrees with the
 closed form to solver precision, not bit for bit, and keeps its own
@@ -35,6 +35,7 @@ from repro.obs.ledger import RunLedger
 from repro.resilience import Checkpointer, Fault, FaultPlan, list_checkpoints
 from repro.tech.parameters import default_technology
 from repro.units import fF
+from tests.reference_scan import reference_scan
 
 _TECH = default_technology()
 
@@ -119,18 +120,18 @@ def _engine_macros(recipe: dict, array: EDRAMArray) -> set[int]:
     return engine
 
 
-def _scan(recipe, config=None, use_kernel=True):
-    return ArrayScanner(_build(recipe), None, use_kernel=use_kernel).scan(config)
+def _scan(recipe, config=None):
+    return ArrayScanner(_build(recipe), None).scan(config)
 
 
-def _recorded(recipe, checkpointed=False, use_kernel=True, **options):
+def _recorded(recipe, checkpointed=False, **options):
     """One path's scan, recorded into a fresh ledger: the result and its
     artifact as the ledger loads it back."""
     with tempfile.TemporaryDirectory() as root:
         ledger = RunLedger(root)
         if checkpointed:
             options["checkpoint"] = Checkpointer(ledger)
-        result = _scan(recipe, ScanConfig(ledger=ledger, **options), use_kernel)
+        result = _scan(recipe, ScanConfig(ledger=ledger, **options))
         return result, ledger.load_artifact(ledger.runs()[-1])
 
 
@@ -164,39 +165,44 @@ def _interrupted_then_resumed(recipe, after, per_row):
 def test_every_scan_path_lands_the_same_planes(recipe, data):
     array = _build(recipe)
     engine = _engine_macros(recipe, array)
-    reference = _scan(recipe)
+    reference = reference_scan(_build(recipe))
 
     after = data.draw(st.integers(0, array.num_macros - 1), label="interrupt_at")
     *resumed, restored = _interrupted_then_resumed(
         recipe, after, array.macros_per_row
     )
+    tracer = Tracer()
     recorded = {
+        "row slabs": _recorded(recipe),
         "checkpointed row slabs": _recorded(recipe, checkpointed=True),
         "fault-armed row slabs": _recorded(recipe, faults=FaultPlan([])),
-        "kernel off": _recorded(recipe, use_kernel=False),
         "traced with metrics": _recorded(
-            recipe, tracer=Tracer(), metrics=MetricsRegistry()
+            recipe, tracer=tracer, metrics=MetricsRegistry()
         ),
         "interrupted then resumed": tuple(resumed),
     }
-    paths = {name: result for name, (result, _) in recorded.items()}
-    for name, (result, artifact) in recorded.items():
+    paths = {"plain": _scan(recipe)}
+    paths.update((name, result) for name, (result, _) in recorded.items())
+    engine_cells = int((reference.tiers == "e").sum())
+    for name, result in paths.items():
         for plane in _PLANES:
             np.testing.assert_array_equal(
                 getattr(result, plane), getattr(reference, plane),
                 err_msg=f"{plane} differs on the {name} path",
             )
-            got, want = getattr(artifact, plane), getattr(result, plane)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
-                f"the {name} path's artifact {plane} differs from its result"
-            )
-        assert result.stats.engine_cells == reference.stats.engine_cells, name
+            if name in recorded:
+                got = getattr(recorded[name][1], plane)
+                want = getattr(result, plane)
+                assert (
+                    got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                ), f"the {name} path's artifact {plane} differs from its result"
+        assert result.stats.engine_cells == engine_cells, name
         assert (
-            result.stats.closed_form_cells == reference.stats.closed_form_cells
+            result.stats.closed_form_cells == array.num_cells - engine_cells
         ), name
 
     # Bridged macros, and only they, ride the engine; every other macro
-    # comes from the kernel unless the kernel is off.
+    # comes from the kernel.
     cells = array.macro_rows * array.macro_cols
     expected_tiers = np.full((array.rows, array.cols), "c")
     for index in engine:
@@ -204,26 +210,18 @@ def test_every_scan_path_lands_the_same_planes(recipe, data):
         expected_tiers[macro.row_start:macro.row_stop,
                        macro.col_start:macro.col_stop] = "e"
     np.testing.assert_array_equal(reference.tiers, expected_tiers)
-    assert reference.stats.engine_cells == cells * len(engine)
-    kernel_cells = array.num_cells - cells * len(engine)
-    assert reference.stats.kernel_cells == kernel_cells
-    assert paths["fault-armed row slabs"].stats.kernel_cells == kernel_cells
-    assert paths["kernel off"].stats.kernel_cells == 0
+    assert engine_cells == cells * len(engine)
 
     # Exactly-once accounting: every macro a scan measured is either in
-    # its kernel cells or in its own timing (engine macros, or all of
-    # them with the kernel off); a resumed scan measured only the
-    # macros after the ones it restored, which are the first ones.
-    for name, result in {"plain": reference, **paths}.items():
+    # its kernel cells or an engine macro with its own ``macro`` span; a
+    # resumed scan measured only the macros after the ones it restored,
+    # which are the first ones.
+    spans = [span.attributes["index"] for span in tracer.spans
+             if span.name == "macro"]
+    assert spans == sorted(engine)
+    for name, result in paths.items():
         first = restored if name == "interrupted then resumed" else 0
-        measured = range(first, array.num_macros)
-        expected = (
-            list(measured) if name == "kernel off"
-            else sorted(engine.intersection(measured))
-        )
-        timings = result.stats.macro_timings
-        assert [t.index for t in timings] == expected, name
+        measured = set(range(first, array.num_macros))
         assert (
-            result.stats.kernel_cells + sum(t.cells for t in timings)
-            == cells * len(measured)
+            result.stats.kernel_cells == cells * len(measured - engine)
         ), name

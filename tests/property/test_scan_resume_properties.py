@@ -6,8 +6,9 @@ interrupt the scan at any ``scan.macro_done`` firing, resume it from the
 checkpoint it left, and the planes (vgs, codes, tiers, quality) must
 equal a plain uninterrupted ``scan()`` — with bridge macros riding the
 engine tier inside their slab.  The persisted ``completed`` list must
-always be whole slabs, and a per-macro checkpoint (as the per-macro
-driver writes it, ending mid-slab) must resume just as exactly.
+always be whole slabs, for every tier, and a per-macro checkpoint
+(ending mid-slab, as a checkpoint written one macro at a time leaves
+it) must resume just as exactly.
 """
 
 import tempfile
@@ -20,11 +21,12 @@ from hypothesis import strategies as st
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectKind
 from repro.measure.config import ScanConfig
-from repro.measure.scan import ArrayScanner
+from repro.measure.scan import ArrayScanner, _Assembler
 from repro.obs.ledger import RunLedger
 from repro.resilience import Checkpointer, Fault, FaultPlan, list_checkpoints
 from repro.tech.parameters import default_technology
 from repro.units import fF
+from tests.reference_scan import reference_scan
 
 _TECH = default_technology()
 
@@ -79,15 +81,39 @@ def _build(recipe: dict) -> EDRAMArray:
     return array
 
 
-def _interrupted(ledger, recipe, after, use_kernel=True):
+def _interrupted(ledger, recipe, after):
     """Scan with a checkpoint, Ctrl-C at the ``after``-th macro_done."""
     interrupt = Fault("scan.macro_done", error=KeyboardInterrupt(),
                       after=after, times=1)
     with pytest.raises(KeyboardInterrupt):
-        ArrayScanner(_build(recipe), None, use_kernel=use_kernel).scan(
+        ArrayScanner(_build(recipe), None).scan(
             ScanConfig(checkpoint=Checkpointer(ledger),
                        faults=FaultPlan([interrupt]))
         )
+    (state,) = list_checkpoints(ledger)
+    return state
+
+
+def _per_macro_checkpoint(ledger, recipe, count):
+    """A scan checkpoint whose first ``count`` macros persisted one by one.
+
+    Each macro lands from the per-macro walk's planes as a one-macro
+    slab of the assembler, so the checkpoint can end mid-slab.
+    """
+    array = _build(recipe)
+    walk = reference_scan(array)
+    config = ScanConfig(checkpoint=Checkpointer(ledger))
+    out = _Assembler(array, config, None)
+    out.resume(config, walk.num_steps)
+    mr = array.macro_rows
+    for index in range(count):
+        macro = array.macro(index)
+        rows = slice(macro.row_start, macro.row_start + mr)
+        engine = {}
+        if walk.tiers[macro.row_start, macro.col_start] == "e":
+            engine[index] = walk.quality[rows, macro.col_start:macro.col_stop]
+        out.land(rows, [index], walk.vgs[rows].copy(), walk.codes[rows].copy(),
+                 engine)
     (state,) = list_checkpoints(ledger)
     return state
 
@@ -122,23 +148,23 @@ def test_slab_interrupt_resumes_bit_exact(recipe, data):
 @given(recipe=_recipes(), data=st.data())
 @settings(max_examples=20, deadline=None)
 def test_per_macro_checkpoint_resumes_bit_exact_through_slabs(recipe, data):
-    # The per-macro driver persists after every macro, so its
-    # checkpoint can end mid-slab; the slab driver must place only that
-    # slab's undone tiles and still land on the plain scan's planes.
+    # A checkpoint persisted after every macro can end mid-slab; the
+    # slab driver must land only that slab's undone tiles and still
+    # land on the plain scan's planes.
     array = _build(recipe)
     after = data.draw(st.integers(0, array.num_macros - 1))
     with tempfile.TemporaryDirectory() as root:
         ledger = RunLedger(root)
-        state = _interrupted(ledger, recipe, after, use_kernel=False)
+        state = _per_macro_checkpoint(ledger, recipe, after)
         assert state.completed == list(range(after))
         _resume_matches_plain_scan(ledger, recipe, state.run_id)
 
 
-@given(recipe=_recipes())
+@given(recipe=_recipes(), force_engine=st.booleans())
 @settings(max_examples=15, deadline=None)
-def test_checkpointed_scan_persists_once_per_slab(recipe):
+def test_checkpointed_scan_persists_once_per_slab(recipe, force_engine):
     # R macro rows: the manifest write reserves the run id, then one
-    # journal segment per slab.
+    # journal segment per slab — on the engine tier too.
     writes = []
     manifest, segment = Checkpointer._write_manifest, Checkpointer._write_segment
 
@@ -154,9 +180,10 @@ def test_checkpointed_scan_persists_once_per_slab(recipe):
         Checkpointer._write_manifest = counting(manifest)
         Checkpointer._write_segment = counting(segment)
         try:
-            ArrayScanner(array, None).scan(
-                ScanConfig(checkpoint=Checkpointer(RunLedger(root)))
-            )
+            ArrayScanner(array, None).scan(ScanConfig(
+                checkpoint=Checkpointer(RunLedger(root)),
+                force_engine=force_engine,
+            ))
         finally:
             Checkpointer._write_manifest = manifest
             Checkpointer._write_segment = segment

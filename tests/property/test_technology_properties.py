@@ -9,9 +9,9 @@ Two promises the API redesign makes:
    quality planes and ScanStats counts.
 
 2. **The kernel dispatch is backend-agnostic.**  For every shipped
-   backend the batched closed-form kernel and the per-macro drivers
-   agree bit-for-bit — the seam adds no technology-conditional physics
-   to the scan path.
+   backend the slab driver and the per-macro walk of
+   ``tests/reference_scan.py`` agree bit-for-bit — the seam adds no
+   technology-conditional physics to the scan path.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.technologies import get
 from repro.units import fF
+from tests.reference_scan import reference_scan
 
 
 def _legacy_build(rows, cols, macro_rows, seed, with_defects, nominal=30.0 * fF):
@@ -90,29 +91,23 @@ def test_edram_registry_scan_bit_exact_with_legacy_scan(seed):
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_kernel_vs_per_macro_bit_exact_for_every_backend(technology, seed):
-    """The same ArrayScanner path serves all backends, kernel or drivers.
+    """The same ArrayScanner path serves all backends, as the walk does.
 
     Backends may mutate state after a scan (FeCap read-disturb), so the
     two paths run on identically-seeded twin arrays rather than the same
     one.
     """
     backend = get(technology)
-    config = ScanConfig(technology=technology)
-    structure = None
-    results = []
-    for _ in range(2):
-        array = backend.build_array(
-            16, 4, macro_rows=8, seed=seed, with_defects=True
-        )
-        if structure is None:
-            structure = backend.design_structure(array)
-        use_kernel = not results  # kernel first, drivers second
-        results.append(
-            ArrayScanner(array, structure, use_kernel=use_kernel).scan(config)
-        )
-    fast, slow = results
+    arrays = [
+        backend.build_array(16, 4, macro_rows=8, seed=seed, with_defects=True)
+        for _ in range(2)
+    ]
+    structure = backend.design_structure(arrays[0])
+    fast = ArrayScanner(arrays[0], structure).scan(
+        ScanConfig(technology=technology)
+    )
+    slow = reference_scan(arrays[1], structure)
     assert fast.stats.kernel_cells > 0
-    assert slow.stats.kernel_cells == 0
     np.testing.assert_array_equal(fast.codes, slow.codes)
     np.testing.assert_array_equal(fast.vgs, slow.vgs)
     np.testing.assert_array_equal(fast.quality, slow.quality)

@@ -106,3 +106,29 @@ def test_all_out_of_range_statistics_raise(tech, structure_2x2, abacus_2x2):
     bm = AnalogBitmap(scan, abacus_2x2)
     with pytest.raises(DiagnosisError):
         bm.mean_capacitance()
+
+
+def test_recorded_scan_never_builds_the_estimate_plane(
+    tmp_path, monkeypatch, tech, structure_8x2
+):
+    """The ledger's bitmap scalars read the codes, not the estimates."""
+    from repro.calibration.abacus import Abacus
+    from repro.measure.config import ScanConfig
+    from repro.obs.ledger import RunLedger
+
+    def refuse(self, codes):  # pragma: no cover - must not be reached
+        raise AssertionError("estimate plane built for a recorded scan")
+
+    monkeypatch.setattr(Abacus, "estimate_matrix", refuse)
+    ledger = RunLedger(tmp_path)
+    array = EDRAMArray(8, 4, tech=tech, macro_cols=2)
+    ArrayScanner(array, structure_8x2).scan(ScanConfig(ledger=ledger))
+    (manifest,) = ledger.runs()
+    assert "cap_mean_fF" in manifest.scalars
+
+
+def test_estimates_are_built_once_on_first_read(bitmap, abacus_8x2):
+    np.testing.assert_array_equal(
+        bitmap.estimates, abacus_8x2.estimate_matrix(bitmap.codes)
+    )
+    assert bitmap.estimates is bitmap.estimates

@@ -135,7 +135,8 @@ class TestRunShard:
 
         model = WaferModel(diameter_dies=3, seed=5)
         physics = WaferReport.from_planes(
-            model.sites()[2:6], means, planes["die_sigmas"], model.diameter
+            model.sites()[2:6], means, planes["die_sigmas"], model.diameter,
+            planes["die_quality"],
         ).scalars()
         assert {k: manifest[0]["scalars"][k] for k in physics} == physics
 

@@ -108,15 +108,20 @@ class TestScanAssembly:
         from repro.measure.scan import _Assembler
 
         arr = EDRAMArray(8, 4, tech=tech, macro_cols=2, macro_rows=4)
-        tile = np.zeros((4, 2))
-        out = _Assembler(arr, ScanConfig())
-        for index in (0, 1, 2):
-            out.place(arr.macro(index), tile, tile.astype(int), "c", None)
+        band = np.zeros((4, 4))
+        out = _Assembler(arr, ScanConfig(), np.zeros_like)
+
+        def land(*slab):
+            rows = slice(slab[0] // 2 * 4, slab[0] // 2 * 4 + 4)
+            out.land(rows, list(slab), band, band.astype(int), {})
+
+        land(0, 1)
+        land(2)
         with pytest.raises(ScanMismatchError, match=r"\[3\]: \[0\]"):
             out.check()
-        out.place(arr.macro(3), tile, tile.astype(int), "c", None)
+        land(3)
         out.check()
-        out.place(arr.macro(1), tile, tile.astype(int), "c", None)
+        land(1)
         with pytest.raises(ScanMismatchError, match=r"\[1\]: \[2\]"):
             out.check()
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.edram.array import EDRAMArray
 from repro.edram.defects import CellDefect, DefectInjector, DefectKind
+from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.measure.sequencer import MeasurementSequencer
 from repro.units import fF
@@ -50,39 +51,45 @@ class TestScanStats:
             m.index for m in zoo_array.macros() if routing._macro_needs_engine(m)
         ]
         assert engine and len(engine) < zoo_array.num_macros
-        for use_kernel in (True, False):
-            result = ArrayScanner(
-                zoo_array, zoo_structure, use_kernel=use_kernel
-            ).scan()
+        cells = zoo_array.macro_rows * zoo_array.macro_cols
+        for force_engine, routed in ((False, engine),
+                                     (True, range(zoo_array.num_macros))):
+            result = ArrayScanner(zoo_array, zoo_structure).scan(
+                ScanConfig(force_engine=force_engine)
+            )
             stats = result.stats
             assert stats is not None
             assert stats.total_cells == zoo_array.num_cells
             assert stats.closed_form_cells + stats.engine_cells == stats.total_cells
             assert stats.engine_cells == int((result.tiers == "e").sum())
+            assert stats.engine_cells == cells * len(routed)
             assert stats.wall_seconds > 0
             assert stats.cells_per_second > 0
-            # Only macros scanned on their own are timed: the bridged
-            # ones on a kernel scan, every macro with the kernel off.
-            timed = [t.index for t in stats.macro_timings]
-            assert timed == (engine if use_kernel else list(range(zoo_array.num_macros)))
-            # Kernel cells and timed cells partition a fault-free scan.
-            assert (
-                stats.kernel_cells + sum(t.cells for t in stats.macro_timings)
-                == stats.total_cells
-            )
+            # Kernel cells and engine cells partition a fault-free scan.
+            assert stats.kernel_cells + stats.engine_cells == stats.total_cells
 
-    def test_macro_timings_carry_tier_markers(self, zoo_array, zoo_structure):
-        for use_kernel in (True, False):
-            result = ArrayScanner(
-                zoo_array, zoo_structure, use_kernel=use_kernel
-            ).scan()
-            assert result.stats.macro_timings
-            for timing in result.stats.macro_timings:
-                macro = zoo_array.macro(timing.index)
+    def test_engine_macro_spans_carry_tier_markers(self, zoo_array, zoo_structure):
+        # An engine macro's own time is its ``macro`` span; kernel tiles
+        # have none (their time is the slab's ``kernel`` span).
+        from repro.obs import Tracer
+
+        cells = zoo_array.macro_rows * zoo_array.macro_cols
+        for force_engine in (False, True):
+            tracer = Tracer()
+            result = ArrayScanner(zoo_array, zoo_structure).scan(
+                ScanConfig(force_engine=force_engine, tracer=tracer)
+            )
+            spans = [span for span in tracer.spans if span.name == "macro"]
+            assert spans
+            for span in spans:
+                macro = zoo_array.macro(span.attributes["index"])
                 tile = result.tiers[macro.row_start:macro.row_stop,
                                     macro.col_start:macro.col_stop]
-                assert set(tile.ravel()) == {timing.tier}
-                assert timing.cells == macro.num_cells
+                assert set(tile.ravel()) == {"e"}
+                assert span.attributes["tier"] == "engine"
+                assert span.attributes["cells"] == macro.num_cells
+                assert span.end > span.start
+            assert len(spans) * cells == result.stats.engine_cells
 
     def test_summary_and_dict_roundtrip(self, zoo_array, zoo_structure):
         stats = ArrayScanner(zoo_array, zoo_structure).scan().stats
@@ -91,9 +98,7 @@ class TestScanStats:
         payload = stats.to_dict()
         assert payload["total_cells"] == stats.total_cells
         assert payload["cells_per_second"] == stats.cells_per_second
-        assert len(payload["macro_timings"]) == len(stats.macro_timings)
-        slowest = stats.slowest_macro()
-        assert slowest.seconds == max(t.seconds for t in stats.macro_timings)
+        assert payload["engine_cells"] == stats.engine_cells > 0
 
 
 class TestSequencerNetworkCache:
@@ -178,18 +183,14 @@ class TestTimingSummary:
         assert stats.kernel_cells == array.num_cells
         assert stats.kernel_seconds > 0
         assert "batched pass" in stats.summary()
-        # Kernel tiles are not timed one by one: a clean kernel scan
-        # has no macro timings and so no straggler to report.
-        assert stats.macro_timings == []
-        assert stats.slowest_macro() is None
-        assert "slowest macro" not in stats.summary()
         payload = stats.to_dict()
         assert payload["kernel_cells"] == array.num_cells
         assert payload["kernel_seconds"] == stats.kernel_seconds
 
-    def test_legacy_scan_reports_zero_kernel_cells(self, tech):
+    def test_force_engine_scan_reports_zero_kernel_cells(self, tech):
+        # Every slab rides the engine, so no kernel pass runs.
         array = EDRAMArray(8, 4, tech=tech, macro_rows=4, macro_cols=2)
-        stats = ArrayScanner(array, None, use_kernel=False).scan().stats
+        stats = ArrayScanner(array, None).scan(ScanConfig(force_engine=True)).stats
         assert stats.kernel_cells == 0
         assert stats.kernel_seconds == 0.0
         assert "batched pass" not in stats.summary()

@@ -151,18 +151,18 @@ class TestScanMetrics:
         assert metrics.gauge("scan.wall_seconds").value == pytest.approx(
             result.stats.wall_seconds
         )
-        # One observation per timed macro: none on a clean kernel scan,
-        # every macro with the kernel off.
-        assert metrics.histogram("scan.macro_seconds").count == len(
-            result.stats.macro_timings
-        ) == 0
+        # A clean kernel scan: every cell through the kernel's slab
+        # passes; a force_engine scan: every cell through the engine.
+        assert metrics.counter("scan.cells_kernel").value == arr.num_cells
+        assert metrics.gauge("scan.kernel_seconds").value == (
+            result.stats.kernel_seconds
+        ) > 0
         metrics = MetricsRegistry()
-        result = ArrayScanner(arr, structure_8x2, use_kernel=False).scan(
-            ScanConfig(metrics=metrics)
+        ArrayScanner(arr, structure_8x2).scan(
+            ScanConfig(force_engine=True, metrics=metrics)
         )
-        assert metrics.histogram("scan.macro_seconds").count == len(
-            result.stats.macro_timings
-        ) == arr.num_macros
+        assert metrics.counter("scan.cells_engine").value == arr.num_cells
+        assert metrics.counter("scan.cells_kernel").value == 0
 
     def test_counters_accumulate_across_scans(self, tech, structure_2x2):
         metrics = MetricsRegistry()

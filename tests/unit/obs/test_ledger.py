@@ -350,18 +350,15 @@ class TestRunIds:
         with ledger.locked():
             assert ledger.next_run_id() == "r0003"
 
-    def test_scan_manifest_drops_macro_timings_but_stats_keep_them(
-        self, ledger
-    ):
-        # Kernel off: every macro is timed, so the list is non-empty.
-        result = ArrayScanner(small_array(), use_kernel=False).scan()
+    def test_scan_manifest_stats_are_the_scan_stats(self, ledger):
+        # An engine scan's per-macro time lives in its spans, not its
+        # stats: the manifest line carries the stats whole.
+        result = ArrayScanner(small_array()).scan(ScanConfig(force_engine=True))
         manifest = ledger.record_scan(result)
-        assert "macro_timings" not in manifest.stats
+        assert manifest.stats == result.stats.to_dict()
         (line,) = ledger.manifest_path.read_text(encoding="utf-8").splitlines()
-        assert "macro_timings" not in json.loads(line)["stats"]
-        assert manifest.stats["total_cells"] == result.stats.total_cells
-        stats = result.stats.to_dict()
-        assert len(stats["macro_timings"]) == small_array().num_macros
+        assert json.loads(line)["stats"] == result.stats.to_dict()
+        assert manifest.stats["engine_cells"] == result.stats.total_cells
 
 
 class TestDiff:

@@ -11,6 +11,7 @@ from repro.obs.ledger import RunLedger
 from repro.technologies import get
 from repro.technologies.fecap import FeCapArray, fecap_technology_card
 from repro.units import fF
+from tests.reference_scan import reference_scan
 
 
 def _small(seed=0, **kwargs):
@@ -115,7 +116,7 @@ class TestScanIntegration:
         structure = get("fecap").design_structure(kernel_array)
         config = ScanConfig(technology="fecap")
         fast = ArrayScanner(kernel_array, structure).scan(config)
-        slow = ArrayScanner(driver_array, structure, use_kernel=False).scan(config)
+        slow = reference_scan(driver_array, structure)
         np.testing.assert_array_equal(fast.codes, slow.codes)
         np.testing.assert_array_equal(fast.vgs, slow.vgs)
         np.testing.assert_array_equal(fast.quality, slow.quality)

@@ -370,3 +370,42 @@ def test_interrupted_wafer_resumes_as_its_die_range(tmp_path):
         np.testing.assert_array_equal(
             getattr(resumed, name), getattr(whole, name), err_msg=name
         )
+
+
+def test_die_without_an_in_range_cell_lands_failed_not_aborting_the_wafer():
+    """A die reading only code 0 / full scale has no mean: it lands
+    FAILED with NaN statistics, on the chunk and per-die paths alike,
+    and the wafer report keeps the GOOD dies."""
+    from repro.measure.config import ScanConfig
+    from repro.resilience import Fault, FaultPlan
+    from repro.wafer import DieQuality
+
+    def model():
+        # A steep radial drop on the 1T card pushes edge dies below
+        # the code scale's floor.
+        return WaferModel(diameter_dies=21, technology="1t", seed=3,
+                          radial_drop=0.7 * 4 * fF, cell_sigma=4 * fF / 15)
+
+    total = len(model().sites())
+    chunked = model().measure_dies((0, total))
+    failed = chunked.die_quality == int(DieQuality.FAILED)
+    assert 0 < failed.sum() < total
+    assert (chunked.die_quality[~failed] == int(DieQuality.GOOD)).all()
+    num_steps = chunked.die_codes.max()
+    for codes in chunked.die_codes[failed]:
+        assert np.isin(codes, (0, num_steps)).all()
+    assert np.isnan(chunked.die_means[failed]).all()
+    assert np.isnan(chunked.die_sigmas[failed]).all()
+    assert not np.isnan(chunked.die_means[~failed]).any()
+
+    never = Fault("scan.macro_done", error=RuntimeError("unreachable"),
+                  probability=0.0)
+    alone = model().measure_dies((0, total), ScanConfig(
+        technology="1t", faults=FaultPlan([never])
+    ))
+    for plane in ("die_means", "die_sigmas", "die_quality", "die_codes"):
+        np.testing.assert_array_equal(getattr(alone, plane), getattr(chunked, plane))
+
+    report = model().measure_wafer()
+    assert len(report.dies) == int((~failed).sum())
+    assert all(math.isfinite(value) for value in report.scalars().values())
