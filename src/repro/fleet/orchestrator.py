@@ -163,8 +163,6 @@ class FleetOrchestrator:
         ``"first"`` arms ``faults`` only on each shard's first spawn
         (so the respawn survives — the recovery drill), ``"all"`` arms
         every spawn (drives retry exhaustion).
-    force_engine:
-        Route worker scans through the exact engine (reference mode).
     checkpoint_every_seconds:
         Worker checkpoint persistence throttle (``Checkpointer
         .min_save_seconds``): the dies a worker finishes within one
@@ -190,7 +188,6 @@ class FleetOrchestrator:
         poll_seconds: float = _POLL_SECONDS,
         faults: dict[str, Any] | None = None,
         fault_attempts: str = "first",
-        force_engine: bool = False,
         label: str = "",
         checkpoint_every_seconds: float = 0.25,
         max_concurrent: int | None = None,
@@ -214,7 +211,6 @@ class FleetOrchestrator:
         self.poll_seconds = poll_seconds
         self.faults = faults
         self.fault_attempts = fault_attempts
-        self.force_engine = force_engine
         self.label = label
         self.checkpoint_every_seconds = float(checkpoint_every_seconds)
         if max_concurrent is not None and max_concurrent < 1:
@@ -253,10 +249,7 @@ class FleetOrchestrator:
         from repro.measure.config import ScanConfig
         from repro.obs.ledger import config_fingerprint
 
-        config = ScanConfig(
-            technology=self.wafer.get("technology", "edram"),
-            force_engine=self.force_engine,
-        )
+        config = ScanConfig(technology=self.wafer.get("technology", "edram"))
         return {"config": config_fingerprint(config), "wafer": self.wafer}
 
     def _write_state(self, state: str) -> None:
@@ -296,7 +289,6 @@ class FleetOrchestrator:
             "wafer": self.wafer,
             "generation": status.attempts,
             "resume": resume,
-            "force_engine": self.force_engine,
             "label": self.label or None,
             "faults": self.faults if arm_faults else None,
             "checkpoint_every_seconds": self.checkpoint_every_seconds,

@@ -160,7 +160,6 @@ def run_shard(spec: dict[str, Any]) -> int:
         progress = NULL_PROGRESS
     config = ScanConfig(
         technology=wafer_kwargs.get("technology", "edram"),
-        force_engine=bool(spec.get("force_engine", False)),
         progress=progress,
         checkpoint=checkpointer,
     )

@@ -732,13 +732,15 @@ class RunLedger:
         checkpoint: "Checkpointer | None" = None,
     ) -> RunManifest:
         """Record one wafer measurement (:meth:`WaferReport.scalars`
-        plus die counts, no artifact); ``model`` supplies seed and card."""
+        plus die counts — ``dies`` GOOD, ``failed_dies`` FAILED — no
+        artifact); ``model`` supplies seed and card."""
         manifest = self._base_manifest(
             "wafer", config, model,
             wall_seconds=wall_seconds, cpu_seconds=cpu_seconds,
         )
         dies = len(report.dies)
-        manifest.scalars = {**report.scalars(), "dies": float(dies)}
+        manifest.scalars = {**report.scalars(), "dies": float(dies),
+                            "failed_dies": float(len(report.failed))}
         if wall_seconds > 0:
             manifest.scalars["dies_per_second"] = dies / wall_seconds
         return self.record(manifest, checkpoint=checkpoint)

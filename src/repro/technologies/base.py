@@ -159,25 +159,22 @@ class CellTechnology(abc.ABC):
     def fabricate_die_planes(
         self,
         cap_out: np.ndarray,
-        kinds_out: np.ndarray,
         *,
         mean: float,
         cell_sigma: float,
         mismatch_seed: int,
     ) -> None:
-        """Write one die's capacitance and defect-kind planes in place.
+        """Write one die's capacitance plane into ``cap_out`` whole.
 
-        ``cap_out``/``kinds_out`` are ``(die_rows, die_cols)`` views of a
-        wafer chunk's stacked planes; both are overwritten whole.  The
-        result is bit for bit what :meth:`fabricate_die` with the same
-        draw returns through ``capacitance_view()`` and
-        ``defect_kind_view()``: the capacitance map of :meth:`_die_maps`,
-        and no defects.
+        ``cap_out`` is a ``(die_rows, die_cols)`` view of a wafer
+        chunk's stacked plane; the result is bit for bit what
+        :meth:`fabricate_die` with the same draw returns through
+        ``capacitance_view()``.  A die has no defects, so there is no
+        kind plane to write.
         """
         cap_out[...] = self._die_maps(
             cap_out.shape, mean, cell_sigma, mismatch_seed
         )["capacitance_map"]
-        kinds_out[...] = 0
 
     def _die_maps(
         self,

@@ -256,7 +256,6 @@ class FeCapTechnology(CellTechnology):
     def fabricate_die_planes(
         self,
         cap_out: np.ndarray,
-        kinds_out: np.ndarray,
         *,
         mean: float,
         cell_sigma: float,
@@ -267,7 +266,6 @@ class FeCapTechnology(CellTechnology):
         cap_out[...] = derived_capacitance(
             maps["c_lin_map"], maps["c_switch_map"], 1.0
         )
-        kinds_out[...] = 0
 
     def _die_maps(
         self,

@@ -6,17 +6,18 @@ embedded measurement structure on every die, the analog bitmaps compose
 into a wafer map — the standard artefact a process engineer reads.
 
 :class:`WaferModel` synthesizes a wafer (per-die mean capacitance from a
-radial + random profile), measures each die through the real scan path,
+radial + random profile), measures every die through the scan kernel,
 and :class:`WaferReport` aggregates: per-die means, zonal statistics
 (centre/mid/edge rings), radial regression, and an ASCII wafer map.
 
 Dies are tiny and many, so per-die fixed costs (array, scanner, scan
-result, bitmap) would dwarf their kernel work.  A chunk of dies is one
-die stack instead: each die is fabricated straight into the chunk's
-capacitance and defect-kind planes, one kernel pass measures the stack,
-every die's mean and sigma come from one reduction over it, and a
-checkpoint persists it as one segment (see
-:meth:`WaferModel._scan_dies`).
+result, bitmap) would dwarf their kernel work.  Every die carries the
+same defect-free measurement structure, so a chunk of dies is one die
+stack: each die is fabricated straight into the chunk's capacitance
+plane, one kernel pass measures the stack, every die's mean and sigma
+come from one reduction over it, and a checkpoint persists it as one
+segment (see :meth:`WaferModel._scan_dies`).  There is no per-die scan:
+a config asking for one (``force_engine``, ``preflight``) is refused.
 """
 
 from __future__ import annotations
@@ -33,15 +34,12 @@ import numpy as np
 from repro.calibration.abacus import Abacus
 from repro.calibration.design import design_structure
 from repro.edram.array import EDRAMArray
-from repro.edram.defects import KIND_CODES, DefectKind
 from repro.errors import DiagnosisError, MeasurementError
 from repro.measure.config import ScanConfig
 from repro.measure.scan import ArrayScanner
 from repro.measure.structure import MeasurementStructure
-from repro.obs.progress import NULL_PROGRESS
 from repro.obs.ledger import config_fingerprint
-from repro.resilience.faults import active_fault_plan, fault_point, inject
-from repro.resilience.quality import CellQuality
+from repro.resilience.faults import fault_point, inject
 from repro.technologies import get as get_technology
 from repro.units import fF, to_fF
 
@@ -53,8 +51,6 @@ _REFERENCE_NOMINAL = 30.0 * fF
 #: Cells per stacked kernel pass of the die loop; a chunk holds this
 #: many cells' worth of dies (at least one die).
 _CHUNK_CELLS = 1 << 13
-
-_BRIDGE = KIND_CODES[DefectKind.BRIDGE]
 
 
 @dataclass(frozen=True)
@@ -238,26 +234,21 @@ class WaferModel:
         )
         return mean, int(self._rng.integers(1 << 31))
 
-    def _build_die(self, mean: float, mismatch_seed: int) -> EDRAMArray:
-        """The backend's die array for one draw of :meth:`_draw_die`."""
-        return self._backend.fabricate_die(
-            self.die_rows, self.die_cols,
-            macro_rows=self.macro_rows, macro_cols=self.macro_cols,
-            mean=mean, cell_sigma=self.cell_sigma,
-            mismatch_seed=mismatch_seed, tech=self.tech,
-        )
-
     def fabricate_die(self, radius_fraction: float) -> EDRAMArray:
         """Build the next die's array with the wafer's process profile.
 
         Draws the die (:meth:`_draw_die`); the technology backend turns
         the draw into a die array with its own variation model.  Only
         tests and benchmarks call it, as the per-die reference walk: the
-        die loop writes dies straight into its chunk planes
-        (:meth:`CellTechnology.fabricate_die_planes`) and builds an
-        array only for a die that takes its own scan.
+        die loop builds no die array.
         """
-        return self._build_die(*self._draw_die(radius_fraction))
+        mean, mismatch_seed = self._draw_die(radius_fraction)
+        return self._backend.fabricate_die(
+            self.die_rows, self.die_cols,
+            macro_rows=self.macro_rows, macro_cols=self.macro_cols,
+            mean=mean, cell_sigma=self.cell_sigma,
+            mismatch_seed=mismatch_seed, tech=self.tech,
+        )
 
     def measure_wafer(self, config: ScanConfig | None = None) -> "WaferReport":
         """Fabricate and scan every die; return the wafer report.
@@ -267,10 +258,11 @@ class WaferModel:
         designed structure and its memoized code-boundary table are
         shared by every die, so calibration is solved once per wafer.
 
-        ``config.progress`` reports at **die** granularity (the die scans
-        themselves run silent), and ``config.ledger`` receives one wafer
-        manifest — not one per die — carrying the die-level scalars the
-        drift engine charts (:meth:`WaferReport.scalars`).
+        ``config.progress`` reports at **die** granularity, and
+        ``config.ledger`` receives one wafer manifest — not one per die
+        — carrying the die-level scalars the drift engine charts
+        (:meth:`WaferReport.scalars`).  ``force_engine`` and
+        ``preflight`` are refused (:meth:`_checked_config`).
 
         With ``config.checkpoint`` set, the die range's planes persist
         as it runs (kind ``"shard"``) and an interrupted wafer run
@@ -351,12 +343,12 @@ class WaferModel:
         )
 
     def _checked_config(self, config: ScanConfig | None) -> ScanConfig:
-        """``config`` or the wafer's default, checked against its technology.
+        """``config`` or the wafer's default, checked against the die loop.
 
         A default config inherits the wafer's technology; an explicit
-        one must agree — the per-die scans validate array-vs-config
-        technology, so a mismatch would otherwise fail on the first
-        die with a less helpful message.
+        one must agree.  ``force_engine`` and ``preflight`` ask for a
+        per-die array scan, which the die loop never runs: either is
+        refused by name, not ignored.
         """
         config = (
             config if config is not None
@@ -367,6 +359,13 @@ class WaferModel:
                 f"config.technology is {config.technology!r} but this "
                 f"wafer fabricates {self.technology!r} dies"
             )
+        for option in ("force_engine", "preflight"):
+            if getattr(config, option):
+                raise MeasurementError(
+                    f"config.{option} does not apply to a wafer: its dies are "
+                    "measured as die stacks by the scan kernel, with no die "
+                    "array to route or check; scan fabricate_die's array instead"
+                )
         return config
 
     def die_planes(self, count: int) -> dict[str, np.ndarray]:
@@ -400,124 +399,57 @@ class WaferModel:
         or not, prints the same dies as one uninterrupted walk.
 
         A chunk is a run of consecutive dies (``_CHUNK_CELLS`` cells at
-        most) in preallocated ``(chunk, die_rows, die_cols)``
-        capacitance and defect-kind planes, which the backend's
-        ``fabricate_die_planes`` writes each die into; no die array is
-        built.  One kernel pass measures a reshape of the planes, its
-        vgs, codes and quality land as one slice each, and every die's
-        mean and sigma come from one reduction (:func:`_die_statistics`).
-
-        A die gets its own array (the backend's ``fabricate_die`` from
-        the same draw) and its own :meth:`ArrayScanner.scan` exactly
-        when that scan would not take the kernel: ``force_engine`` or
-        ``preflight`` is set, a fault plan targets a site outside the
-        wafer loop and persistence, or its kinds slice holds a BRIDGE.
-
-        The ``wafer.die_done`` fault site, progress and ``on_die`` fire
-        per die, in die order, on both paths; then a checkpoint marks a
-        landed chunk's dies as one segment, a fallback die as its own.
-        Each kernel pass reports one ``kernel`` span to
-        ``config.tracer``; only fallback scans fold :class:`ScanStats`
-        into ``config.metrics``.
+        most; a resumed range's gap ends one) that the backend's
+        ``fabricate_die_planes`` writes into a preallocated
+        ``(chunk, die_rows, die_cols)`` capacitance plane.  No die
+        carries a defect, so one zero kind plane serves every pass.  One
+        kernel pass (one ``kernel`` span) measures the chunk, its vgs
+        and codes land as one slice each (cell quality stays GOOD, as
+        allocated), and every die's mean and sigma come from one
+        reduction (:func:`_die_statistics`).  Then the
+        ``wafer.die_done`` fault site, progress and ``on_die`` fire per
+        die, in die order, and a checkpoint marks the chunk's dies as
+        one segment.
         """
         progress, checkpointer = config.progress, config.checkpoint
-        # The wafer loop owns progress, recording and checkpointing;
-        # per-die scans get a silent copy so they neither repaint the
-        # line, append runs, nor fight over the checkpoint file.
-        die_config = config.with_options(
-            progress=NULL_PROGRESS, ledger=None, checkpoint=None
-        )
         structure, abacus = self._calibration()
-        backend = self._backend
         rows, cols = self.die_rows, self.die_cols
         chunk_dies = max(1, _CHUNK_CELLS // (rows * cols))
         cap = np.empty((chunk_dies, rows, cols))
-        kinds = np.empty((chunk_dies, rows, cols), dtype=np.int8)
-        # The kernel reads only the die geometry and card off its array.
-        template = ArrayScanner(
-            backend.array_class()(
-                rows, cols, tech=self.tech,
-                macro_cols=self.macro_cols, macro_rows=self.macro_rows,
-            ),
-            structure,
+        kinds = np.zeros((chunk_dies * rows, cols), dtype=np.int8)
+        array = self._backend.array_class()(
+            rows, cols, tech=self.tech, macro_cols=self.macro_cols, macro_rows=self.macro_rows
         )
-        #: (index, x, y, mean, mismatch_seed) of consecutive dies.
-        chunk: list[tuple[int, int, int, float, int]] = []
-
-        def landed(index: int, x: int, y: int) -> None:
-            fault_point("wafer.die_done", die=index, x=x, y=y)
-            progress.advance()
-            done.add(index)
-            if on_die is not None:
-                on_die(index, len(done))
-
-        def land_stack(start: int, stop: int) -> None:
-            """Measure chunk slots ``[start, stop)`` as one die stack."""
-            n, first = stop - start, chunk[start][0] - lo
-            dies = slice(first, first + n)
-            vgs, codes, _seconds = template.kernel_planes(
-                cap[start:stop].reshape(n * rows, cols),
-                kinds[start:stop].reshape(n * rows, cols),
-                config.tracer,
-            )
-            planes["die_means"][dies], planes["die_sigmas"][dies] = (
-                _die_statistics(abacus, codes.reshape(n, rows * cols))
-            )
-            planes["die_vgs"][dies] = vgs.reshape(n, rows, cols)
-            planes["die_codes"][dies] = codes.reshape(n, rows, cols)
-            planes["die_cell_quality"][dies] = int(CellQuality.GOOD)
-            planes["die_quality"][dies] = _die_quality(planes["die_means"][dies])
-            for index, x, y, *_draw in chunk[start:stop]:
-                landed(index, x, y)
-            if checkpointer is not None:
-                checkpointer.mark_done(
-                    *(die[0] for die in chunk[start:stop]), rows=dies
-                )
-
-        def scan_alone(index: int, x: int, y: int, mean: float, seed: int) -> None:
-            """Build the die's array from its draw and scan it on its own."""
-            scan = ArrayScanner(self._build_die(mean, seed), structure).scan(
-                die_config
-            )
-            rel = index - lo
-            means, sigmas = _die_statistics(abacus, scan.codes.reshape(1, -1))
-            planes["die_means"][rel], planes["die_sigmas"][rel] = means[0], sigmas[0]
-            planes["die_vgs"][rel] = scan.vgs
-            planes["die_codes"][rel] = scan.codes
-            planes["die_cell_quality"][rel] = scan.quality
-            planes["die_quality"][rel] = _die_quality(means)[0]
-            landed(index, x, y)
-            if checkpointer is not None:
-                checkpointer.mark_done(index, rows=rel)
+        # The kernel reads only the die geometry and card off its array.
+        template = ArrayScanner(array, structure)
+        #: (index, x, y) of consecutive dies.
+        chunk: list[tuple[int, int, int]] = []
 
         def flush() -> None:
-            """Land the chunk in die order; bridged dies scan alone."""
-            n = len(chunk)
-            bridged = (kinds[:n] == _BRIDGE).reshape(n, -1).any(axis=1)
-            start = 0
-            for stop in (*np.flatnonzero(bridged).tolist(), n):
-                if start < stop:
-                    land_stack(start, stop)
-                if stop < n:
-                    scan_alone(*chunk[stop])
-                start = stop + 1
+            """Measure the chunk as one die stack; land it in die order."""
+            n, first = len(chunk), chunk[0][0] - lo
+            dies = slice(first, first + n)
+            vgs, codes, _seconds = template.kernel_planes(
+                cap[:n].reshape(n * rows, cols), kinds[: n * rows], config.tracer
+            )
+            means, sigmas = _die_statistics(abacus, codes.reshape(n, rows * cols))
+            planes["die_means"][dies], planes["die_sigmas"][dies] = means, sigmas
+            planes["die_vgs"][dies] = vgs.reshape(n, rows, cols)
+            planes["die_codes"][dies] = codes.reshape(n, rows, cols)
+            planes["die_quality"][dies] = np.where(
+                np.isnan(means), DieQuality.FAILED, DieQuality.GOOD
+            )
+            for index, x, y in chunk:
+                fault_point("wafer.die_done", die=index, x=x, y=y)
+                progress.advance()
+                done.add(index)
+                if on_die is not None:
+                    on_die(index, len(done))
+            if checkpointer is not None:
+                checkpointer.mark_done(*(index for index, _x, _y in chunk), rows=dies)
             chunk.clear()
 
-        ambient = (
-            inject(config.faults) if config.faults is not None else nullcontext()
-        )
-        with ambient:
-            plan = active_fault_plan()
-            # Persistence sites fire outside die scans (those record and
-            # checkpoint nothing), so they keep the chunked path too.
-            chunked = (
-                not config.force_engine
-                and not config.preflight
-                and (plan is None or all(
-                    f.site.startswith(("wafer.", "durable."))
-                    for f in plan.faults
-                ))
-            )
+        with inject(config.faults) if config.faults is not None else nullcontext():
             sites = self._sites
             label = "wafer" if hi - lo == len(sites) else f"shard[{lo},{hi})"
             progress.start(hi - lo, label=label, units="dies")
@@ -527,17 +459,13 @@ class WaferModel:
                     if lo <= index < hi:
                         progress.advance()
                     continue
-                if not chunked:
-                    scan_alone(index, x, y, mean, mismatch_seed)
-                    continue
                 if chunk and chunk[-1][0] != index - 1:
                     flush()  # a resumed range's gap: a chunk lands as one slice
-                k = len(chunk)
-                backend.fabricate_die_planes(
-                    cap[k], kinds[k], mean=mean, cell_sigma=self.cell_sigma,
+                self._backend.fabricate_die_planes(
+                    cap[len(chunk)], mean=mean, cell_sigma=self.cell_sigma,
                     mismatch_seed=mismatch_seed,
                 )
-                chunk.append((index, x, y, mean, mismatch_seed))
+                chunk.append((index, x, y))
                 if len(chunk) == chunk_dies:
                     flush()
             if chunk:
@@ -558,8 +486,8 @@ def _die_statistics(
     estimates.  Never reduce over axis 0, or over a die's row segments
     first: the summation order, and with it the last bits, would change.
     A die with any out-of-range cell takes the masked 1-D reduction of
-    its own estimates; a die with none in range gets NaN for both
-    (:func:`_die_quality` lands it FAILED).
+    its own estimates; a die with none in range gets NaN for both (the
+    die loop lands it FAILED).
     """
     estimates = abacus.mids[codes]
     in_range = (codes != 0) & (codes != abacus.num_steps)
@@ -580,17 +508,14 @@ def _die_statistics(
     return means, sigmas
 
 
-def _die_quality(means: np.ndarray) -> np.ndarray:
-    """GOOD for a die with a mean, FAILED for one without (NaN)."""
-    return np.where(np.isnan(means), int(DieQuality.FAILED), int(DieQuality.GOOD))
-
-
 @dataclass
 class WaferReport:
     """Aggregated wafer measurements."""
 
-    dies: list[DieSite]
+    dies: list[DieSite]  #: the GOOD dies
     diameter: int
+    #: ``(x, y)`` of the FAILED dies (no in-range cell to average).
+    failed: list[tuple[int, int]] = field(default_factory=list)
     #: The run id the wafer was recorded under (``None`` unrecorded).
     run_id: str | None = field(default=None, compare=False)
 
@@ -608,8 +533,10 @@ class WaferReport:
         die_quality: np.ndarray,
     ) -> "WaferReport":
         """The report over the GOOD dies of ``sites`` and their aligned
-        die planes."""
-        good = np.asarray(die_quality) == int(DieQuality.GOOD)
+        die planes; FAILED dies keep only their position."""
+        quality = np.asarray(die_quality)
+        good = quality == int(DieQuality.GOOD)
+        failed = quality == int(DieQuality.FAILED)
         return cls(
             dies=[
                 DieSite(x, y, r, float(mean), float(sigma))
@@ -619,6 +546,7 @@ class WaferReport:
                 if ok
             ],
             diameter=diameter,
+            failed=[(x, y) for (x, y, _r), bad in zip(sites, failed) if bad],
         )
 
     # ------------------------------------------------------------------
@@ -699,8 +627,11 @@ class WaferReport:
     # ------------------------------------------------------------------
 
     def ascii_map(self) -> str:
-        """Wafer map: die mean in fF, one cell per die, '..' off-wafer."""
+        """Wafer map: die mean in fF, one cell per die, 'XX' for a
+        FAILED die, '..' off-wafer."""
         grid = [["  .. " for _ in range(self.diameter)] for _ in range(self.diameter)]
+        for x, y in self.failed:
+            grid[y][x] = "  XX "
         for die in self.dies:
             grid[die.y][die.x] = f"{to_fF(die.mean_capacitance):5.1f}"
         lines = ["".join(row) for row in grid]

@@ -2,14 +2,16 @@
 
 The wafer die loop builds no die array on its chunk path: each backend's
 :meth:`~repro.technologies.base.CellTechnology.fabricate_die_planes`
-writes one die's capacitance and defect-kind planes into a
-``(die_rows, die_cols)`` view of the chunk's stacked planes.  Two
-promises, for every backend, at any die mean (including means below
-the die-mean floor), cell sigma and mismatch seed:
+writes one die's capacitance plane into a ``(die_rows, die_cols)``
+view of the chunk's stacked plane.  Two promises, for every backend, at
+any die mean (including means below the die-mean floor), cell sigma and
+mismatch seed:
 
-1. the planes are bit for bit what ``fabricate_die`` with the same
-   draw returns through ``capacitance_view()`` and
-   ``defect_kind_view()``, and nothing outside the view is written;
+1. the plane is bit for bit what ``fabricate_die`` with the same draw
+   returns through ``capacitance_view()``, nothing outside the view is
+   written, and the die has no defect (``defect_kind_view()`` is all
+   zero) — the die loop passes one zero kind plane to every kernel
+   pass, so this is what lets it skip the kind planes;
 2. ``fabricate_die`` is bit-identical to the per-backend recipes the
    die arrays were built by before the planes existed, inlined below as
    the oracle — so moving fabrication onto the planes changed no die.
@@ -74,13 +76,12 @@ def test_die_planes_are_the_die_array_bit_for_bit(
     # A three-die stack poisoned everywhere: the die's slice must be
     # overwritten whole, and nothing else touched.
     cap = np.full((3, rows, cols), np.nan)
-    kinds = np.full((3, rows, cols), 99, dtype=np.int8)
-    backend.fabricate_die_planes(cap[slot], kinds[slot], **draw)
+    backend.fabricate_die_planes(cap[slot], **draw)
 
     np.testing.assert_array_equal(cap[slot], die.capacitance_view())
-    np.testing.assert_array_equal(kinds[slot], die.defect_kind_view())
+    assert not die.defect_kind_view().any()
     others = [k for k in range(3) if k != slot]
-    assert np.isnan(cap[others]).all() and (kinds[others] == 99).all()
+    assert np.isnan(cap[others]).all()
     np.testing.assert_array_equal(
         die.capacitance_view(),
         _legacy_capacitance(technology, (rows, cols), *draw.values()),

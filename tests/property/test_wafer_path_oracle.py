@@ -2,20 +2,19 @@
 
 A wafer is one die range: :meth:`WaferModel.measure_wafer` measures
 ``[0, total)`` through :meth:`WaferModel.measure_dies`, which stacks
-dies into chunks measured by one kernel pass, fast-forwards the RNG past
-dies outside its range or already checkpointed, and sends a die down its
-own :meth:`ArrayScanner.scan` when the chunk cannot take it.  Whatever
-the path, every die's means, sigmas and cell planes must be
-bit-identical to the reference walk below — each die fabricated in order
-and scanned on its own — for every cell technology, die geometry and
-seed, on a wafer spanning several chunks:
+dies into chunks measured by one kernel pass and fast-forwards the RNG
+past dies outside its range or already checkpointed.  Whatever the path,
+every die's means, sigmas and cell planes must be bit-identical to the
+reference walk below — each die fabricated in order and scanned on its
+own — for every cell technology, die geometry and seed, on a wafer
+spanning several chunks:
 
 - ``measure_wafer``;
 - any contiguous partition of ``measure_dies``, concatenated;
 - a checkpointed run interrupted at a random ``wafer.die_done``, then
   resumed;
-- a run whose armed (never-firing) fault plan sends every die down the
-  per-die fallback.
+- a run with an armed (never-firing) fault plan on a scan site, which
+  no die's measurement reaches: no die takes a scan of its own.
 """
 
 import tempfile
@@ -113,9 +112,9 @@ def _interrupted_then_resumed(make, technology, total, after, chunk_dies):
     return scan
 
 
-def _all_fallback(make, technology, total):
-    """A fault plan armed at a die-scan site (it never fires) keeps
-    every die out of the stacked chunks."""
+def _armed_plan(make, technology, total):
+    """A fault plan armed at a scan site (it never fires) leaves every
+    die in the stacked chunks: not one array scan runs."""
     never = Fault("scan.macro_done", error=RuntimeError("unreachable"),
                   probability=0.0)
     metrics = MetricsRegistry()
@@ -123,7 +122,7 @@ def _all_fallback(make, technology, total):
         technology=technology, faults=FaultPlan([never]),
         metrics=metrics,
     ))
-    assert metrics.counter("scan.runs").value == total
+    assert metrics.counter("scan.runs").value == 0
     return scan
 
 
@@ -151,7 +150,7 @@ def _check_every_path(make, data):
         "interrupted then resumed": vars(
             _interrupted_then_resumed(make, technology, total, after, chunk_dies)
         ),
-        "all per-die fallback": vars(_all_fallback(make, technology, total)),
+        "armed fault plan": vars(_armed_plan(make, technology, total)),
     }
     for plane, values in wafer.items():
         np.testing.assert_array_equal(

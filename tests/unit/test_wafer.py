@@ -155,8 +155,10 @@ def _span_counts(tracer):
     return names.count("kernel"), names.count("scan")
 
 
-def test_die_loop_routes_dies_by_kernel_eligibility():
-    """Chunked and per-die paths agree; only ineligible dies leave the chunk."""
+def test_every_die_takes_the_chunk_kernel_pass():
+    """One kernel pass per chunk whatever fault plan is armed, and the
+    options that would ask for a per-die scan are refused, not ignored."""
+    from repro.errors import MeasurementError
     from repro.measure.config import ScanConfig
     from repro.obs import Tracer
     from repro.resilience import Fault, FaultPlan
@@ -168,88 +170,24 @@ def test_die_loop_routes_dies_by_kernel_eligibility():
         )
         return [d.mean_capacitance for d in report.dies], _span_counts(tracer)
 
-    dies = len(WaferModel(diameter_dies=5).sites())
     chunked, spans = run()
     assert spans == (1, 0)  # every die in one stacked kernel pass
-    # A plan on the wafer loop's own site keeps the chunk path ...
-    silent = Fault("wafer.die_done", error=RuntimeError("never"), after=10**6)
-    assert run(faults=FaultPlan([silent])) == (chunked, (1, 0))
-    # ... and so does one on a persistence site, which fires outside die
-    # scans (the crash-point drill arms those) ...
-    persist = Fault("durable.write", error=RuntimeError("never"), after=10**6)
-    assert run(faults=FaultPlan([persist])) == (chunked, (1, 0))
-    # ... one on any other site sends every die through its own scan,
-    # which takes one kernel pass per macro-row slab (two per die).
-    foreign = Fault("scan.closed_form", error=RuntimeError("never"), after=10**6)
-    means, spans = run(faults=FaultPlan([foreign]))
-    assert means == chunked and spans == (2 * dies, dies)
-    means, spans = run(preflight=True)
-    assert means == chunked and spans == (2 * dies, dies)
+    # The wafer loop's own site, a persistence site (the crash-point
+    # drill arms those) and the scan sites no wafer die reaches alike.
+    for site in ("wafer.die_done", "durable.write", "scan.closed_form",
+                 "scan.macro_done"):
+        never = Fault(site, error=RuntimeError("never"), after=10**6)
+        assert run(faults=FaultPlan([never])) == (chunked, (1, 0)), site
 
-
-def test_bridge_dies_fall_back_in_order_mid_chunk():
-    from repro.bitmap.analog import AnalogBitmap
-    from repro.edram.defects import (
-        KIND_CODES,
-        CellDefect,
-        DefectInjector,
-        DefectKind,
-    )
-    from repro.measure.scan import ArrayScanner
-    from repro.technologies.edram import EDRAMTechnology
-
-    def bridged(mismatch_seed):
-        return mismatch_seed % 3 == 1
-
-    class BridgedEDRAM(EDRAMTechnology):
-        """Bridges cell (1, 0) of every third die (by mismatch seed), in
-        its array and in its chunk planes alike."""
-
-        def fabricate_die(self, rows, cols, **draw):
-            die = super().fabricate_die(rows, cols, **draw)
-            if bridged(draw["mismatch_seed"]):
-                DefectInjector(die).inject(1, 0, CellDefect(DefectKind.BRIDGE))
-            return die
-
-        def fabricate_die_planes(self, cap_out, kinds_out, **draw):
-            super().fabricate_die_planes(cap_out, kinds_out, **draw)
-            if bridged(draw["mismatch_seed"]):
-                kinds_out[1, 0] = KIND_CODES[DefectKind.BRIDGE]
-
-    def bridged_model():
-        model = WaferModel(diameter_dies=5, die_rows=8, die_cols=4,
-                           macro_rows=4, seed=8)
-        model._backend = BridgedEDRAM()
-        return model
-
-    backend, draw = BridgedEDRAM(), dict(mean=30 * fF, cell_sigma=fF)
-    for seed in (1, 2):
-        die = backend.fabricate_die(
-            8, 4, macro_rows=4, macro_cols=2, mismatch_seed=seed, **draw
-        )
-        cap, kinds = np.empty((8, 4)), np.empty((8, 4), dtype=np.int8)
-        backend.fabricate_die_planes(cap, kinds, mismatch_seed=seed, **draw)
-        np.testing.assert_array_equal(cap, die.capacitance_view())
-        np.testing.assert_array_equal(kinds, die.defect_kind_view())
-
-    reference = bridged_model()
-    structure, abacus = reference._calibration()
-    scans = [
-        ArrayScanner(reference.fabricate_die(r), structure).scan()
-        for _x, _y, r in reference.sites()
-    ]
-    landed = []
-    total = len(scans)
-    result = bridged_model().measure_dies(
-        (0, total), on_die=lambda index, done: landed.append((index, done))
-    )
-    assert landed == [(i, i + 1) for i in range(total)]
-    # Bridged dies sit between chunked ones, so both paths land.
-    assert 0 < sum(bool((scan.tiers == "e").any()) for scan in scans) < total
-    for index, scan in enumerate(scans):
-        assert result.die_means[index] == AnalogBitmap(scan, abacus).mean_capacitance()
-        np.testing.assert_array_equal(result.die_vgs[index], scan.vgs)
-        np.testing.assert_array_equal(result.die_codes[index], scan.codes)
+    model = WaferModel(diameter_dies=5, seed=6)
+    total = len(model.sites())
+    for option in ("force_engine", "preflight"):
+        config = ScanConfig(**{option: True})
+        refusal = f"config.{option} does not apply to a wafer"
+        with pytest.raises(MeasurementError, match=refusal):
+            model.measure_wafer(config)
+        with pytest.raises(MeasurementError, match=refusal):
+            model.measure_dies((1, total), config)
 
 
 def test_wafer_die_fabrication_delegates_to_backend():
@@ -371,13 +309,37 @@ def test_interrupted_wafer_resumes_as_its_die_range(tmp_path):
             getattr(resumed, name), getattr(whole, name), err_msg=name
         )
 
+    # A shard's range of 64x32 dies (four per chunk), interrupted in
+    # its second chunk: the resume skips the persisted first chunk and
+    # lands every other die once, in die order, counting the skipped.
+    def shard_model():
+        return WaferModel(diameter_dies=7, die_rows=64, die_cols=32, seed=4)
+
+    lo, hi = 3, 20
+    ledger = RunLedger(tmp_path / "shard")
+    interrupt = Fault("wafer.die_done", error=KeyboardInterrupt(),
+                      after=5, times=1)
+    with pytest.raises(KeyboardInterrupt):
+        shard_model().measure_dies((lo, hi), ScanConfig(
+            checkpoint=Checkpointer(ledger), faults=FaultPlan([interrupt])
+        ))
+    landed = []
+    resumed = shard_model().measure_dies(
+        (lo, hi), ScanConfig(checkpoint=Checkpointer(ledger, resume="r0001")),
+        on_die=lambda index, done: landed.append((index, done)),
+    )
+    assert landed == [(i, i - lo + 1) for i in range(lo + 4, hi)]
+    whole = shard_model().measure_dies((0, len(shard_model().sites())))
+    for name in shard_model().die_planes(0):
+        np.testing.assert_array_equal(
+            getattr(resumed, name), getattr(whole, name)[lo:hi], err_msg=name
+        )
+
 
 def test_die_without_an_in_range_cell_lands_failed_not_aborting_the_wafer():
     """A die reading only code 0 / full scale has no mean: it lands
-    FAILED with NaN statistics, on the chunk and per-die paths alike,
-    and the wafer report keeps the GOOD dies."""
-    from repro.measure.config import ScanConfig
-    from repro.resilience import Fault, FaultPlan
+    FAILED with NaN statistics, and the wafer report keeps the GOOD
+    dies."""
     from repro.wafer import DieQuality
 
     def model():
@@ -398,14 +360,27 @@ def test_die_without_an_in_range_cell_lands_failed_not_aborting_the_wafer():
     assert np.isnan(chunked.die_sigmas[failed]).all()
     assert not np.isnan(chunked.die_means[~failed]).any()
 
-    never = Fault("scan.macro_done", error=RuntimeError("unreachable"),
-                  probability=0.0)
-    alone = model().measure_dies((0, total), ScanConfig(
-        technology="1t", faults=FaultPlan([never])
-    ))
-    for plane in ("die_means", "die_sigmas", "die_quality", "die_codes"):
-        np.testing.assert_array_equal(getattr(alone, plane), getattr(chunked, plane))
-
     report = model().measure_wafer()
     assert len(report.dies) == int((~failed).sum())
     assert all(math.isfinite(value) for value in report.scalars().values())
+
+
+def test_wafer_manifest_and_map_count_failed_dies(tmp_path):
+    """A FAILED die is counted in the wafer manifest and drawn on the
+    map with its own mark, not as an off-wafer site."""
+    from repro.measure.config import ScanConfig
+    from repro.obs.ledger import RunLedger
+
+    ledger = RunLedger(tmp_path)
+    report = WaferModel(
+        diameter_dies=21, technology="1t", seed=3,
+        radial_drop=0.7 * 4 * fF, cell_sigma=4 * fF / 15,
+    ).measure_wafer(ScanConfig(technology="1t", ledger=ledger))
+    (manifest,) = ledger.runs()
+    assert manifest.scalars["dies"] == 284.0
+    assert manifest.scalars["failed_dies"] == 65.0
+    assert len(report.failed) == 65
+    art = report.ascii_map()
+    assert art.count("XX") == 65
+    # The off-wafer corners keep their own mark.
+    assert art.splitlines()[0].startswith("  .. ")
