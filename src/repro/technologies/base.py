@@ -148,59 +148,71 @@ class CellTechnology(abc.ABC):
         The wafer model owns the RNG (die means and mismatch seeds must
         come from *its* stream so checkpoint fast-forward stays
         bit-exact); the backend turns one ``(mean, mismatch_seed)`` draw
-        into a die array: the array class over :meth:`_die_maps`.
+        into a die array: the array class over :meth:`_die_maps` on a
+        chunk of one, plus :meth:`_die_leak_map`.
         """
+        card = tech if tech is not None else self.base_card()
+        maps = self._die_maps(
+            np.empty((1, rows, cols)), np.array([mean]), cell_sigma,
+            np.array([mismatch_seed]),
+        )
         return self.array_class()(
-            rows, cols, tech=tech if tech is not None else self.base_card(),
-            macro_cols=macro_cols, macro_rows=macro_rows,
-            **self._die_maps((rows, cols), mean, cell_sigma, mismatch_seed),
+            rows, cols, tech=card, macro_cols=macro_cols, macro_rows=macro_rows,
+            leak_map=self._die_leak_map((rows, cols), mismatch_seed, card),
+            **{name: plane[0] for name, plane in maps.items()},
         )
 
-    def fabricate_die_planes(
+    def fabricate_dies(
         self,
         cap_out: np.ndarray,
         *,
-        mean: float,
+        means: np.ndarray,
         cell_sigma: float,
-        mismatch_seed: int,
+        seeds: np.ndarray,
     ) -> None:
-        """Write one die's capacitance plane into ``cap_out`` whole.
+        """Write a chunk's die capacitance planes into ``cap_out[:n]``.
 
-        ``cap_out`` is a ``(die_rows, die_cols)`` view of a wafer
-        chunk's stacked plane; the result is bit for bit what
-        :meth:`fabricate_die` with the same draw returns through
-        ``capacitance_view()``.  A die has no defects, so there is no
-        kind plane to write.
+        ``cap_out`` is a wafer chunk's ``(chunk, die_rows, die_cols)``
+        plane and ``means``/``seeds`` the ``n`` dies' draws; die ``k``'s
+        slice is bit for bit what :meth:`fabricate_die` with draw ``k``
+        returns through ``capacitance_view()``, and nothing past
+        ``cap_out[n - 1]`` is written.  A die has no defects, so there
+        is no kind plane to write.
         """
-        cap_out[...] = self._die_maps(
-            cap_out.shape, mean, cell_sigma, mismatch_seed
-        )["capacitance_map"]
+        self._die_maps(cap_out[: len(means)], means, cell_sigma, seeds)
 
     def _die_maps(
         self,
-        shape: tuple[int, int],
-        mean: float,
+        cap_out: np.ndarray,
+        means: np.ndarray,
         cell_sigma: float,
-        mismatch_seed: int,
+        seeds: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        """One draw's die maps, as keyword arguments of the array class.
+        """The backend's one die recipe, over a chunk of ``n`` dies.
 
-        The backend's one die recipe: :meth:`fabricate_die` and
-        :meth:`fabricate_die_planes` both derive from it.  The default
-        is a uniform mean (floored at :attr:`die_mean_floor`) plus white
-        mismatch, clamped at :attr:`die_cell_floor` — in
-        :func:`~repro.edram.variation_map.compose_maps`' order.
+        Writes their capacitance planes into ``cap_out`` (``(n,
+        die_rows, die_cols)``) and returns the array class's map
+        keywords as ``(n, ...)`` stacks; :meth:`fabricate_die` (a chunk
+        of one) and :meth:`fabricate_dies` both derive from it.  The
+        default is the die mean (floored at :attr:`die_mean_floor`) plus
+        white mismatch (:func:`~repro.edram.variation_map.mismatch_stack`),
+        clamped at :attr:`die_cell_floor`: elementwise, so bit-identical
+        to each die's :func:`~repro.edram.variation_map.compose_maps`.
         """
-        from repro.edram.variation_map import mismatch_map
+        from repro.edram.variation_map import mismatch_stack
 
-        capacitance = max(mean, self.die_mean_floor) + mismatch_map(
-            shape, cell_sigma, seed=mismatch_seed
-        )
-        return {
-            "capacitance_map": np.maximum(
-                capacitance, self.die_cell_floor, out=capacitance
-            )
-        }
+        mismatch_stack(cap_out, cell_sigma, seeds)
+        cap_out += np.maximum(means, self.die_mean_floor)[:, None, None]
+        np.maximum(cap_out, self.die_cell_floor, out=cap_out)
+        return {"capacitance_map": cap_out}
+
+    def _die_leak_map(
+        self, shape: tuple[int, int], mismatch_seed: int, card: "TechnologyCard"
+    ) -> np.ndarray | None:
+        """A die array's leakage plane (``None``: the card's uniform
+        leakage).  Only :meth:`fabricate_die` builds one: the kernel
+        never reads leakage."""
+        return None
 
     def array_class(self) -> type:
         """The array class this backend fabricates."""

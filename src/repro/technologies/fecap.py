@@ -253,41 +253,28 @@ class FeCapTechnology(CellTechnology):
             self.inject_defects(array, seed)
         return array
 
-    def fabricate_die_planes(
-        self,
-        cap_out: np.ndarray,
-        *,
-        mean: float,
-        cell_sigma: float,
-        mismatch_seed: int,
-    ) -> None:
-        maps = self._die_maps(cap_out.shape, mean, cell_sigma, mismatch_seed)
-        # A fresh die is written (P = +1) everywhere.
-        cap_out[...] = derived_capacitance(
-            maps["c_lin_map"], maps["c_switch_map"], 1.0
-        )
-
     def _die_maps(
         self,
-        shape: tuple[int, int],
-        mean: float,
+        cap_out: np.ndarray,
+        means: np.ndarray,
         cell_sigma: float,
-        mismatch_seed: int,
+        seeds: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        # Independent mismatch on the dielectric and switching layers.
-        from repro.edram.variation_map import mismatch_map
+        # Independent mismatch on the dielectric and switching layers;
+        # a fresh die is written (P = +1) everywhere.
+        from repro.edram.variation_map import mismatch_stack
 
-        mean = max(mean, self.die_mean_floor)
-        lin_nominal = 15.0 / 35.0 * mean
-        c_lin = np.maximum(
-            lin_nominal + mismatch_map(shape, 0.4 * cell_sigma, seed=mismatch_seed),
-            1.0 * fF,
+        means = np.maximum(means, self.die_mean_floor)[:, None, None]
+        lin_nominal = 15.0 / 35.0 * means
+        c_lin = mismatch_stack(np.empty_like(cap_out), 0.4 * cell_sigma, seeds)
+        c_lin += lin_nominal
+        np.maximum(c_lin, 1.0 * fF, out=c_lin)
+        c_switch = mismatch_stack(
+            np.empty_like(cap_out), 0.6 * cell_sigma, seeds + 7919
         )
-        c_switch = np.maximum(
-            (mean - lin_nominal)
-            + mismatch_map(shape, 0.6 * cell_sigma, seed=mismatch_seed + 7919),
-            1.0 * fF,
-        )
+        c_switch += means - lin_nominal
+        np.maximum(c_switch, 1.0 * fF, out=c_switch)
+        cap_out[...] = derived_capacitance(c_lin, c_switch, 1.0)
         return {"c_lin_map": c_lin, "c_switch_map": c_switch}
 
     def measurement_range(self) -> tuple[float, float, int]:

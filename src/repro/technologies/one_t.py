@@ -183,28 +183,11 @@ class Capacitorless1TTechnology(CellTechnology):
             self.inject_defects(array, seed)
         return array
 
-    def fabricate_die(
-        self,
-        rows: int,
-        cols: int,
-        *,
-        macro_rows: int,
-        macro_cols: int,
-        mean: float,
-        cell_sigma: float,
-        mismatch_seed: int,
-        tech: TechnologyCard | None = None,
-    ) -> Body1TArray:
-        # The die recipe's capacitance, plus the leakage plane drawn
-        # from the mismatch seed (the die planes skip it: the kernel
-        # never reads leakage).
-        card = tech if tech is not None else self.base_card()
-        shape = (rows, cols)
-        return Body1TArray(
-            rows, cols, tech=card, macro_cols=macro_cols,
-            macro_rows=macro_rows, leak_map=_leak_map(shape, mismatch_seed, card),
-            **self._die_maps(shape, mean, cell_sigma, mismatch_seed),
-        )
+    def _die_leak_map(
+        self, shape: tuple[int, int], mismatch_seed: int, card: TechnologyCard
+    ) -> np.ndarray:
+        # Drawn from the mismatch seed; only the die array carries it.
+        return _leak_map(shape, mismatch_seed, card)
 
     def measurement_range(self) -> tuple[float, float, int]:
         # Floating-body capacitances are a few fF; the converter must be

@@ -13,11 +13,17 @@ and :class:`WaferReport` aggregates: per-die means, zonal statistics
 Dies are tiny and many, so per-die fixed costs (array, scanner, scan
 result, bitmap) would dwarf their kernel work.  Every die carries the
 same defect-free measurement structure, so a chunk of dies is one die
-stack: each die is fabricated straight into the chunk's capacitance
-plane, one kernel pass measures the stack, every die's mean and sigma
-come from one reduction over it, and a checkpoint persists it as one
-segment (see :meth:`WaferModel._scan_dies`).  There is no per-die scan:
-a config asking for one (``force_engine``, ``preflight``) is refused.
+stack: the chunk's dies are fabricated in one pass straight into its
+capacitance plane, one kernel pass measures the stack, every die's mean
+and sigma come from one reduction over it, and a checkpoint persists it
+as one segment (see :meth:`WaferModel._scan_dies`).  Each die keeps its
+own mismatch stream, ``default_rng(mismatch_seed)`` — numpy's seeding
+contract (https://numpy.org/neps/nep-0019-rng-policy.html) — but the
+chunk seeds all of them from one array pass
+(:func:`~repro.edram.variation_map.mismatch_stack`), bit-identical to
+seeding each die alone.  The die draws themselves stay per die
+(:meth:`WaferModel._draw_die`).  There is no per-die scan: a config
+asking for one (``force_engine``, ``preflight``) is refused.
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ class DieRangeScan:
     ``lo + k`` of ``die_range = (lo, hi)``, so ``len(die_means) == hi -
     lo``.  A lot is these slices scattered back to their ranges, which
     is bit-exact with one walk of the whole wafer by construction.
+
+    ``die_cell_quality`` can only read GOOD (no wafer die takes an array
+    scan) but is kept: the end-to-end benchmark's wafer and fleet checks
+    read it off a die range and a lot.
     """
 
     die_range: tuple[int, int]
@@ -225,7 +235,10 @@ class WaferModel:
         die is drawn, including one that someone else (an earlier run,
         another shard) measures, so checkpoint fast-forward and every
         die-range partition print the same dies as one uninterrupted
-        walk.
+        walk.  It stays one call per die: both draws consume a variable
+        number of words from the stream (ziggurat rejection, bounded
+        integers), so the dies' draws cannot be batched without
+        changing every wafer.  The mismatch seed is below ``2**31``.
         """
         mean = (
             self.nominal
@@ -399,17 +412,21 @@ class WaferModel:
         or not, prints the same dies as one uninterrupted walk.
 
         A chunk is a run of consecutive dies (``_CHUNK_CELLS`` cells at
-        most; a resumed range's gap ends one) that the backend's
-        ``fabricate_die_planes`` writes into a preallocated
-        ``(chunk, die_rows, die_cols)`` capacitance plane.  No die
-        carries a defect, so one zero kind plane serves every pass.  One
-        kernel pass (one ``kernel`` span) measures the chunk, its vgs
-        and codes land as one slice each (cell quality stays GOOD, as
-        allocated), and every die's mean and sigma come from one
-        reduction (:func:`_die_statistics`).  Then the
-        ``wafer.die_done`` fault site, progress and ``on_die`` fire per
-        die, in die order, and a checkpoint marks the chunk's dies as
-        one segment.
+        most; a resumed range's gap ends one).  The loop only collects
+        each die's draw; the chunk is fabricated in one pass (one
+        ``fabricate`` span): the backend's ``fabricate_dies`` seeds
+        every die's mismatch generator from one array pass and writes
+        the dies into a preallocated ``(chunk, die_rows, die_cols)``
+        capacitance plane.  The draws themselves stay per die: a normal
+        draw consumes a variable number of words from the wafer stream,
+        so no batched draw could print the same dies.  No die carries a
+        defect, so one zero kind plane serves every pass.  One kernel
+        pass (one ``kernel`` span) measures the chunk, its vgs and codes
+        land as one slice each (cell quality stays GOOD, as allocated),
+        and every die's mean and sigma come from one reduction
+        (:func:`_die_statistics`).  Then the ``wafer.die_done`` fault
+        site, progress and ``on_die`` fire per die, in die order, and a
+        checkpoint marks the chunk's dies as one segment.
         """
         progress, checkpointer = config.progress, config.checkpoint
         structure, abacus = self._calibration()
@@ -422,13 +439,21 @@ class WaferModel:
         )
         # The kernel reads only the die geometry and card off its array.
         template = ArrayScanner(array, structure)
-        #: (index, x, y) of consecutive dies.
+        #: (index, x, y) and (mean, mismatch_seed) of consecutive dies.
         chunk: list[tuple[int, int, int]] = []
+        draws: list[tuple[float, int]] = []
 
         def flush() -> None:
-            """Measure the chunk as one die stack; land it in die order."""
+            """Fabricate and measure the chunk as one die stack; land it
+            in die order."""
             n, first = len(chunk), chunk[0][0] - lo
             dies = slice(first, first + n)
+            means, seeds = zip(*draws)
+            with config.tracer.span("fabricate", dies=n):
+                self._backend.fabricate_dies(
+                    cap, means=np.array(means), cell_sigma=self.cell_sigma,
+                    seeds=np.array(seeds),
+                )
             vgs, codes, _seconds = template.kernel_planes(
                 cap[:n].reshape(n * rows, cols), kinds[: n * rows], config.tracer
             )
@@ -448,6 +473,7 @@ class WaferModel:
             if checkpointer is not None:
                 checkpointer.mark_done(*(index for index, _x, _y in chunk), rows=dies)
             chunk.clear()
+            draws.clear()
 
         with inject(config.faults) if config.faults is not None else nullcontext():
             sites = self._sites
@@ -461,11 +487,8 @@ class WaferModel:
                     continue
                 if chunk and chunk[-1][0] != index - 1:
                     flush()  # a resumed range's gap: a chunk lands as one slice
-                self._backend.fabricate_die_planes(
-                    cap[len(chunk)], mean=mean, cell_sigma=self.cell_sigma,
-                    mismatch_seed=mismatch_seed,
-                )
                 chunk.append((index, x, y))
+                draws.append((mean, mismatch_seed))
                 if len(chunk) == chunk_dies:
                     flush()
             if chunk:

@@ -1,24 +1,26 @@
 """Die planes: a wafer chunk's dies are fabricated straight into planes.
 
-The wafer die loop builds no die array on its chunk path: each backend's
-:meth:`~repro.technologies.base.CellTechnology.fabricate_die_planes`
-writes one die's capacitance plane into a ``(die_rows, die_cols)``
-view of the chunk's stacked plane.  Two promises, for every backend, at
-any die mean (including means below the die-mean floor), cell sigma and
-mismatch seed:
+The wafer die loop builds no die array: each backend's
+:meth:`~repro.technologies.base.CellTechnology.fabricate_dies` writes a
+chunk of dies' capacitance planes into the ``[:n]`` slice of the
+chunk's stacked ``(chunk, die_rows, die_cols)`` plane in one pass.  Two
+promises, for every backend, for any chunk of dies at any die means
+(including means below the die-mean floor), cell sigma and mismatch
+seeds:
 
-1. the plane is bit for bit what ``fabricate_die`` with the same draw
-   returns through ``capacitance_view()``, nothing outside the view is
-   written, and the die has no defect (``defect_kind_view()`` is all
-   zero) — the die loop passes one zero kind plane to every kernel
-   pass, so this is what lets it skip the kind planes;
+1. die ``k``'s slice is bit for bit what ``fabricate_die`` with draw
+   ``k`` returns through ``capacitance_view()``, nothing past the
+   chunk's ``n`` dies is written, and the die has no defect
+   (``defect_kind_view()`` is all zero) — the die loop passes one zero
+   kind plane to every kernel pass, so this is what lets it skip the
+   kind planes;
 2. ``fabricate_die`` is bit-identical to the per-backend recipes the
    die arrays were built by before the planes existed, inlined below as
    the oracle — so moving fabrication onto the planes changed no die.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.edram.variation_map import compose_maps, mismatch_map, uniform_map
@@ -58,37 +60,54 @@ def _legacy_capacitance(technology, shape, mean, sigma, seed):
 @given(
     technology=st.sampled_from(["edram", "fecap", "1t"]),
     geometry=st.sampled_from(GEOMETRIES),
-    mean_fF=st.floats(min_value=-10.0, max_value=60.0),
+    dies=st.lists(
+        st.tuples(
+            st.floats(min_value=-10.0, max_value=60.0),
+            st.integers(min_value=0, max_value=2**31 - 1),
+        ),
+        min_size=1, max_size=6,
+    ),
     sigma_fF=st.floats(min_value=0.0, max_value=6.0),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    slot=st.integers(min_value=0, max_value=2),
+    spare=st.integers(min_value=0, max_value=2),
+)
+@example(  # every die below its floor, the largest die seed, wide mismatch
+    technology="fecap", geometry=GEOMETRIES[0],
+    dies=[(-3.0, 0), (4.9, 2**31 - 1), (0.0, 7)], sigma_fF=6.0, spare=1,
+)
+@example(
+    technology="1t", geometry=GEOMETRIES[1],
+    dies=[(0.5, 3), (4.0, 11)], sigma_fF=2.0, spare=2,
 )
 @settings(max_examples=60, deadline=None)
 def test_die_planes_are_the_die_array_bit_for_bit(
-    technology, geometry, mean_fF, sigma_fF, seed, slot
+    technology, geometry, dies, sigma_fF, spare
 ):
     rows, cols, macro_rows, macro_cols = geometry
     backend = get(technology)
-    draw = dict(mean=mean_fF * fF, cell_sigma=sigma_fF * fF, mismatch_seed=seed)
-    die = backend.fabricate_die(
-        rows, cols, macro_rows=macro_rows, macro_cols=macro_cols, **draw
+    n, sigma = len(dies), sigma_fF * fF
+    # A chunk plane poisoned everywhere: the chunk's n dies must be
+    # overwritten whole, and the spare slots past them left alone.
+    cap = np.full((n + spare, rows, cols), np.nan)
+    backend.fabricate_dies(
+        cap, means=np.array([mean_fF * fF for mean_fF, _seed in dies]),
+        cell_sigma=sigma, seeds=np.array([seed for _mean, seed in dies]),
     )
-    # A three-die stack poisoned everywhere: the die's slice must be
-    # overwritten whole, and nothing else touched.
-    cap = np.full((3, rows, cols), np.nan)
-    backend.fabricate_die_planes(cap[slot], **draw)
+    assert np.isnan(cap[n:]).all()
 
-    np.testing.assert_array_equal(cap[slot], die.capacitance_view())
-    assert not die.defect_kind_view().any()
-    others = [k for k in range(3) if k != slot]
-    assert np.isnan(cap[others]).all()
-    np.testing.assert_array_equal(
-        die.capacitance_view(),
-        _legacy_capacitance(technology, (rows, cols), *draw.values()),
-    )
-    assert (die.rows, die.cols) == (rows, cols)
-    assert (die.macro_rows, die.macro_cols) == (macro_rows, macro_cols)
-    assert die.technology == technology
+    for plane, (mean_fF, seed) in zip(cap, dies):
+        draw = dict(mean=mean_fF * fF, cell_sigma=sigma, mismatch_seed=seed)
+        die = backend.fabricate_die(
+            rows, cols, macro_rows=macro_rows, macro_cols=macro_cols, **draw
+        )
+        np.testing.assert_array_equal(plane, die.capacitance_view())
+        assert not die.defect_kind_view().any()
+        np.testing.assert_array_equal(
+            die.capacitance_view(),
+            _legacy_capacitance(technology, (rows, cols), *draw.values()),
+        )
+        assert (die.rows, die.cols) == (rows, cols)
+        assert (die.macro_rows, die.macro_cols) == (macro_rows, macro_cols)
+        assert die.technology == technology
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

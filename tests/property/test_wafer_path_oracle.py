@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import repro.wafer
@@ -41,6 +41,11 @@ DIAMETER = 21
 #: puts some cells of every edge die out of range and none of a die's
 #: all of them (a die needs one in-range cell for its statistics).
 WIDE_DROP = {"edram": 0.5, "fecap": 0.7, "1t": 0.4}
+
+#: Every phase but shrinking: each shrink step re-runs the reference
+#: walk and four wafer paths, so a shrinking failure took five minutes
+#: to report; an unshrunk example is reported as soon as it fails.
+UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 _PLANES = ("die_means", "die_sigmas", "die_vgs", "die_codes", "die_cell_quality")
 
@@ -173,7 +178,7 @@ def _check_every_path(make, data):
     seed=st.integers(min_value=0, max_value=2**16),
     data=st.data(),
 )
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=UNSHRUNK)
 def test_every_wafer_path_lands_the_same_die_planes(
     technology, geometry, seed, data
 ):
@@ -181,7 +186,7 @@ def test_every_wafer_path_lands_the_same_die_planes(
 
 
 @given(seed=st.integers(min_value=0, max_value=2**16), data=st.data())
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2, deadline=None, phases=UNSHRUNK)
 def test_dies_of_more_than_128_cells_land_the_same_die_planes(seed, data):
     """A 32x16 die's 512-cell row is past numpy's 128-element pairwise
     block, so its per-die sums take the recursive split."""
@@ -193,7 +198,7 @@ def test_dies_of_more_than_128_cells_land_the_same_die_planes(seed, data):
     seed=st.integers(min_value=0, max_value=2**16),
     data=st.data(),
 )
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=4, deadline=None, phases=UNSHRUNK)
 def test_wide_spread_wafer_mixes_full_and_masked_dies(technology, seed, data):
     """A deep radial drop and wide cell mismatch push edge dies' cells
     out of range while inner dies keep every cell, so chunks hold dies

@@ -190,6 +190,37 @@ def test_every_die_takes_the_chunk_kernel_pass():
             model.measure_dies((1, total), config)
 
 
+def test_traced_wafer_names_die_fabrication_per_chunk():
+    """Every chunk is one ``fabricate`` span beside its ``kernel`` span."""
+    from repro.measure.config import ScanConfig
+    from repro.obs import Tracer
+
+    tracer = Tracer()
+    model = WaferModel(diameter_dies=9, die_rows=32, die_cols=16, seed=2)
+    model.measure_wafer(config=ScanConfig(tracer=tracer))
+    fabricate = [span for span in tracer.spans if span.name == "fabricate"]
+    kernels = [span for span in tracer.spans if span.name == "kernel"]
+    assert len(kernels) > 1  # 16 dies a chunk: several chunks
+    assert len(fabricate) == len(kernels)
+    assert sum(span.attributes["dies"] for span in fabricate) == len(model.sites())
+
+
+def test_wafer_seeds_no_generator_per_die(monkeypatch):
+    """Die mismatch is seeded per chunk: the only ``default_rng`` a
+    wafer builds is its own stream, not one per printed die."""
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    report = WaferModel(diameter_dies=9, seed=4).measure_wafer()
+    assert len(report.dies) > 1
+    assert len(calls) <= 1
+
+
 def test_wafer_die_fabrication_delegates_to_backend():
     model = WaferModel(diameter_dies=3, die_rows=8, die_cols=4,
                        macro_rows=4, technology="1t", seed=5)
