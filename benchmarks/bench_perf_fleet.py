@@ -26,9 +26,14 @@ cost was each worker's import of ``repro``.  Once package names
 resolved lazily, a worker stopped loading the analysis packages, and
 the fixed cost fell to 0.57–0.85 s (median 0.60 s) from 0.86–1.44 s
 (median 0.89 s).  That is 5 alternating runs per side on the same
-2-vCPU host with Python 3.11.  The bound stays 1.5 s.  The gate takes the
-best of up to ``ATTEMPTS`` runs, because a loaded machine inflates any
-single wall-clock reading.
+2-vCPU host with Python 3.11.  Once the orchestrator solved the lot's
+calibration once for every shard, workers stopped loading the circuit
+simulator and the calibration package, and the supervisor woke on a
+worker's exit instead of its next poll, the fixed cost fell to
+0.28–0.33 s (median 0.30 s) from 0.35–0.39 s (median 0.375 s): 4
+alternating runs per side on the same 2-vCPU host, Python 3.11.  The
+bound stays 1.5 s.  The gate takes the best of up to ``ATTEMPTS`` runs,
+because a loaded machine inflates any single wall-clock reading.
 
 The run also pins correctness while it's here: the merged lot's
 ``die_means`` must be bit-identical to the single-process wafer
@@ -86,7 +91,6 @@ def _measure_fleet_seconds(root: Path):
         root,
         wafer={"diameter_dies": DIAMETER, "seed": SEED},
         shards=SHARDS,
-        poll_seconds=0.02,
     )
     gc.collect()
     started = time.perf_counter()

@@ -155,20 +155,41 @@ class _CachedSerialScanner(ArrayScanner):
                           num_steps=self.structure.design.num_steps)
 
 
+def _seed_boundary(structure, code):
+    """The V_GS of the ``code-1 -> code`` step as the seed solved it.
+
+    A frozen copy of ``MeasurementStructure.vgs_for_code_boundary``:
+    80 bisection steps, each one ``Mosfet.ids`` call on the REF device
+    at the sense threshold.  The seed baseline calls this copy, so a
+    faster live boundary solve cannot also speed up the seed path.
+    """
+    ref, vds = structure._ref, structure._threshold
+    target = code * structure.design.delta_i
+    lo, hi = 0.0, 3.0 * structure.tech.vdd
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if ref.ids(vds, mid, 0.0) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class _SeedScanner(_CachedSerialScanner):
     """The per-macro driver as it behaved before the performance layer.
 
     Restores the per-cell Python walks for mask building and bridge
-    routing, the per-boundary bisection at construction, and a fresh
-    sequencer per macro — the honest baseline, running on the same
-    arrays through the same per-macro driver.
+    routing, the per-boundary bisection at construction (its own frozen
+    copy, :func:`_seed_boundary`), and a fresh sequencer per macro —
+    the honest baseline, running on the same arrays through the same
+    per-macro driver.
     """
 
     def __init__(self, array, structure):
         super().__init__(array, structure)
         s = self.structure
         self._seed_boundaries = np.array(
-            [s.vgs_for_code_boundary(k) for k in range(1, s.design.num_steps + 1)]
+            [_seed_boundary(s, k) for k in range(1, s.design.num_steps + 1)]
         )
 
     def codes_for_vgs(self, vgs):

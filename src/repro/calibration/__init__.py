@@ -15,16 +15,54 @@ values").  This package implements both:
   paper's "6 %" claim);
 - :class:`SpecificationWindow` expresses pass/fail limits in the current
   domain, as the paper specifies.
+
+Names resolve lazily from ``_EXPORTS`` (:mod:`repro._lazy`): importing
+one submodule does not load the others.
 """
 
-from repro.calibration.design import design_structure, nominal_background
-from repro.calibration.abacus import Abacus, AbacusRow
-from repro.calibration.accuracy import AccuracyReport, accuracy_sweep
-from repro.calibration.window import SpecificationWindow
-from repro.calibration.dither import DitheredConverter, DitheredResult
-from repro.calibration.sensitivity import plate_error_from_cbl, plate_error_from_vth
-from repro.calibration.linearity import LinearityReport, analyze_linearity, lazy_linear_estimate
-from repro.calibration.reference import InstrumentCheck, InstrumentStatus, InstrumentVerdict, ReferenceBank
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.calibration.design import design_structure, nominal_background
+    from repro.calibration.abacus import Abacus, AbacusRow
+    from repro.calibration.accuracy import AccuracyReport, accuracy_sweep
+    from repro.calibration.window import SpecificationWindow
+    from repro.calibration.dither import DitheredConverter, DitheredResult
+    from repro.calibration.sensitivity import plate_error_from_cbl, plate_error_from_vth
+    from repro.calibration.linearity import (
+        LinearityReport,
+        analyze_linearity,
+        lazy_linear_estimate,
+    )
+    from repro.calibration.reference import (
+        InstrumentCheck,
+        InstrumentStatus,
+        InstrumentVerdict,
+        ReferenceBank,
+    )
+
+_EXPORTS = {
+    "design_structure": "repro.calibration.design",
+    "nominal_background": "repro.calibration.design",
+    "Abacus": "repro.calibration.abacus",
+    "AbacusRow": "repro.calibration.abacus",
+    "AccuracyReport": "repro.calibration.accuracy",
+    "accuracy_sweep": "repro.calibration.accuracy",
+    "SpecificationWindow": "repro.calibration.window",
+    "DitheredConverter": "repro.calibration.dither",
+    "DitheredResult": "repro.calibration.dither",
+    "plate_error_from_cbl": "repro.calibration.sensitivity",
+    "plate_error_from_vth": "repro.calibration.sensitivity",
+    "LinearityReport": "repro.calibration.linearity",
+    "analyze_linearity": "repro.calibration.linearity",
+    "lazy_linear_estimate": "repro.calibration.linearity",
+    "InstrumentCheck": "repro.calibration.reference",
+    "InstrumentStatus": "repro.calibration.reference",
+    "InstrumentVerdict": "repro.calibration.reference",
+    "ReferenceBank": "repro.calibration.reference",
+}
 
 __all__ = [
     "design_structure",
@@ -46,3 +84,5 @@ __all__ = [
     "InstrumentVerdict",
     "ReferenceBank",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

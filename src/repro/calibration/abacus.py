@@ -26,7 +26,6 @@ import numpy as np
 from repro.calibration.design import nominal_background
 from repro.edram.array import EDRAMArray
 from repro.errors import CalibrationError
-from repro.measure.sequencer import MeasurementSequencer
 from repro.measure.structure import MeasurementStructure
 from repro.units import aF, fF, to_fF, to_uA
 
@@ -138,6 +137,9 @@ class Abacus:
             raise CalibrationError(
                 f"bitline_rows ({total_rows}) must be a multiple of the tile rows ({rows})"
             )
+
+        # The charge engine, loaded only when an abacus is simulated.
+        from repro.measure.sequencer import MeasurementSequencer
 
         def code_of(cm: float) -> int:
             array = EDRAMArray(

@@ -18,30 +18,63 @@ provides:
 
 The two solver tiers (transient MNA vs charge engine) are cross-validated
 in ``tests/integration/test_solver_agreement.py``.
+
+Names resolve lazily from ``_EXPORTS`` (:mod:`repro._lazy`): the
+measurement structure needs only :class:`Mosfet`, and loading it must
+not load the MNA, DC and transient solvers.
 """
 
-from repro.circuit.netlist import Circuit, GROUND
-from repro.circuit.elements import (
-    Resistor,
-    Capacitor,
-    VoltageSource,
-    CurrentSource,
-    Switch,
-)
-from repro.circuit.mosfet import Mosfet
-from repro.circuit.stimulus import (
-    Stimulus,
-    Constant,
-    Step,
-    Pulse,
-    PiecewiseLinear,
-    Clock,
-    Staircase,
-)
-from repro.circuit.dc import dc_operating_point
-from repro.circuit.transient import transient_analysis, TransientOptions
-from repro.circuit.waveform import Waveform
-from repro.circuit.charge import CapacitorNetwork, ChargeState
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.circuit.netlist import Circuit, GROUND
+    from repro.circuit.elements import (
+        Resistor,
+        Capacitor,
+        VoltageSource,
+        CurrentSource,
+        Switch,
+    )
+    from repro.circuit.mosfet import Mosfet
+    from repro.circuit.stimulus import (
+        Stimulus,
+        Constant,
+        Step,
+        Pulse,
+        PiecewiseLinear,
+        Clock,
+        Staircase,
+    )
+    from repro.circuit.dc import dc_operating_point
+    from repro.circuit.transient import transient_analysis, TransientOptions
+    from repro.circuit.waveform import Waveform
+    from repro.circuit.charge import CapacitorNetwork, ChargeState
+
+_EXPORTS = {
+    "Circuit": "repro.circuit.netlist",
+    "GROUND": "repro.circuit.netlist",
+    "Resistor": "repro.circuit.elements",
+    "Capacitor": "repro.circuit.elements",
+    "VoltageSource": "repro.circuit.elements",
+    "CurrentSource": "repro.circuit.elements",
+    "Switch": "repro.circuit.elements",
+    "Mosfet": "repro.circuit.mosfet",
+    "Stimulus": "repro.circuit.stimulus",
+    "Constant": "repro.circuit.stimulus",
+    "Step": "repro.circuit.stimulus",
+    "Pulse": "repro.circuit.stimulus",
+    "PiecewiseLinear": "repro.circuit.stimulus",
+    "Clock": "repro.circuit.stimulus",
+    "Staircase": "repro.circuit.stimulus",
+    "dc_operating_point": "repro.circuit.dc",
+    "transient_analysis": "repro.circuit.transient",
+    "TransientOptions": "repro.circuit.transient",
+    "Waveform": "repro.circuit.waveform",
+    "CapacitorNetwork": "repro.circuit.charge",
+    "ChargeState": "repro.circuit.charge",
+}
 
 __all__ = [
     "Circuit",
@@ -66,3 +99,5 @@ __all__ = [
     "CapacitorNetwork",
     "ChargeState",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -728,6 +728,12 @@ def cmd_runs_show(args) -> int:
     print("  scalars   :")
     for name, value in sorted(manifest.scalars.items()):
         print(f"    {name:<20} {value:.6g}")
+    if manifest.extra:
+        # A shard's extra names its worker's fixed cost (startup_s, imports_s).
+        print("  extra     :")
+        for name, value in sorted(manifest.extra.items()):
+            shown = f"{value:.6g}" if isinstance(value, float) else value
+            print(f"    {name:<20} {shown}")
     return 0
 
 

@@ -11,9 +11,10 @@ fingerprint, or the merge refuses).  Concretely:
   :func:`~repro.fleet.partition.validate_partition` (the checker the
   FLT lint rules share) — a hand-edited or corrupt plan with an overlap
   or gap is refused before any plane is touched,
-- every shard result's config fingerprint (and wafer parameters) must
-  equal the fleet's — mixing results from different configurations is
-  a :class:`~repro.errors.FleetError`, not a quiet wrong answer,
+- every shard result's config fingerprint (and wafer parameters and
+  calibration table) must equal the fleet's — mixing results from
+  different configurations is a :class:`~repro.errors.FleetError`, not
+  a quiet wrong answer,
 - a shard result is the shard's finished run file (its kept
   checkpoint); its units must be the dies ``[start, stop)``, each once,
   and it holds only that slice of each plane, which the merge scatters,
@@ -218,6 +219,11 @@ def merge_lot(
                 f"shard {shard_id} fabricated wafer {run.meta.get('wafer')} "
                 f"but the fleet planned {fleet_print['wafer']}; refusing "
                 "to merge mixed lots"
+            )
+        if run.meta.get("calibration") != fleet_print.get("calibration"):
+            raise FleetError(
+                f"shard {shard_id} measured with another calibration table "
+                "than the one the fleet solved; refusing to merge mixed lots"
             )
         units = sorted(run.completed)
         if units != list(range(start, stop)):

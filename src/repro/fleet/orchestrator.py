@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -64,7 +65,9 @@ DEFAULT_FLEET_DIR = ".repro-fleet"
 #: ``fleet.json`` format version.
 FLEET_FORMAT = 1
 
-#: Orchestrator poll period, seconds.
+#: Longest the supervisor sleeps between checks, seconds: a worker's
+#: exit wakes it at once (:func:`_wait_for_exit`); stale leases and
+#: gauges are checked at least this often.
 _POLL_SECONDS = 0.05
 
 #: Default stale-lease threshold, seconds.
@@ -185,7 +188,6 @@ class FleetOrchestrator:
         shards: int = 2,
         retry=None,
         heartbeat_timeout: float = _HEARTBEAT_TIMEOUT,
-        poll_seconds: float = _POLL_SECONDS,
         faults: dict[str, Any] | None = None,
         fault_attempts: str = "first",
         label: str = "",
@@ -208,7 +210,6 @@ class FleetOrchestrator:
         self.shards = shards
         self.retry = retry if retry is not None else DEFAULT_RETRY_POLICY
         self.heartbeat_timeout = heartbeat_timeout
-        self.poll_seconds = poll_seconds
         self.faults = faults
         self.fault_attempts = fault_attempts
         self.label = label
@@ -220,6 +221,9 @@ class FleetOrchestrator:
         self.max_concurrent = max_concurrent
         self._partition: tuple[ShardRange, ...] = ()
         self._statuses: list[ShardStatus] = []
+        #: The lot's :class:`~repro.wafer.DieCalibration` as JSON, solved
+        #: once by :meth:`run` and shipped in every shard spec.
+        self._calibration: dict[str, Any] = {}
 
     # -- paths ---------------------------------------------------------
 
@@ -245,12 +249,17 @@ class FleetOrchestrator:
     # -- fleet.json ----------------------------------------------------
 
     def _fingerprint(self) -> dict[str, Any]:
-        """The config consistency key every shard must match at merge."""
+        """The consistency key every shard must match at merge: config,
+        wafer parameters and the lot's calibration table."""
         from repro.measure.config import ScanConfig
         from repro.obs.ledger import config_fingerprint
 
         config = ScanConfig(technology=self.wafer.get("technology", "edram"))
-        return {"config": config_fingerprint(config), "wafer": self.wafer}
+        return {
+            "config": config_fingerprint(config),
+            "wafer": self.wafer,
+            "calibration": self._calibration,
+        }
 
     def _write_state(self, state: str) -> None:
         """Persist ``fleet.json`` durably."""
@@ -287,6 +296,7 @@ class FleetOrchestrator:
             "shard_id": status.shard_id,
             "die_range": [status.start, status.stop],
             "wafer": self.wafer,
+            "calibration": self._calibration,
             "generation": status.attempts,
             "resume": resume,
             "label": self.label or None,
@@ -297,6 +307,8 @@ class FleetOrchestrator:
         }
         spec_path = Path(paths["spec_path"])
         spec_path.parent.mkdir(parents=True, exist_ok=True)
+        # Wall clock, so the worker can time its own start-up from it.
+        spec["spawned_at"] = time.time()
         text = json.dumps(spec, indent=2) + "\n"
         durable_write(spec_path, lambda fh: fh.write(text.encode("utf-8")))
 
@@ -379,10 +391,16 @@ class FleetOrchestrator:
         only on orchestration misuse (bad partition, bad parameters) or
         an interrupt, and then only after killing and reaping every live
         worker.
+
+        The lot's calibration is solved here, once
+        (:meth:`~repro.wafer.WaferModel.die_calibration`): every shard
+        spec and ``fleet.json``'s fingerprint carry it, and no worker
+        solves it again.
         """
         from repro.wafer import WaferModel
 
         model = WaferModel(**self.wafer)
+        self._calibration = model.die_calibration().to_json()
         self._total_dies = len(model.sites())
         self._partition = plan_shards(self._total_dies, self.shards)
         validate_partition(self._partition, self._total_dies)
@@ -472,7 +490,7 @@ class FleetOrchestrator:
                         procs[status.shard_id] = self._spawn(status)
                         running += 1
                 # 4. Telemetry + persisted status (throttled).
-                if now - last_gauges >= self.poll_seconds:
+                if now - last_gauges >= _POLL_SECONDS:
                     last_gauges = now
                     self._emit_gauges(
                         running=sum(
@@ -482,7 +500,7 @@ class FleetOrchestrator:
                     )
                 if all(s.state in ("done", "failed") for s in self._statuses):
                     break
-                time.sleep(self.poll_seconds)
+                _wait_for_exit(procs.values(), _POLL_SECONDS)
         except BaseException:
             # Never leave a worker running past its supervisor: a re-run
             # in this root would put a second writer on its files.
@@ -522,6 +540,28 @@ class FleetOrchestrator:
             )
         else:
             status.state = "failed"
+
+
+def _wait_for_exit(procs, timeout: float) -> None:
+    """Sleep up to ``timeout`` seconds, waking as soon as one of the
+    unreaped worker processes ``procs`` exits.
+
+    Waits on each worker's pidfd (``os.pidfd_open``; a pidfd reads as
+    ready once its process has exited).  Where pidfds are missing, or
+    one cannot be opened, it sleeps the whole ``timeout``.
+    """
+    fds: list[int] = []
+    try:
+        try:
+            for proc in procs:
+                fds.append(os.pidfd_open(proc.pid))
+        except (AttributeError, OSError):
+            time.sleep(timeout)
+            return
+        select.select(fds, [], [], timeout)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def fleet_state(root: str | Path) -> dict[str, Any]:

@@ -2,11 +2,15 @@
 
 Launched by the orchestrator as ``python -m repro.fleet.worker
 <spec.json>``; the spec file carries everything the worker needs —
-wafer parameters, die range, scan options, lease/progress/result paths,
-an optional checkpoint to resume and an optional serialized fault plan
-(the chaos drill's kill switch).  Keeping the contract on disk rather
-than in a pipe means a respawned worker needs nothing from the parent
-but the spec path, and a human can re-run a dead shard by hand.
+wafer parameters, the lot's calibration table
+(:class:`~repro.wafer.DieCalibration` as JSON), die range, scan
+options, lease/progress/result paths, an optional checkpoint to resume
+and an optional serialized fault plan (the chaos drill's kill switch).
+The worker loads only the die-stack path: it solves no calibration, so
+the circuit simulator and the calibration package never load.  Keeping
+the contract on disk rather than in a pipe means a respawned worker
+needs nothing from the parent but the spec path, and a human can re-run
+a dead shard by hand.
 
 Crash-safety ordering is the point of this module:
 
@@ -29,6 +33,7 @@ import builtins
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -86,8 +91,8 @@ def load_spec(path: str | Path) -> dict[str, Any]:
         spec = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise FleetError(f"unreadable shard spec {path}: {exc}") from exc
-    for key in ("shard_id", "die_range", "wafer", "ledger_root",
-                "lease_path", "result_path"):
+    for key in ("shard_id", "die_range", "wafer", "calibration",
+                "ledger_root", "lease_path", "result_path"):
         if key not in spec:
             raise FleetError(f"shard spec {path} is missing {key!r}")
     return spec
@@ -117,9 +122,15 @@ def _shard_scalars(model, scan) -> dict[str, float]:
 
 
 def run_shard(spec: dict[str, Any]) -> int:
-    """Execute one shard spec to completion; returns the exit status."""
-    from time import monotonic, perf_counter
+    """Execute one shard spec to completion; returns the exit status.
 
+    The shard manifest's ``extra`` times the worker's own fixed cost:
+    ``startup_s`` from the spec's ``spawned_at`` (the orchestrator's
+    wall clock at spawn) to entering this function, ``imports_s`` for
+    the imports below.
+    """
+    entered = time.time()
+    imports_start = time.perf_counter()
     from repro.fleet.lease import ShardLease, write_lease
     from repro.measure.config import ScanConfig
     from repro.obs.ledger import (
@@ -131,8 +142,9 @@ def run_shard(spec: dict[str, Any]) -> int:
     from repro.obs.progress import NULL_PROGRESS, JsonlProgress
     from repro.resilience.checkpoint import Checkpointer
     from repro.resilience.faults import install_plan, mark_worker_process
-    from repro.wafer import WaferModel
+    from repro.wafer import DieCalibration, WaferModel
 
+    imports_s = time.perf_counter() - imports_start
     # Kill faults only fire in marked worker processes; marking first
     # means a chaos plan can never misfire before supervision exists.
     mark_worker_process()
@@ -142,14 +154,18 @@ def run_shard(spec: dict[str, Any]) -> int:
     lo, hi = (int(v) for v in spec["die_range"])
     wafer_kwargs = dict(spec["wafer"])
     model = WaferModel(**wafer_kwargs)
+    # The lot's calibration, solved once by the orchestrator.
+    calibration = DieCalibration.from_json(spec["calibration"])
     ledger = RunLedger(spec["ledger_root"])
     # Throttled persistence: a crash re-runs at most one window of
     # dies (bit-exact via RNG fast-forward) instead of paying a full
-    # atomic plane write per die.
+    # atomic plane write per die.  A resume must agree with every meta
+    # key, the calibration table included.
     checkpointer = Checkpointer(
         ledger,
         resume=spec.get("resume"),
-        meta={"shard_id": shard_id, "die_range": [lo, hi], "wafer": wafer_kwargs},
+        meta={"shard_id": shard_id, "die_range": [lo, hi], "wafer": wafer_kwargs,
+              "calibration": spec["calibration"]},
         min_save_seconds=float(spec.get("checkpoint_every_seconds", 0.25)),
     )
     progress_path = spec.get("progress_path")
@@ -181,24 +197,30 @@ def run_shard(spec: dict[str, Any]) -> int:
         nonlocal last_beat
         lease.run_id = checkpointer.run_id
         lease.dies_done = done
-        now = monotonic()
+        now = time.monotonic()
         if now - last_beat >= heartbeat_every:
             write_lease(lease_path, lease.touch(dies_done=done))
             last_beat = now
 
-    start = perf_counter()
+    start = time.perf_counter()
     try:
-        scan = model.measure_dies((lo, hi), config, on_die=on_die)
+        scan = model.measure_dies(
+            (lo, hi), config, on_die=on_die, calibration=calibration
+        )
     except BaseException:
         lease.state = "failed"
         write_lease(lease_path, lease.touch())
         raise
-    wall = perf_counter() - start
+    wall = time.perf_counter() - start
 
     result_path = Path(spec["result_path"])
     result_path.parent.mkdir(parents=True, exist_ok=True)
     checkpointer.keep(result_path)
 
+    extra = {"shard_id": shard_id, "die_range": [lo, hi],
+             "generation": lease.generation, "imports_s": imports_s}
+    if "spawned_at" in spec:
+        extra["startup_s"] = entered - float(spec["spawned_at"])
     manifest = RunManifest(
         kind="shard",
         label=spec.get("label", f"shard[{lo},{hi})"),
@@ -208,8 +230,7 @@ def run_shard(spec: dict[str, Any]) -> int:
         tech=model.tech.name,
         wall_seconds=wall,
         scalars=_shard_scalars(model, scan),
-        extra={"shard_id": shard_id, "die_range": [lo, hi],
-               "generation": lease.generation},
+        extra=extra,
     )
     # The checkpoint name goes only after the result and manifest are
     # durable — a crash before then re-runs zero dies on respawn.

@@ -33,7 +33,9 @@ overwritten by the engine tier, and a slab whose every macro rides the
 engine (a ``force_engine`` scan) skips its pass.
 :meth:`ArrayScanner.scan` runs one pass per macro-row slab, and a
 scan's ``kernel_seconds`` is the sum over its slab passes; a wafer runs
-one pass per chunk of stacked dies.
+one pass per chunk of stacked dies (macro tiles never straddle two
+stacked dies, so every die's slice is bit-identical to scanning it
+alone).
 """
 
 from __future__ import annotations

@@ -53,6 +53,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter, process_time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,7 +62,6 @@ from repro.edram.defects import DefectKind
 from repro.errors import MeasurementError, ReproError, ScanMismatchError
 from repro.measure.config import ScanConfig
 from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
-from repro.measure.sequencer import MeasurementSequencer
 from repro.measure.stats import ScanStats
 from repro.measure.structure import MeasurementDesign, MeasurementStructure
 from repro.obs.metrics import active_metrics, use_metrics
@@ -69,6 +69,9 @@ from repro.obs.trace import NULL_TRACER
 from repro.obs.ledger import config_fingerprint
 from repro.resilience.faults import active_fault_plan, fault_point, inject
 from repro.resilience.quality import CellQuality, quality_counts, quality_plane
+
+if TYPE_CHECKING:
+    from repro.measure.sequencer import MeasurementSequencer
 
 
 def _ambient_metrics(config: ScanConfig):
@@ -250,10 +253,7 @@ class ArrayScanner:
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """One batched kernel + code-conversion pass; ``(vgs, codes, seconds)``.
 
-        ``cap``/``kinds`` are this array's planes, or several arrays of
-        its exact geometry stacked row-wise (a wafer's dies): macro
-        tiles never straddle two stacked arrays, so every array's slice
-        of the result is bit-identical to scanning it alone.  The pass
+        ``cap``/``kinds`` are a slab of this array's planes.  The pass
         is one ``kernel`` span on ``tracer``.
         """
         start = perf_counter()
@@ -267,6 +267,10 @@ class ArrayScanner:
     def _sequencer(self, macro: MacroCell) -> MeasurementSequencer:
         sequencer = self._sequencers.get(macro.index)
         if sequencer is None:
+            # The charge engine loads on the first engine macro: a
+            # closed-form scan never needs the circuit simulator.
+            from repro.measure.sequencer import MeasurementSequencer
+
             sequencer = MeasurementSequencer(macro, self.structure)
             self._sequencers[macro.index] = sequencer
         return sequencer

@@ -21,31 +21,61 @@ each of them from "lose the run" into data:
   ``durable_link``;
 - :mod:`~repro.resilience.planes` — ``write_planes``/``read_container``,
   the one container every file holding planes is built from.
+
+Names resolve lazily from ``_EXPORTS`` (:mod:`repro._lazy`): importing
+one submodule does not load the others.
 """
 
-from repro.resilience.checkpoint import (
-    Checkpointer,
-    ScanCheckpoint,
-    list_checkpoints,
-    load_checkpoint,
-    read_run,
-)
-from repro.resilience.faults import (
-    Fault,
-    FaultPlan,
-    active_fault_plan,
-    fault_point,
-    inject,
-    install_plan,
-)
-from repro.resilience.quality import (
-    QUALITY_DTYPE,
-    CellQuality,
-    quality_counts,
-    quality_plane,
-    worst_quality,
-)
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.resilience.checkpoint import (
+        Checkpointer,
+        ScanCheckpoint,
+        list_checkpoints,
+        load_checkpoint,
+        read_run,
+    )
+    from repro.resilience.faults import (
+        Fault,
+        FaultPlan,
+        active_fault_plan,
+        fault_point,
+        inject,
+        install_plan,
+    )
+    from repro.resilience.quality import (
+        QUALITY_DTYPE,
+        CellQuality,
+        quality_counts,
+        quality_plane,
+        worst_quality,
+    )
+    from repro.resilience.retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
+
+_EXPORTS = {
+    "Fault": "repro.resilience.faults",
+    "FaultPlan": "repro.resilience.faults",
+    "active_fault_plan": "repro.resilience.faults",
+    "fault_point": "repro.resilience.faults",
+    "inject": "repro.resilience.faults",
+    "install_plan": "repro.resilience.faults",
+    "CellQuality": "repro.resilience.quality",
+    "QUALITY_DTYPE": "repro.resilience.quality",
+    "quality_plane": "repro.resilience.quality",
+    "quality_counts": "repro.resilience.quality",
+    "worst_quality": "repro.resilience.quality",
+    "RetryPolicy": "repro.resilience.retry",
+    "DEFAULT_RETRY_POLICY": "repro.resilience.retry",
+    "NO_RETRY": "repro.resilience.retry",
+    "Checkpointer": "repro.resilience.checkpoint",
+    "ScanCheckpoint": "repro.resilience.checkpoint",
+    "load_checkpoint": "repro.resilience.checkpoint",
+    "list_checkpoints": "repro.resilience.checkpoint",
+    "read_run": "repro.resilience.checkpoint",
+}
 
 __all__ = [
     "Fault",
@@ -68,3 +98,5 @@ __all__ = [
     "list_checkpoints",
     "read_run",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -242,8 +242,10 @@ class Checkpointer:
     meta:
         Caller-owned JSON state folded into the checkpoint's ``meta``
         on a fresh :meth:`start` (the CLI stores its array-rebuild
-        arguments here so ``--resume`` can reconstruct the array).
-        Ignored when resuming — the stored meta wins.
+        arguments here so ``--resume`` can reconstruct the array).  On
+        resume the stored meta wins, and each key given here must equal
+        its stored value or the resume is refused naming the key (a
+        fleet shard's die range, wafer and calibration table).
     min_save_seconds:
         Minimum seconds between the segments that :meth:`mark_done`
         appends.  ``0.0`` (the default) persists after every call — the
@@ -308,9 +310,9 @@ class Checkpointer:
         ``arrays`` are the caller's blank planes; the run keeps writing
         into ``state.arrays``, which are those same arrays (on resume
         with the segments replayed into them).  On resume kind,
-        fingerprint, unit count and plane layout must all match or the
-        mismatch is refused with a :class:`CheckpointError` naming the
-        difference.
+        fingerprint, the constructor's meta keys, unit count and plane
+        layout must all match or the mismatch is refused with a
+        :class:`CheckpointError` naming the difference.
         """
         if self.resume is not None:
             state = self._load_resume(kind, fingerprint, arrays, total)
@@ -367,6 +369,12 @@ class Checkpointer:
                     f"{state.fingerprint}, resuming config is {dict(fingerprint)}; "
                     "refusing to mix results"
                 )
+            for key, value in self.base_meta.items():
+                if state.meta.get(key) != value:
+                    raise CheckpointError(
+                        f"checkpoint {state.run_id} recorded another {key!r} "
+                        "than the resuming run's; refusing to mix results"
+                    )
             if state.total != total:
                 raise CheckpointError(
                     f"checkpoint {state.run_id} covers {state.total} units, "

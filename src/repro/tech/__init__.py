@@ -16,11 +16,37 @@ Public API
 - :class:`Corner` / :func:`corner_technology` — TT/FF/SS/FS/SF corners
 - :class:`VariationModel` / :class:`MonteCarloSampler` — parametric
   mismatch sampling for Monte-Carlo experiments
+
+Names resolve lazily from ``_EXPORTS`` (:mod:`repro._lazy`): reading
+the card does not load the corner and Monte-Carlo modules.
 """
 
-from repro.tech.parameters import MosfetParams, TechnologyCard, default_technology, technology_013um
-from repro.tech.corners import Corner, corner_technology, all_corners, CORNER_SHIFTS
-from repro.tech.variation import VariationModel, MonteCarloSampler
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.tech.parameters import (
+        MosfetParams,
+        TechnologyCard,
+        default_technology,
+        technology_013um,
+    )
+    from repro.tech.corners import Corner, corner_technology, all_corners, CORNER_SHIFTS
+    from repro.tech.variation import VariationModel, MonteCarloSampler
+
+_EXPORTS = {
+    "MosfetParams": "repro.tech.parameters",
+    "TechnologyCard": "repro.tech.parameters",
+    "default_technology": "repro.tech.parameters",
+    "technology_013um": "repro.tech.parameters",
+    "all_corners": "repro.tech.corners",
+    "Corner": "repro.tech.corners",
+    "corner_technology": "repro.tech.corners",
+    "CORNER_SHIFTS": "repro.tech.corners",
+    "VariationModel": "repro.tech.variation",
+    "MonteCarloSampler": "repro.tech.variation",
+}
 
 __all__ = [
     "MosfetParams",
@@ -34,3 +60,5 @@ __all__ = [
     "VariationModel",
     "MonteCarloSampler",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

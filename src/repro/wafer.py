@@ -28,26 +28,35 @@ asking for one (``force_engine``, ``preflight``) is refused.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter, process_time
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.calibration.abacus import Abacus
-from repro.calibration.design import design_structure
-from repro.edram.array import EDRAMArray
+from repro._lazy import lazy_exports
 from repro.errors import DiagnosisError, MeasurementError
 from repro.measure.config import ScanConfig
-from repro.measure.scan import ArrayScanner
-from repro.measure.structure import MeasurementStructure
+from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
 from repro.obs.ledger import config_fingerprint
 from repro.resilience.faults import fault_point, inject
 from repro.technologies import get as get_technology
 from repro.units import fF, to_fF
+
+if TYPE_CHECKING:
+    from repro.calibration.abacus import Abacus
+    from repro.edram.array import EDRAMArray
+    from repro.measure.structure import MeasurementStructure
+
+# The die loop reads a solved DieCalibration, so the calibration and
+# circuit packages load only when a wafer solves its own.
+# ``repro.wafer.design_structure`` still resolves, on first read, for
+# callers that look it up here (the end-to-end benchmark's layer map).
+__getattr__, __dir__ = lazy_exports(__name__, {"design_structure": "repro.calibration.design"})
 
 #: The eDRAM nominal the historical absolute defaults were sized for;
 #: other technologies scale the wafer profile by their card nominal
@@ -116,6 +125,45 @@ class DieRangeScan:
     die_cell_quality: np.ndarray  #: (N, die_rows, die_cols) uint8 CellQuality
     die_quality: np.ndarray  #: (N,) uint8 DieQuality
     run_id: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class DieCalibration:
+    """What the die loop reads of a wafer's calibration.
+
+    Every die carries an identical copy of the measurement structure,
+    so one solve serves every die of a lot: the kernel's constants, the
+    code-boundary table the codes are looked up in
+    (:meth:`~repro.measure.structure.MeasurementStructure.code_boundaries`)
+    and the abacus bin midpoints the die statistics average
+    (:attr:`~repro.calibration.abacus.Abacus.mids`).  A fleet solves it
+    once per lot and ships :meth:`to_json` in every shard spec; JSON
+    writes each float's shortest round-tripping ``repr``, so
+    :meth:`from_json` gives back every bit.
+    """
+
+    constants: KernelConstants
+    boundaries: np.ndarray  #: (num_steps,) V_GS at each code step, volts
+    mids: np.ndarray  #: (num_steps + 1,) bin midpoint per code, farads
+
+    @property
+    def num_steps(self) -> int:
+        return len(self.boundaries)
+
+    def to_json(self) -> dict[str, Any]:
+        return {
+            "constants": dataclasses.asdict(self.constants),
+            "boundaries": self.boundaries.tolist(),
+            "mids": self.mids.tolist(),
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict[str, Any]) -> "DieCalibration":
+        return cls(
+            constants=KernelConstants(**payload["constants"]),
+            boundaries=np.array(payload["boundaries"], dtype=float),
+            mids=np.array(payload["mids"], dtype=float),
+        )
 
 
 def _printed_sites(diameter: int) -> tuple[tuple[int, int, float], ...]:
@@ -198,6 +246,7 @@ class WaferModel:
         self._sites = _printed_sites(diameter_dies)
         self._structure: MeasurementStructure | None = None
         self._abacus: Abacus | None = None
+        self._die_calibration: DieCalibration | None = None
 
     # ------------------------------------------------------------------
     # Geometry
@@ -212,6 +261,9 @@ class WaferModel:
     # ------------------------------------------------------------------
 
     def _calibration(self) -> tuple[MeasurementStructure, Abacus]:
+        from repro.calibration.abacus import Abacus
+        from repro.calibration.design import design_structure
+
         if self._structure is None:
             c_lo, c_hi, num_steps = self._backend.measurement_range()
             self._structure = design_structure(
@@ -226,6 +278,30 @@ class WaferModel:
         if self._abacus is None:
             raise DiagnosisError("wafer calibration failed to build an abacus")
         return self._structure, self._abacus
+
+    def die_calibration(self) -> DieCalibration:
+        """This wafer's :class:`DieCalibration`, solved once per model.
+
+        The kernel constants are an
+        :class:`~repro.measure.scan.ArrayScanner`'s for one die of the
+        backend's array class: they read only the die geometry and the
+        card, so a chunk of stacked dies measures bit-identical to
+        scanning each die alone.
+        """
+        if self._die_calibration is None:
+            from repro.measure.scan import ArrayScanner
+
+            structure, abacus = self._calibration()
+            array = self._backend.array_class()(
+                self.die_rows, self.die_cols, tech=self.tech,
+                macro_cols=self.macro_cols, macro_rows=self.macro_rows,
+            )
+            self._die_calibration = DieCalibration(
+                constants=ArrayScanner(array, structure).kernel_constants(),
+                boundaries=structure.code_boundaries(),
+                mids=abacus.mids,
+            )
+        return self._die_calibration
 
     def _draw_die(self, radius_fraction: float) -> tuple[float, int]:
         """One die's ``(mean, mismatch_seed)`` from the wafer's RNG.
@@ -310,6 +386,7 @@ class WaferModel:
         config: ScanConfig | None = None,
         *,
         on_die: Callable[[int, int], None] | None = None,
+        calibration: DieCalibration | None = None,
     ) -> DieRangeScan:
         """Fabricate and scan one contiguous die range of this wafer.
 
@@ -329,6 +406,9 @@ class WaferModel:
         it, so a crash in between costs a re-record, never the range's
         work.  ``on_die(index, done)`` fires in-process after
         each die completes — the fleet worker's heartbeat hook.
+        ``calibration`` is the lot's :class:`DieCalibration` when a
+        fleet solved it once for every shard; ``None`` takes this
+        wafer's own (:meth:`die_calibration`).
         """
         config = self._checked_config(config)
         total = len(self._sites)
@@ -349,7 +429,9 @@ class WaferModel:
             )
             planes = state.arrays
             done = set(state.completed)
-        self._scan_dies(lo, hi, config, planes, done, on_die=on_die)
+        if calibration is None:
+            calibration = self.die_calibration()
+        self._scan_dies(lo, hi, config, calibration, planes, done, on_die=on_die)
         run_id = checkpointer.run_id if checkpointer is not None else None
         return DieRangeScan(
             die_range=(lo, hi), total_dies=total, run_id=run_id, **planes
@@ -399,6 +481,7 @@ class WaferModel:
         lo: int,
         hi: int,
         config: ScanConfig,
+        calibration: DieCalibration,
         planes: dict[str, np.ndarray],
         done: set[int],
         *,
@@ -421,24 +504,19 @@ class WaferModel:
         draw consumes a variable number of words from the wafer stream,
         so no batched draw could print the same dies.  No die carries a
         defect, so one zero kind plane serves every pass.  One kernel
-        pass (one ``kernel`` span) measures the chunk, its vgs and codes
-        land as one slice each (cell quality stays GOOD, as allocated),
-        and every die's mean and sigma come from one reduction
-        (:func:`_die_statistics`).  Then the ``wafer.die_done`` fault
+        pass (one ``kernel`` span: the closed form, then a lookup in
+        ``calibration``'s boundary table) measures the chunk, its vgs
+        and codes land as one slice each (cell quality stays GOOD, as
+        allocated), and every die's mean and sigma come from one
+        reduction (:func:`_die_statistics`).  Then the ``wafer.die_done`` fault
         site, progress and ``on_die`` fire per die, in die order, and a
         checkpoint marks the chunk's dies as one segment.
         """
         progress, checkpointer = config.progress, config.checkpoint
-        structure, abacus = self._calibration()
         rows, cols = self.die_rows, self.die_cols
         chunk_dies = max(1, _CHUNK_CELLS // (rows * cols))
         cap = np.empty((chunk_dies, rows, cols))
         kinds = np.zeros((chunk_dies * rows, cols), dtype=np.int8)
-        array = self._backend.array_class()(
-            rows, cols, tech=self.tech, macro_cols=self.macro_cols, macro_rows=self.macro_rows
-        )
-        # The kernel reads only the die geometry and card off its array.
-        template = ArrayScanner(array, structure)
         #: (index, x, y) and (mean, mismatch_seed) of consecutive dies.
         chunk: list[tuple[int, int, int]] = []
         draws: list[tuple[float, int]] = []
@@ -454,10 +532,15 @@ class WaferModel:
                     cap, means=np.array(means), cell_sigma=self.cell_sigma,
                     seeds=np.array(seeds),
                 )
-            vgs, codes, _seconds = template.kernel_planes(
-                cap[:n].reshape(n * rows, cols), kinds[: n * rows], config.tracer
+            with config.tracer.span("kernel", rows=n * rows, cols=cols):
+                vgs = closed_form_vgs_plane(
+                    cap[:n].reshape(n * rows, cols), kinds[: n * rows],
+                    calibration.constants,
+                )
+                codes = np.searchsorted(calibration.boundaries, vgs, side="right")
+            means, sigmas = _die_statistics(
+                calibration.mids, calibration.num_steps, codes.reshape(n, rows * cols)
             )
-            means, sigmas = _die_statistics(abacus, codes.reshape(n, rows * cols))
             planes["die_means"][dies], planes["die_sigmas"][dies] = means, sigmas
             planes["die_vgs"][dies] = vgs.reshape(n, rows, cols)
             planes["die_codes"][dies] = codes.reshape(n, rows, cols)
@@ -497,12 +580,13 @@ class WaferModel:
 
 
 def _die_statistics(
-    abacus: Abacus, codes: np.ndarray
+    mids: np.ndarray, num_steps: int, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each die's mean and sigma of its in-range estimates, farads.
 
     ``codes`` holds one die per row, ``(dies, die_rows·die_cols)``,
-    row-major within the die.  A die whose cells are all in range is
+    row-major within the die; a cell's estimate is ``mids[code]``, and
+    codes 0 and ``num_steps`` are out of range.  A die whose cells are all in range is
     reduced along its contiguous row in numpy's own ``mean``/``std``
     order — ``sum/n``, then ``x = e - mean``, ``sqrt(sum(x²)/n)`` — so
     its values are bit-identical to the 1-D ``mean()``/``std()`` of its
@@ -512,8 +596,8 @@ def _die_statistics(
     its own estimates; a die with none in range gets NaN for both (the
     die loop lands it FAILED).
     """
-    estimates = abacus.mids[codes]
-    in_range = (codes != 0) & (codes != abacus.num_steps)
+    estimates = mids[codes]
+    in_range = (codes != 0) & (codes != num_steps)
     full = in_range.all(axis=1)
     means, sigmas = np.empty(len(codes)), np.empty(len(codes))
     if full.any():

@@ -289,7 +289,7 @@ def test_wafer_recovers_from_every_crash_point(tmp_path):
 
 def _fleet(root, **overrides):
     return FleetOrchestrator(
-        root, wafer=dict(WAFER), shards=2, poll_seconds=0.02,
+        root, wafer=dict(WAFER), shards=2,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01),
         max_concurrent=2, **overrides,
     )
@@ -371,7 +371,7 @@ def test_shard_workers_keep_boundary_leaves_a_resumable_checkpoint(
             {"site": site, "kind": "kill", "times": 1, "match": match},
         ]}
         report = FleetOrchestrator(
-            root, wafer=dict(WAFER), shards=2, poll_seconds=0.02,
+            root, wafer=dict(WAFER), shards=2,
             retry=RetryPolicy(max_attempts=1), max_concurrent=2,
             faults=faults, fault_attempts="first",
         ).run()

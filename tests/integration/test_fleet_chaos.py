@@ -50,7 +50,6 @@ def _fleet(root, **overrides):
     kwargs = dict(
         wafer={"diameter_dies": DIAMETER, "seed": SEED},
         shards=3,
-        poll_seconds=0.02,
         retry=RetryPolicy(max_attempts=3, base_delay=0.01),
     )
     kwargs.update(overrides)

@@ -35,7 +35,6 @@ def fleet_root(tmp_path_factory):
         root,
         wafer={"diameter_dies": DIAMETER, "seed": SEED},
         shards=2,
-        poll_seconds=0.02,
     ).run()
     assert report.state == "healthy"
     return root

@@ -8,11 +8,15 @@ root (the default ``.repro-fleet``) must be ignored, or every respawn
 is SIGKILLed on sight and recovery can never succeed.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.fleet import FleetOrchestrator
+from repro.fleet import orchestrator as orchestrator_module
 from repro.fleet.lease import ShardLease, write_lease
 from repro.resilience import Fault, FaultPlan, inject
 
@@ -31,9 +35,7 @@ def test_preexisting_stale_lease_does_not_kill_fresh_worker(tmp_path):
     )
     write_lease(root / "leases" / "s00.json", stale)
 
-    report = FleetOrchestrator(
-        root, wafer=WAFER, shards=1, poll_seconds=0.02,
-    ).run()
+    report = FleetOrchestrator(root, wafer=WAFER, shards=1).run()
     assert report.state == "healthy"
     assert report.respawns == 0
     assert report.shards[0].exitcode == 0
@@ -41,9 +43,7 @@ def test_preexisting_stale_lease_does_not_kill_fresh_worker(tmp_path):
 
 def test_rerun_in_same_root_survives_previous_leases(tmp_path):
     root = tmp_path / "fleet"
-    orchestrator = FleetOrchestrator(
-        root, wafer=WAFER, shards=1, poll_seconds=0.02,
-    )
+    orchestrator = FleetOrchestrator(root, wafer=WAFER, shards=1)
     assert orchestrator.run().state == "healthy"
     # The first run's lease (state done, ageing heartbeat) is still on
     # disk; a second fleet in the same root must start cleanly.
@@ -64,9 +64,7 @@ def test_exception_in_run_kills_and_reaps_live_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(FleetOrchestrator, "_spawn", recording_spawn)
     root = tmp_path / "fleet"
-    orchestrator = FleetOrchestrator(
-        root, wafer=WAFER, shards=2, poll_seconds=0.02, max_concurrent=2,
-    )
+    orchestrator = FleetOrchestrator(root, wafer=WAFER, shards=2, max_concurrent=2)
     plan = FaultPlan([Fault(
         "durable.write", error=KeyboardInterrupt(),
         match={"target": "s01.json", "parent": "specs"},
@@ -77,3 +75,28 @@ def test_exception_in_run_kills_and_reaps_live_workers(tmp_path, monkeypatch):
     assert shard0.poll() is not None
     assert not (root / "results" / "s00.npz").exists()
     assert not list(root.rglob("*.tmp"))
+
+
+def test_supervisor_wakes_on_worker_exit(tmp_path, monkeypatch):
+    """The supervisor waits on its workers' exits, not on the poll
+    period: under a 5 s poll a 1-shard fleet still ends with its worker."""
+    monkeypatch.setattr(orchestrator_module, "_POLL_SECONDS", 5.0)
+    report = FleetOrchestrator(
+        tmp_path / "fleet", wafer={"diameter_dies": 5, "seed": 11}, shards=1
+    ).run()
+    assert report.state == "healthy"
+    assert report.wall_seconds < 2.5
+
+
+def test_wait_for_exit_sleeps_without_pidfds(monkeypatch):
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    try:
+        started = time.monotonic()
+        orchestrator_module._wait_for_exit([proc], 5.0)
+        assert time.monotonic() - started < 2.5  # woken by the exit
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+        started = time.monotonic()
+        orchestrator_module._wait_for_exit([proc], 0.2)
+        assert time.monotonic() - started >= 0.2  # the whole period
+    finally:
+        proc.wait()

@@ -81,11 +81,23 @@ class TestLoadSpec:
             load_spec(tmp_path / "absent.json")
 
 
+WAFER = {"diameter_dies": 3, "seed": 5}
+
+
+def _calibration():
+    """The lot's calibration table as the orchestrator ships it."""
+    from repro.wafer import WaferModel
+
+    table = WaferModel(**WAFER).die_calibration().to_json()
+    return json.loads(json.dumps(table))
+
+
 def _spec(tmp_path, lo, hi, **extra):
     spec = {
         "shard_id": 0,
         "die_range": [lo, hi],
-        "wafer": {"diameter_dies": 3, "seed": 5},
+        "wafer": dict(WAFER),
+        "calibration": _calibration(),
         "ledger_root": str(tmp_path / "ledger"),
         "lease_path": str(tmp_path / "lease.json"),
         "result_path": str(tmp_path / "result.npz"),
@@ -216,6 +228,47 @@ class TestRunShard:
         assert sorted(result) == sorted(clean)
         for name, plane in clean.items():
             np.testing.assert_array_equal(result[name], plane)
+
+    def test_manifest_times_the_worker_start(self, tmp_path, capsys):
+        import time
+
+        spawned_at = time.time()
+        assert run_shard(_spec(tmp_path, 0, 3, spawned_at=spawned_at)) == 0
+        (manifest,) = [
+            json.loads(line)
+            for line in (tmp_path / "ledger" / "manifest.jsonl")
+            .read_text(encoding="utf-8").splitlines()
+        ]
+        extra = manifest["extra"]
+        assert 0.0 <= extra["startup_s"] <= time.time() - spawned_at
+        assert extra["imports_s"] >= 0.0
+
+        from repro.cli import main as cli_main
+
+        assert cli_main(["runs", "show", "--dir", str(tmp_path / "ledger"),
+                         "r0001"]) == 0
+        shown = capsys.readouterr().out
+        assert "startup_s" in shown and "imports_s" in shown
+
+    def test_resume_under_another_calibration_is_refused(self, tmp_path):
+        from repro.errors import CheckpointError
+
+        spec = _spec(tmp_path, 0, 9, faults={
+            "faults": [{
+                "site": "wafer.die_done",
+                "kind": "raise",
+                "error": "RuntimeError",
+                "match": {"die": 5},
+            }],
+        })
+        with pytest.raises(RuntimeError):
+            run_shard(spec)
+        other = _calibration()
+        other["boundaries"][3] = float(np.nextafter(other["boundaries"][3], 0.0))
+        with pytest.raises(CheckpointError, match="another 'calibration'"):
+            run_shard(_spec(tmp_path, 0, 9, resume="r0001", calibration=other))
+        # The checkpoint stays resumable under the table it recorded.
+        assert run_shard(_spec(tmp_path, 0, 9, resume="r0001")) == 0
 
     def test_failed_shard_flips_lease(self, tmp_path):
         spec = _spec(tmp_path, 0, 9, faults={

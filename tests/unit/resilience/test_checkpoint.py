@@ -123,6 +123,15 @@ def test_resume_reloads_partial_state(tmp_path):
     np.testing.assert_array_equal(state2.arrays["vgs"][1], 0.5)
 
 
+def test_resume_refuses_meta_the_checkpoint_did_not_record(tmp_path):
+    _start(Checkpointer(tmp_path, meta={"seed": 42, "table": [1.0, 2.0]}))
+    agreeing = Checkpointer(tmp_path, resume="r0001", meta={"table": [1.0, 2.0]})
+    assert _start(agreeing).meta == {"seed": 42, "table": [1.0, 2.0]}
+    for meta in ({"table": [1.0, 2.5]}, {"unrecorded": 1}):
+        with pytest.raises(CheckpointError, match=f"another {next(iter(meta))!r}"):
+            _start(Checkpointer(tmp_path, resume="r0001", meta=meta))
+
+
 def test_resume_unknown_id_names_known_checkpoints(tmp_path):
     _start(Checkpointer(tmp_path))
     ck = Checkpointer(tmp_path, resume="r0099")

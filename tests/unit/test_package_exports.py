@@ -1,8 +1,9 @@
 """Lazy package exports: the tables, static declarations and import sets.
 
-``repro``, ``repro.bitmap``, ``repro.fleet``, ``repro.measure`` and
-``repro.obs`` resolve their public names on first access from one table
-each (``_EXPORTS``).  These tests pin that a lazy name is the very object
+``repro`` and its ``bitmap``, ``calibration``, ``circuit``, ``edram``,
+``fleet``, ``measure``, ``obs``, ``resilience`` and ``tech`` packages
+resolve their public names on first access from one table each
+(``_EXPORTS``).  These tests pin that a lazy name is the very object
 its submodule defines, that type checkers see the same names, and which
 modules a fresh interpreter loads.
 """
@@ -21,7 +22,10 @@ import pytest
 
 import repro
 
-LAZY_PACKAGES = ("repro", "repro.bitmap", "repro.fleet", "repro.measure", "repro.obs")
+LAZY_PACKAGES = (
+    "repro", "repro.bitmap", "repro.calibration", "repro.circuit", "repro.edram",
+    "repro.fleet", "repro.measure", "repro.obs", "repro.resilience", "repro.tech",
+)
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
@@ -109,6 +113,39 @@ def test_worker_import_skips_analysis_packages():
     assert "repro.fleet.worker" in loaded
     unwanted = ("networkx", "repro.lint", "repro.diagnosis", "repro.controller",
                 "repro.baselines")
+    assert sorted(
+        module for module in loaded
+        if any(module == root or module.startswith(root + ".") for root in unwanted)
+    ) == []
+
+
+def test_shard_worker_loads_only_the_die_stack_path(tmp_path):
+    """A shard worker measures its dies with the lot's calibration
+    table: it never loads the circuit simulator, the calibration
+    package, the measurement structure or the array scanner."""
+    from repro.wafer import WaferModel
+
+    wafer = {"diameter_dies": 5, "seed": 3}
+    spec = {
+        "shard_id": 0,
+        "die_range": [0, 9],
+        "wafer": wafer,
+        "calibration": WaferModel(**wafer).die_calibration().to_json(),
+        "ledger_root": str(tmp_path / "ledger"),
+        "lease_path": str(tmp_path / "lease.json"),
+        "result_path": str(tmp_path / "result.npz"),
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    loaded = _run_python(
+        "import sys\n"
+        "from repro.fleet.worker import load_spec, run_shard\n"
+        f"assert run_shard(load_spec({str(spec_path)!r})) == 0\n"
+        "print('\\n'.join(sys.modules))\n"
+    ).split()
+    assert "repro.wafer" in loaded
+    unwanted = ("repro.circuit", "repro.calibration", "repro.measure.sequencer",
+                "repro.measure.structure", "repro.measure.scan", "repro.edram.array")
     assert sorted(
         module for module in loaded
         if any(module == root or module.startswith(root + ".") for root in unwanted)
