@@ -44,6 +44,7 @@ from repro.fleet.partition import validate_partition
 from repro.resilience.checkpoint import read_run
 from repro.resilience.durable import durable_write
 from repro.resilience.planes import write_planes
+from repro.resilience.quality import quality_plane
 from repro.wafer import DieQuality, WaferModel, WaferReport
 
 __all__ = ["LotMerge", "merge_lot", "lot_scalars"]
@@ -62,12 +63,17 @@ class LotMerge:
     die_sigmas: np.ndarray
     die_vgs: np.ndarray
     die_codes: np.ndarray
-    die_cell_quality: np.ndarray
     die_quality: np.ndarray
     scalars: dict[str, float] = field(default_factory=dict)
     shard_runs: dict[str, str | None] = field(default_factory=dict)
     failed_ranges: list[tuple[int, int]] = field(default_factory=list)
     run_id: str | None = None
+
+    @property
+    def die_cell_quality(self) -> np.ndarray:
+        """All GOOD, like :attr:`~repro.wafer.DieRangeScan.die_cell_quality`
+        (``Fleet.check`` in ``benchmarks/e2e/workloads.py`` reads it)."""
+        return quality_plane(self.die_codes.shape)
 
     @property
     def exit_code(self) -> int:

@@ -166,12 +166,6 @@ class FleetOrchestrator:
         ``"first"`` arms ``faults`` only on each shard's first spawn
         (so the respawn survives — the recovery drill), ``"all"`` arms
         every spawn (drives retry exhaustion).
-    checkpoint_every_seconds:
-        Worker checkpoint persistence throttle (``Checkpointer
-        .min_save_seconds``): the dies a worker finishes within one
-        window are appended to its checkpoint file as one segment, so a
-        crash re-runs at most that window.  ``0.0`` appends a segment
-        per die (one fsync each).
     max_concurrent:
         Worker subprocesses allowed to run at once; ``None`` (the
         default) caps at the cores this process may schedule on.
@@ -191,7 +185,6 @@ class FleetOrchestrator:
         faults: dict[str, Any] | None = None,
         fault_attempts: str = "first",
         label: str = "",
-        checkpoint_every_seconds: float = 0.25,
         max_concurrent: int | None = None,
     ) -> None:
         from repro.resilience.retry import DEFAULT_RETRY_POLICY
@@ -213,7 +206,6 @@ class FleetOrchestrator:
         self.faults = faults
         self.fault_attempts = fault_attempts
         self.label = label
-        self.checkpoint_every_seconds = float(checkpoint_every_seconds)
         if max_concurrent is not None and max_concurrent < 1:
             raise FleetError(
                 f"max_concurrent must be >= 1, got {max_concurrent}"
@@ -301,7 +293,6 @@ class FleetOrchestrator:
             "resume": resume,
             "label": self.label or None,
             "faults": self.faults if arm_faults else None,
-            "checkpoint_every_seconds": self.checkpoint_every_seconds,
             **{k: v for k, v in paths.items()
                if k not in ("spec_path", "log_path")},
         }

@@ -41,6 +41,14 @@ from repro.errors import FleetError, ResilienceError
 
 __all__ = ["fault_plan_from_spec", "load_spec", "run_shard", "main"]
 
+#: Checkpoint throttle (``Checkpointer.min_save_seconds``): the dies
+#: finished within one window land as one segment, so a crash re-runs
+#: at most that window (bit-exact via RNG fast-forward).
+CHECKPOINT_EVERY_SECONDS = 0.25
+#: Lease heartbeat throttle: the supervisor checks staleness at
+#: multi-second granularity, so a per-die rename would be overhead.
+HEARTBEAT_EVERY_SECONDS = 0.2
+
 
 def fault_plan_from_spec(payload: dict[str, Any] | None):
     """Build a :class:`~repro.resilience.FaultPlan` from JSON.
@@ -101,8 +109,7 @@ def load_spec(path: str | Path) -> dict[str, Any]:
 def _shard_scalars(model, scan) -> dict[str, float]:
     """Per-shard summary scalars (the shard manifest's drift diet):
     the range's :meth:`~repro.wafer.WaferReport.scalars` over its GOOD
-    dies plus counts."""
-    from repro.resilience.quality import CellQuality
+    dies plus its die and FAILED-die counts."""
     from repro.wafer import DieQuality, WaferReport
 
     lo, hi = scan.die_range
@@ -112,12 +119,10 @@ def _shard_scalars(model, scan) -> dict[str, float]:
             model.sites()[lo:hi], scan.die_means, scan.die_sigmas,
             model.diameter, scan.die_quality,
         ).scalars()
-    cells = scan.die_cell_quality
     return {
         "dies": float(hi - lo),
+        "failed_dies": float((scan.die_quality == int(DieQuality.FAILED)).sum()),
         **physics,
-        "degraded_cells": float((cells == int(CellQuality.DEGRADED)).sum()),
-        "failed_cells": float((cells == int(CellQuality.FAILED)).sum()),
     }
 
 
@@ -157,16 +162,13 @@ def run_shard(spec: dict[str, Any]) -> int:
     # The lot's calibration, solved once by the orchestrator.
     calibration = DieCalibration.from_json(spec["calibration"])
     ledger = RunLedger(spec["ledger_root"])
-    # Throttled persistence: a crash re-runs at most one window of
-    # dies (bit-exact via RNG fast-forward) instead of paying a full
-    # atomic plane write per die.  A resume must agree with every meta
-    # key, the calibration table included.
+    # A resume must agree with every meta key, the calibration included.
     checkpointer = Checkpointer(
         ledger,
         resume=spec.get("resume"),
         meta={"shard_id": shard_id, "die_range": [lo, hi], "wafer": wafer_kwargs,
               "calibration": spec["calibration"]},
-        min_save_seconds=float(spec.get("checkpoint_every_seconds", 0.25)),
+        min_save_seconds=CHECKPOINT_EVERY_SECONDS,
     )
     progress_path = spec.get("progress_path")
     if progress_path:
@@ -186,11 +188,6 @@ def run_shard(spec: dict[str, Any]) -> int:
         generation=int(spec.get("generation", 0)),
     )
     write_lease(lease_path, lease.touch())
-
-    # Heartbeats are throttled like checkpoints: the supervisor only
-    # checks staleness at multi-second granularity, so a per-die atomic
-    # rename would be pure overhead on large shards.
-    heartbeat_every = float(spec.get("heartbeat_every_seconds", 0.2))
     last_beat = 0.0
 
     def on_die(index: int, done: int) -> None:
@@ -198,7 +195,7 @@ def run_shard(spec: dict[str, Any]) -> int:
         lease.run_id = checkpointer.run_id
         lease.dies_done = done
         now = time.monotonic()
-        if now - last_beat >= heartbeat_every:
+        if now - last_beat >= HEARTBEAT_EVERY_SECONDS:
             write_lease(lease_path, lease.touch(dies_done=done))
             last_beat = now
 
@@ -223,7 +220,7 @@ def run_shard(spec: dict[str, Any]) -> int:
         extra["startup_s"] = entered - float(spec["spawned_at"])
     manifest = RunManifest(
         kind="shard",
-        label=spec.get("label", f"shard[{lo},{hi})"),
+        label=spec.get("label") or f"shard[{lo},{hi})",
         config=config_fingerprint(config),
         config_hash=config_hash(config),
         seed=wafer_kwargs.get("seed"),

@@ -268,7 +268,7 @@ class RunManifest:
                 kind=str(data["kind"]),
                 run_id=str(data["run_id"]),
                 timestamp=str(data["timestamp"]),
-                label=str(data.get("label", "")),
+                label=str(data.get("label") or ""),
                 config=dict(data.get("config", {})),
                 config_hash=str(data.get("config_hash", "")),
                 seed=None if data.get("seed") is None else int(data["seed"]),

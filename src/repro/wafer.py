@@ -44,6 +44,7 @@ from repro.measure.config import ScanConfig
 from repro.measure.kernel import KernelConstants, closed_form_vgs_plane
 from repro.obs.ledger import config_fingerprint
 from repro.resilience.faults import fault_point, inject
+from repro.resilience.quality import quality_plane
 from repro.technologies import get as get_technology
 from repro.units import fF, to_fF
 
@@ -110,10 +111,6 @@ class DieRangeScan:
     ``lo + k`` of ``die_range = (lo, hi)``, so ``len(die_means) == hi -
     lo``.  A lot is these slices scattered back to their ranges, which
     is bit-exact with one walk of the whole wafer by construction.
-
-    ``die_cell_quality`` can only read GOOD (no wafer die takes an array
-    scan) but is kept: the end-to-end benchmark's wafer and fleet checks
-    read it off a die range and a lot.
     """
 
     die_range: tuple[int, int]
@@ -122,9 +119,20 @@ class DieRangeScan:
     die_sigmas: np.ndarray  #: (N,) float
     die_vgs: np.ndarray  #: (N, die_rows, die_cols) float
     die_codes: np.ndarray  #: (N, die_rows, die_cols) int
-    die_cell_quality: np.ndarray  #: (N, die_rows, die_cols) uint8 CellQuality
     die_quality: np.ndarray  #: (N,) uint8 DieQuality
     run_id: str | None = None
+
+    @property
+    def die_cell_quality(self) -> np.ndarray:
+        """An all-GOOD cell-quality plane shaped like ``die_codes``.
+
+        No wafer die takes an array scan, so no cell can read anything
+        but GOOD and no such plane is stored.  The view stays only for
+        the end-to-end benchmark's checks (``Wafer.finish``,
+        ``Fleet.check`` in ``benchmarks/e2e/workloads.py``); it goes
+        when that benchmark changes.
+        """
+        return quality_plane(self.die_codes.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,8 +252,6 @@ class WaferModel:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._sites = _printed_sites(diameter_dies)
-        self._structure: MeasurementStructure | None = None
-        self._abacus: Abacus | None = None
         self._die_calibration: DieCalibration | None = None
 
     # ------------------------------------------------------------------
@@ -261,23 +267,22 @@ class WaferModel:
     # ------------------------------------------------------------------
 
     def _calibration(self) -> tuple[MeasurementStructure, Abacus]:
+        """This wafer's designed structure and abacus, solved afresh
+        (:meth:`die_calibration` memoizes what the die loop reads)."""
         from repro.calibration.abacus import Abacus
         from repro.calibration.design import design_structure
 
-        if self._structure is None:
-            c_lo, c_hi, num_steps = self._backend.measurement_range()
-            self._structure = design_structure(
-                self.tech, self.macro_rows, self.macro_cols,
-                c_lo=c_lo, c_hi=c_hi, num_steps=num_steps,
-                bitline_rows=self.die_rows,
-            )
-            self._abacus = Abacus.analytic(
-                self._structure, self.macro_rows, self.macro_cols,
-                bitline_rows=self.die_rows,
-            )
-        if self._abacus is None:
-            raise DiagnosisError("wafer calibration failed to build an abacus")
-        return self._structure, self._abacus
+        c_lo, c_hi, num_steps = self._backend.measurement_range()
+        structure = design_structure(
+            self.tech, self.macro_rows, self.macro_cols,
+            c_lo=c_lo, c_hi=c_hi, num_steps=num_steps,
+            bitline_rows=self.die_rows,
+        )
+        abacus = Abacus.analytic(
+            structure, self.macro_rows, self.macro_cols,
+            bitline_rows=self.die_rows,
+        )
+        return structure, abacus
 
     def die_calibration(self) -> DieCalibration:
         """This wafer's :class:`DieCalibration`, solved once per model.
@@ -465,14 +470,13 @@ class WaferModel:
 
     def die_planes(self, count: int) -> dict[str, np.ndarray]:
         """Neutral :class:`DieRangeScan` planes for ``count`` dies (NaN
-        means and sigmas, zero codes, GOOD quality)."""
+        means and sigmas, zero codes, UNMEASURED quality)."""
         shape = (count, self.die_rows, self.die_cols)
         return {
             "die_means": np.full(count, np.nan),
             "die_sigmas": np.full(count, np.nan),
             "die_vgs": np.zeros(shape),
             "die_codes": np.zeros(shape, dtype=int),
-            "die_cell_quality": np.zeros(shape, dtype=np.uint8),
             "die_quality": np.zeros(count, dtype=np.uint8),
         }
 
@@ -506,9 +510,8 @@ class WaferModel:
         defect, so one zero kind plane serves every pass.  One kernel
         pass (one ``kernel`` span: the closed form, then a lookup in
         ``calibration``'s boundary table) measures the chunk, its vgs
-        and codes land as one slice each (cell quality stays GOOD, as
-        allocated), and every die's mean and sigma come from one
-        reduction (:func:`_die_statistics`).  Then the ``wafer.die_done`` fault
+        and codes land as one slice each, and every die's mean and sigma
+        come from one reduction (:func:`_die_statistics`).  Then the ``wafer.die_done`` fault
         site, progress and ``on_die`` fire per die, in die order, and a
         checkpoint marks the chunk's dies as one segment.
         """

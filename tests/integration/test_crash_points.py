@@ -40,8 +40,7 @@ SITES = ("durable.write", "durable.append", "durable.link")
 WAFER = {"diameter_dies": 5, "seed": 3}  # 21 dies
 
 _LOT_PLANES = (
-    "die_means", "die_sigmas", "die_vgs", "die_codes",
-    "die_cell_quality", "die_quality",
+    "die_means", "die_sigmas", "die_vgs", "die_codes", "die_quality",
 )
 
 

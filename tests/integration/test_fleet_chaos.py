@@ -28,8 +28,7 @@ DIAMETER = 5  # 21 dies
 SEED = 3
 
 _PLANES = (
-    "die_means", "die_sigmas", "die_vgs", "die_codes",
-    "die_cell_quality", "die_quality",
+    "die_means", "die_sigmas", "die_vgs", "die_codes", "die_quality",
 )
 
 

@@ -39,8 +39,7 @@ DIAMETER = 7
 #: so a failing example is reported unshrunk, in seconds.
 UNSHRUNK = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
-_PLANES = ("die_means", "die_sigmas", "die_vgs", "die_codes", "die_cell_quality",
-           "die_quality")
+_PLANES = ("die_means", "die_sigmas", "die_vgs", "die_codes", "die_quality")
 
 
 def _own_solve(model):

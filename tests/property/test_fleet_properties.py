@@ -21,8 +21,7 @@ from repro.wafer import WaferModel
 SEED = 13
 
 _PLANES = (
-    "die_means", "die_sigmas", "die_vgs", "die_codes",
-    "die_cell_quality", "die_quality",
+    "die_means", "die_sigmas", "die_vgs", "die_codes", "die_quality",
 )
 
 #: Unsharded reference scans, one per wafer diameter (they're pure

@@ -15,15 +15,14 @@ from repro.fleet.orchestrator import EXIT_DEGRADED, EXIT_HEALTHY
 from repro.measure.config import ScanConfig
 from repro.obs.ledger import RunLedger
 from repro.resilience.checkpoint import read_run
-from repro.resilience.planes import write_planes
+from repro.resilience.planes import read_planes, write_planes
 from repro.wafer import DieQuality, WaferModel
 
 DIAMETER = 3  # 9 dies
 SEED = 7
 
 _PLANES = (
-    "die_means", "die_sigmas", "die_vgs", "die_codes",
-    "die_cell_quality", "die_quality",
+    "die_means", "die_sigmas", "die_vgs", "die_codes", "die_quality",
 )
 
 
@@ -59,6 +58,21 @@ def _copy(fleet_root, tmp_path):
     return clone
 
 
+def _rewrite_result(path, run, planes, rows):
+    """Rewrite a shard run file as one segment of ``planes`` at ``rows``."""
+    header = {
+        "kind": "checkpoint", "segments": "appended", "run_kind": "shard",
+        "run_id": run.run_id, "fingerprint": run.fingerprint,
+        "total": run.total, "meta": run.meta, "created": run.created,
+        "layout": {name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
+                   for name, plane in planes.items()},
+    }
+    segment = {"kind": "segment", "units": run.completed, "rows": rows}
+    with open(path, "wb") as fh:
+        write_planes(fh, header, {})
+        write_planes(fh, segment, {name: p[rows[0]:] for name, p in planes.items()})
+
+
 def _edit_state(root, mutate):
     path = root / "fleet.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -77,6 +91,17 @@ class TestHealthyMerge:
             np.testing.assert_array_equal(
                 getattr(lot, name), getattr(reference, name), err_msg=name
             )
+
+    def test_no_cell_quality_plane_is_stored(self, fleet_root):
+        lot = merge_lot(fleet_root)
+        assert lot.die_cell_quality.dtype == np.uint8
+        assert lot.die_cell_quality.shape == lot.die_codes.shape
+        assert not lot.die_cell_quality.any()  # all GOOD
+        for key in ("s00", "s01"):
+            run = read_run(fleet_root / "results" / f"{key}.npz", "shard")
+            assert sorted(run.arrays) == sorted(_PLANES)
+        _header, arrays = read_planes(fleet_root / "lot.npz", "lot")
+        assert sorted(arrays) == sorted(_PLANES)
 
     def test_shard_provenance_recorded(self, fleet_root):
         lot = merge_lot(fleet_root)
@@ -246,19 +271,21 @@ class TestMergeRefusals:
         }
         # The same run file, rewritten with wafer-length planes whose
         # one segment fills rows [5, 9).
-        header = {
-            "kind": "checkpoint", "segments": "appended", "run_kind": "shard",
-            "run_id": run.run_id, "fingerprint": run.fingerprint,
-            "total": run.total, "meta": run.meta, "created": run.created,
-            "layout": {name: {"shape": list(plane.shape), "dtype": plane.dtype.str}
-                       for name, plane in planes.items()},
-        }
-        segment = {"kind": "segment", "units": run.completed, "rows": [5, 6, 7, 8]}
-        with open(path, "wb") as fh:
-            write_planes(fh, header, {})
-            write_planes(fh, segment, {name: p[5:] for name, p in planes.items()})
+        _rewrite_result(path, run, planes, [5, 6, 7, 8])
         assert read_run(path, "shard").arrays["die_means"].shape == (9,)
         with pytest.raises(FleetError, match=r"'die_means' has shape \(9,\).*\[5, 9\) holds 4"):
+            merge_lot(clone)
+
+    def test_refuses_result_with_the_cell_quality_plane(self, fleet_root, tmp_path):
+        # A shard result written before die ranges stopped storing the
+        # always-GOOD cell-quality plane is refused by its plane set.
+        clone = _copy(fleet_root, tmp_path)
+        path = clone / "results" / "s01.npz"
+        run = read_run(path, "shard")
+        planes = dict(run.arrays)
+        planes["die_cell_quality"] = np.zeros(planes["die_codes"].shape, np.uint8)
+        _rewrite_result(path, run, planes, list(range(len(planes["die_means"]))))
+        with pytest.raises(FleetError, match="result holds planes .*'die_cell_quality'"):
             merge_lot(clone)
 
     def test_refuses_defective_partition(self, fleet_root, tmp_path):

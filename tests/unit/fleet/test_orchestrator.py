@@ -8,6 +8,7 @@ root (the default ``.repro-fleet``) must be ignored, or every respawn
 is SIGKILLed on sight and recovery can never succeed.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,15 @@ def test_preexisting_stale_lease_does_not_kill_fresh_worker(tmp_path):
     assert report.state == "healthy"
     assert report.respawns == 0
     assert report.shards[0].exitcode == 0
+
+
+def test_shard_spec_carries_no_throttle_keys(tmp_path):
+    # The worker's checkpoint and heartbeat throttles are its own
+    # constants; the spec carries neither.
+    root = tmp_path / "fleet"
+    assert FleetOrchestrator(root, wafer=WAFER, shards=1).run().state == "healthy"
+    spec = json.loads((root / "specs" / "s00.json").read_text(encoding="utf-8"))
+    assert not {"checkpoint_every_seconds", "heartbeat_every_seconds"} & set(spec)
 
 
 def test_rerun_in_same_root_survives_previous_leases(tmp_path):

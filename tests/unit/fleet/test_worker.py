@@ -122,8 +122,7 @@ class TestRunShard:
         planes = run.arrays
         means, quality = planes["die_means"], planes["die_quality"]
         assert sorted(planes) == sorted([
-            "die_means", "die_sigmas", "die_vgs", "die_codes",
-            "die_cell_quality", "die_quality",
+            "die_means", "die_sigmas", "die_vgs", "die_codes", "die_quality",
         ])
         assert run.meta["die_range"] == [2, 6]
         assert run.fingerprint["die_range"] == [2, 6]
@@ -142,6 +141,9 @@ class TestRunShard:
         assert [m["kind"] for m in manifest] == ["shard"]
         assert manifest[0]["run_id"] == "r0001"
         assert manifest[0]["scalars"]["dies"] == 4.0
+        assert manifest[0]["scalars"]["failed_dies"] == 0.0
+        assert not {"degraded_cells", "failed_cells"} & set(manifest[0]["scalars"])
+        assert manifest[0]["label"] == "shard[2,6)"
         # The range's wafer scalars, one definition for every manifest.
         from repro.wafer import WaferModel, WaferReport
 
@@ -192,7 +194,7 @@ class TestRunShard:
         monkeypatch.setattr(checkpoint_module.Checkpointer, "finish", finish)
         assert run_shard(_spec(tmp_path, 2, 6)) == 0
         assert written[0] == ("checkpoint", 0)
-        assert set(written[1:]) == {("segment", 6)}
+        assert set(written[1:]) == {("segment", 5)}
         ((checkpoint_inode, result_inode, lines),) = links
         assert checkpoint_inode == result_inode and lines == 1
         run = read_run(tmp_path / "result.npz", "shard")
@@ -269,6 +271,72 @@ class TestRunShard:
             run_shard(_spec(tmp_path, 0, 9, resume="r0001", calibration=other))
         # The checkpoint stays resumable under the table it recorded.
         assert run_shard(_spec(tmp_path, 0, 9, resume="r0001")) == 0
+
+    def test_manifest_counts_the_failed_dies(self, tmp_path):
+        # A steep radial drop on the 1T card leaves 65 of the wafer's
+        # 349 printed dies with no in-range cell.
+        from repro.units import fF
+        from repro.wafer import WaferModel
+
+        wafer = {"diameter_dies": 21, "technology": "1t", "seed": 3,
+                 "radial_drop": 0.7 * 4 * fF, "cell_sigma": 4 * fF / 15}
+        calibration = WaferModel(**wafer).die_calibration().to_json()
+        assert run_shard(_spec(tmp_path, 0, 349, wafer=wafer,
+                               calibration=calibration)) == 0
+        from repro.obs.ledger import RunLedger
+
+        (manifest,) = RunLedger(tmp_path / "ledger").runs()
+        assert manifest.scalars["dies"] == 349.0
+        assert manifest.scalars["failed_dies"] == 65.0
+
+    @pytest.mark.parametrize("label, shown", [
+        (None, "shard[2,6)"), ("", "shard[2,6)"), ("lot-7", "lot-7"),
+    ])
+    def test_manifest_label_falls_back_to_the_range(
+        self, tmp_path, capsys, label, shown
+    ):
+        # An unlabeled fleet writes ``"label": null`` into every spec.
+        assert run_shard(_spec(tmp_path, 2, 6, label=label)) == 0
+        from repro.cli import main as cli_main
+        from repro.obs.ledger import RunLedger
+
+        (manifest,) = RunLedger(tmp_path / "ledger").runs()
+        assert manifest.label == shown
+        assert cli_main(["runs", "show", "--dir", str(tmp_path / "ledger"),
+                         "r0001"]) == 0
+        assert f"label     : {shown}\n" in capsys.readouterr().out
+
+    def test_resume_of_a_six_plane_checkpoint_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        # A checkpoint started while die ranges still stored the
+        # always-GOOD cell-quality plane is refused by its plane set.
+        from repro.errors import CheckpointError
+        from repro.wafer import WaferModel
+
+        five_planes = WaferModel.die_planes
+
+        def six_planes(model, count):
+            planes = five_planes(model, count)
+            planes["die_cell_quality"] = np.zeros(
+                planes["die_codes"].shape, dtype=np.uint8
+            )
+            return planes
+
+        monkeypatch.setattr(WaferModel, "die_planes", six_planes)
+        spec = _spec(tmp_path, 0, 9, faults={
+            "faults": [{
+                "site": "wafer.die_done",
+                "kind": "raise",
+                "error": "RuntimeError",
+                "match": {"die": 5},
+            }],
+        })
+        with pytest.raises(RuntimeError):
+            run_shard(spec)
+        monkeypatch.setattr(WaferModel, "die_planes", five_planes)
+        with pytest.raises(CheckpointError, match="holds planes .*'die_cell_quality'"):
+            run_shard(_spec(tmp_path, 0, 9, resume="r0001"))
 
     def test_failed_shard_flips_lease(self, tmp_path):
         spec = _spec(tmp_path, 0, 9, faults={

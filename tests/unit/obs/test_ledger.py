@@ -75,6 +75,12 @@ class TestManifestRoundTrip:
         clone = RunManifest.from_dict(manifest.to_dict())
         assert clone == manifest
 
+    def test_null_label_reads_empty(self):
+        # Shard manifests written by unlabeled fleets stored ``null``.
+        data = RunManifest(kind="shard", run_id="r0001", timestamp="t").to_dict()
+        data["label"] = None
+        assert RunManifest.from_dict(data).label == ""
+
     def test_malformed_dict_raises(self):
         with pytest.raises(LedgerError, match="malformed"):
             RunManifest.from_dict({"run_id": "r0001"})  # no kind

@@ -271,6 +271,27 @@ def test_die_range_planes_are_range_sized():
     np.testing.assert_array_equal(scan.die_means, whole.die_means[2:6])
 
 
+def test_die_range_stores_no_cell_quality_plane(tmp_path):
+    """No wafer die takes an array scan, so no cell can read anything
+    but GOOD: the die range keeps an all-GOOD view, not a stored plane."""
+    from repro.measure.config import ScanConfig
+    from repro.obs.ledger import RunLedger
+    from repro.resilience import Checkpointer, list_checkpoints
+
+    model = WaferModel(diameter_dies=5, seed=4)
+    assert sorted(model.die_planes(1)) == [
+        "die_codes", "die_means", "die_quality", "die_sigmas", "die_vgs",
+    ]
+    checkpointer = Checkpointer(RunLedger(tmp_path))
+    scan = model.measure_dies((0, 21), ScanConfig(checkpoint=checkpointer))
+    assert "die_cell_quality" not in vars(scan)
+    quality = scan.die_cell_quality
+    assert quality.dtype == np.uint8 and quality.shape == scan.die_codes.shape
+    assert not quality.any()
+    (state,) = list_checkpoints(RunLedger(tmp_path))
+    assert sorted(state.arrays) == sorted(model.die_planes(0))
+
+
 def test_measure_dies_leaves_the_checkpoint_to_its_caller(tmp_path):
     from repro.measure.config import ScanConfig
     from repro.obs.ledger import RunLedger
